@@ -16,6 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
+from .errors import CatalogIntegrityError
+
 ENV_OVERRIDE = "ANOSURF_CATALOG"
 
 PathLike = Union[str, Path]
@@ -49,10 +51,16 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
         return Path(p)
 
 
-def load_json(relpath: str, override: Optional[PathLike] = None) -> dict:
-    path = resolve(relpath, override=override)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(relpath: str, override: Optional[PathLike] = None,
+              sha256: Optional[str] = None) -> dict:
+    """Parse a data file from one read, whose bytes must hash to `sha256`."""
+    data = resolve(relpath, override=override).read_bytes()
+    if sha256 is not None:
+        have = hashlib.sha256(data).hexdigest()
+        if have != sha256:
+            raise CatalogIntegrityError(
+                relpath, f"checksum {have[:12]}... does not match the manifest")
+    return json.loads(data.decode("utf-8"))
 
 
 def sha256_of(relpath: str, override: Optional[PathLike] = None) -> str:

@@ -1,15 +1,16 @@
-"""The branched surface catalog.
+"""The branched surface catalog, with its spine, complexes and tracks.
 
-Entries live in packaged JSON, guarded by a manifest of SHA-256
-checksums. Loading verifies the checksums, so a corrupted data file is
-caught before any classification runs. A directory named by the
-ANOSURF_CATALOG environment variable (or passed explicitly) shadows
-packaged files one by one.
+All of it lives in packaged JSON, guarded by a manifest of SHA-256
+checksums. Loading hashes and parses the same bytes of each file, so a
+corrupted data file is caught before any classification runs. A
+directory named by the ANOSURF_CATALOG environment variable (or passed
+explicitly) shadows packaged files one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import _resources
@@ -21,7 +22,7 @@ from .branched_surface import (
 )
 from .errors import CatalogIntegrityError, CatalogKeyError
 from .slopes import AdmissibleSet, Slope, eval_admissible
-from .spine import load_track_bundle
+from .spine import Spine, TrackBundle
 from .traintrack import LawReport, check_law
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
@@ -73,10 +74,13 @@ class CatalogEntry:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Catalog:
     entries: Dict[str, CatalogEntry]
     manifest: dict
+    spine: Spine
+    complexes: Dict[str, Dict[str, int]]
+    tracks: Dict[str, TrackBundle]
 
     def get(self, entry_id: str) -> CatalogEntry:
         try:
@@ -103,27 +107,37 @@ class Catalog:
 
 
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
-    """Load and checksum the packaged catalog.
+    """Load, checksum and build the catalog.
 
     `path` overrides the ANOSURF_CATALOG environment variable; either
     names a directory whose files shadow the packaged data file by
     file. The manifest (wherever it resolves from) names one file per
-    entry and must match every data file it lists.
+    entry and must match every data file it lists. Each file is read
+    once, and every listed file is checked before anything is built.
     """
     manifest = _resources.load_json("catalog/manifest.json", override=path)
-    if verify:
-        for relpath, want in sorted(manifest.get("files", {}).items()):
-            have = _resources.sha256_of(relpath, override=path)
-            if have != want:
-                raise CatalogIntegrityError(
-                    relpath, f"checksum {have[:12]}... does not match the manifest")
+    listed = manifest.get("files", {})
+    docs = {}
+
+    def build(relpath, make):
+        try:
+            if relpath not in docs:
+                want = listed.get(relpath) if verify else None
+                docs[relpath] = _resources.load_json(relpath, override=path, sha256=want)
+            return make(docs[relpath])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CatalogIntegrityError(
+                relpath, f"unusable data ({type(exc).__name__}: {exc})") from exc
+
+    for relpath in sorted(listed):
+        build(relpath, lambda doc: doc)
     entry_files = manifest.get("entry_files", [])
     if not entry_files:
         raise CatalogIntegrityError("catalog/manifest.json",
                                     "manifest names no entry files")
     entries: Dict[str, CatalogEntry] = {}
     for relpath in entry_files:
-        entry = CatalogEntry.from_json(_resources.load_json(relpath, override=path))
+        entry = build(relpath, CatalogEntry.from_json)
         if entry.id in entries:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
@@ -135,12 +149,30 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
                 relpath,
                 f"entry {entry.id} has unknown exclusion class {entry.exclusion_class!r}")
         entries[entry.id] = entry
-    catalog = Catalog(entries=entries, manifest=manifest)
     if verify and len(entries) != manifest.get("entry_count"):
         raise CatalogIntegrityError(
             "catalog/manifest.json",
             f"{len(entries)} entries but the manifest promises {manifest.get('entry_count')}")
-    return catalog
+    return Catalog(
+        entries=entries,
+        manifest=manifest,
+        spine=build("spine.json", Spine),
+        complexes=build("qcomplexes.json", lambda doc: {
+            family: dict(body["connectors"]) for family, body in doc.items()}),
+        tracks={family: build(f"tracks/{family}.json", TrackBundle.from_json)
+                for family in FAMILIES},
+    )
+
+
+def default_catalog() -> Catalog:
+    """The verified catalog used when a caller passes none, reloaded
+    whenever the ANOSURF_CATALOG environment variable changes."""
+    return _catalog_at(_resources.override_dir())
+
+
+@lru_cache(maxsize=1)
+def _catalog_at(override: Optional[_resources.PathLike]) -> Catalog:
+    return load_catalog(path=override)
 
 
 def candidates_for(catalog: Catalog, slope: Slope) -> List[CatalogEntry]:
@@ -169,7 +201,7 @@ def slope_law_check(catalog: Catalog, family: str, bound: int = 6) -> LawReport:
     """Check the boundary slope law of a family's double cover track."""
     if family not in FAMILIES:
         raise CatalogKeyError(family)
-    bundle = load_track_bundle(family)
+    bundle = catalog.tracks[family]
     return check_law(bundle.track, bundle.law, bundle.designated,
                      bound=bound, family=family)
 

@@ -24,7 +24,7 @@ from .catalog import (
     CatalogEntry,
     candidates_for,
     complement_components,
-    load_catalog,
+    default_catalog,
 )
 from .errors import ClassificationGapError, UnsupportedSlopeError
 from .slopes import Slope
@@ -436,7 +436,7 @@ def classify(slope: Slope, catalog: Optional[Catalog] = None) -> ClassificationR
             argument=unique_flow_argument(slope))
 
     if catalog is None:
-        catalog = load_catalog()
+        catalog = default_catalog()
     traces = []
     for entry in candidates_for(catalog, slope):
         trace = exclusion_trace(entry, slope)

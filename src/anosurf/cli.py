@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedSlopeError,
 )
 from .slopes import Slope, is_hyperbolic, parse_slope
-from .spine import load_track_bundle
 
 
 def _slope_sort_key(s: Slope):
@@ -79,8 +78,8 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
 
 
 @cli.command("sweep")
-@click.option("--max", "max_height", type=int, default=50, show_default=True,
-              help="Largest numerator and denominator to visit.")
+@click.option("--max", "max_height", type=click.IntRange(min=0), default=50,
+              show_default=True, help="Largest numerator and denominator to visit.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 @click.option("--catalog", "catalog_path", default=None)
@@ -116,14 +115,15 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
 
 @cli.command("track")
 @click.argument("family", type=click.Choice(list(FAMILIES)))
-@click.option("--bound", type=int, default=20, show_default=True,
-              help="Max weight per branch when enumerating solutions.")
+@click.option("--bound", type=click.IntRange(min=0), default=20,
+              show_default=True, help="Max weight per branch when enumerating solutions.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 def track_cmd(family: str, bound: int, fmt: str):
     """Check the boundary slope law of a family's double cover track."""
-    bundle = load_track_bundle(family)
-    report = slope_law_check(load_catalog(), family, bound=bound)
+    catalog = load_catalog()
+    bundle = catalog.tracks[family]
+    report = slope_law_check(catalog, family, bound=bound)
     realized = sorted(report.realized, key=_slope_sort_key)
     if fmt == "json":
         click.echo(json.dumps({
@@ -208,7 +208,8 @@ def catalog_show(entry_id: str, catalog_path: Optional[str]):
 @catalog_group.command("check")
 @click.option("--laws/--no-laws", default=False,
               help="Also check every family's boundary slope law (slower).")
-@click.option("--law-bound", type=int, default=6, show_default=True)
+@click.option("--law-bound", type=click.IntRange(min=0), default=6,
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
 @click.option("--catalog", "catalog_path", default=None)
@@ -248,14 +249,17 @@ def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: Optional[s
                 click.echo(f"law {family}: {status}")
         click.echo("catalog ok" if report.ok else "catalog NOT ok")
     if not report.ok:
-        raise ClassificationGapError(
-            "<catalog>", None, "catalog check found problems")
+        click.echo(f"error: catalog check found {len(report.problems)} problem(s)",
+                   err=True)
+        raise click.exceptions.Exit(4)
 
 
 def main(argv=None) -> int:
     """Entry point with stable exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # outside standalone mode click returns the code of an Exit raised
+        # by a command, and the command's own result (None) otherwise
+        return cli.main(args=argv, standalone_mode=False) or 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.exceptions.Abort:
@@ -272,7 +276,6 @@ def main(argv=None) -> int:
     except (CatalogIntegrityError, CatalogKeyError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 5
-    return 0
 
 
 if __name__ == "__main__":

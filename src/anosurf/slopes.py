@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .errors import SlopeFormatError
 
-_SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
+_SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
 
 
 @dataclass(frozen=True, order=False)
@@ -30,7 +30,7 @@ class Slope:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+        if not all(type(c) is not bool and isinstance(c, int) for c in (self.q, self.p)):
             raise SlopeFormatError(f"({self.q}, {self.p})", "coefficients must be integers")
         if self.p == 0 and self.q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
@@ -117,8 +117,11 @@ def parse_slope(text: Union[str, int, Fraction, "Slope"]) -> Slope:
     m = _SLOPE_RE.match(text)
     if m is None:
         raise SlopeFormatError(text, "expected q, q/p, or inf")
-    q = int(m.group(1))
-    p = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        q = int(m.group(1))
+        p = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:    # more digits than int() converts
+        raise SlopeFormatError(text, "too many digits") from None
     if p == 0 and q == 0:
         raise SlopeFormatError(text, "both coefficients vanish")
     if p == 0:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from . import _resources
 from .errors import SpineCaseError, UnsupportedComplexError
 from .traintrack import SlopeLaw, TrainTrack
 
@@ -246,29 +244,35 @@ class TrackBundle:
     noncompact: Tuple[str, ...]    # branches dead in every solution
     projection: Tuple[dict, ...]
 
+    @staticmethod
+    def from_json(doc: dict) -> "TrackBundle":
+        return TrackBundle(
+            family=doc["id"],
+            track=TrainTrack.from_json(doc["track"], track_id=doc["id"]),
+            law=SlopeLaw.from_json(doc["law"]),
+            designated={k: tuple(v) for k, v in doc.get("designated", {}).items()},
+            noncompact=tuple(doc.get("noncompact", ())),
+            projection=tuple(doc.get("projection", ())),
+        )
 
-@lru_cache(maxsize=None)
+
+# Accessors to the objects that catalog.default_catalog() builds. The
+# catalog module imports this one, so each accessor imports it on call.
+
+
 def load_spine() -> Spine:
-    return Spine(_resources.load_json("spine.json"))
+    from .catalog import default_catalog
+    return default_catalog().spine
 
 
-@lru_cache(maxsize=None)
 def canonical_complexes() -> Dict[str, Dict[str, int]]:
-    doc = _resources.load_json("qcomplexes.json")
-    return {family: dict(body["connectors"]) for family, body in doc.items()}
+    from .catalog import default_catalog
+    return default_catalog().complexes
 
 
-@lru_cache(maxsize=None)
 def load_track_bundle(family: str) -> TrackBundle:
-    doc = _resources.load_json(f"tracks/{family}.json")
-    return TrackBundle(
-        family=doc["id"],
-        track=TrainTrack.from_json(doc["track"], track_id=doc["id"]),
-        law=SlopeLaw.from_json(doc["law"]),
-        designated={k: tuple(v) for k, v in doc.get("designated", {}).items()},
-        noncompact=tuple(doc.get("noncompact", ())),
-        projection=tuple(doc.get("projection", ())),
-    )
+    from .catalog import default_catalog
+    return default_catalog().tracks[family]
 
 
 def boundary_double_cover(spine: Spine, q: Mapping[str, int]) -> DoubleCover:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -5,8 +6,8 @@ import shutil
 
 import pytest
 
+from anosurf import _resources
 from anosurf.catalog import (
-    Catalog,
     candidates_for,
     check_catalog,
     complement_components,
@@ -15,6 +16,7 @@ from anosurf.catalog import (
 )
 from anosurf.errors import CatalogIntegrityError, CatalogKeyError
 from anosurf.slopes import Slope, parse_slope
+from anosurf.spine import load_track_bundle
 from conftest import DATA_DIR
 
 ALL_IDS = {
@@ -44,6 +46,34 @@ def _restamp_manifest(root) -> None:
     for rel in manifest["files"]:
         manifest["files"][rel] = _sha(root / rel)
     manifest_path.write_text(json.dumps(manifest))
+
+
+def _rewrite(root, relpath, edit) -> None:
+    path = root / relpath
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    _restamp_manifest(root)
+
+
+def _drop_track(doc):
+    del doc["track"]
+
+
+def _unknown_law(doc):
+    doc["law"] = {"kind": "ONLY_SEVEN"}
+
+
+def _designated_list(doc):
+    doc["designated"] = []
+
+
+def _duplicate_branch(doc):
+    doc["track"]["branches"].append(doc["track"]["branches"][0])
+
+
+def _repeated_side(doc):
+    doc["hexagons"]["X"]["sides"][0] = doc["hexagons"]["X"]["sides"][1]
 
 
 @pytest.fixture
@@ -101,6 +131,39 @@ class TestLoading:
         _restamp_manifest(data_copy)
         with pytest.raises(CatalogIntegrityError):
             load_catalog(path=str(data_copy))
+
+    def test_each_file_is_read_once(self, monkeypatch):
+        reads = collections.Counter()
+        real = _resources.load_json
+
+        def counting(relpath, *args, **kwargs):
+            reads[relpath] += 1
+            return real(relpath, *args, **kwargs)
+
+        monkeypatch.setattr(_resources, "load_json", counting)
+        catalog = load_catalog()
+        expected = set(catalog.manifest["files"]) | {"catalog/manifest.json"}
+        assert reads == dict.fromkeys(expected, 1)
+
+    def test_default_follows_the_environment(self, data_copy, monkeypatch):
+        assert load_track_bundle("Q1").law.kind == "ONLY_ZERO"
+        _rewrite(data_copy, "tracks/Q1.json",
+                 lambda doc: doc.update(law={"kind": "ONLY_FOUR"}))
+        monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
+        assert load_track_bundle("Q1").law.kind == "ONLY_FOUR"
+
+    @pytest.mark.parametrize("relpath,edit", [
+        ("tracks/Q1.json", _drop_track),
+        ("tracks/Q1.json", _unknown_law),
+        ("tracks/Q1.json", _designated_list),
+        ("tracks/Q1.json", _duplicate_branch),
+        ("spine.json", _repeated_side),
+    ], ids=["missing-key", "unknown-law", "wrong-type", "switch-system", "spine"])
+    def test_unusable_data_detected(self, data_copy, relpath, edit):
+        _rewrite(data_copy, relpath, edit)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy))
+        assert info.value.path == relpath
 
     def test_unknown_family_detected(self, data_copy):
         entry_path = data_copy / "catalog" / "entries" / "B1.json"
@@ -184,7 +247,7 @@ class TestHealthCheck:
         bad = dataclasses.replace(catalog.get("B6"), orientable=False)
         entries = dict(catalog.entries)
         entries["B6"] = bad
-        report = check_catalog(Catalog(entries=entries, manifest=catalog.manifest))
+        report = check_catalog(dataclasses.replace(catalog, entries=entries))
         assert any("B6" in p and "orientable" in p for p in report.problems)
         assert not report.ok
 
@@ -192,13 +255,13 @@ class TestHealthCheck:
         bad = dataclasses.replace(catalog.get("B6"), orientation_graph=None)
         entries = dict(catalog.entries)
         entries["B6"] = bad
-        report = check_catalog(Catalog(entries=entries, manifest=catalog.manifest))
+        report = check_catalog(dataclasses.replace(catalog, entries=entries))
         assert any("B6" in p and "sector graph" in p for p in report.problems)
 
     def test_family_count_drift_is_a_problem(self, catalog):
         entries = dict(catalog.entries)
         del entries["B7_star"]
-        report = check_catalog(Catalog(entries=entries, manifest=catalog.manifest))
+        report = check_catalog(dataclasses.replace(catalog, entries=entries))
         assert any("family counts" in p for p in report.problems)
 
     def test_sink_disk_is_a_problem(self, catalog):
@@ -208,5 +271,5 @@ class TestHealthCheck:
         bad = dataclasses.replace(entry, disk_sectors=sectors)
         entries = dict(catalog.entries)
         entries["B1"] = bad
-        report = check_catalog(Catalog(entries=entries, manifest=catalog.manifest))
+        report = check_catalog(dataclasses.replace(catalog, entries=entries))
         assert any("Dsink" in p for p in report.problems)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from anosurf.catalog import Catalog, candidates_for
+from anosurf.catalog import candidates_for
 from anosurf.classifier import (
     ANCHORS,
     RULES,
@@ -173,7 +173,7 @@ class TestClassify:
         entries = dict(catalog.entries)
         entries["B6"] = dataclasses.replace(catalog.get("B6"), orientable=None,
                                             orientation_graph=None)
-        broken = Catalog(entries=entries, manifest=catalog.manifest)
+        broken = dataclasses.replace(catalog, entries=entries)
         with pytest.raises(ClassificationGapError):
             classify(HALF, broken)
         # a denominator three filling never consults the certificate

@@ -47,6 +47,16 @@ class TestExitCodes:
     def test_bad_track_family(self, capsys):
         assert main(["track", "Q99"]) == 2
 
+    @pytest.mark.parametrize("argv,code", [
+        (["classify", "\u0969/2"], 3),
+        (["classify", "9" * 5000], 3),
+        (["track", "Q2", "--bound", "-1"], 2),
+        (["catalog", "check", "--law-bound", "-1"], 2),
+        (["sweep", "--max", "-3"], 2),
+    ], ids=["non-ascii-digit", "5000-digits", "track-bound", "law-bound", "sweep-max"])
+    def test_bad_input_exit_codes(self, argv, code, capsys):
+        assert main(argv) == code
+
 
 class TestClassifyOutput:
     def test_json_digest(self, capsys):
@@ -143,7 +153,9 @@ class TestTamperedCatalog:
         _restamp_manifest(data_copy)
 
         assert main(["catalog", "check", "--catalog", str(data_copy)]) == 4
-        assert "PROBLEM" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "PROBLEM" in captured.out
+        assert captured.err == "error: catalog check found 1 problem(s)\n"
         # the classifier refuses to paper over the broken certificate
         assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 4
 
@@ -156,3 +168,20 @@ class TestTamperedCatalog:
         assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
         assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 5
         assert "error:" in capsys.readouterr().err
+
+    def test_law_check_uses_the_override_track(self, data_copy, capsys):
+        track_path = data_copy / "tracks" / "Q1.json"
+        doc = json.loads(track_path.read_text())
+        doc["law"] = {"kind": "ONLY_FOUR"}
+        track_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 4
+        assert "law Q1: violated" in capsys.readouterr().out
+
+    def test_unusable_track_exits_five(self, data_copy, capsys):
+        (data_copy / "tracks" / "Q1.json").write_text(json.dumps({"id": "Q1"}))
+        _restamp_manifest(data_copy)
+
+        assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 5
+        assert "tracks/Q1.json" in capsys.readouterr().err

@@ -40,6 +40,8 @@ class TestSlopeConstruction:
             Slope(3, 0)          # infinity is stored as 1/0
         with pytest.raises(SlopeFormatError):
             Slope.of(0, 0)
+        with pytest.raises(SlopeFormatError):
+            Slope(True, 1)       # a bool is not a coefficient
 
     def test_properties(self):
         s = Slope(7, 2)
@@ -78,7 +80,11 @@ class TestParse:
     def test_accepted(self, text, expected):
         assert parse_slope(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "q/p", "1.5", "1/2/3", "0/0", None, 2.5])
+    @pytest.mark.parametrize("text", [
+        "", "q/p", "1.5", "1/2/3", "0/0", None, 2.5,
+        pytest.param("\u0969/2", id="devanagari-digit"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ])
     def test_rejected(self, text):
         with pytest.raises(SlopeFormatError):
             parse_slope(text)

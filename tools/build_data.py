@@ -7,10 +7,13 @@ curve complexes, their boundary double cover train tracks with slope
 laws, and the branched surface catalog with its checksum manifest.
 
 The script asserts every structural invariant it knows about before
-writing, and reloads everything through the package loaders afterwards,
-so a successful run is itself a consistency check.
+writing, and reloads what it wrote through the package loader
+afterwards, so a successful run is itself a consistency check.
 
-Run from the repository root:  python tools/build_data.py
+Run from the repository root:  python tools/build_data.py [OUT]
+
+OUT defaults to src/anosurf/_data. Building into another directory and
+comparing it with the packaged data shows whether the two have drifted.
 """
 
 from __future__ import annotations
@@ -794,7 +797,12 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        print("usage: build_data.py [OUT]", file=sys.stderr)
+        return 2
+    out = Path(args[0]) if args else DATA
     spine_doc = build_spine_doc()
     spine = Spine(spine_doc)
     check_complexes(spine)
@@ -803,23 +811,23 @@ def main() -> int:
     entries = build_entries()
     check_entries(entries)
 
-    dump(DATA / "spine.json", spine_doc)
-    dump(DATA / "qcomplexes.json",
+    dump(out / "spine.json", spine_doc)
+    dump(out / "qcomplexes.json",
          {family: {"connectors": q} for family, q in QCOMPLEXES.items()})
     for family, doc in bundles.items():
-        dump(DATA / "tracks" / f"{family}.json", doc)
+        dump(out / "tracks" / f"{family}.json", doc)
 
-    entries_dir = DATA / "catalog" / "entries"
+    entries_dir = out / "catalog" / "entries"
     if entries_dir.exists():
         for stale in entries_dir.glob("*.json"):
             stale.unlink()
-    legacy_bundle = DATA / "catalog" / "entries.json"
+    legacy_bundle = out / "catalog" / "entries.json"
     if legacy_bundle.exists():
         legacy_bundle.unlink()
     entry_files = []
     for entry in entries:
         rel = f"catalog/entries/{entry['id']}.json"
-        dump(DATA / rel, entry)
+        dump(out / rel, entry)
         entry_files.append(rel)
     entry_files.sort()
 
@@ -832,22 +840,21 @@ def main() -> int:
         "families": EXPECTED_FAMILY_COUNTS,
         "stated_total_in_source": 39,
         "entry_files": entry_files,
-        "files": {rel: sha256_file(DATA / rel) for rel in sorted(hashed)},
+        "files": {rel: sha256_file(out / rel) for rel in sorted(hashed)},
     }
-    dump(DATA / "catalog" / "manifest.json", manifest)
+    dump(out / "catalog" / "manifest.json", manifest)
 
-    # reload everything through the package loaders as a final check
+    # reload what was just written through the package loader as a final check
     from anosurf.catalog import check_catalog, load_catalog
-    from anosurf.spine import boundary_double_cover, load_spine
 
-    catalog = load_catalog()
+    catalog = load_catalog(path=out)
     report = check_catalog(catalog)
     assert report.problems == [], report.problems
     assert len(report.warnings) == 1, report.warnings
-    packaged_spine = load_spine()
+    assert catalog.complexes == QCOMPLEXES, catalog.complexes
     for family, q in QCOMPLEXES.items():
-        cover = boundary_double_cover(packaged_spine, q)
-        assert cover.family == family
+        catalog.spine.validate_complex(q)
+        assert catalog.tracks[family].family == family
 
     print(f"spine: {len(spine_doc['symmetries'])} symmetries, "
           f"{len(spine_doc['connectors'])} connectors")

@@ -27,6 +27,11 @@ from .errors import (
 from .slopes import Slope, is_hyperbolic, parse_slope
 
 
+# Ceiling on law-check bounds: the check costs about bound^4, and Q4 alone
+# takes over a second at bound 50.
+MAX_LAW_BOUND = 50
+
+
 def _slope_sort_key(s: Slope):
     if s.is_infinity:
         return (1, Fraction(0))
@@ -115,7 +120,7 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
 
 @cli.command("track")
 @click.argument("family", type=click.Choice(list(FAMILIES)))
-@click.option("--bound", type=click.IntRange(min=0), default=20,
+@click.option("--bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=20,
               show_default=True, help="Max weight per branch when enumerating solutions.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
@@ -208,7 +213,7 @@ def catalog_show(entry_id: str, catalog_path: Optional[str]):
 @catalog_group.command("check")
 @click.option("--laws/--no-laws", default=False,
               help="Also check every family's boundary slope law (slower).")
-@click.option("--law-bound", type=click.IntRange(min=0), default=6,
+@click.option("--law-bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=6,
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)

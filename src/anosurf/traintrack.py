@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -201,102 +203,110 @@ class TrainTrack:
 # Solution enumeration.
 
 
-def _component_solutions(track: TrainTrack, comp: List[str], bound: int) -> List[Tuple[int, ...]]:
-    """All weight tuples (aligned with comp, which is sorted) satisfying
-    every switch supported on comp, each weight <= bound. Backtracking
-    with unit propagation: when one branch is the last unknown of some
-    switch its value is forced."""
-    comp_set = set(comp)
-    index = {bid: i for i, bid in enumerate(comp)}
-    rows = []
-    for row in track.switch_system():
-        if any(b in comp_set for b in row):
-            rows.append([(index[b], c) for b, c in row.items()])
+Row = Tuple[Tuple[int, int], ...]  # (local index, coefficient) pairs
+Key = Tuple[int, int, bool]        # (p, q, nonzero) of a partial solution
 
-    n = len(comp)
-    weights: List[Optional[int]] = [None] * n
+# The most solutions enumerate_solutions builds. Every family fits at bound
+# 10 (Q7 has 121^3 = 1,771,561); Q2 at bound 20 has 3311^2 = 10,962,721.
+ENUMERATION_CAP = 2_000_000
+
+
+def _local_system(rows: List[Dict[str, int]], comp: List[str]) -> Tuple[Row, ...]:
+    """The switch rows supported on comp, in comp's local indices, sorted
+    so that components with the same system get the same key."""
+    index = {bid: i for i, bid in enumerate(comp)}
+    return tuple(sorted(tuple(sorted((index[b], c) for b, c in row.items()))
+                        for row in rows if row and next(iter(row)) in index))
+
+
+def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[int], list]]:
+    """One level per free choice (None before the first): (index chosen,
+    steps). A step (i, c, rest) forces w[i] from its row's other entries
+    rest; (None, 0, row) checks a fully known row. What a row forces
+    depends only on which weights are known, never on their values, so
+    the plan is fixed before any is chosen."""
+    known: Set[Optional[int]] = set()
+    pending, levels, choice = list(system), [], None
+    while True:
+        steps = []
+        while (row := next((r for r in pending
+                            if sum(i not in known for i, _ in r) <= 1), None)) is not None:
+            pending.remove(row)
+            i, c = next(((i, c) for i, c in row if i not in known), (None, 0))
+            known.add(i)
+            steps.append((i, c, [(j, d) for j, d in row if j != i]))
+        levels.append((choice, steps))
+        choice = next((i for i in range(n) if i not in known), None)
+        if choice is None:
+            return levels
+        known.add(choice)
+
+
+def _component_solutions(track: TrainTrack, comp: List[str], bound: int, *,
+                         rows: Optional[List[Dict[str, int]]] = None) -> List[Tuple[int, ...]]:
+    """All weight tuples (aligned with comp, which is sorted) satisfying
+    every switch supported on comp, each weight <= bound, sorted. `rows`
+    is track.switch_system() when the caller already has it. Each free
+    choice of the elimination plan runs its fixed steps; no row rescans."""
+    system = _local_system(track.switch_system() if rows is None else rows, comp)
+    levels = _elimination_plan(len(comp), system)
+    weights = [0] * len(comp)
     out: List[Tuple[int, ...]] = []
 
-    def propagate(trail: List[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for row in rows:
-                total = 0
-                missing = None
-                missing_coeff = 0
-                for i, c in row:
-                    w = weights[i]
-                    if w is None:
-                        if missing is not None:
-                            missing = -1  # more than one unknown
-                            break
-                        missing = i
-                        missing_coeff = c
-                    else:
-                        total += c * w
-                if missing == -1:
-                    continue
-                if missing is None:
-                    if total != 0:
-                        return False
-                    continue
-                if total % missing_coeff != 0:
+    def holds(steps) -> bool:
+        for i, c, rest in steps:
+            total = 0
+            for j, d in rest:
+                total += d * weights[j]
+            if i is None:
+                if total:
                     return False
-                value = -total // missing_coeff
-                if value < 0 or value > bound:
-                    return False
-                weights[missing] = value
-                trail.append(missing)
-                changed = True
+                continue
+            value = -total * c  # c is +-1, so dividing by c is multiplying by it
+            if value < 0 or value > bound:
+                return False
+            weights[i] = value
         return True
 
-    def rec(pos: int):
-        while pos < n and weights[pos] is not None:
-            pos += 1
-        if pos == n:
-            out.append(tuple(weights))  # fully determined
+    def walk(level: int) -> None:
+        if level == len(levels):
+            out.append(tuple(weights))
             return
+        choice, steps = levels[level]
         for value in range(bound + 1):
-            weights[pos] = value
-            trail = [pos]
-            if propagate(trail):
-                rec(pos + 1)
-            for i in trail:
-                weights[i] = None
+            weights[choice] = value
+            if holds(steps):
+                walk(level + 1)
 
-    trail0: List[int] = []
-    if propagate(trail0):
-        rec(0)
-    for i in trail0:
-        weights[i] = None
+    if holds(levels[0][1]):
+        walk(1)
     out.sort()
     return out
 
 
+def _merge(comps: List[List[str]], tups: Sequence[Tuple[int, ...]]) -> Dict[str, int]:
+    return {bid: value for comp, tup in zip(comps, tups) for bid, value in zip(comp, tup)}
+
+
 def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
     """Every solution with all weights <= bound, zero vector included,
-    in lexicographic order over alphabetically sorted branch ids."""
+    in lexicographic order over alphabetically sorted branch ids.
+
+    Raises ValueError, before building any, when there are more than
+    ENUMERATION_CAP of them."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     comps = track.components()
-    per_comp = [_component_solutions(track, comp, bound) for comp in comps]
+    rows = track.switch_system()
+    per_comp = [_component_solutions(track, comp, bound, rows=rows) for comp in comps]
+    count = math.prod(len(sols) for sols in per_comp)
+    if count > ENUMERATION_CAP:
+        raise ValueError(f"{count} solutions at bound {bound} exceed the "
+                         f"enumeration cap of {ENUMERATION_CAP}")
     order = track.branch_order()
-    solutions = []
-    for combo in itertools.product(*per_comp):
-        w: Dict[str, int] = {}
-        for comp, tup in zip(comps, combo):
-            for bid, value in zip(comp, tup):
-                w[bid] = value
-        solutions.append(w)
+    solutions = [_merge(comps, combo) for combo in itertools.product(*per_comp)]
     solutions.sort(key=lambda w: tuple(w[b] for b in order))
     return solutions
-
-
-def _class_of(track: TrainTrack, weights: Dict[str, int]) -> Tuple[int, int]:
-    p = sum(track.branches[b].klass[0] * w for b, w in weights.items())
-    q = sum(track.branches[b].klass[1] * w for b, w in weights.items())
-    return (p, q)
 
 
 @dataclass
@@ -317,55 +327,46 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     The witness for a class is deterministic: components are taken in
     order of their smallest branch id, each contributing its
     lexicographically first weight tuple for its share of the class.
+    Components with the same switch system share one solution list.
     """
     comps = track.components()
-    # per component: one lex-first tuple per class, plus (since the zero
-    # tuple shadows it) the lex-first nonzero tuple of vanishing class
-    per_comp: List[List[Tuple[Tuple[int, int], Tuple[int, ...]]]] = []
+    rows = track.switch_system()
+    solved: Dict[Tuple[int, Tuple[Row, ...]], List[Tuple[int, ...]]] = {}
+    # Per component, the lex-first tuple of each key in ascending tuple
+    # order; the nonzero flag keeps null solutions from hiding behind the
+    # all-zero vector.
+    per_comp = []
     for comp in comps:
-        picked: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        nz_null: Optional[Tuple[int, ...]] = None
-        for tup in _component_solutions(track, comp, bound):
-            cls = (sum(track.branches[b].klass[0] * w for b, w in zip(comp, tup)),
-                   sum(track.branches[b].klass[1] * w for b, w in zip(comp, tup)))
-            if cls not in picked:  # tuples arrive lex sorted
-                picked[cls] = tup
-            if cls == (0, 0) and any(tup) and nz_null is None:
-                nz_null = tup
-        entries = list(picked.items())
-        if nz_null is not None:
-            entries.append(((0, 0), nz_null))
-        per_comp.append(entries)
+        system = (len(comp), _local_system(rows, comp))
+        if system not in solved:
+            solved[system] = _component_solutions(track, comp, bound, rows=rows)
+        kp = [track.branches[b].klass[0] for b in comp]
+        kq = [track.branches[b].klass[1] for b in comp]
+        entries: Dict[Key, Tuple[int, ...]] = {}
+        for tup in solved[system]:
+            entries.setdefault((sum(map(operator.mul, kp, tup)),
+                                sum(map(operator.mul, kq, tup)), any(tup)), tup)
+        per_comp.append(list(entries.items()))
 
-    # fold; key carries whether the combo is nonzero so that null
-    # solutions are not hidden behind the all-zero vector
-    Key = Tuple[Tuple[int, int], bool]
-    best: Dict[Key, Tuple[Tuple[int, ...], ...]] = {((0, 0), False): ()}
+    # Walk the partial folds in ascending witness order, so the first
+    # witness seen for a key is its lex-least one and insertion order
+    # stays ascending.
+    best: Dict[Key, Tuple[Tuple[int, ...], ...]] = {(0, 0, False): ()}
     for entries in per_comp:
         nxt: Dict[Key, Tuple[Tuple[int, ...], ...]] = {}
-        for (cls0, nz0), tups in best.items():
-            for cls1, tup in entries:
-                key = ((cls0[0] + cls1[0], cls0[1] + cls1[1]), nz0 or any(tup))
-                cand = tups + (tup,)
-                if key not in nxt or cand < nxt[key]:
-                    nxt[key] = cand
+        for (p0, q0, nz0), prefix in best.items():
+            for (p1, q1, nz1), tup in entries:
+                key = (p0 + p1, q0 + q1, nz0 or nz1)
+                if key not in nxt:
+                    nxt[key] = prefix + (tup,)
         best = nxt
 
-    def as_weights(tups: Tuple[Tuple[int, ...], ...]) -> Dict[str, int]:
-        weights: Dict[str, int] = {}
-        for comp, tup in zip(comps, tups):
-            for bid, value in zip(comp, tup):
-                weights[bid] = value
-        return weights
-
     report = CarriedClasses()
-    for (cls, nz), tups in sorted(best.items(), key=lambda kv: kv[1]):
-        if cls == (0, 0):
-            if nz and report.null_witness is None:
-                report.null_witness = as_weights(tups)
-            continue
-        if cls not in report.classes:
-            report.classes[cls] = as_weights(tups)
+    for (p, q, nz), tups in best.items():
+        if (p, q) != (0, 0):
+            report.classes[(p, q)] = _merge(comps, tups)
+        elif nz:
+            report.null_witness = _merge(comps, tups)
     return report
 
 
@@ -384,9 +385,10 @@ def carries_slope(track: TrainTrack, slope, bound: int) -> Optional[Dict[str, in
 
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
     """Branches carrying zero weight in every solution at this bound."""
+    rows = track.switch_system()
     alive: Set[str] = set()
     for comp in track.components():
-        for tup in _component_solutions(track, comp, bound):
+        for tup in _component_solutions(track, comp, bound, rows=rows):
             for bid, w in zip(comp, tup):
                 if w:
                     alive.add(bid)
@@ -506,7 +508,6 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
             violations.append(f"missing slopes of height <= {h}: "
                               f"{sorted(str(s) for s in missing)}")
     elif law.kind == "FORMULA_THREE_PLUS":
-        four = Slope(4, 1)
         for (p, q), w in report.classes.items():
             omega = _role_sum(w, designated.get("omega", ()))
             mu = _role_sum(w, designated.get("mu", ()))
@@ -520,7 +521,6 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
             s = Slope.of(q, p)
             if s.is_infinity or not (s > Slope(3, 1)):
                 violations.append(f"realized slope {s} not greater than 3")
-        _ = four
     elif law.kind == "FORMULA_B9":
         saw_positive_g = False
         for (p, q), w in report.classes.items():

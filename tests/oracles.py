@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -106,3 +106,60 @@ def oracle_slope_pairs(track_doc: dict, bound: int) -> Set[Tuple[int, int]]:
         if (p, q) != (0, 0):
             pairs.add(_normalize(p, q))
     return pairs
+
+
+def _component_arrays(track_doc: dict, bound: int):
+    """The track's connected components, ordered by smallest branch id,
+    each with its solution grid as an array whose columns follow the
+    component's sorted ids. Every branch meeting a switch joins its
+    component, also one whose two ends cancel in the balance row."""
+    branch_ids = sorted(b["id"] for b in track_doc["branches"])
+    rows = switch_rows(track_doc)
+    meets = [{end["branch"]: 1 for key in ("one_fold", "two_fold") for end in sw[key]}
+             for sw in track_doc["switches"]]
+    comps = sorted(_components(branch_ids, meets), key=lambda comp: comp[0])
+    grids = [np.array(_component_grid(comp, rows, bound), dtype=np.int64).reshape(-1, len(comp))
+             for comp in comps]
+    return comps, grids
+
+
+def oracle_class_witnesses(track_doc: dict, bound: int
+                           ) -> Tuple[Dict[Tuple[int, int], Dict[str, int]], Optional[Dict[str, int]]]:
+    """Lex-least witness per nonzero class, plus the lex-least nonzero
+    solution of class (0, 0) or None.
+
+    A witness is compared as the concatenation of its component tuples,
+    components ordered by smallest branch id. The classes come back in
+    ascending witness order. Scans the full product of the per-component
+    grids, so it is only for small tracks and bounds.
+    """
+    comps, grids = _component_arrays(track_doc, bound)
+    if not comps:
+        return {}, None
+    ids = [b for comp in comps for b in comp]
+    if int(np.prod([len(g) for g in grids])) * len(ids) > _GRID_CAP:
+        raise ValueError(f"oracle product too large at bound {bound}")
+    picks = np.stack(np.meshgrid(*[np.arange(len(g)) for g in grids], indexing="ij"),
+                     axis=-1).reshape(-1, len(grids))
+    full = np.concatenate([g[picks[:, k]] for k, g in enumerate(grids)], axis=1)
+    full = full[np.lexsort(full.T[::-1])]  # first column most significant
+    klass = {b["id"]: b.get("class", (0, 0)) for b in track_doc["branches"]}
+    p = full @ np.array([klass[b][0] for b in ids], dtype=np.int64)
+    q = full @ np.array([klass[b][1] for b in ids], dtype=np.int64)
+
+    def witness(i: int) -> Dict[str, int]:
+        return {b: int(v) for b, v in zip(ids, full[i])}
+
+    nonzero_class = np.flatnonzero((p != 0) | (q != 0))
+    _, first = np.unique(np.stack([p[nonzero_class], q[nonzero_class]], axis=1),
+                         axis=0, return_index=True)
+    classes = {(int(p[i]), int(q[i])): witness(i) for i in sorted(nonzero_class[first])}
+    null = np.flatnonzero((p == 0) & (q == 0) & full.any(axis=1))
+    return classes, (witness(int(null[0])) if len(null) else None)
+
+
+def oracle_dead_branches(track_doc: dict, bound: int) -> Set[str]:
+    """Branches whose weight is zero in every solution at the bound."""
+    comps, grids = _component_arrays(track_doc, bound)
+    return {b for comp, g in zip(comps, grids)
+            for b, column in zip(comp, g.T) if not column.any()}

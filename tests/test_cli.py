@@ -53,7 +53,11 @@ class TestExitCodes:
         (["track", "Q2", "--bound", "-1"], 2),
         (["catalog", "check", "--law-bound", "-1"], 2),
         (["sweep", "--max", "-3"], 2),
-    ], ids=["non-ascii-digit", "5000-digits", "track-bound", "law-bound", "sweep-max"])
+        # rejected by click before any enumeration runs
+        (["track", "Q1", "--bound", "51"], 2),
+        (["catalog", "check", "--law-bound", "51"], 2),
+    ], ids=["non-ascii-digit", "5000-digits", "track-bound", "law-bound", "sweep-max",
+            "track-bound-51", "law-bound-51"])
     def test_bad_input_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
 

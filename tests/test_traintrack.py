@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_solutions, switch_rows
+from conftest import load_data_json
+from oracles import oracle_class_witnesses, oracle_dead_branches, oracle_solutions, switch_rows
 from trackgen import random_track_doc
 
+from anosurf import traintrack
 from anosurf.errors import MonogonError, SlopeLawError, SwitchSystemError
 from anosurf.slopes import INFINITY, Slope
 from anosurf.traintrack import (
@@ -126,6 +128,19 @@ class TestEnumeration:
         sols = enumerate_solutions(track, 3)
         assert [w["l"] for w in sols] == [0, 1, 2, 3]
 
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(traintrack, "ENUMERATION_CAP", 3)
+        assert len(enumerate_solutions(circle("c"), 2)) == 3
+        with pytest.raises(ValueError, match="4 solutions at bound 3"):
+            enumerate_solutions(circle("c"), 3)
+
+    def test_oversized_enumeration_refused(self, catalog):
+        # 3311 solutions per half of Q2 at bound 20: the cap is checked on
+        # the per-component counts, before any of the 10,962,721 dicts
+        assert traintrack.ENUMERATION_CAP == 2_000_000
+        with pytest.raises(ValueError, match="10962721 solutions at bound 20"):
+            enumerate_solutions(catalog.tracks["Q2"].track, 20)
+
 
 class TestCarriedClasses:
     def test_single_class_with_witness(self):
@@ -230,3 +245,24 @@ class TestAgainstOracle:
             w1, w2 = sols[0], sols[-1]
             check({b: w1[b] + w2[b] for b in w1})
             check({b: 3 * w2[b] for b in w2})
+
+
+def _assert_matches_witness_oracle(doc, bound, track_id):
+    track = TrainTrack.from_json(doc, track_id=track_id)
+    report = carried_classes(track, bound)
+    classes, null_witness = oracle_class_witnesses(doc, bound)
+    # same classes, same witnesses, same (ascending witness) order
+    assert list(report.classes.items()) == list(classes.items())
+    assert report.null_witness == null_witness
+    assert dead_branches(track, bound) == oracle_dead_branches(doc, bound)
+
+
+class TestAgainstWitnessOracle:
+    @pytest.mark.parametrize("family", [f"Q{i}" for i in range(1, 12)])
+    def test_families_at_bound_six(self, family):
+        doc = load_data_json(f"tracks/{family}.json")["track"]
+        _assert_matches_witness_oracle(doc, 6, family)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_tracks_at_bound_three(self, seed):
+        _assert_matches_witness_oracle(random_track_doc(seed), 3, f"rand{seed}")

@@ -9,8 +9,8 @@ explicitly) shadows packaged files one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import _resources
@@ -72,6 +72,24 @@ class CatalogEntry:
             split_curves=tuple(doc.get("split_curves", ())),
             notes=dict(doc.get("notes", {})),
         )
+
+    # Slope-independent facts, computed on first use and kept on the
+    # instance. A build that raises caches nothing, so the next use raises
+    # again; dataclasses.replace gives a copy with nothing cached.
+
+    @cached_property
+    def complement_pieces(self) -> Tuple[ComplementComponent, ...]:
+        """The complement records, parsed without any filling's core power."""
+        return tuple(ComplementComponent.from_json(doc) for doc in self.complement)
+
+    @cached_property
+    def euler_characteristics(self) -> Optional[Tuple[int, int]]:
+        """Euler characteristics of the surface and complement CW
+        structures, or None when the entry ships none."""
+        if self.euler is None:
+            return None
+        return (euler_characteristic(self.euler["surface_cw"]),
+                euler_characteristic(self.euler["complement_cw"]))
 
 
 @dataclass(frozen=True)
@@ -185,16 +203,17 @@ def complement_components(entry: CatalogEntry, slope: Slope) -> List[ComplementC
 
     Records are static except that annulus sector pieces pick up the
     core power of the filling (its denominator). The slope must be
-    admissible for the entry.
+    admissible for the entry. The list is new on every call.
     """
     if not eval_admissible(entry.admissible, slope):
         raise ValueError(f"slope {slope} is not admissible for {entry.id}")
+    pieces = entry.complement_pieces
+    if entry.exclusion_class != "BasicTypeII":
+        return list(pieces)
     fill = slope.p if not slope.is_infinity else None
-    out = []
-    for doc in entry.complement:
-        power = fill if entry.exclusion_class == "BasicTypeII" else None
-        out.append(ComplementComponent.from_json(doc, core_power=power))
-    return out
+    # a power stored in the record wins over the filling's
+    return [piece if piece.core_power is not None else replace(piece, core_power=fill)
+            for piece in pieces]
 
 
 def slope_law_check(catalog: Catalog, family: str, bound: int = 6) -> LawReport:
@@ -277,8 +296,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         # stored CW structures must be consistent and agree
         if entry.euler is not None:
             try:
-                chi_b = euler_characteristic(entry.euler["surface_cw"])
-                chi_w = euler_characteristic(entry.euler["complement_cw"])
+                chi_b, chi_w = entry.euler_characteristics
             except (KeyError, ValueError) as exc:
                 problems.append(f"{entry.id}: bad CW data ({exc})")
             else:

@@ -230,10 +230,9 @@ def _disk_leaf_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
                    components=[c.kind for c in comps],
                    coherent=coherent)]
     facts: Dict[str, object] = {}
-    if entry.euler is not None:
-        from .branched_surface import euler_characteristic
-        facts["surface_euler"] = euler_characteristic(entry.euler["surface_cw"])
-        facts["complement_euler"] = euler_characteristic(entry.euler["complement_cw"])
+    euler = entry.euler_characteristics
+    if euler is not None:
+        facts["surface_euler"], facts["complement_euler"] = euler
     steps.append(_step("disk-leaves/no-legal-shape", **facts))
     return steps
 

@@ -31,6 +31,10 @@ from .slopes import Slope, is_hyperbolic, parse_slope
 # takes over a second at bound 50.
 MAX_LAW_BOUND = 50
 
+# Ceiling on `sweep --max`: the sweep visits about 1.2 * max^2 slopes, and
+# 200 (48,927 slopes) is the largest documented sweep.
+MAX_SWEEP_HEIGHT = 200
+
 
 def _slope_sort_key(s: Slope):
     if s.is_infinity:
@@ -83,7 +87,7 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
 
 
 @cli.command("sweep")
-@click.option("--max", "max_height", type=click.IntRange(min=0), default=50,
+@click.option("--max", "max_height", type=click.IntRange(min=0, max=MAX_SWEEP_HEIGHT), default=50,
               show_default=True, help="Largest numerator and denominator to visit.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
@@ -124,9 +128,11 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
               show_default=True, help="Max weight per branch when enumerating solutions.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table", show_default=True)
-def track_cmd(family: str, bound: int, fmt: str):
+@click.option("--catalog", "catalog_path", default=None,
+              help="Directory shadowing the packaged catalog files.")
+def track_cmd(family: str, bound: int, fmt: str, catalog_path: Optional[str]):
     """Check the boundary slope law of a family's double cover track."""
-    catalog = load_catalog()
+    catalog = load_catalog(path=catalog_path)
     bundle = catalog.tracks[family]
     report = slope_law_check(catalog, family, bound=bound)
     realized = sorted(report.realized, key=_slope_sort_key)

@@ -44,6 +44,9 @@ class Slope:
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":
         """Build a slope from an arbitrary integer pair, reducing it."""
+        # reduction would turn True into the integer 1 before Slope sees it
+        if type(q) is bool or type(p) is bool:
+            raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
         if p < 0:

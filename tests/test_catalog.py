@@ -19,6 +19,8 @@ from anosurf.slopes import Slope, parse_slope
 from anosurf.spine import load_track_bundle
 from conftest import DATA_DIR
 
+HALF = Slope(1, 2)
+
 ALL_IDS = {
     "B1", "B2", "B3", "B4", "B5",
     "B6", "B6_I_g", "B6_I_h", "B6_II_gh",
@@ -212,6 +214,17 @@ class TestComplements:
     def test_requires_admissible_slope(self, catalog):
         with pytest.raises(ValueError):
             complement_components(catalog.get("B1"), Slope(1, 1))
+
+    def test_each_call_returns_a_new_list(self, catalog):
+        for entry_id, text in (("B5", "1/2"), ("B6", "7/2")):
+            entry, slope = catalog.get(entry_id), parse_slope(text)
+            first = complement_components(entry, slope)
+            want = list(first)
+            first.clear()
+            assert complement_components(entry, slope) == want
+        # the slope-independent pieces are parsed once and reused
+        b5 = catalog.get("B5")
+        assert complement_components(b5, HALF)[0] is complement_components(b5, HALF)[0]
 
     def test_split_entries_have_two_annuli(self, catalog):
         entry = catalog.get("B7_II_fg")

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
+import hashlib
+import json
+import math
 
 import pytest
 
-from anosurf.catalog import candidates_for
+from anosurf.catalog import candidates_for, load_catalog
 from anosurf.classifier import (
     ANCHORS,
     RULES,
@@ -112,13 +116,77 @@ class TestExclusionChains:
         assert exclusion_trace(stripped, Slope(1, 3)).conclusion == "Excludes"
 
     def test_tampered_type_i_complement_is_a_gap(self, catalog):
-        entry = catalog.get("B5")
-        bad_piece = dict(entry.complement[0])
-        bad_piece["annulus_wrap"] = [1]
-        bad_piece["meridian_hits"] = 1
-        bad = dataclasses.replace(entry, complement=(bad_piece,))
         with pytest.raises(ClassificationGapError):
-            exclusion_trace(bad, HALF)
+            exclusion_trace(_tampered_type_i(catalog.get("B5")), HALF)
+
+
+def _tampered_type_i(entry):
+    bad_piece = dict(entry.complement[0])
+    bad_piece["annulus_wrap"] = [1]
+    bad_piece["meridian_hits"] = 1
+    return dataclasses.replace(entry, complement=(bad_piece,))
+
+
+def _deface(value):
+    """Mutate every list and dict reachable from value, in place."""
+    if isinstance(value, list):
+        for item in value:
+            _deface(item)
+        value.append("defaced")
+    elif isinstance(value, dict):
+        for item in value.values():
+            _deface(item)
+        value["defaced"] = True
+
+
+class TestSlopeIndependentFacts:
+    """An entry's parsed complement and Euler characteristics are
+    computed once per entry; every chain still checks them on every call."""
+
+    def test_a_tampered_entry_fails_on_every_call(self, catalog):
+        bad = _tampered_type_i(catalog.get("B5"))
+        for _ in range(2):
+            with pytest.raises(ClassificationGapError):
+                exclusion_trace(bad, HALF)
+        unparsable = dataclasses.replace(
+            catalog.get("B5"), complement=({"kind": "KleinBottle"},))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="KleinBottle"):
+                exclusion_trace(unparsable, HALF)
+
+    def test_a_replaced_copy_starts_with_nothing_cached(self):
+        fresh = load_catalog()
+        entry = fresh.get("B5")
+        assert exclusion_trace(entry, HALF).conclusion == "Excludes"
+        with pytest.raises(ClassificationGapError):
+            exclusion_trace(_tampered_type_i(entry), HALF)
+
+        disk = fresh.get("B2")
+        assert exclusion_trace(disk, HALF).steps[1].facts["surface_euler"] == -1
+        euler = copy.deepcopy(disk.euler)
+        euler["surface_cw"]["vertices"] += 1
+        trace = exclusion_trace(dataclasses.replace(disk, euler=euler), HALF)
+        assert trace.steps[1].facts["surface_euler"] == 0
+
+    def test_results_share_no_mutable_facts(self, catalog):
+        for text in ("1/2", "7/2", "-5/3", "3"):
+            slope = parse_slope(text)
+            want = json.dumps(classify(slope, catalog).to_json("full"))
+            result = classify(slope, catalog)
+            for step in result.argument + [s for t in result.traces for s in t.steps]:
+                _deface(step.facts)
+            assert json.dumps(classify(slope, catalog).to_json("full")) == want
+
+    def test_a_second_pass_over_the_grid_is_identical(self):
+        fresh = load_catalog()
+        grid = [Slope(q, p) for p in range(1, 51) for q in range(-50, 51)
+                if math.gcd(p, abs(q)) == 1]
+
+        def digests():
+            return [hashlib.sha256(json.dumps(classify(s, fresh).to_json("full"))
+                                   .encode("utf-8")).hexdigest() for s in grid]
+
+        assert digests() == digests()
 
 
 class TestExistenceSide:

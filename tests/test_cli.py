@@ -3,8 +3,10 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anosurf.cli import main
+from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from conftest import DATA_DIR
 
 
@@ -56,10 +58,17 @@ class TestExitCodes:
         # rejected by click before any enumeration runs
         (["track", "Q1", "--bound", "51"], 2),
         (["catalog", "check", "--law-bound", "51"], 2),
+        (["sweep", "--max", str(MAX_SWEEP_HEIGHT + 1)], 2),
     ], ids=["non-ascii-digit", "5000-digits", "track-bound", "law-bound", "sweep-max",
-            "track-bound-51", "law-bound-51"])
+            "track-bound-51", "law-bound-51", f"sweep-max-{MAX_SWEEP_HEIGHT + 1}"])
     def test_bad_input_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
+
+    # slope-shaped text, with any Unicode digits the regex engine picks
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.text(), st.from_regex(r"-?\d{1,30}(/-?\d{1,30})?", fullmatch=True)))
+    def test_classify_text_exits_with_a_documented_code(self, text):
+        assert main(["classify", text]) in (0, 2, 3)
 
 
 class TestClassifyOutput:
@@ -182,6 +191,16 @@ class TestTamperedCatalog:
 
         assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 4
         assert "law Q1: violated" in capsys.readouterr().out
+
+    def test_track_uses_the_override_track(self, data_copy, capsys):
+        track_path = data_copy / "tracks" / "Q1.json"
+        doc = json.loads(track_path.read_text())
+        doc["law"] = {"kind": "ONLY_FOUR"}
+        track_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["track", "Q1", "--catalog", str(data_copy)]) == 4
+        assert "law ONLY_FOUR" in capsys.readouterr().out
 
     def test_unusable_track_exits_five(self, data_copy, capsys):
         (data_copy / "tracks" / "Q1.json").write_text(json.dumps({"id": "Q1"}))

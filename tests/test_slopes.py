@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosurf.errors import SlopeFormatError
 from anosurf.slopes import (
@@ -42,6 +44,10 @@ class TestSlopeConstruction:
             Slope.of(0, 0)
         with pytest.raises(SlopeFormatError):
             Slope(True, 1)       # a bool is not a coefficient
+        with pytest.raises(SlopeFormatError):
+            Slope.of(True, 1)
+        with pytest.raises(SlopeFormatError):
+            Slope.of(3, False)
 
     def test_properties(self):
         s = Slope(7, 2)
@@ -84,10 +90,34 @@ class TestParse:
         "", "q/p", "1.5", "1/2/3", "0/0", None, 2.5,
         pytest.param("\u0969/2", id="devanagari-digit"),
         pytest.param("9" * 5000, id="5000-digits"),
+        pytest.param(True, id="true"),
+        pytest.param(False, id="false"),
     ])
     def test_rejected(self, text):
         with pytest.raises(SlopeFormatError):
             parse_slope(text)
+
+
+# slope-shaped text, with any Unicode digits the regex engine picks
+SLOPE_LIKE = st.from_regex(r"\s*-?\d{1,40}\s*(/\s*-?\d{1,40}\s*)?", fullmatch=True)
+FINITE_SLOPES = st.builds(Slope.of, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**40))
+
+
+class TestParseProperties:
+    @settings(max_examples=200)
+    @given(FINITE_SLOPES)
+    def test_str_round_trips(self, slope):
+        assert parse_slope(str(slope)) == slope
+
+    @settings(max_examples=100)
+    @given(st.one_of(st.text(), SLOPE_LIKE))
+    def test_text_fails_only_with_slope_format_error(self, text):
+        try:
+            slope = parse_slope(text)
+        except SlopeFormatError:
+            return
+        assert isinstance(slope, Slope)
 
 
 class TestIntersection:

@@ -207,10 +207,7 @@ class ComplementComponent:
                     f"{self.kind} records one wrap number per vertical annulus")
 
     @staticmethod
-    def from_json(doc: dict, core_power: Optional[int] = None) -> "ComplementComponent":
-        power = doc.get("core_power")
-        if power is None:
-            power = core_power
+    def from_json(doc: dict) -> "ComplementComponent":
         return ComplementComponent(
             kind=doc["kind"],
             vertical_annuli=doc.get("vertical_annuli", 0),
@@ -218,7 +215,7 @@ class ComplementComponent:
             meridian_hits=doc.get("meridian_hits"),
             exceptional=doc.get("exceptional"),
             genus=doc.get("genus"),
-            core_power=power,
+            core_power=doc.get("core_power"),
             description=doc.get("description", ""),
         )
 

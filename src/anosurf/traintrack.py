@@ -18,11 +18,11 @@ of the weight tuple over branch ids sorted alphabetically.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import Slope, parse_slope
@@ -195,9 +195,6 @@ class TrainTrack:
             track_id=track_id,
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Solution enumeration.
@@ -242,15 +239,12 @@ def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[in
         known.add(choice)
 
 
-def _component_solutions(track: TrainTrack, comp: List[str], bound: int, *,
-                         rows: Optional[List[Dict[str, int]]] = None) -> List[Tuple[int, ...]]:
-    """All weight tuples (aligned with comp, which is sorted) satisfying
-    every switch supported on comp, each weight <= bound, sorted. `rows`
-    is track.switch_system() when the caller already has it. Each free
-    choice of the elimination plan runs its fixed steps; no row rescans."""
-    system = _local_system(track.switch_system() if rows is None else rows, comp)
-    levels = _elimination_plan(len(comp), system)
-    weights = [0] * len(comp)
+def _component_solutions(n: int, system: Tuple[Row, ...], bound: int) -> List[Tuple[int, ...]]:
+    """All weight tuples of length n satisfying every row of system (in
+    local indices), each weight <= bound, sorted. Each free choice of the
+    elimination plan runs its fixed steps; no row rescans."""
+    levels = _elimination_plan(n, system)
+    weights = [0] * n
     out: List[Tuple[int, ...]] = []
 
     def holds(steps) -> bool:
@@ -284,6 +278,19 @@ def _component_solutions(track: TrainTrack, comp: List[str], bound: int, *,
     return out
 
 
+def _solve(track: TrainTrack, bound: int) -> Tuple[List[List[str]], List[List[Tuple[int, ...]]]]:
+    """The track's components and, aligned with them, each one's sorted
+    weight tuples at this bound. Components with the same size and the
+    same rows in local indices are solved once and share one list."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    comps = track.components()
+    rows = track.switch_system()
+    keys = [(len(comp), _local_system(rows, comp)) for comp in comps]
+    solved = {key: _component_solutions(*key, bound) for key in set(keys)}
+    return comps, [solved[key] for key in keys]
+
+
 def _merge(comps: List[List[str]], tups: Sequence[Tuple[int, ...]]) -> Dict[str, int]:
     return {bid: value for comp, tup in zip(comps, tups) for bid, value in zip(comp, tup)}
 
@@ -294,12 +301,8 @@ def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
 
     Raises ValueError, before building any, when there are more than
     ENUMERATION_CAP of them."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    comps = track.components()
-    rows = track.switch_system()
-    per_comp = [_component_solutions(track, comp, bound, rows=rows) for comp in comps]
-    count = math.prod(len(sols) for sols in per_comp)
+    comps, per_comp = _solve(track, bound)
+    count = math.prod(map(len, per_comp))
     if count > ENUMERATION_CAP:
         raise ValueError(f"{count} solutions at bound {bound} exceed the "
                          f"enumeration cap of {ENUMERATION_CAP}")
@@ -327,23 +330,17 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     The witness for a class is deterministic: components are taken in
     order of their smallest branch id, each contributing its
     lexicographically first weight tuple for its share of the class.
-    Components with the same switch system share one solution list.
     """
-    comps = track.components()
-    rows = track.switch_system()
-    solved: Dict[Tuple[int, Tuple[Row, ...]], List[Tuple[int, ...]]] = {}
+    comps, solved = _solve(track, bound)
     # Per component, the lex-first tuple of each key in ascending tuple
     # order; the nonzero flag keeps null solutions from hiding behind the
     # all-zero vector.
     per_comp = []
-    for comp in comps:
-        system = (len(comp), _local_system(rows, comp))
-        if system not in solved:
-            solved[system] = _component_solutions(track, comp, bound, rows=rows)
+    for comp, sols in zip(comps, solved):
         kp = [track.branches[b].klass[0] for b in comp]
         kq = [track.branches[b].klass[1] for b in comp]
         entries: Dict[Key, Tuple[int, ...]] = {}
-        for tup in solved[system]:
+        for tup in sols:
             entries.setdefault((sum(map(operator.mul, kp, tup)),
                                 sum(map(operator.mul, kq, tup)), any(tup)), tup)
         per_comp.append(list(entries.items()))
@@ -385,10 +382,9 @@ def carries_slope(track: TrainTrack, slope, bound: int) -> Optional[Dict[str, in
 
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
     """Branches carrying zero weight in every solution at this bound."""
-    rows = track.switch_system()
     alive: Set[str] = set()
-    for comp in track.components():
-        for tup in _component_solutions(track, comp, bound, rows=rows):
+    for comp, sols in zip(*_solve(track, bound)):
+        for tup in sols:
             for bid, w in zip(comp, tup):
                 if w:
                     alive.add(bid)
@@ -446,10 +442,6 @@ class LawReport:
             raise SlopeLawError(self.family, "; ".join(self.violations))
 
 
-def _role_sum(weights: Dict[str, int], branches: Iterable[str]) -> int:
-    return sum(weights.get(b, 0) for b in branches)
-
-
 def _slopes_up_to_height(h: int) -> Set[Slope]:
     out = {Slope(1, 0)}
     for p in range(1, h + 1):
@@ -457,6 +449,19 @@ def _slopes_up_to_height(h: int) -> Set[Slope]:
             if Slope.of(q, p).height <= h:
                 out.add(Slope.of(q, p))
     return out
+
+
+# The slope each constant law allows, and for each formula law the
+# class (p, q) a witness must have, given the weight sum over each
+# designated role, with its text for violation messages.
+_CONSTANT_LAWS = {"ONLY_ZERO": Slope(0, 1), "ONLY_FOUR": Slope(4, 1), "ONLY_INFINITY": Slope(1, 0)}
+_FORMULAS = {
+    "FORMULA_MU_NU_OMEGA": ("(omega, mu-nu)", lambda r: (r["omega"], r["mu"] - r["nu"])),
+    "FORMULA_THREE_PLUS": ("(omega, 3*omega+mu+nu)",
+                           lambda r: (r["omega"], 3 * r["omega"] + r["mu"] + r["nu"])),
+    "FORMULA_B9": ("(g, g+h-e-f-i)",
+                   lambda r: (r["g"], r["g"] + r["h"] - r["e"] - r["f"] - r["i"])),
+}
 
 
 def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]],
@@ -475,67 +480,37 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     report = carried_classes(track, bound)
     realized = report.slopes()
     violations: List[str] = []
-
-    def expect_exactly(expected: Set[Slope]):
+    if law.kind in _CONSTANT_LAWS:
+        expected = {_CONSTANT_LAWS[law.kind]}
         if realized != expected:
             violations.append(
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
-
-    if law.kind == "ONLY_ZERO":
-        expect_exactly({Slope(0, 1)})
-    elif law.kind == "ONLY_FOUR":
-        expect_exactly({Slope(4, 1)})
-    elif law.kind == "ONLY_INFINITY":
-        expect_exactly({Slope(1, 0)})
-    elif law.kind == "ANY_SLOPE":
-        h = law.surjective_height or 1
-        missing = _slopes_up_to_height(h) - realized
-        if missing:
-            violations.append(f"missing slopes of height <= {h}: "
-                              f"{sorted(str(s) for s in missing)}")
-    elif law.kind == "FORMULA_MU_NU_OMEGA":
-        for (p, q), w in report.classes.items():
-            omega = _role_sum(w, designated.get("omega", ()))
-            mu = _role_sum(w, designated.get("mu", ()))
-            nu = _role_sum(w, designated.get("nu", ()))
-            if (p, q) != (omega, mu - nu):
-                violations.append(
-                    f"class ({p},{q}) disagrees with (omega, mu-nu)=({omega},{mu - nu})")
-        h = law.surjective_height or 1
-        missing = _slopes_up_to_height(h) - realized
-        if missing:
-            violations.append(f"missing slopes of height <= {h}: "
-                              f"{sorted(str(s) for s in missing)}")
-    elif law.kind == "FORMULA_THREE_PLUS":
-        for (p, q), w in report.classes.items():
-            omega = _role_sum(w, designated.get("omega", ()))
-            mu = _role_sum(w, designated.get("mu", ()))
-            nu = _role_sum(w, designated.get("nu", ()))
-            if p != omega or q != 3 * omega + mu + nu:
-                violations.append(
-                    f"class ({p},{q}) disagrees with (omega, 3*omega+mu+nu)"
-                    f"=({omega},{3 * omega + mu + nu})")
-            if mu < 1:
-                violations.append(f"class ({p},{q}) realized with mu = 0")
-            s = Slope.of(q, p)
-            if s.is_infinity or not (s > Slope(3, 1)):
-                violations.append(f"realized slope {s} not greater than 3")
-    elif law.kind == "FORMULA_B9":
+    if law.kind in _FORMULAS:
+        label, formula = _FORMULAS[law.kind]
         saw_positive_g = False
         for (p, q), w in report.classes.items():
-            g = _role_sum(w, designated.get("g", ()))
-            h_ = _role_sum(w, designated.get("h", ()))
-            e = _role_sum(w, designated.get("e", ()))
-            f = _role_sum(w, designated.get("f", ()))
-            i = _role_sum(w, designated.get("i", ()))
-            if p != g or q != g + h_ - e - f - i:
-                violations.append(
-                    f"class ({p},{q}) disagrees with (g, g+h-e-f-i)"
-                    f"=({g},{g + h_ - e - f - i})")
-            if g > 0:
-                saw_positive_g = True
-        if not saw_positive_g and bound >= 1:
+            # every witness weighs every branch, and the ids were checked above
+            sums = defaultdict(int, {role: sum(map(w.__getitem__, ids))
+                                     for role, ids in designated.items()})
+            want = formula(sums)
+            if (p, q) != want:
+                violations.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
+            if law.kind == "FORMULA_THREE_PLUS":
+                if sums["mu"] < 1:
+                    violations.append(f"class ({p},{q}) realized with mu = 0")
+                s = Slope.of(q, p)
+                if s.is_infinity or not (s > Slope(3, 1)):
+                    violations.append(f"realized slope {s} not greater than 3")
+            elif law.kind == "FORMULA_B9":
+                saw_positive_g = saw_positive_g or sums["g"] > 0
+        if law.kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
             violations.append("no witness with positive g")
+    if law.kind in ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA"):
+        h = law.surjective_height or 1
+        missing = _slopes_up_to_height(h) - realized
+        if missing:
+            violations.append(f"missing slopes of height <= {h}: "
+                              f"{sorted(str(s) for s in missing)}")
     return LawReport(family=family, law=law, bound=bound,
                      realized=realized, violations=violations)

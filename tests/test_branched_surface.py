@@ -198,10 +198,10 @@ class TestComplementComponents:
     def test_from_json_core_power_fill(self):
         doc = {"kind": "SolidTorus", "vertical_annuli": 1, "annulus_wrap": [2],
                "meridian_hits": 2}
-        filled = ComplementComponent.from_json(doc, core_power=5)
-        assert filled.core_power == 5
-        pinned = ComplementComponent.from_json({**doc, "core_power": 2}, core_power=5)
-        assert pinned.core_power == 2
+        # from_json reads the record only; catalog.complement_components
+        # fills a missing power from the slope
+        assert ComplementComponent.from_json(doc).core_power is None
+        assert ComplementComponent.from_json({**doc, "core_power": 2}).core_power == 2
 
     def test_coherent_ibundle_table(self):
         def st_piece(annuli, wrap):

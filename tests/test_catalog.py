@@ -205,6 +205,13 @@ class TestComplements:
         comps = complement_components(b6, parse_slope("5/3"))
         assert [c.core_power for c in comps] == [3]
 
+    def test_a_stored_power_wins(self, catalog):
+        b6 = catalog.get("B6")
+        pinned = dataclasses.replace(
+            b6, complement=tuple({**doc, "core_power": 2} for doc in b6.complement))
+        comps = complement_components(pinned, parse_slope("5/3"))
+        assert [c.core_power for c in comps] == [2]
+
     def test_non_annulus_entries_do_not(self, catalog):
         b5 = catalog.get("B5")
         comps = complement_components(b5, parse_slope("1/2"))

@@ -7,6 +7,7 @@ from oracles import oracle_class_witnesses, oracle_dead_branches, oracle_solutio
 from trackgen import random_track_doc
 
 from anosurf import traintrack
+from anosurf.catalog import slope_law_check
 from anosurf.errors import MonogonError, SlopeLawError, SwitchSystemError
 from anosurf.slopes import INFINITY, Slope
 from anosurf.traintrack import (
@@ -182,6 +183,38 @@ class TestCarriedClasses:
     def test_dead_branches(self):
         assert dead_branches(pinched_pair(), 4) == {"X1", "X2"}
         assert dead_branches(circle("c"), 4) == set()
+
+    @pytest.mark.parametrize("consumer", [enumerate_solutions, carried_classes, dead_branches],
+                             ids=lambda f: f.__name__)
+    def test_identical_components_solved_once(self, consumer, catalog, monkeypatch):
+        # Q2's neg.* and pos.* halves have the same switch rows
+        solve, calls = traintrack._component_solutions, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(traintrack, "_component_solutions", counted)
+        track = catalog.tracks["Q2"].track
+        assert len(track.components()) == 2
+        consumer(track, 2)
+        assert len(calls) == 1
+
+
+NEGATIVE_BOUND_CALLS = {
+    "carried_classes": lambda cat: carried_classes(cat.tracks["Q2"].track, -1),
+    "carries_slope": lambda cat: carries_slope(cat.tracks["Q2"].track, "1/2", -1),
+    "dead_branches": lambda cat: dead_branches(cat.tracks["Q2"].track, -1),
+    "check_law": lambda cat: check_law(cat.tracks["Q2"].track, cat.tracks["Q2"].law,
+                                       cat.tracks["Q2"].designated, -1),
+    "slope_law_check": lambda cat: slope_law_check(cat, "Q2", bound=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_BOUND_CALLS))
+def test_negative_bound_rejected_everywhere(name, catalog):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        NEGATIVE_BOUND_CALLS[name](catalog)
 
 
 class TestSlopeLaws:

@@ -201,7 +201,6 @@ class TrainTrack:
 
 
 Row = Tuple[Tuple[int, int], ...]  # (local index, coefficient) pairs
-Key = Tuple[int, int, bool]        # (p, q, nonzero) of a partial solution
 
 # The most solutions enumerate_solutions builds. Every family fits at bound
 # 10 (Q7 has 121^3 = 1,771,561); Q2 at bound 20 has 3311^2 = 10,962,721.
@@ -274,6 +273,9 @@ def _component_solutions(n: int, system: Tuple[Row, ...], bound: int) -> List[Tu
 
     if holds(levels[0][1]):
         walk(1)
+    # walk reaches itself through its closure; without this the cycle keeps
+    # out alive after the callers drop it, until a cyclic collection runs
+    del walk
     out.sort()
     return out
 
@@ -321,7 +323,23 @@ class CarriedClasses:
     null_witness: Optional[Dict[str, int]] = None
 
     def slopes(self) -> Set[Slope]:
-        return {Slope.of(q, p) for (p, q) in self.classes}
+        # reduce on integers first, then build one Slope per distinct slope
+        reduced = set()
+        for p, q in self.classes:
+            g = math.gcd(p, q)
+            if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
+                g = -g
+            reduced.add((q // g, p // g))
+        return {Slope(q, p) for q, p in reduced}
+
+
+def _set_bits(mask: int) -> List[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
@@ -332,38 +350,58 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     lexicographically first weight tuple for its share of the class.
     """
     comps, solved = _solve(track, bound)
-    # Per component, the lex-first tuple of each key in ascending tuple
-    # order; the nonzero flag keeps null solutions from hiding behind the
-    # all-zero vector.
-    per_comp = []
-    for comp, sols in zip(comps, solved):
-        kp = [track.branches[b].klass[0] for b in comp]
-        kq = [track.branches[b].klass[1] for b in comp]
-        entries: Dict[Key, Tuple[int, ...]] = {}
-        for tup in sols:
-            entries.setdefault((sum(map(operator.mul, kp, tup)),
-                                sum(map(operator.mul, kq, tup)), any(tup)), tup)
-        per_comp.append(list(entries.items()))
+    klasses = [[track.branches[b].klass for b in comp] for comp in comps]
+    # A class (p, q) packs into the integer p * width + q. width exceeds
+    # the spread of q over every solution, so the packing is one to one
+    # and classes add as their packed integers do. Each component's bits
+    # are its packed classes minus their least possible value.
+    width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
+    q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
 
-    # Walk the partial folds in ascending witness order, so the first
-    # witness seen for a key is its lex-least one and insertion order
-    # stays ascending.
-    best: Dict[Key, Tuple[Tuple[int, ...], ...]] = {(0, 0, False): ()}
-    for entries in per_comp:
-        nxt: Dict[Key, Tuple[Tuple[int, ...], ...]] = {}
-        for (p0, q0, nz0), prefix in best.items():
-            for (p1, q1, nz1), tup in entries:
-                key = (p0 + p1, q0 + q1, nz0 or nz1)
-                if key not in nxt:
-                    nxt[key] = prefix + (tup,)
-        best = nxt
+    # The fold keeps the zero prefix (every component so far at its zero
+    # tuple) apart from the nonzero layer: bit -> the lex-first nonzero
+    # prefix of that class, in ascending witness order.
+    zero_bit, zero_prefix = 0, ()
+    layer: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    for klass, sols in zip(klasses, solved):
+        coef = [p * width + q for p, q in klass]
+        least = bound * sum(min(c, 0) for c in coef)
+        # sols[0] is the zero tuple; the rest are nonzero and ascending,
+        # so the first tuple seen for a class is its lex-first one, and
+        # at class 0 it is the component's null tuple.
+        nonzero: Dict[int, Tuple[int, ...]] = {}
+        for tup in itertools.islice(sols, 1, None):
+            nonzero.setdefault(sum(map(operator.mul, coef, tup)) - least, tup)
+        zero = -least  # the component's bit of class 0
+        # after a nonzero prefix, the zero tuple is class 0's lex-first
+        after = dict(nonzero)
+        after[zero] = sols[0]
+        nonzero_mask = sum(1 << b for b in nonzero)
+        mask = nonzero_mask | 1 << zero
+
+        # The zero prefix comes first and covers the component's nonzero
+        # classes shifted by its own bit. Then each nonzero prefix, in
+        # ascending witness order, shifts the mask by its bit; only bits
+        # not yet covered get a witness, in ascending tuple order, so the
+        # first cover of a class is its lex-least witness.
+        nxt = {zero_bit + b: zero_prefix + (tup,) for b, tup in nonzero.items()}
+        covered = nonzero_mask << zero_bit
+        for shift, prefix in layer.items():
+            new = mask & ~(covered >> shift)
+            if new:
+                covered |= new << shift
+                for b in sorted(_set_bits(new), key=after.__getitem__):
+                    nxt[shift + b] = prefix + (after[b],)
+        layer = nxt
+        zero_bit, zero_prefix = zero_bit + zero, zero_prefix + (sols[0],)
 
     report = CarriedClasses()
-    for (p, q, nz), tups in best.items():
-        if (p, q) != (0, 0):
-            report.classes[(p, q)] = _merge(comps, tups)
-        elif nz:
+    for b, tups in layer.items():
+        if b == zero_bit:
             report.null_witness = _merge(comps, tups)
+        else:
+            p, q = divmod(b - zero_bit - q_least, width)
+            report.classes[(p, q + q_least)] = _merge(comps, tups)
     return report
 
 
@@ -499,9 +537,9 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
             if law.kind == "FORMULA_THREE_PLUS":
                 if sums["mu"] < 1:
                     violations.append(f"class ({p},{q}) realized with mu = 0")
-                s = Slope.of(q, p)
-                if s.is_infinity or not (s > Slope(3, 1)):
-                    violations.append(f"realized slope {s} not greater than 3")
+                # q/p > 3 on integers; p = 0 is the meridian, never above 3
+                if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
+                    violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
             elif law.kind == "FORMULA_B9":
                 saw_positive_g = saw_positive_g or sums["g"] > 0
         if law.kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,12 @@ def circle(prefix: str, klass=(0, 0)) -> TrainTrack:
         [Switch(f"{prefix}_j1", ((c1, "head"),), ((c2, "tail"),)),
          Switch(f"{prefix}_j2", ((c2, "head"),), ((c1, "tail"),))],
         track_id=f"circle_{prefix}")
+
+
+def joined(track_id: str, *tracks: TrainTrack) -> TrainTrack:
+    """The disjoint union of tracks with distinct branch and switch ids."""
+    return TrainTrack([b for t in tracks for b in t.branches.values()],
+                      [s for t in tracks for s in t.switches.values()], track_id=track_id)
 
 
 def pinched_pair(klass=(1, 0)) -> TrainTrack:
@@ -153,12 +161,7 @@ class TestCarriedClasses:
 
     def test_null_witness_found(self):
         # two circles of opposite classes can cancel
-        up = circle("u", (1, 0))
-        down = circle("d", (-1, 0))
-        track = TrainTrack(
-            list(up.branches.values()) + list(down.branches.values()),
-            list(up.switches.values()) + list(down.switches.values()),
-            track_id="cancel")
+        track = joined("cancel", circle("u", (1, 0)), circle("d", (-1, 0)))
         report = carried_classes(track, 2)
         assert report.null_witness is not None
         assert any(report.null_witness.values())
@@ -199,6 +202,18 @@ class TestCarriedClasses:
         assert len(track.components()) == 2
         consumer(track, 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("consumer", [enumerate_solutions, carried_classes, dead_branches],
+                             ids=lambda f: f.__name__)
+    def test_solving_leaves_no_cyclic_garbage(self, consumer, catalog):
+        # a cycle would hold each solution list until a cyclic collection
+        gc.collect()
+        gc.disable()
+        try:
+            consumer(catalog.tracks["Q4"].track, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 NEGATIVE_BOUND_CALLS = {
@@ -290,6 +305,21 @@ def _assert_matches_witness_oracle(doc, bound, track_id):
     assert dead_branches(track, bound) == oracle_dead_branches(doc, bound)
 
 
+EDGE_TRACKS = {
+    # no switches at all: every loop is its own component, weights free
+    "loops-only": lambda: TrainTrack(
+        [Branch("a", (1, 2), loop=True), Branch("b", (-1, 0), loop=True),
+         Branch("c", loop=True), Branch("d", (0, -3), loop=True)], []),
+    # the first component's only nonzero solutions are null
+    "null-component": lambda: joined("null-component", circle("a"), circle("b", (2, -1))),
+    "null-only": lambda: joined("null-only", circle("a"), circle("b"),
+                                TrainTrack([Branch("c", loop=True)], [])),
+    # classes with p < 0, on both sides of slope 3, cancelling in part
+    "negative-p": lambda: joined("negative-p", circle("a", (-1, -4)), circle("b", (-2, 1)),
+                                 pinched_pair((1, 3))),
+}
+
+
 class TestAgainstWitnessOracle:
     @pytest.mark.parametrize("family", [f"Q{i}" for i in range(1, 12)])
     def test_families_at_bound_six(self, family):
@@ -299,3 +329,13 @@ class TestAgainstWitnessOracle:
     @pytest.mark.parametrize("seed", range(50))
     def test_random_tracks_at_bound_three(self, seed):
         _assert_matches_witness_oracle(random_track_doc(seed), 3, f"rand{seed}")
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_tracks_at_small_bounds(self, seed, bound):
+        _assert_matches_witness_oracle(random_track_doc(seed), bound, f"rand{seed}")
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))
+    def test_edge_tracks(self, name, bound):
+        _assert_matches_witness_oracle(EDGE_TRACKS[name]().to_json(), bound, name)

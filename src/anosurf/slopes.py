@@ -30,16 +30,17 @@ class Slope:
     p: int
 
     def __post_init__(self):
-        if not all(type(c) is not bool and isinstance(c, int) for c in (self.q, self.p)):
-            raise SlopeFormatError(f"({self.q}, {self.p})", "coefficients must be integers")
-        if self.p == 0 and self.q == 0:
+        q, p = self.q, self.p
+        if not (isinstance(q, int) and isinstance(p, int)) or type(q) is bool or type(p) is bool:
+            raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
+        if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
-        if self.p < 0:
-            raise SlopeFormatError(f"{self.q}/{self.p}", "denominator must be normalized to p >= 0")
-        if math.gcd(self.p, self.q) != 1:
-            raise SlopeFormatError(f"{self.q}/{self.p}", "coefficients must be coprime")
-        if self.p == 0 and self.q != 1:
-            raise SlopeFormatError(f"{self.q}/{self.p}", "the infinite slope is stored as 1/0")
+        if p < 0:
+            raise SlopeFormatError(f"{q}/{p}", "denominator must be normalized to p >= 0")
+        if math.gcd(p, q) != 1:
+            raise SlopeFormatError(f"{q}/{p}", "coefficients must be coprime")
+        if p == 0 and q != 1:
+            raise SlopeFormatError(f"{q}/{p}", "the infinite slope is stored as 1/0")
 
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -217,20 +216,27 @@ def _local_system(rows: List[Dict[str, int]], comp: List[str]) -> Tuple[Row, ...
 
 def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[int], list]]:
     """One level per free choice (None before the first): (index chosen,
-    steps). A step (i, c, rest) forces w[i] from its row's other entries
-    rest; (None, 0, row) checks a fully known row. What a row forces
+    steps). A step (i, c, rest, b) forces w[i] from its row's other entries
+    rest; (None, 0, row, b) checks a fully known row. What a row forces
     depends only on which weights are known, never on their values, so
-    the plan is fixed before any is chosen."""
+    the plan is fixed before any is chosen. Within a level, each forced
+    weight and each checked row's sum is A + b * x in the level's choice
+    x: b is fixed here, and A depends only on the weights known before."""
     known: Set[Optional[int]] = set()
     pending, levels, choice = list(system), [], None
     while True:
         steps = []
+        moves = {} if choice is None else {choice: 1}  # index -> its b
         while (row := next((r for r in pending
                             if sum(i not in known for i, _ in r) <= 1), None)) is not None:
             pending.remove(row)
             i, c = next(((i, c) for i, c in row if i not in known), (None, 0))
             known.add(i)
-            steps.append((i, c, [(j, d) for j, d in row if j != i]))
+            rest = [(j, d) for j, d in row if j != i]
+            b = sum(d * moves.get(j, 0) for j, d in rest)
+            if i is not None:
+                b = moves[i] = -c * b
+            steps.append((i, c, rest, b))
         levels.append((choice, steps))
         choice = next((i for i in range(n) if i not in known), None)
         if choice is None:
@@ -240,39 +246,72 @@ def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[in
 
 def _component_solutions(n: int, system: Tuple[Row, ...], bound: int) -> List[Tuple[int, ...]]:
     """All weight tuples of length n satisfying every row of system (in
-    local indices), each weight <= bound, sorted. Each free choice of the
-    elimination plan runs its fixed steps; no row rescans."""
+    local indices), each weight <= bound, sorted. Each level of the
+    elimination plan works out once, from the weights already known, the
+    range of its free choice that keeps every forced weight in [0, bound]
+    and every checked row at 0, and walks only that range."""
     levels = _elimination_plan(n, system)
     weights = [0] * n
     out: List[Tuple[int, ...]] = []
 
-    def holds(steps) -> bool:
-        for i, c, rest in steps:
+    def settle(steps) -> Optional[Tuple[int, int, list]]:
+        """The feasible range lo..hi of the level's choice, whose weight
+        the caller has set to 0, and each forced (i, A, b); None if no
+        value is feasible. Leaves each forced weight at its A."""
+        lo, hi, forced = 0, bound, []
+        for i, c, rest, b in steps:
             total = 0
             for j, d in rest:
                 total += d * weights[j]
             if i is None:
-                if total:
-                    return False
+                # the row sums to total + b * x, which must vanish
+                if not b:
+                    if total:
+                        return None
+                elif total % b:
+                    return None
+                else:
+                    x = -total // b
+                    lo, hi = max(lo, x), min(hi, x)
                 continue
-            value = -total * c  # c is +-1, so dividing by c is multiplying by it
-            if value < 0 or value > bound:
-                return False
-            weights[i] = value
-        return True
+            a = -total * c  # c is +-1, so dividing by c is multiplying by it
+            weights[i] = a
+            forced.append((i, a, b))
+            # 0 <= a + b * x <= bound, solved for x
+            if b > 0:
+                lo = max(lo, -(a // b))
+                hi = min(hi, (bound - a) // b)
+            elif b < 0:
+                lo = max(lo, -((bound - a) // -b))
+                hi = min(hi, a // -b)
+            elif a < 0 or a > bound:
+                return None
+        return (lo, hi, forced) if lo <= hi else None
 
     def walk(level: int) -> None:
-        if level == len(levels):
-            out.append(tuple(weights))
-            return
         choice, steps = levels[level]
-        for value in range(bound + 1):
-            weights[choice] = value
-            if holds(steps):
-                walk(level + 1)
+        weights[choice] = 0
+        span = settle(steps)
+        if span is None:
+            return
+        lo, hi, forced = span
+        nxt = level + 1
+        last = nxt == len(levels)
+        for x in range(lo, hi + 1):
+            weights[choice] = x
+            for i, a, b in forced:
+                weights[i] = a + b * x
+            if last:
+                out.append(tuple(weights))
+            else:
+                walk(nxt)
 
-    if holds(levels[0][1]):
-        walk(1)
+    # level 0 has no choice: its weights are forced from nothing
+    if settle(levels[0][1]) is not None:
+        if len(levels) == 1:
+            out.append(tuple(weights))
+        else:
+            walk(1)
     # walk reaches itself through its closure; without this the cycle keeps
     # out alive after the callers drop it, until a cyclic collection runs
     del walk
@@ -293,10 +332,6 @@ def _solve(track: TrainTrack, bound: int) -> Tuple[List[List[str]], List[List[Tu
     return comps, [solved[key] for key in keys]
 
 
-def _merge(comps: List[List[str]], tups: Sequence[Tuple[int, ...]]) -> Dict[str, int]:
-    return {bid: value for comp, tup in zip(comps, tups) for bid, value in zip(comp, tup)}
-
-
 def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
     """Every solution with all weights <= bound, zero vector included,
     in lexicographic order over alphabetically sorted branch ids.
@@ -308,10 +343,26 @@ def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
     if count > ENUMERATION_CAP:
         raise ValueError(f"{count} solutions at bound {bound} exceed the "
                          f"enumeration cap of {ENUMERATION_CAP}")
+    ids = [bid for comp in comps for bid in comp]
     order = track.branch_order()
-    solutions = [_merge(comps, combo) for combo in itertools.product(*per_comp)]
+    solutions = [dict(zip(ids, itertools.chain.from_iterable(combo)))
+                 for combo in itertools.product(*per_comp)]
     solutions.sort(key=lambda w: tuple(w[b] for b in order))
     return solutions
+
+
+def _reduced(p: int, q: int) -> Tuple[int, int]:
+    """The slope of the nonzero class (p, q) as a reduced pair (q, p), with
+    p >= 0 and the meridian as (1, 0), as Slope.of(q, p) stores it."""
+    g = math.gcd(p, q)
+    if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
+        g = -g
+    return q // g, p // g
+
+
+def _slopes(classes) -> Set[Slope]:
+    # reduce on integers first, then build one Slope per distinct slope
+    return {Slope(q, p) for q, p in {_reduced(p, q) for p, q in classes}}
 
 
 @dataclass
@@ -323,14 +374,7 @@ class CarriedClasses:
     null_witness: Optional[Dict[str, int]] = None
 
     def slopes(self) -> Set[Slope]:
-        # reduce on integers first, then build one Slope per distinct slope
-        reduced = set()
-        for p, q in self.classes:
-            g = math.gcd(p, q)
-            if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
-                g = -g
-            reduced.add((q // g, p // g))
-        return {Slope(q, p) for q, p in reduced}
+        return _slopes(self.classes)
 
 
 def _set_bits(mask: int) -> List[int]:
@@ -342,13 +386,13 @@ def _set_bits(mask: int) -> List[int]:
     return out
 
 
-def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
-    """Component-wise enumeration combined over the class lattice.
+Witnesses = Dict[Tuple[int, int], Tuple[int, ...]]
 
-    The witness for a class is deterministic: components are taken in
-    order of their smallest branch id, each contributing its
-    lexicographically first weight tuple for its share of the class.
-    """
+
+def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional[Tuple[int, ...]]]:
+    """The branch ids in component order, and over them as one weight
+    tuple the witness of each nonzero realized class, in ascending witness
+    order, and the null witness or None. See carried_classes."""
     comps, solved = _solve(track, bound)
     klasses = [[track.branches[b].klass for b in comp] for comp in comps]
     # A class (p, q) packs into the integer p * width + q. width exceeds
@@ -360,9 +404,10 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
 
     # The fold keeps the zero prefix (every component so far at its zero
     # tuple) apart from the nonzero layer: bit -> the lex-first nonzero
-    # prefix of that class, in ascending witness order.
+    # prefix of that class, in ascending witness order. A prefix is the
+    # concatenation of its components' tuples.
     zero_bit, zero_prefix = 0, ()
-    layer: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    layer: Dict[int, Tuple[int, ...]] = {}
     for klass, sols in zip(klasses, solved):
         coef = [p * width + q for p, q in klass]
         least = bound * sum(min(c, 0) for c in coef)
@@ -384,38 +429,54 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
         # ascending witness order, shifts the mask by its bit; only bits
         # not yet covered get a witness, in ascending tuple order, so the
         # first cover of a class is its lex-least witness.
-        nxt = {zero_bit + b: zero_prefix + (tup,) for b, tup in nonzero.items()}
+        nxt = {zero_bit + b: zero_prefix + tup for b, tup in nonzero.items()}
         covered = nonzero_mask << zero_bit
         for shift, prefix in layer.items():
             new = mask & ~(covered >> shift)
             if new:
                 covered |= new << shift
                 for b in sorted(_set_bits(new), key=after.__getitem__):
-                    nxt[shift + b] = prefix + (after[b],)
+                    nxt[shift + b] = prefix + after[b]
         layer = nxt
-        zero_bit, zero_prefix = zero_bit + zero, zero_prefix + (sols[0],)
+        zero_bit, zero_prefix = zero_bit + zero, zero_prefix + sols[0]
 
-    report = CarriedClasses()
-    for b, tups in layer.items():
+    classes: Witnesses = {}
+    null = None
+    for b, tup in layer.items():
         if b == zero_bit:
-            report.null_witness = _merge(comps, tups)
+            null = tup
         else:
             p, q = divmod(b - zero_bit - q_least, width)
-            report.classes[(p, q + q_least)] = _merge(comps, tups)
-    return report
+            classes[(p, q + q_least)] = tup
+    return [bid for comp in comps for bid in comp], classes, null
+
+
+def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
+    """Component-wise enumeration combined over the class lattice.
+
+    The witness for a class is deterministic: components are taken in
+    order of their smallest branch id, each contributing its
+    lexicographically first weight tuple for its share of the class.
+    """
+    ids, classes, null = _fold(track, bound)
+    return CarriedClasses({klass: dict(zip(ids, tup)) for klass, tup in classes.items()},
+                          None if null is None else dict(zip(ids, null)))
 
 
 def carries_slope(track: TrainTrack, slope, bound: int) -> Optional[Dict[str, int]]:
     """A witness solution realizing the slope at this bound, or None."""
     target = parse_slope(slope)
-    report = carried_classes(track, bound)
+    want = (target.q, target.p)
+    ids, classes, _ = _fold(track, bound)
+    # positions of the branch ids in alphabetical order
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     best = None
-    for (p, q), witness in report.classes.items():
-        if Slope.of(q, p) == target:
-            key = tuple(witness[b] for b in track.branch_order())
+    for (p, q), tup in classes.items():
+        if _reduced(p, q) == want:
+            key = tuple(map(tup.__getitem__, order))
             if best is None or key < best[0]:
-                best = (key, witness)
-    return None if best is None else best[1]
+                best = (key, tup)
+    return None if best is None else dict(zip(ids, best[1]))
 
 
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
@@ -489,16 +550,18 @@ def _slopes_up_to_height(h: int) -> Set[Slope]:
     return out
 
 
-# The slope each constant law allows, and for each formula law the
-# class (p, q) a witness must have, given the weight sum over each
-# designated role, with its text for violation messages.
+# The slope each constant law allows, and for each formula law its
+# roles and the class (p, q) a witness must have, given the weight sum
+# over each role in that order, with its text for violation messages.
+# The first role is the one the law's range condition reads.
 _CONSTANT_LAWS = {"ONLY_ZERO": Slope(0, 1), "ONLY_FOUR": Slope(4, 1), "ONLY_INFINITY": Slope(1, 0)}
 _FORMULAS = {
-    "FORMULA_MU_NU_OMEGA": ("(omega, mu-nu)", lambda r: (r["omega"], r["mu"] - r["nu"])),
-    "FORMULA_THREE_PLUS": ("(omega, 3*omega+mu+nu)",
-                           lambda r: (r["omega"], 3 * r["omega"] + r["mu"] + r["nu"])),
-    "FORMULA_B9": ("(g, g+h-e-f-i)",
-                   lambda r: (r["g"], r["g"] + r["h"] - r["e"] - r["f"] - r["i"])),
+    "FORMULA_MU_NU_OMEGA": ("(omega, mu-nu)", ("omega", "mu", "nu"),
+                            lambda omega, mu, nu: (omega, mu - nu)),
+    "FORMULA_THREE_PLUS": ("(omega, 3*omega+mu+nu)", ("mu", "omega", "nu"),
+                           lambda mu, omega, nu: (omega, 3 * omega + mu + nu)),
+    "FORMULA_B9": ("(g, g+h-e-f-i)", ("g", "h", "e", "f", "i"),
+                   lambda g, h, e, f, i: (g, g + h - e - f - i)),
 }
 
 
@@ -515,8 +578,8 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
             if b not in track.branches:
                 raise SwitchSystemError(track.track_id,
                                         f"designated role {role!r} names unknown branch {b!r}")
-    report = carried_classes(track, bound)
-    realized = report.slopes()
+    ids, classes, _ = _fold(track, bound)
+    realized = _slopes(classes)
     violations: List[str] = []
     if law.kind in _CONSTANT_LAWS:
         expected = {_CONSTANT_LAWS[law.kind]}
@@ -525,23 +588,25 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
     if law.kind in _FORMULAS:
-        label, formula = _FORMULAS[law.kind]
+        label, roles, formula = _FORMULAS[law.kind]
+        # each role's positions in the witness tuples; the ids were checked
+        # above, and a role not designated sums to 0
+        at = {bid: k for k, bid in enumerate(ids)}
+        positions = [[at[b] for b in designated.get(role, ())] for role in roles]
         saw_positive_g = False
-        for (p, q), w in report.classes.items():
-            # every witness weighs every branch, and the ids were checked above
-            sums = defaultdict(int, {role: sum(map(w.__getitem__, ids))
-                                     for role, ids in designated.items()})
-            want = formula(sums)
+        for (p, q), w in classes.items():
+            sums = [sum(map(w.__getitem__, pos)) for pos in positions]
+            want = formula(*sums)
             if (p, q) != want:
                 violations.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
             if law.kind == "FORMULA_THREE_PLUS":
-                if sums["mu"] < 1:
+                if sums[0] < 1:
                     violations.append(f"class ({p},{q}) realized with mu = 0")
                 # q/p > 3 on integers; p = 0 is the meridian, never above 3
                 if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
                     violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
             elif law.kind == "FORMULA_B9":
-                saw_positive_g = saw_positive_g or sums["g"] > 0
+                saw_positive_g = saw_positive_g or sums[0] > 0
         if law.kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
             violations.append("no witness with positive g")
     if law.kind in ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA"):

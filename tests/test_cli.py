@@ -10,6 +10,14 @@ from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from conftest import DATA_DIR
 
 
+# every command that takes --catalog, and paths it must refuse
+CATALOG_COMMANDS = {"classify": ["classify", "7/2"], "sweep": ["sweep"], "track": ["track", "Q1"],
+                    "catalog-list": ["catalog", "list"], "catalog-show": ["catalog", "show", "B6"],
+                    "catalog-check": ["catalog", "check"]}
+BAD_CATALOG_PATHS = {DATA_DIR / "no-such-directory": "missing",
+                     DATA_DIR / "catalog" / "manifest.json": "file"}
+
+
 def _restamp_manifest(root) -> None:
     manifest_path = root / "catalog" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -59,8 +67,13 @@ class TestExitCodes:
         (["track", "Q1", "--bound", "51"], 2),
         (["catalog", "check", "--law-bound", "51"], 2),
         (["sweep", "--max", str(MAX_SWEEP_HEIGHT + 1)], 2),
+        # a --catalog that is missing or a file never falls back to the packaged data
+        *[(argv + ["--catalog", str(path)], 2)
+          for argv in CATALOG_COMMANDS.values() for path in BAD_CATALOG_PATHS],
     ], ids=["non-ascii-digit", "5000-digits", "track-bound", "law-bound", "sweep-max",
-            "track-bound-51", "law-bound-51", f"sweep-max-{MAX_SWEEP_HEIGHT + 1}"])
+            "track-bound-51", "law-bound-51", f"sweep-max-{MAX_SWEEP_HEIGHT + 1}",
+            *[f"{name}-catalog-{kind}"
+              for name in CATALOG_COMMANDS for kind in BAD_CATALOG_PATHS.values()]])
     def test_bad_input_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
 

@@ -1,7 +1,8 @@
 import gc
+import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_data_json
@@ -293,6 +294,58 @@ class TestAgainstOracle:
             w1, w2 = sols[0], sols[-1]
             check({b: w1[b] + w2[b] for b in w1})
             check({b: 3 * w2[b] for b in w2})
+
+
+@st.composite
+def raw_systems(draw):
+    """n weights and rows over them with coefficients in {-1, 0, 1}, in the
+    local-index form _component_solutions takes; a 0 leaves the weight out."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    coefficients = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
+    rows = draw(st.lists(coefficients, max_size=5))
+    return n, tuple(sorted(tuple((i, c) for i, c in enumerate(row) if c) for row in rows))
+
+
+# Systems in which, once a level's weight x is chosen, a forced weight or
+# a checked row's sum moves by 2 per unit of x, so the range of x needs a
+# floor or a ceiling that is not exact. The shipped tracks have none.
+DOUBLING_SYSTEMS = (
+    # w1 = w0 and w2 = w0 + w1 = 2 * w0
+    (3, (((0, -1), (1, -1), (2, 1)), ((0, -1), (1, 1)))),
+    # w2 = w0 - w1, then the row -w1 + w2 = w0 - 2 * w1 must vanish
+    (3, (((0, -1), (1, 1), (2, 1)), ((1, -1), (2, 1)))),
+    # w2 = w1 and w3 = 2 * w1 - w0, which starts below 0
+    (4, (((0, 1), (1, -1), (2, -1), (3, 1)), ((1, -1), (2, 1)))),
+    # w3 = w2 and w4 = w0 + w1 - 2 * w2, which can start above the bound
+    (5, (((0, 1), (1, 1), (2, -1), (3, -1), (4, -1)), ((2, -1), (3, 1)))),
+)
+
+
+def brute_force_solutions(n, system, bound):
+    return [w for w in itertools.product(range(bound + 1), repeat=n)
+            if all(sum(c * w[i] for i, c in row) == 0 for row in system)]
+
+
+class TestComponentSolve:
+    @pytest.mark.parametrize("n,system", DOUBLING_SYSTEMS)
+    def test_doubling_systems_move_by_two(self, n, system):
+        moves = {abs(b) for _, steps in traintrack._elimination_plan(n, system)
+                 for *_, b in steps}
+        assert 2 in moves
+
+    @pytest.mark.parametrize("bound", range(6))
+    @pytest.mark.parametrize("n,system", DOUBLING_SYSTEMS)
+    def test_doubling_systems_match_brute_force(self, n, system, bound):
+        assert traintrack._component_solutions(n, system, bound) == \
+            brute_force_solutions(n, system, bound)
+
+    @example(DOUBLING_SYSTEMS[0], 3)
+    @given(raw_systems(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=250, deadline=None)
+    def test_raw_systems_match_brute_force(self, case, bound):
+        n, system = case
+        assert traintrack._component_solutions(n, system, bound) == \
+            brute_force_solutions(n, system, bound)
 
 
 def _assert_matches_witness_oracle(doc, bound, track_id):

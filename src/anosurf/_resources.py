@@ -4,6 +4,8 @@ Data lives under anosurf/_data. Setting the environment variable
 ANOSURF_CATALOG to a directory mirroring that layout makes files found
 there shadow the packaged ones, file by file. An explicit directory
 passed by a caller takes precedence over the environment variable.
+An override that is missing or not a directory raises
+CatalogIntegrityError instead of falling back to the packaged data.
 Integrity checking hashes whatever copy was actually resolved.
 """
 
@@ -43,6 +45,9 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
     if env_root is not None:
         roots.append(env_root)
     for root in roots:
+        # a missing override must fail, never fall back to the packaged data
+        if not root.is_dir():
+            raise CatalogIntegrityError(str(root), "the override is not a directory")
         candidate = root / relpath
         if candidate.exists():
             return candidate

@@ -28,7 +28,7 @@ from .slopes import Slope, is_hyperbolic, parse_slope
 
 
 # Ceiling on law-check bounds: the check grows steeply with the bound, and
-# Q4 alone takes about 0.25 s at bound 50 (Python 3.11, 2 cores).
+# Q4, the slowest family, takes about 0.15 s at bound 50 (Python 3.11, 2 cores).
 MAX_LAW_BOUND = 50
 
 # Ceiling on `sweep --max`: the sweep visits about 1.2 * max^2 slopes, and

@@ -97,6 +97,17 @@ class Slope:
         return str(self)
 
 
+def _from_reduced(q: int, p: int) -> Slope:
+    """The Slope (q, p) without the checks of __post_init__, for a pair
+    that traintrack._reduced produced: both are ints, not bools, p >= 0,
+    gcd(p, q) == 1 (so not both 0), and the meridian is (1, 0). Any other
+    pair goes through Slope or Slope.of."""
+    slope = object.__new__(Slope)
+    fields = slope.__dict__
+    fields["q"], fields["p"] = q, p
+    return slope
+
+
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
 

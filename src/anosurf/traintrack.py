@@ -21,10 +21,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
-from .slopes import Slope, parse_slope
+from .slopes import Slope, _from_reduced, parse_slope
 
 End = Tuple[str, str]  # (branch id, "head" | "tail")
 
@@ -362,7 +362,8 @@ def _reduced(p: int, q: int) -> Tuple[int, int]:
 
 def _slopes(classes) -> Set[Slope]:
     # reduce on integers first, then build one Slope per distinct slope
-    return {Slope(q, p) for q, p in {_reduced(p, q) for p, q in classes}}
+    # straight from its reduced pair
+    return {_from_reduced(q, p) for q, p in {_reduced(p, q) for p, q in classes}}
 
 
 @dataclass
@@ -389,6 +390,36 @@ def _set_bits(mask: int) -> List[int]:
 Witnesses = Dict[Tuple[int, int], Tuple[int, ...]]
 
 
+class _ClassMap(NamedTuple):
+    """One component's classes as bits of the fold, a bit being a packed
+    class minus the least packed class the component can reach."""
+
+    nonzero: Dict[int, Tuple[int, ...]]  # bit -> lex-first nonzero tuple, ascending
+    nonzero_mask: int
+    zero: int                            # the bit of class 0
+    mask: int                            # nonzero_mask with the zero bit set
+    # bit -> its lex-first tuple after a nonzero prefix, where the zero
+    # tuple is class 0's
+    after: Dict[int, Tuple[int, ...]]
+
+
+def _class_map(sols: List[Tuple[int, ...]], coef: Tuple[int, ...], bound: int) -> _ClassMap:
+    """The class map of a component with these sorted solutions and
+    packed branch classes, with one dot product per solution."""
+    least = bound * sum(min(c, 0) for c in coef)
+    # sols[0] is the zero tuple; the rest are nonzero and ascending, so
+    # the first tuple seen for a class is its lex-first one, and at class
+    # 0 it is the component's null tuple.
+    nonzero: Dict[int, Tuple[int, ...]] = {}
+    for tup in itertools.islice(sols, 1, None):
+        nonzero.setdefault(sum(map(operator.mul, coef, tup)) - least, tup)
+    zero = -least
+    nonzero_mask = sum(1 << b for b in nonzero)
+    after = dict(nonzero)
+    after[zero] = sols[0]
+    return _ClassMap(nonzero, nonzero_mask, zero, nonzero_mask | 1 << zero, after)
+
+
 def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional[Tuple[int, ...]]]:
     """The branch ids in component order, and over them as one weight
     tuple the witness of each nonzero realized class, in ascending witness
@@ -397,10 +428,14 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     klasses = [[track.branches[b].klass for b in comp] for comp in comps]
     # A class (p, q) packs into the integer p * width + q. width exceeds
     # the spread of q over every solution, so the packing is one to one
-    # and classes add as their packed integers do. Each component's bits
-    # are its packed classes minus their least possible value.
+    # and classes add as their packed integers do.
     width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
     q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
+
+    # Components that share a solution list (see _solve) and their packed
+    # branch classes share one class map. Each list stays alive in solved
+    # for the whole fold, so its id names it.
+    maps: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
 
     # The fold keeps the zero prefix (every component so far at its zero
     # tuple) apart from the nonzero layer: bit -> the lex-first nonzero
@@ -409,28 +444,20 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     zero_bit, zero_prefix = 0, ()
     layer: Dict[int, Tuple[int, ...]] = {}
     for klass, sols in zip(klasses, solved):
-        coef = [p * width + q for p, q in klass]
-        least = bound * sum(min(c, 0) for c in coef)
-        # sols[0] is the zero tuple; the rest are nonzero and ascending,
-        # so the first tuple seen for a class is its lex-first one, and
-        # at class 0 it is the component's null tuple.
-        nonzero: Dict[int, Tuple[int, ...]] = {}
-        for tup in itertools.islice(sols, 1, None):
-            nonzero.setdefault(sum(map(operator.mul, coef, tup)) - least, tup)
-        zero = -least  # the component's bit of class 0
-        # after a nonzero prefix, the zero tuple is class 0's lex-first
-        after = dict(nonzero)
-        after[zero] = sols[0]
-        nonzero_mask = sum(1 << b for b in nonzero)
-        mask = nonzero_mask | 1 << zero
+        coef = tuple(p * width + q for p, q in klass)
+        key = (id(sols), coef)
+        cmap = maps.get(key)
+        if cmap is None:
+            cmap = maps[key] = _class_map(sols, coef, bound)
+        mask, after = cmap.mask, cmap.after
 
         # The zero prefix comes first and covers the component's nonzero
         # classes shifted by its own bit. Then each nonzero prefix, in
         # ascending witness order, shifts the mask by its bit; only bits
         # not yet covered get a witness, in ascending tuple order, so the
         # first cover of a class is its lex-least witness.
-        nxt = {zero_bit + b: zero_prefix + tup for b, tup in nonzero.items()}
-        covered = nonzero_mask << zero_bit
+        nxt = {zero_bit + b: zero_prefix + tup for b, tup in cmap.nonzero.items()}
+        covered = cmap.nonzero_mask << zero_bit
         for shift, prefix in layer.items():
             new = mask & ~(covered >> shift)
             if new:
@@ -438,7 +465,7 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
                 for b in sorted(_set_bits(new), key=after.__getitem__):
                     nxt[shift + b] = prefix + after[b]
         layer = nxt
-        zero_bit, zero_prefix = zero_bit + zero, zero_prefix + sols[0]
+        zero_bit, zero_prefix = zero_bit + cmap.zero, zero_prefix + sols[0]
 
     classes: Witnesses = {}
     null = None
@@ -504,6 +531,11 @@ LAW_KINDS = (
 )
 
 
+# The largest surjective_height a law may ask for. Checking height h
+# builds (2h + 1) * h slopes, 5,050 at 50.
+MAX_SURJECTIVE_HEIGHT = 50
+
+
 @dataclass(frozen=True)
 class SlopeLaw:
     kind: str
@@ -512,6 +544,10 @@ class SlopeLaw:
     def __post_init__(self):
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown slope law {self.kind!r}")
+        h = self.surjective_height
+        if h is not None and (type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT):
+            raise ValueError(f"surjective_height must be an integer from 1 to "
+                             f"{MAX_SURJECTIVE_HEIGHT}, not {h!r}")
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -565,6 +601,16 @@ _FORMULAS = {
 }
 
 
+def _role_sums(positions: List[int], witnesses) -> Iterator[int]:
+    """Each witness tuple's weight summed over these positions, in order,
+    through one getter built before the first witness."""
+    if not positions:
+        return itertools.repeat(0, len(witnesses))
+    if len(positions) == 1:
+        return map(operator.itemgetter(positions[0]), witnesses)
+    return map(sum, map(operator.itemgetter(*positions), witnesses))
+
+
 def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]],
               bound: int, family: str = "?") -> LawReport:
     """Verify the family's slope law against bounded enumeration.
@@ -592,10 +638,11 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
         # each role's positions in the witness tuples; the ids were checked
         # above, and a role not designated sums to 0
         at = {bid: k for k, bid in enumerate(ids)}
-        positions = [[at[b] for b in designated.get(role, ())] for role in roles]
+        witnesses = classes.values()
+        columns = [_role_sums([at[b] for b in designated.get(role, ())], witnesses)
+                   for role in roles]
         saw_positive_g = False
-        for (p, q), w in classes.items():
-            sums = [sum(map(w.__getitem__, pos)) for pos in positions]
+        for (p, q), sums in zip(classes, zip(*columns)):
             want = formula(*sums)
             if (p, q) != want:
                 violations.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")

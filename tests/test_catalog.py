@@ -17,6 +17,7 @@ from anosurf.catalog import (
 from anosurf.errors import CatalogIntegrityError, CatalogKeyError
 from anosurf.slopes import Slope, parse_slope
 from anosurf.spine import load_track_bundle
+from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import DATA_DIR
 
 HALF = Slope(1, 2)
@@ -78,6 +79,17 @@ def _repeated_side(doc):
     doc["hexagons"]["X"]["sides"][0] = doc["hexagons"]["X"]["sides"][1]
 
 
+def _surjective_height(value):
+    def edit(doc):
+        doc["law"]["surjective_height"] = value
+    return edit
+
+
+# surjective_height values SlopeLaw refuses, with their test ids
+BAD_HEIGHTS = {"height-text": "6", "height-float": 2.5, "height-negative": -3,
+               "height-bool": True, "height-above-ceiling": MAX_SURJECTIVE_HEIGHT + 1}
+
+
 @pytest.fixture
 def data_copy(tmp_path):
     root = tmp_path / "data"
@@ -105,6 +117,16 @@ class TestLoading:
 
     def test_override_directory(self, data_copy):
         assert len(load_catalog(path=str(data_copy))) == 38
+
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_bad_override_never_falls_back(self, data_copy, monkeypatch, how, kind):
+        bad = data_copy / ("no-such-directory" if kind == "missing" else "spine.json")
+        if how == "environment":
+            monkeypatch.setenv("ANOSURF_CATALOG", str(bad))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(bad) if how == "argument" else None)
+        assert info.value.path == str(bad)
 
     def test_corrupted_file_detected(self, data_copy):
         entry_path = data_copy / "catalog" / "entries" / "B1.json"
@@ -160,7 +182,8 @@ class TestLoading:
         ("tracks/Q1.json", _designated_list),
         ("tracks/Q1.json", _duplicate_branch),
         ("spine.json", _repeated_side),
-    ], ids=["missing-key", "unknown-law", "wrong-type", "switch-system", "spine"])
+        *[("tracks/Q2.json", _surjective_height(h)) for h in BAD_HEIGHTS.values()],
+    ], ids=["missing-key", "unknown-law", "wrong-type", "switch-system", "spine", *BAD_HEIGHTS])
     def test_unusable_data_detected(self, data_copy, relpath, edit):
         _rewrite(data_copy, relpath, edit)
         with pytest.raises(CatalogIntegrityError) as info:

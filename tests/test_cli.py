@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
+from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import DATA_DIR
 
 
@@ -221,3 +222,22 @@ class TestTamperedCatalog:
 
         assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 5
         assert "tracks/Q1.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("height", ["6", 2.5, -3, True, MAX_SURJECTIVE_HEIGHT + 1],
+                             ids=["text", "float", "negative", "bool", "above-ceiling"])
+    def test_bad_surjective_height_exits_five(self, data_copy, height, capsys):
+        track_path = data_copy / "tracks" / "Q2.json"
+        doc = json.loads(track_path.read_text())
+        doc["law"]["surjective_height"] = height
+        track_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["catalog", "check", "--laws", "--law-bound", "2",
+                     "--catalog", str(data_copy)]) == 5
+        assert "tracks/Q2.json" in capsys.readouterr().err
+
+    def test_missing_environment_override_exits_five(self, data_copy, monkeypatch, capsys):
+        missing = data_copy / "no-such-directory"
+        monkeypatch.setenv("ANOSURF_CATALOG", str(missing))
+        assert main(["classify", "7/2"]) == 5
+        assert str(missing) in capsys.readouterr().err

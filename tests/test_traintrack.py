@@ -204,6 +204,21 @@ class TestCarriedClasses:
         consumer(track, 2)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family", ["Q4", "Q9"])
+    def test_identical_components_share_one_class_map(self, family, catalog, monkeypatch):
+        # Q4's two components, and Q9's three 2-branch ones, have the same
+        # switch rows and the same branch classes
+        build, calls = traintrack._class_map, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(traintrack, "_class_map", counted)
+        sizes = [len(comp) for comp in catalog.tracks[family].track.components()]
+        slope_law_check(catalog, family, bound=3)
+        assert len(calls) == len(set(sizes)) < len(sizes)
+
     @pytest.mark.parametrize("consumer", [enumerate_solutions, carried_classes, dead_branches],
                              ids=lambda f: f.__name__)
     def test_solving_leaves_no_cyclic_garbage(self, consumer, catalog):
@@ -264,6 +279,30 @@ class TestSlopeLaws:
         law = SlopeLaw("ANY_SLOPE", surjective_height=2)
         report = check_law(circle("c", (1, 0)), law, {}, 4)
         assert not report.ok
+
+
+def _assert_valid_slopes(realized, classes):
+    """Slopes built from reduced pairs are the ones the checked
+    constructors build from the realized classes."""
+    assert realized == {Slope.of(q, p) for p, q in classes}
+    for s in realized:
+        assert s == Slope.of(s.q, s.p) == Slope(s.q, s.p)
+        assert type(s.q) is int and type(s.p) is int
+
+
+class TestRealizedSlopes:
+    @pytest.mark.parametrize("bound", [20, 40])
+    @pytest.mark.parametrize("family", [f"Q{i}" for i in range(1, 12)])
+    def test_family_slopes_pass_the_checks(self, family, bound, catalog):
+        track = catalog.tracks[family].track
+        report = slope_law_check(catalog, family, bound=bound)
+        _assert_valid_slopes(report.realized, carried_classes(track, bound).classes)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_track_slopes_pass_the_checks(self, seed):
+        track = TrainTrack.from_json(random_track_doc(seed), track_id=f"rand{seed}")
+        found = carried_classes(track, 3)
+        _assert_valid_slopes(found.slopes(), found.classes)
 
 
 class TestAgainstOracle:

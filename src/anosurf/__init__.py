@@ -54,11 +54,7 @@ from .slopes import (
 from .spine import (
     SpineCase,
     adjacent_short_pairs,
-    boundary_double_cover,
     case_of,
-    canonical_complexes,
-    load_spine,
-    load_track_bundle,
 )
 from .traintrack import (
     Branch,
@@ -102,9 +98,7 @@ __all__ = [
     "UnsupportedSlopeError",
     "ZERO",
     "adjacent_short_pairs",
-    "boundary_double_cover",
     "candidates_for",
-    "canonical_complexes",
     "carried_classes",
     "carries_slope",
     "case_of",
@@ -119,8 +113,6 @@ __all__ = [
     "intersection_number",
     "is_hyperbolic",
     "load_catalog",
-    "load_spine",
-    "load_track_bundle",
     "parse_slope",
     "slope_law_check",
     "unique_flow_argument",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _resources
 from .branched_surface import (
@@ -20,7 +20,7 @@ from .branched_surface import (
     euler_characteristic,
     is_transversely_orientable,
 )
-from .errors import CatalogIntegrityError, CatalogKeyError
+from .errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
 from .slopes import AdmissibleSet, Slope, eval_admissible
 from .spine import Spine, TrackBundle
 from .traintrack import LawReport, check_law
@@ -122,6 +122,17 @@ class Catalog:
         for entry in self.entries.values():
             counts[entry.family] += 1
         return counts
+
+    def family_of(self, q: Mapping[str, int]) -> str:
+        """The family whose canonical complex is q; its boundary track is
+        tracks[family_of(q)]. Only the cataloged complexes have one."""
+        self.spine.validate_complex(q)
+        for family, canonical in self.complexes.items():
+            if dict(q) == canonical:
+                return family
+        raise UnsupportedComplexError(
+            "no shipped double-cover layout matches this complex; "
+            "only the eleven cataloged families are supported")
 
 
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:

@@ -74,7 +74,8 @@ class SpineCaseError(AnosurfError, ValueError):
 
 
 class UnsupportedComplexError(AnosurfError, ValueError):
-    """boundary_double_cover only ships layouts for the catalog families."""
+    """A Q-complex is valid on the spine but is none of the catalog's
+    canonical complexes, so no boundary track ships for it."""
 
     def __init__(self, detail: str):
         self.detail = detail

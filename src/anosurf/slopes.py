@@ -152,9 +152,10 @@ def intersection_number(a: Slope, b: Slope) -> int:
 def is_hyperbolic(slope: Slope) -> bool:
     """Whether the filling along this slope is a hyperbolic manifold.
 
-    The infinite filling gives the three-sphere, and the ten integer
-    fillings with |q| <= 4 are the non-hyperbolic exceptional ones; every
-    other filling is hyperbolic.
+    The infinite filling gives the three-sphere, and the nine integer
+    fillings with |q| <= 4 (q = -4, ..., 4) are non-hyperbolic too; with
+    the infinite one they make the ten exceptional slopes. Every other
+    filling is hyperbolic.
     """
     if slope.is_infinity:
         return False
@@ -198,9 +199,13 @@ class AdmissibleSet:
                                     "IntersectionWithAtLeast", "IntersectionWithMoreThan")
         if needs_slope and self.slope is None:
             raise ValueError(f"{self.kind} requires a slope parameter")
+        if self.kind == "GreaterThan" and self.slope.is_infinity:
+            raise ValueError("GreaterThan requires a finite bound")
         needs_count = self.kind in ("IntersectionWithAtLeast", "IntersectionWithMoreThan")
-        if needs_count and (self.count is None or self.count < 0):
+        if needs_count and self.count is None:
             raise ValueError(f"{self.kind} requires a nonnegative count")
+        if self.count is not None and (type(self.count) is not int or self.count < 0):
+            raise ValueError(f"count must be a nonnegative integer, not {self.count!r}")
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}

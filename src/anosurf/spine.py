@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .errors import SpineCaseError, UnsupportedComplexError
+from .errors import SpineCaseError
 from .traintrack import SlopeLaw, TrainTrack
 
 EDGES = ("a", "b", "c", "d")
@@ -223,14 +223,7 @@ def adjacent_short_pairs(spine: Spine, q: Mapping[str, int]) -> List[Tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# Canonical complexes and their boundary tracks.
-
-
-@dataclass(frozen=True)
-class DoubleCover:
-    family: str
-    track: TrainTrack
-    projection: Tuple[dict, ...]   # one record per connector copy
+# Boundary tracks of the canonical complexes.
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ class TrackBundle:
     law: SlopeLaw
     designated: Mapping[str, Tuple[str, ...]]
     noncompact: Tuple[str, ...]    # branches dead in every solution
-    projection: Tuple[dict, ...]
+    projection: Tuple[dict, ...]   # one record per connector copy
 
     @staticmethod
     def from_json(doc: dict) -> "TrackBundle":
@@ -256,40 +249,7 @@ class TrackBundle:
         )
 
 
-# Accessors to the objects that catalog.default_catalog() builds. The
-# catalog module imports this one, so each accessor imports it on call.
-
-
-def load_spine() -> Spine:
-    from .catalog import default_catalog
-    return default_catalog().spine
-
-
-def canonical_complexes() -> Dict[str, Dict[str, int]]:
-    from .catalog import default_catalog
-    return default_catalog().complexes
-
-
+# Only perfbench calls this (its load_track_bundle_s layer); ROADMAP item 1 deletes it.
 def load_track_bundle(family: str) -> TrackBundle:
     from .catalog import default_catalog
     return default_catalog().tracks[family]
-
-
-def boundary_double_cover(spine: Spine, q: Mapping[str, int]) -> DoubleCover:
-    """The boundary train track of the orientation double cover of the
-    ambient surface along q, for the eleven cataloged complexes.
-
-    Each connector lifts to two arcs; the projection table records the
-    pair for every connector copy. Complexes outside the cataloged
-    eleven have no shipped layout and are rejected.
-    """
-    spine.validate_complex(q)
-    plain = {k: int(v) for k, v in q.items()}
-    for family, canonical in canonical_complexes().items():
-        if plain == canonical:
-            bundle = load_track_bundle(family)
-            return DoubleCover(family=family, track=bundle.track,
-                               projection=bundle.projection)
-    raise UnsupportedComplexError(
-        "no shipped double-cover layout matches this complex; "
-        "only the eleven cataloged families are supported")

@@ -43,8 +43,12 @@ class Branch:
     @staticmethod
     def from_json(doc: dict) -> "Branch":
         klass = tuple(doc.get("class", (0, 0)))
-        return Branch(id=doc["id"], klass=(int(klass[0]), int(klass[1])),
-                      loop=bool(doc.get("loop", False)))
+        loop = doc.get("loop", False)
+        if len(klass) != 2 or any(type(x) is not int for x in klass):
+            raise ValueError(f"branch {doc['id']!r}: class must be two integers, not {klass!r}")
+        if type(loop) is not bool:
+            raise ValueError(f"branch {doc['id']!r}: loop must be a boolean, not {loop!r}")
+        return Branch(id=doc["id"], klass=klass, loop=loop)
 
 
 @dataclass(frozen=True)

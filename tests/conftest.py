@@ -5,10 +5,13 @@ import pytest
 
 from anosurf import _resources
 from anosurf.catalog import load_catalog
-from anosurf.spine import load_spine
 
 DATA_DIR = pathlib.Path(_resources.resolve("spine.json")).parent
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+# balanced, uses every edge, and puts three shorts around P1 corners; it is
+# none of the canonical complexes
+ALL_POSITIVE_COMPLEX = {"s1": 1, "s3": 1, "s5": 1, "t4": 1, "mc2": 1, "md3": 1}
 
 
 @pytest.fixture(scope="session")
@@ -17,8 +20,8 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def spine():
-    return load_spine()
+def spine(catalog):
+    return catalog.spine
 
 
 def load_data_json(relpath: str) -> dict:

@@ -29,7 +29,6 @@ from anosurf.classifier import classify, exclusion_trace
 from anosurf.cli import main as cli_main
 from anosurf.errors import ClassificationGapError
 from anosurf.slopes import INFINITY, AdmissibleSet, Slope, eval_admissible, is_hyperbolic
-from anosurf.spine import load_track_bundle
 from anosurf.traintrack import TrainTrack, carried_classes, enumerate_solutions
 from conftest import load_data_json
 
@@ -85,7 +84,7 @@ def test_boundary_slope_laws_at_bound_twenty(catalog):
                  "Q11": {Slope(4, 1)},
                  "Q6": {INFINITY}, "Q7": {INFINITY}, "Q8": {INFINITY}}
     for family, expected in constants.items():
-        bundle = load_track_bundle(family)
+        bundle = catalog.tracks[family]
         assert carried_classes(bundle.track, 20).slopes() == expected, family
 
     def role_sums(bundle, witness, *roles):
@@ -93,7 +92,7 @@ def test_boundary_slope_laws_at_bound_twenty(catalog):
 
     # the cover over the unbranched torus with doubled curves realizes
     # every slope of height six, each class matching (mu - nu) / omega
-    bundle = load_track_bundle("Q2")
+    bundle = catalog.tracks["Q2"]
     report = carried_classes(bundle.track, 20)
     wanted = {INFINITY} | set(grid_slopes(6))
     assert wanted <= report.slopes()
@@ -104,7 +103,7 @@ def test_boundary_slope_laws_at_bound_twenty(catalog):
     # the mixed family realizes exactly 3 + (mu + nu) / omega with
     # omega >= 2, mu >= 1 and 1 <= nu < omega; each realized slope gets
     # an explicit member triple
-    bundle = load_track_bundle("Q4")
+    bundle = catalog.tracks["Q4"]
     report = carried_classes(bundle.track, 20)
     for (p, q), witness in report.classes.items():
         omega, mu, nu = role_sums(bundle, witness, "omega", "mu", "nu")
@@ -119,7 +118,7 @@ def test_boundary_slope_laws_at_bound_twenty(catalog):
 
     # the genus witness family matches (g + h - e - f - i) / g whenever
     # the leading role is positive
-    bundle = load_track_bundle("Q9")
+    bundle = catalog.tracks["Q9"]
     report = carried_classes(bundle.track, 20)
     saw_positive_g = False
     for (p, q), witness in report.classes.items():
@@ -131,7 +130,7 @@ def test_boundary_slope_laws_at_bound_twenty(catalog):
     # class level agreement with the independent grid oracle
     for family in FAMILIES:
         doc = load_data_json(f"tracks/{family}.json")
-        bundle = load_track_bundle(family)
+        bundle = catalog.tracks[family]
         mine = {(s.p, s.q) for s in carried_classes(bundle.track, 6).slopes()}
         assert oracle_slope_pairs(doc["track"], 6) == mine, family
 

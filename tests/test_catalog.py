@@ -11,14 +11,14 @@ from anosurf.catalog import (
     candidates_for,
     check_catalog,
     complement_components,
+    default_catalog,
     load_catalog,
     slope_law_check,
 )
-from anosurf.errors import CatalogIntegrityError, CatalogKeyError
+from anosurf.errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
 from anosurf.slopes import Slope, parse_slope
-from anosurf.spine import load_track_bundle
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
-from conftest import DATA_DIR
+from conftest import ALL_POSITIVE_COMPLEX, DATA_DIR
 
 HALF = Slope(1, 2)
 
@@ -88,6 +88,32 @@ def _surjective_height(value):
 # surjective_height values SlopeLaw refuses, with their test ids
 BAD_HEIGHTS = {"height-text": "6", "height-float": 2.5, "height-negative": -3,
                "height-bool": True, "height-above-ceiling": MAX_SURJECTIVE_HEIGHT + 1}
+
+
+def _admissible(**fields):
+    def edit(doc):
+        doc["admissible"].update(fields)
+    return edit
+
+
+def _first_branch(**fields):
+    def edit(doc):
+        doc["track"]["branches"][0].update(fields)
+    return edit
+
+
+# admissible sets and branches the JSON schemas refuse, with their test ids
+BAD_FIELDS = {
+    "bound-infinite": ("catalog/entries/B4.json", _admissible(bound="inf")),
+    "count-float": ("catalog/entries/B5.json", _admissible(count=2.5)),
+    "count-bool": ("catalog/entries/B5.json", _admissible(count=True)),
+    "count-negative": ("catalog/entries/B5.json", _admissible(count=-1)),
+    "class-float": ("tracks/Q1.json", _first_branch(**{"class": [1.5, 0]})),
+    "class-three": ("tracks/Q1.json", _first_branch(**{"class": [1, 0, 9]})),
+    "class-bool": ("tracks/Q1.json", _first_branch(**{"class": [True, 0]})),
+    "loop-text": ("tracks/Q1.json", _first_branch(loop="false")),
+    "loop-zero": ("tracks/Q1.json", _first_branch(loop=0)),
+}
 
 
 @pytest.fixture
@@ -170,11 +196,22 @@ class TestLoading:
         assert reads == dict.fromkeys(expected, 1)
 
     def test_default_follows_the_environment(self, data_copy, monkeypatch):
-        assert load_track_bundle("Q1").law.kind == "ONLY_ZERO"
+        assert default_catalog().tracks["Q1"].law.kind == "ONLY_ZERO"
         _rewrite(data_copy, "tracks/Q1.json",
                  lambda doc: doc.update(law={"kind": "ONLY_FOUR"}))
         monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
-        assert load_track_bundle("Q1").law.kind == "ONLY_FOUR"
+        assert default_catalog().tracks["Q1"].law.kind == "ONLY_FOUR"
+
+    def test_family_of_reads_the_override_complexes(self, catalog, data_copy):
+        packaged_q1 = catalog.complexes["Q1"]
+        _rewrite(data_copy, "qcomplexes.json",
+                 lambda doc: doc.update(Q1={"connectors": ALL_POSITIVE_COMPLEX}))
+        override = load_catalog(path=str(data_copy))
+        assert override.family_of(ALL_POSITIVE_COMPLEX) == "Q1"
+        with pytest.raises(UnsupportedComplexError):
+            override.family_of(packaged_q1)
+        with pytest.raises(UnsupportedComplexError):
+            catalog.family_of(ALL_POSITIVE_COMPLEX)
 
     @pytest.mark.parametrize("relpath,edit", [
         ("tracks/Q1.json", _drop_track),
@@ -183,7 +220,9 @@ class TestLoading:
         ("tracks/Q1.json", _duplicate_branch),
         ("spine.json", _repeated_side),
         *[("tracks/Q2.json", _surjective_height(h)) for h in BAD_HEIGHTS.values()],
-    ], ids=["missing-key", "unknown-law", "wrong-type", "switch-system", "spine", *BAD_HEIGHTS])
+        *BAD_FIELDS.values(),
+    ], ids=["missing-key", "unknown-law", "wrong-type", "switch-system", "spine", *BAD_HEIGHTS,
+            *BAD_FIELDS])
     def test_unusable_data_detected(self, data_copy, relpath, edit):
         _rewrite(data_copy, relpath, edit)
         with pytest.raises(CatalogIntegrityError) as info:

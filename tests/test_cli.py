@@ -236,6 +236,27 @@ class TestTamperedCatalog:
                      "--catalog", str(data_copy)]) == 5
         assert "tracks/Q2.json" in capsys.readouterr().err
 
+    def test_infinite_bound_exits_five(self, data_copy, capsys):
+        # a data fault, not a bad slope from the user (exit 3)
+        entry_path = data_copy / "catalog" / "entries" / "B4.json"
+        doc = json.loads(entry_path.read_text())
+        doc["admissible"]["bound"] = "inf"
+        entry_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 5
+        assert "catalog/entries/B4.json" in capsys.readouterr().err
+
+    def test_fractional_branch_class_exits_five(self, data_copy, capsys):
+        track_path = data_copy / "tracks" / "Q1.json"
+        doc = json.loads(track_path.read_text())
+        doc["track"]["branches"][0]["class"] = [1.5, 0]
+        track_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["track", "Q1", "--catalog", str(data_copy)]) == 5
+        assert "tracks/Q1.json" in capsys.readouterr().err
+
     def test_missing_environment_override_exits_five(self, data_copy, monkeypatch, capsys):
         missing = data_copy / "no-such-directory"
         monkeypatch.setenv("ANOSURF_CATALOG", str(missing))

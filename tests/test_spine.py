@@ -2,19 +2,12 @@ import copy
 
 import pytest
 
+import anosurf
+from anosurf import spine as spine_module
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
-from anosurf.spine import (
-    SpineCase,
-    Spine,
-    adjacent_short_pairs,
-    boundary_double_cover,
-    canonical_complexes,
-    case_of,
-    load_spine,
-    load_track_bundle,
-)
+from anosurf.spine import SpineCase, Spine, adjacent_short_pairs, case_of
 from anosurf.traintrack import dead_branches
-from conftest import load_data_json
+from conftest import ALL_POSITIVE_COMPLEX, load_data_json
 
 EXPECTED_CASES = {
     "Q1": SpineCase.CD_ZERO, "Q2": SpineCase.CD_ZERO, "Q3": SpineCase.CD_ZERO,
@@ -23,9 +16,6 @@ EXPECTED_CASES = {
     "Q8": SpineCase.C_ZERO, "Q9": SpineCase.C_ZERO,
     "Q10": SpineCase.C_ZERO, "Q11": SpineCase.C_ZERO,
 }
-
-# balanced, uses every edge, and puts three shorts around P1 corners
-ALL_POSITIVE_COMPLEX = {"s1": 1, "s3": 1, "s5": 1, "t4": 1, "mc2": 1, "md3": 1}
 
 
 class TestStructure:
@@ -66,8 +56,8 @@ class TestStructure:
 
 
 class TestComplexes:
-    def test_canonical_families_validate(self, spine):
-        complexes = canonical_complexes()
+    def test_canonical_families_validate(self, catalog, spine):
+        complexes = catalog.complexes
         assert set(complexes) == set(EXPECTED_CASES)
         for family, q in complexes.items():
             spine.validate_complex(q)
@@ -87,8 +77,8 @@ class TestComplexes:
         with pytest.raises(ValueError):
             spine.validate_complex({"s1": 1})
 
-    def test_edge_weights(self, spine):
-        q = canonical_complexes()["Q6"]
+    def test_edge_weights(self, catalog, spine):
+        q = catalog.complexes["Q6"]
         assert spine.edge_weights(q) == {"a": 0, "b": 2, "c": 0, "d": 2}
         total = sum(q.values())
         weights = spine.edge_weights(q)
@@ -96,14 +86,14 @@ class TestComplexes:
 
 
 class TestCaseSplit:
-    def test_canonical_cases(self, spine):
-        for family, q in canonical_complexes().items():
+    def test_canonical_cases(self, catalog, spine):
+        for family, q in catalog.complexes.items():
             assert case_of(spine, q) == EXPECTED_CASES[family], family
 
     def test_all_positive(self, spine):
         assert case_of(spine, ALL_POSITIVE_COMPLEX) == SpineCase.ALL_POSITIVE
 
-    def test_symmetry_images_share_the_case(self, spine):
+    def test_symmetry_images_share_the_case(self, catalog, spine):
         """Mapping a complex through any spine symmetry lands on another
         valid complex in the same case; this drives zero patterns through
         every position the group can reach."""
@@ -111,7 +101,7 @@ class TestCaseSplit:
         for conn in spine.connectors.values():
             by_sides[frozenset(conn.sides(spine))] = conn.id
         seen_weight_zero_sets = set()
-        for family, q in canonical_complexes().items():
+        for family, q in catalog.complexes.items():
             base_case = case_of(spine, q)
             for sym in spine.symmetries:
                 image = {}
@@ -128,15 +118,15 @@ class TestCaseSplit:
         assert frozenset({"b", "c"}) in seen_weight_zero_sets
         assert frozenset({"b", "d"}) in seen_weight_zero_sets
 
-    def test_case_split_total_on_combinations(self, spine):
+    def test_case_split_total_on_combinations(self, catalog, spine):
         """Sums of canonical complexes stay balanced; none of them may
         fall through the case split."""
-        complexes = list(canonical_complexes().values())
+        complexes = list(catalog.complexes.values())
         combos = [
             {**complexes[0]},
             {"s1": 3, "s4": 3, "ly3": 3},
         ]
-        q6 = canonical_complexes()["Q6"]
+        q6 = catalog.complexes["Q6"]
         flipped = {}
         sym = next(s for s in spine.symmetries if s.name == "keep_r3_r3")
         by_sides = {frozenset(c.sides(spine)): c.id
@@ -157,8 +147,8 @@ class TestCaseSplit:
 
 
 class TestShortAdjacency:
-    def test_canonical_families_have_none(self, spine):
-        for family, q in canonical_complexes().items():
+    def test_canonical_families_have_none(self, catalog, spine):
+        for family, q in catalog.complexes.items():
             assert adjacent_short_pairs(spine, q) == [], family
 
     def test_detects_adjacent_pairs(self, spine):
@@ -173,22 +163,22 @@ class TestShortAdjacency:
         assert ("s1", "t3") in pairs and ("s5", "t3") in pairs
         assert len(pairs) == 5
 
-    def test_parallel_copies_do_not_pair(self, spine):
-        q2 = canonical_complexes()["Q2"]
+    def test_parallel_copies_do_not_pair(self, catalog, spine):
+        q2 = catalog.complexes["Q2"]
         assert q2["s1"] == 2
         assert adjacent_short_pairs(spine, q2) == []
 
 
 class TestDoubleCovers:
-    def test_every_family_resolves(self, spine):
-        for family, q in canonical_complexes().items():
-            cover = boundary_double_cover(spine, q)
-            assert cover.family == family
-            assert len(cover.track.branches) == 2 * sum(q.values())
+    def test_every_family_resolves(self, catalog):
+        for family, q in catalog.complexes.items():
+            found = catalog.family_of(q)
+            assert found == family
+            assert len(catalog.tracks[found].track.branches) == 2 * sum(q.values())
 
-    def test_projection_partitions_branches(self, spine):
-        for family, q in canonical_complexes().items():
-            bundle = load_track_bundle(family)
+    def test_projection_partitions_branches(self, catalog):
+        for family, q in catalog.complexes.items():
+            bundle = catalog.tracks[family]
             used = [b for rec in bundle.projection for b in rec["arcs"]]
             assert sorted(used) == sorted(bundle.track.branches)
             copies = {}
@@ -197,14 +187,29 @@ class TestDoubleCovers:
                     copies.get(rec["connector"], 0), rec["copy"])
             assert copies == dict(q)
 
-    def test_noncompact_annotation_is_exact(self):
-        for family in canonical_complexes():
-            bundle = load_track_bundle(family)
+    def test_noncompact_annotation_is_exact(self, catalog):
+        for family, bundle in catalog.tracks.items():
             assert set(bundle.noncompact) == dead_branches(bundle.track, 5), family
 
-    def test_unknown_complex_rejected(self, spine):
+    def test_unknown_complex_rejected(self, catalog):
         with pytest.raises(UnsupportedComplexError):
-            boundary_double_cover(spine, ALL_POSITIVE_COMPLEX)
+            catalog.family_of(ALL_POSITIVE_COMPLEX)
+        # a complex the spine refuses never reaches the lookup
+        with pytest.raises(ValueError, match="unknown connector"):
+            catalog.family_of({"nope": 1})
 
-    def test_load_spine_is_cached(self):
-        assert load_spine() is load_spine()
+
+# names spine.py no longer offers; the catalog owns the spine, the
+# complexes and the tracks
+DELETED_NAMES = ("DoubleCover", "boundary_double_cover", "canonical_complexes", "load_spine")
+
+
+def test_public_names_resolve():
+    assert len(anosurf.__all__) == len(set(anosurf.__all__))
+    for name in anosurf.__all__:
+        getattr(anosurf, name)
+    # spine.load_track_bundle stays for the benchmark harness, but is not public
+    for name in DELETED_NAMES + ("load_track_bundle",):
+        assert name not in anosurf.__all__ and not hasattr(anosurf, name), name
+    for name in DELETED_NAMES:
+        assert not hasattr(spine_module, name), name

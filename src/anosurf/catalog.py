@@ -73,9 +73,9 @@ class CatalogEntry:
             notes=dict(doc.get("notes", {})),
         )
 
-    # Slope-independent facts, computed on first use and kept on the
-    # instance. A build that raises caches nothing, so the next use raises
-    # again; dataclasses.replace gives a copy with nothing cached.
+    # Slope-independent facts, kept on the instance: load_catalog builds
+    # both for each entry it loads, any other entry on first use. A build
+    # that raises caches nothing; a dataclasses.replace copy starts empty.
 
     @cached_property
     def complement_pieces(self) -> Tuple[ComplementComponent, ...]:
@@ -135,6 +135,18 @@ class Catalog:
             "only the eleven cataloged families are supported")
 
 
+def _loaded_entry(doc: dict) -> CatalogEntry:
+    """An entry with its facts built, its orientation graph coloured and
+    its disk sectors scanned once, so that a malformed record fails the
+    load instead of a later classification or health check."""
+    entry = CatalogEntry.from_json(doc)
+    _ = entry.complement_pieces, entry.euler_characteristics
+    detect_sink_disks(entry.disk_sectors)
+    if entry.orientation_graph is not None:
+        is_transversely_orientable(entry.orientation_graph)
+    return entry
+
+
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     """Load, checksum and build the catalog.
 
@@ -166,7 +178,7 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
                                     "manifest names no entry files")
     entries: Dict[str, CatalogEntry] = {}
     for relpath in entry_files:
-        entry = build(relpath, CatalogEntry.from_json)
+        entry = build(relpath, _loaded_entry)
         if entry.id in entries:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
@@ -252,12 +264,11 @@ class CatalogReport:
 def check_catalog(catalog: Catalog) -> CatalogReport:
     """Structural health check of every entry.
 
-    Verifies sink disk emptiness, nonempty admissible sets, orientation
-    certificates, Euler characteristic records, and the per family
-    counts against the manifest. A mismatch between the shipped entry
-    count and the total stated by the underlying tabulation is reported
-    as a warning, not a failure; the discrepancy is known and
-    documented.
+    Verifies sink disk emptiness, orientation certificates, Euler
+    characteristic records, and the per family counts against the
+    manifest. A mismatch between the shipped entry count and the total
+    stated by the underlying tabulation is reported as a warning, not a
+    failure; the discrepancy is known and documented.
     """
     warnings: List[str] = []
     problems: List[str] = []
@@ -284,14 +295,6 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
             continue
         if sinks:
             problems.append(f"{entry.id}: sink disks {sinks}")
-
-        # the admissible set must not be vacuous
-        if entry.admissible.kind == "Only" and entry.admissible.slope is None:
-            problems.append(f"{entry.id}: admissible set names no slope")
-        if entry.admissible.kind in ("IntersectionWithAtLeast",
-                                     "IntersectionWithMoreThan"):
-            if entry.admissible.slope is None or entry.admissible.count is None:
-                problems.append(f"{entry.id}: intersection condition incomplete")
 
         # orientability flags must be certified
         if entry.orientable is not None:

@@ -123,45 +123,29 @@ ANCHORS: Dict[str, str] = {
         "the filling carries exactly one flow up to equivalence.",
 }
 
-# conclusion a rule yields when it fires as the last step of a chain
+# What a concluding rule yields when it fires as the last step of a
+# chain; every other rule in ANCHORS is a premise step.
 _EXCLUDES = "Excludes"
-_FORCES_INTEGER = "ForcesIntegerSlope"
-_YIELDS_CORE = "YieldsCoreOrbit"
+_CONCLUSIONS = {
+    "disk-leaves/no-legal-shape": _EXCLUDES,
+    "complement/three-vertical-cusps": _EXCLUDES,
+    "attractor/uniqueness-two-orbits": _EXCLUDES,
+    "split/meridian-twice": _EXCLUDES,
+    "fenley/power-bound": _EXCLUDES,
+    "carried/orientable-contradiction": _EXCLUDES,
+    "core-orbit/isotopic": "ForcesIntegerSlope",
+    "type-ii/core-orbit": "YieldsCoreOrbit",
+}
 
 
 @dataclass(frozen=True)
 class Rule:
     id: str
-    anchor: str
     conclusion: Optional[str] = None  # None marks a premise step
 
 
-RULES: Dict[str, Rule] = {
-    rule_id: Rule(rule_id, ANCHORS[rule_id], conclusion)
-    for rule_id, conclusion in {
-        "complement-shape/three-types": None,
-        "disk-leaves/no-legal-shape": _EXCLUDES,
-        "complement/three-vertical-cusps": _EXCLUDES,
-        "type-i/vacant-annulus": None,
-        "type-i/exceptional-core": None,
-        "attractor/one-boundary-orbit": None,
-        "attractor/uniqueness-two-orbits": _EXCLUDES,
-        "split/two-annuli-one-torus": None,
-        "split/meridian-twice": _EXCLUDES,
-        "type-ii/slope-infinity-annulus": None,
-        "type-ii/core-power": None,
-        "fenley/power-bound": _EXCLUDES,
-        "fenley/square-non-coorientable": None,
-        "non-coorientable/infinitely-many": None,
-        "carried/orientable-contradiction": _EXCLUDES,
-        "core-orbit/isotopic": _FORCES_INTEGER,
-        "type-ii/core-orbit": _YIELDS_CORE,
-        "core-orbit/da-surgery": None,
-        "attractor/unique-model": None,
-        "plante/suspension-rigidity": None,
-        "surgery/equivalence-transfer": None,
-    }.items()
-}
+RULES: Dict[str, Rule] = {rule_id: Rule(rule_id, _CONCLUSIONS.get(rule_id))
+                          for rule_id in ANCHORS}
 
 
 def fenley_power_admissible(k: int) -> bool:

@@ -15,7 +15,7 @@ from typing import Optional
 import click
 
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
-from .classifier import classify
+from .classifier import ANCHORS, classify
 from .errors import (
     CatalogIntegrityError,
     CatalogKeyError,
@@ -80,7 +80,7 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
         for step in result.argument:
             click.echo(f"    {step.rule}")
             if traces == "full":
-                click.echo(f"        {step.to_json()['anchor']}")
+                click.echo(f"        {ANCHORS[step.rule]}")
     if result.traces and traces != "none":
         click.echo(f"  excluded candidates: {len(result.traces)}")
         for trace in result.traces:
@@ -88,7 +88,7 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
             click.echo(f"    {d['entry']}: {' -> '.join(d['rules'])}")
             if traces == "full":
                 for step in trace.steps:
-                    click.echo(f"        [{step.rule}] {step.to_json()['anchor']}")
+                    click.echo(f"        [{step.rule}] {ANCHORS[step.rule]}")
     elif result.traces:
         click.echo(f"  excluded candidates: {len(result.traces)}")
 

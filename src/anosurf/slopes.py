@@ -165,14 +165,22 @@ def is_hyperbolic(slope: Slope) -> bool:
 # ---------------------------------------------------------------------------
 # Admissible slope sets attached to catalog entries.
 
-_ADMISSIBLE_KINDS = (
-    "AllRationals",
-    "Only",
-    "IntegerDenominatorAtLeast2",
-    "GreaterThan",
-    "IntersectionWithAtLeast",
-    "IntersectionWithMoreThan",
-)
+# One row per kind: the JSON key of its slope parameter (None when it
+# takes none), whether it takes a count, and its membership test. Every
+# set here is a set of boundary slopes of compact laminations, so the
+# infinite slope (q, p) = (1, 0) is a member only of AllRationals sets,
+# never of order comparisons: GreaterThan(b) is False at infinity.
+_KINDS = {
+    "AllRationals": (None, False, lambda adm, s: True),
+    "Only": ("slope", False, lambda adm, s: s == adm.slope),
+    "IntegerDenominatorAtLeast2": (None, False, lambda adm, s: s.p >= 2),
+    "GreaterThan": ("bound", False,
+                    lambda adm, s: s.p != 0 and s.q * adm.slope.p > adm.slope.q * s.p),
+    "IntersectionWithAtLeast": (
+        "anchor", True, lambda adm, s: intersection_number(s, adm.slope) >= adm.count),
+    "IntersectionWithMoreThan": (
+        "anchor", True, lambda adm, s: intersection_number(s, adm.slope) > adm.count),
+}
 
 
 @dataclass(frozen=True)
@@ -193,61 +201,44 @@ class AdmissibleSet:
     count: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _ADMISSIBLE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown admissible kind {self.kind!r}")
-        needs_slope = self.kind in ("Only", "GreaterThan",
-                                    "IntersectionWithAtLeast", "IntersectionWithMoreThan")
-        if needs_slope and self.slope is None:
-            raise ValueError(f"{self.kind} requires a slope parameter")
+        key, takes_count, _ = _KINDS[self.kind]
+        if (self.slope is None) != (key is None):
+            raise ValueError(f"{self.kind} requires a {key}" if key
+                             else f"{self.kind} takes no slope")
         if self.kind == "GreaterThan" and self.slope.is_infinity:
             raise ValueError("GreaterThan requires a finite bound")
-        needs_count = self.kind in ("IntersectionWithAtLeast", "IntersectionWithMoreThan")
-        if needs_count and self.count is None:
-            raise ValueError(f"{self.kind} requires a nonnegative count")
-        if self.count is not None and (type(self.count) is not int or self.count < 0):
-            raise ValueError(f"count must be a nonnegative integer, not {self.count!r}")
+        if not ((type(self.count) is int and self.count >= 0) if takes_count
+                else self.count is None):
+            raise ValueError(f"{self.kind} takes {'a nonnegative integer' if takes_count else 'no'}"
+                             f" count, not {self.count!r}")
 
     def to_json(self) -> dict:
+        key, takes_count, _ = _KINDS[self.kind]
         doc = {"kind": self.kind}
-        if self.slope is not None:
-            key = "bound" if self.kind == "GreaterThan" else (
-                "slope" if self.kind == "Only" else "anchor")
+        if key is not None:
             doc[key] = str(self.slope)
-        if self.count is not None:
+        if takes_count:
             doc["count"] = self.count
         return doc
 
     @staticmethod
     def from_json(doc: dict) -> "AdmissibleSet":
         kind = doc.get("kind")
-        if kind not in _ADMISSIBLE_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown admissible kind {kind!r}")
-        slope = None
-        for key in ("slope", "bound", "anchor"):
-            if key in doc:
-                slope = parse_slope(doc[key])
+        key, takes_count, _ = _KINDS[kind]
+        extra = set(doc) - {"kind", key, "count" if takes_count else None}
+        if extra:
+            raise ValueError(f"{kind} takes no {', '.join(sorted(extra))}")
+        text = doc.get(key)
+        if text is not None and not isinstance(text, str):
+            raise ValueError(f"{kind} {key} must be a string, not {text!r}")
+        slope = None if text is None else parse_slope(text)
         return AdmissibleSet(kind=kind, slope=slope, count=doc.get("count"))
 
 
 def eval_admissible(adm: AdmissibleSet, slope: Slope) -> bool:
-    """Decide membership of a slope in an admissible set.
-
-    Every set here is a set of boundary slopes of compact laminations,
-    so the infinite slope is a member only of AllRationals sets, never
-    of order comparisons. GreaterThan(b) is False at infinity.
-    """
-    if adm.kind == "AllRationals":
-        return True
-    if adm.kind == "Only":
-        return slope == adm.slope
-    if adm.kind == "IntegerDenominatorAtLeast2":
-        return (not slope.is_infinity) and slope.p >= 2
-    if adm.kind == "GreaterThan":
-        if slope.is_infinity:
-            return False
-        return slope > adm.slope
-    if adm.kind == "IntersectionWithAtLeast":
-        return intersection_number(slope, adm.slope) >= adm.count
-    if adm.kind == "IntersectionWithMoreThan":
-        return intersection_number(slope, adm.slope) > adm.count
-    raise ValueError(f"unknown admissible kind {adm.kind!r}")
+    """Decide membership of a slope in an admissible set."""
+    return _KINDS[adm.kind][2](adm, slope)

@@ -14,6 +14,44 @@ SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 ALL_POSITIVE_COMPLEX = {"s1": 1, "s3": 1, "s5": 1, "t4": 1, "mc2": 1, "md3": 1}
 
 
+def admissible_edit(**fields):
+    def edit(doc):
+        doc["admissible"].update(fields)
+    return edit
+
+
+def record_edit(*path, value=None, drop=False):
+    """Set (or, with drop, delete) the record at a key path of a document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if drop:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return edit
+
+
+# Entry records that load_catalog and entry.schema.json both refuse, with
+# their test ids: entry id and the edit of its shipped document.
+BAD_ENTRY_RECORDS = {
+    "count-float": ("B5", admissible_edit(count=2.5)),
+    "count-bool": ("B5", admissible_edit(count=True)),
+    "count-negative": ("B5", admissible_edit(count=-1)),
+    "only-with-bound": ("B1", admissible_edit(bound="5")),
+    "bound-int": ("B4", admissible_edit(bound=3)),
+    "all-rationals-with-anchor": ("B2", admissible_edit(anchor="4")),
+    "only-with-count": ("B1", admissible_edit(count=1)),
+    "euler-edge-list": ("B2", record_edit("euler", "surface_cw", "edges", 0, value=[1])),
+    "surface-cw-list": ("B2", record_edit("euler", "surface_cw", value=[])),
+    "complement-number": ("B2", record_edit("complement", value=[5])),
+    "graph-without-edges": ("B6", record_edit("orientation_graph", "edges", drop=True)),
+    "arc-without-direction": (
+        "B6", record_edit("disk_sectors", 0, "boundary", 0, "direction", drop=True)),
+    "disk-without-boundary": ("B6", record_edit("disk_sectors", 0, "boundary", value=[])),
+}
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog()

@@ -1,9 +1,10 @@
 """Independent brute force oracles used by the test suite.
 
-Everything here works on raw track JSON and never calls the package's
-enumeration code, so agreement between the two is meaningful. Grids are
-filtered with numpy, component by component, and the component splits
-are recomputed here from the switch rows alone.
+Everything here works on raw JSON and never calls the package's code, so
+agreement between the two is meaningful. Grids are filtered with numpy,
+component by component, and the component splits are recomputed here
+from the switch rows alone. Admissibility is decided on (q, p) integer
+pairs read straight from an entry's admissible record.
 """
 
 from __future__ import annotations
@@ -163,3 +164,37 @@ def oracle_dead_branches(track_doc: dict, bound: int) -> Set[str]:
     comps, grids = _component_arrays(track_doc, bound)
     return {b for comp, g in zip(comps, grids)
             for b, column in zip(comp, g.T) if not column.any()}
+
+
+def _slope_pair(text: str) -> Tuple[int, int]:
+    """(q, p) of a slope spelled "q", "q/p" or "inf", reduced with p >= 0."""
+    if text == "inf":
+        return (1, 0)
+    q, _, p = text.partition("/")
+    q, p = int(q), int(p or 1)
+    if p < 0:
+        q, p = -q, -p
+    g = gcd(q, p)
+    return (q // g, p // g)
+
+
+def oracle_admissible(doc: dict, q: int, p: int) -> bool:
+    """Whether the reduced slope q/p lies in the raw admissible record
+    `doc`; the infinite slope is (q, p) = (1, 0)."""
+    kind = doc["kind"]
+    if kind == "AllRationals":
+        return True
+    if kind == "Only":
+        return (q, p) == _slope_pair(doc["slope"])
+    if kind == "IntegerDenominatorAtLeast2":
+        return p >= 2
+    if kind == "GreaterThan":
+        bq, bp = _slope_pair(doc["bound"])
+        return p > 0 and q * bp > bq * p
+    aq, ap = _slope_pair(doc["anchor"])
+    crossings = abs(q * ap - aq * p)
+    if kind == "IntersectionWithAtLeast":
+        return crossings >= doc["count"]
+    if kind == "IntersectionWithMoreThan":
+        return crossings > doc["count"]
+    raise ValueError(f"unknown admissible kind {kind!r}")

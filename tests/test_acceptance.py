@@ -1,7 +1,8 @@
 """Acceptance gates for the whole engine.
 
-Eight tests, each pinning one externally visible guarantee: the
-integer dichotomy over the full slope grid, the hyperbolicity table,
+Nine tests, each pinning one externally visible guarantee: the
+integer dichotomy over the full slope grid, admissibility against an
+independent oracle, the hyperbolicity table,
 the boundary slope laws at bound twenty, orientability certificates,
 Euler characteristic bookkeeping, fuzzed exclusion chains, catalog
 integrity, and exact agreement of the enumerator with an independent
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_slope_pairs, oracle_solutions
+from oracles import oracle_admissible, oracle_slope_pairs, oracle_solutions
 from trackgen import random_track_doc
 
 from anosurf.branched_surface import (
@@ -42,10 +43,18 @@ def grid_slopes(height):
                 yield Slope(q, p)
 
 
+def raw_admissible_records():
+    """Entry id -> the admissible record of its shipped JSON."""
+    return {doc["id"]: doc["admissible"]
+            for doc in map(load_data_json, load_data_json("catalog/manifest.json")["entry_files"])}
+
+
 def test_integer_dichotomy_over_the_full_grid(catalog):
     """Integers carry exactly one flow, zero the suspension, everything
     else none, each non-carrier excluded entry by entry, in under ten
     seconds for the whole height fifty grid."""
+    records = raw_admissible_records()
+    assert set(records) == {e.id for e in catalog}
     started = time.monotonic()
     seen = 0
     for s in grid_slopes(50):
@@ -57,13 +66,24 @@ def test_integer_dichotomy_over_the_full_grid(catalog):
             assert result.kind == "UniqueAnosov"
         else:
             assert result.kind == "NoAnosov"
-            expected = sorted(e.id for e in catalog
-                              if eval_admissible(e.admissible, s))
+            expected = sorted(eid for eid, doc in records.items()
+                              if oracle_admissible(doc, s.q, s.p))
             assert sorted(t.entry for t in result.traces) == expected
         assert result.taut_foliation is True
     elapsed = time.monotonic() - started
     assert seen == 3095
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"
+
+
+def test_admissibility_matches_the_oracle(catalog):
+    records = raw_admissible_records()
+    assert len(records) == 38
+    slopes = [*grid_slopes(50), INFINITY]
+    for entry in catalog:
+        doc = records[entry.id]
+        for s in slopes:
+            assert eval_admissible(entry.admissible, s) == oracle_admissible(doc, s.q, s.p), \
+                (entry.id, str(s))
 
 
 def test_hyperbolic_fillings_over_the_grid():

@@ -18,7 +18,7 @@ from anosurf.catalog import (
 from anosurf.errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
 from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
-from conftest import ALL_POSITIVE_COMPLEX, DATA_DIR
+from conftest import ALL_POSITIVE_COMPLEX, BAD_ENTRY_RECORDS, DATA_DIR, admissible_edit
 
 HALF = Slope(1, 2)
 
@@ -90,24 +90,17 @@ BAD_HEIGHTS = {"height-text": "6", "height-float": 2.5, "height-negative": -3,
                "height-bool": True, "height-above-ceiling": MAX_SURJECTIVE_HEIGHT + 1}
 
 
-def _admissible(**fields):
-    def edit(doc):
-        doc["admissible"].update(fields)
-    return edit
-
-
 def _first_branch(**fields):
     def edit(doc):
         doc["track"]["branches"][0].update(fields)
     return edit
 
 
-# admissible sets and branches the JSON schemas refuse, with their test ids
+# entry records and branches the loader refuses, with their test ids
 BAD_FIELDS = {
-    "bound-infinite": ("catalog/entries/B4.json", _admissible(bound="inf")),
-    "count-float": ("catalog/entries/B5.json", _admissible(count=2.5)),
-    "count-bool": ("catalog/entries/B5.json", _admissible(count=True)),
-    "count-negative": ("catalog/entries/B5.json", _admissible(count=-1)),
+    "bound-infinite": ("catalog/entries/B4.json", admissible_edit(bound="inf")),
+    **{name: (f"catalog/entries/{entry}.json", edit)
+       for name, (entry, edit) in BAD_ENTRY_RECORDS.items()},
     "class-float": ("tracks/Q1.json", _first_branch(**{"class": [1.5, 0]})),
     "class-three": ("tracks/Q1.json", _first_branch(**{"class": [1, 0, 9]})),
     "class-bool": ("tracks/Q1.json", _first_branch(**{"class": [True, 0]})),

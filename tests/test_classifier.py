@@ -31,6 +31,20 @@ class TestRuleTable:
         for rule in RULES.values():
             assert ANCHORS[rule.id].strip()
 
+    def test_concluding_rules(self):
+        assert list(RULES) == list(ANCHORS)
+        concluding = {r.id: r.conclusion for r in RULES.values() if r.conclusion is not None}
+        assert concluding == {
+            "disk-leaves/no-legal-shape": "Excludes",
+            "complement/three-vertical-cusps": "Excludes",
+            "attractor/uniqueness-two-orbits": "Excludes",
+            "split/meridian-twice": "Excludes",
+            "fenley/power-bound": "Excludes",
+            "carried/orientable-contradiction": "Excludes",
+            "core-orbit/isotopic": "ForcesIntegerSlope",
+            "type-ii/core-orbit": "YieldsCoreOrbit",
+        }
+
     def test_power_bound(self):
         for k in (1, -1, 2, -2):
             assert fenley_power_admissible(k)

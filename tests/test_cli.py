@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
-from conftest import DATA_DIR
+from conftest import BAD_ENTRY_RECORDS, DATA_DIR
 
 
 # every command that takes --catalog, and paths it must refuse
@@ -246,6 +246,34 @@ class TestTamperedCatalog:
 
         assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 5
         assert "catalog/entries/B4.json" in capsys.readouterr().err
+
+    def test_parameter_of_another_kind_exits_five(self, data_copy, capsys):
+        # B1 is Only 0; an extra bound used to replace its slope
+        entry_path = data_copy / "catalog" / "entries" / "B1.json"
+        doc = json.loads(entry_path.read_text())
+        doc["admissible"]["bound"] = "5"
+        entry_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main(["catalog", "show", "B1", "--catalog", str(data_copy)]) == 5
+        captured = capsys.readouterr()
+        assert "catalog/entries/B1.json" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["classify", "7/2"], ["catalog", "check"]],
+                             ids=["classify", "check"])
+    @pytest.mark.parametrize("name", ["euler-edge-list", "surface-cw-list", "complement-number",
+                                      "graph-without-edges", "arc-without-direction"])
+    def test_malformed_entry_record_exits_five(self, data_copy, name, command, capsys):
+        entry, edit = BAD_ENTRY_RECORDS[name]
+        entry_path = data_copy / "catalog" / "entries" / f"{entry}.json"
+        doc = json.loads(entry_path.read_text())
+        edit(doc)
+        entry_path.write_text(json.dumps(doc))
+        _restamp_manifest(data_copy)
+
+        assert main([*command, "--catalog", str(data_copy)]) == 5
+        assert f"catalog/entries/{entry}.json" in capsys.readouterr().err
 
     def test_fractional_branch_class_exits_five(self, data_copy, capsys):
         track_path = data_copy / "tracks" / "Q1.json"

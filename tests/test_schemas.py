@@ -5,7 +5,7 @@ from jsonschema import Draft202012Validator
 
 from anosurf.classifier import classify
 from anosurf.slopes import parse_slope
-from conftest import load_data_json, load_schema
+from conftest import BAD_ENTRY_RECORDS, load_data_json, load_schema
 
 FAMILIES = [f"Q{i}" for i in range(1, 12)]
 
@@ -37,6 +37,14 @@ def test_entry_documents():
     assert manifest["entry_files"]
     for relpath in manifest["entry_files"]:
         validator.validate(load_data_json(relpath))
+
+
+@pytest.mark.parametrize("name", BAD_ENTRY_RECORDS)
+def test_entry_schema_refuses_what_the_loader_refuses(name):
+    entry, edit = BAD_ENTRY_RECORDS[name]
+    doc = load_data_json(f"catalog/entries/{entry}.json")
+    edit(doc)
+    assert not validator_for("entry.schema.json").is_valid(doc)
 
 
 def test_manifest_document():

@@ -180,6 +180,21 @@ class TestAdmissibleSets:
             AdmissibleSet("NoSuchKind")
         with pytest.raises(ValueError):
             AdmissibleSet.from_json({"kind": "NoSuchKind"})
+        # a kind takes exactly the parameters of its row
+        with pytest.raises(ValueError):
+            AdmissibleSet("Only", slope=ZERO, count=1)
+        with pytest.raises(ValueError):
+            AdmissibleSet("AllRationals", slope=Slope(4, 1))
+        with pytest.raises(ValueError):
+            AdmissibleSet("IntegerDenominatorAtLeast2", count=0)
+        with pytest.raises(ValueError):
+            AdmissibleSet.from_json({"kind": "Only", "slope": "0", "bound": "5"})
+        with pytest.raises(ValueError):
+            AdmissibleSet.from_json({"kind": "GreaterThan", "bound": 3})
+        with pytest.raises(ValueError):
+            AdmissibleSet.from_json({"kind": "AllRationals", "anchor": "4"})
+        with pytest.raises(ValueError):
+            AdmissibleSet.from_json({"kind": "Only", "slope": "0", "count": 1})
 
     def test_eval_core_kinds(self):
         assert eval_admissible(AdmissibleSet("AllRationals"), INFINITY)
@@ -196,6 +211,14 @@ class TestAdmissibleSets:
         assert eval_admissible(above3, Slope(7, 2))
         assert not eval_admissible(above3, Slope(3, 1))
         assert not eval_admissible(above3, INFINITY)
+
+    def test_greater_than_matches_rational_order(self):
+        grid = {Slope.of(q, p) for p in range(1, 9) for q in range(-12, 13)}
+        for bound in (Slope(3, 1), Slope(-7, 2), Slope(5, 3), ZERO):
+            above = AdmissibleSet("GreaterThan", slope=bound)
+            for s in grid:
+                assert eval_admissible(above, s) == (s.as_fraction() > bound.as_fraction()), \
+                    (str(bound), str(s))
 
     def test_eval_intersection_kinds(self):
         atleast2 = AdmissibleSet("IntersectionWithAtLeast", slope=Slope(4, 1), count=2)

@@ -852,6 +852,8 @@ def main(argv=None) -> int:
     for family, q in QCOMPLEXES.items():
         assert catalog.family_of(q) == family
         assert catalog.tracks[family].family == family
+    for entry in entries:
+        assert catalog.get(entry["id"]).admissible.to_json() == entry["admissible"], entry["id"]
 
     print(f"spine: {len(spine_doc['symmetries'])} symmetries, "
           f"{len(spine_doc['connectors'])} connectors")

@@ -208,11 +208,18 @@ class ComplementComponent:
 
     @staticmethod
     def from_json(doc: dict) -> "ComplementComponent":
+        """A record as shipped in a catalog entry, where every solid torus
+        piece carries its meridian data."""
+        hits = doc.get("meridian_hits")
+        needed = doc["kind"] == "SolidTorus"
+        if (needed or hits is not None) and (type(hits) is not int or hits < 0):
+            raise ValueError(f"{doc['kind']} record: meridian_hits must be a "
+                             f"nonnegative integer, not {hits!r}")
         return ComplementComponent(
             kind=doc["kind"],
             vertical_annuli=doc.get("vertical_annuli", 0),
             annulus_wrap=tuple(doc.get("annulus_wrap", ())),
-            meridian_hits=doc.get("meridian_hits"),
+            meridian_hits=hits,
             exceptional=doc.get("exceptional"),
             genus=doc.get("genus"),
             core_power=doc.get("core_power"),
@@ -241,7 +248,7 @@ def meridian_vertical_intersection(component: ComplementComponent) -> int:
     """How often a meridian disk boundary crosses the vertical annulus
     cores of a solid torus piece. Undefined for other shapes."""
     if component.kind != "SolidTorus":
-        raise ComplementShapeError(component.kind, "meridian_vertical_intersection")
+        raise ComplementShapeError(component.kind, "meridian intersection is undefined")
     if component.meridian_hits is None:
-        raise ComplementShapeError(component.kind, "record lacks meridian data for")
+        raise ComplementShapeError(component.kind, "record lacks meridian data")
     return component.meridian_hits

@@ -112,11 +112,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def by_family(self, family: str) -> List[CatalogEntry]:
-        if family not in FAMILIES:
-            raise CatalogKeyError(family)
-        return [e for e in self.entries.values() if e.family == family]
-
     def family_counts(self) -> Dict[str, int]:
         counts = {f: 0 for f in FAMILIES}
         for entry in self.entries.values():
@@ -288,11 +283,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
 
     for entry in catalog:
         # no entry may contain a sink disk
-        try:
-            sinks = detect_sink_disks(entry.disk_sectors)
-        except ValueError as exc:
-            problems.append(f"{entry.id}: bad disk sector data ({exc})")
-            continue
+        sinks = detect_sink_disks(entry.disk_sectors)
         if sinks:
             problems.append(f"{entry.id}: sink disks {sinks}")
 
@@ -309,15 +300,11 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
 
         # stored CW structures must be consistent and agree
         if entry.euler is not None:
-            try:
-                chi_b, chi_w = entry.euler_characteristics
-            except (KeyError, ValueError) as exc:
-                problems.append(f"{entry.id}: bad CW data ({exc})")
-            else:
-                if chi_b != chi_w:
-                    problems.append(
-                        f"{entry.id}: surface Euler characteristic {chi_b} "
-                        f"differs from complement {chi_w}")
+            chi_b, chi_w = entry.euler_characteristics
+            if chi_b != chi_w:
+                problems.append(
+                    f"{entry.id}: surface Euler characteristic {chi_b} "
+                    f"differs from complement {chi_w}")
 
         if entry.exclusion_class == "TypeI" and not entry.vacant_annulus:
             problems.append(f"{entry.id}: type I entry without a vacant annulus")

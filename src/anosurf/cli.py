@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage, 3 bad or unsupported slope, 4 a
-classification gap or a violated slope law, 5 catalog integrity.
+Exit codes: 0 success, 2 usage, 130 interrupted; a package error exits
+with its class's `AnosurfError.exit_code` (3 bad or unsupported slope,
+4 a classification gap or a violated slope law, 5 unusable catalog data).
+Any other status is a bug.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import click
 
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
 from .classifier import ANCHORS, classify
-from .errors import (
-    CatalogIntegrityError,
-    CatalogKeyError,
-    ClassificationGapError,
-    SlopeFormatError,
-    SlopeLawError,
-    UnsupportedSlopeError,
-)
+from .errors import AnosurfError
 from .slopes import Slope, is_hyperbolic, parse_slope
 
 
@@ -284,15 +279,9 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         exc.show()
         return 2
-    except (SlopeFormatError, UnsupportedSlopeError) as exc:
+    except AnosurfError as exc:
         click.echo(f"error: {exc}", err=True)
-        return 3
-    except (ClassificationGapError, SlopeLawError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 4
-    except (CatalogIntegrityError, CatalogKeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 5
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,28 @@
 """Exception hierarchy shared by every anosurf module.
 
 Each exception carries enough structured context to be reported by the
-CLI without re-parsing the message text.
+CLI without re-parsing the message text, and the CLI exit code it maps to.
 """
 
 from __future__ import annotations
 
 
 class AnosurfError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `exit_code` is the CLI's exit status for the error:
+    3  SlopeFormatError, UnsupportedSlopeError: a bad or unsupported slope
+    4  ClassificationGapError, SlopeLawError: a mathematical check failed
+    5  every other class, by default: unusable catalog data
+    """
+
+    exit_code = 5
 
 
 class SlopeFormatError(AnosurfError, ValueError):
     """A surgery coefficient string or pair could not be interpreted."""
+
+    exit_code = 3
 
     def __init__(self, text: str, reason: str):
         self.text = text
@@ -27,6 +37,8 @@ class UnsupportedSlopeError(AnosurfError, ValueError):
     is the three-sphere and which carries no Anosov flow for reasons
     that never touch the catalog.
     """
+
+    exit_code = 3
 
     def __init__(self, slope, reason: str):
         self.slope = slope
@@ -85,10 +97,10 @@ class UnsupportedComplexError(AnosurfError, ValueError):
 class ComplementShapeError(AnosurfError, ValueError):
     """A complement record has the wrong shape for the requested quantity."""
 
-    def __init__(self, kind: str, operation: str):
+    def __init__(self, kind: str, detail: str):
         self.kind = kind
-        self.operation = operation
-        super().__init__(f"{operation} undefined for complement kind {kind!r}")
+        self.detail = detail
+        super().__init__(f"complement kind {kind!r}: {detail}")
 
 
 class CatalogIntegrityError(AnosurfError):
@@ -111,6 +123,8 @@ class CatalogKeyError(AnosurfError, KeyError):
 class SlopeLawError(AnosurfError):
     """A realized boundary slope violates the family's slope law."""
 
+    exit_code = 4
+
     def __init__(self, family: str, detail: str):
         self.family = family
         self.detail = detail
@@ -123,6 +137,8 @@ class ClassificationGapError(AnosurfError):
     Raised instead of returning a partial trace, so a gap can never be
     mistaken for a completed classification.
     """
+
+    exit_code = 4
 
     def __init__(self, entry_id: str, slope, detail: str):
         self.entry_id = entry_id

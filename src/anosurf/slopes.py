@@ -62,10 +62,6 @@ class Slope:
         return self.p == 0
 
     @property
-    def is_integer(self) -> bool:
-        return self.p == 1
-
-    @property
     def height(self) -> int:
         return max(self.p, abs(self.q))
 
@@ -170,6 +166,7 @@ def is_hyperbolic(slope: Slope) -> bool:
 # set here is a set of boundary slopes of compact laminations, so the
 # infinite slope (q, p) = (1, 0) is a member only of AllRationals sets,
 # never of order comparisons: GreaterThan(b) is False at infinity.
+# AdmissibleSet refuses any other set whose membership test holds there.
 _KINDS = {
     "AllRationals": (None, False, lambda adm, s: True),
     "Only": ("slope", False, lambda adm, s: s == adm.slope),
@@ -203,7 +200,7 @@ class AdmissibleSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown admissible kind {self.kind!r}")
-        key, takes_count, _ = _KINDS[self.kind]
+        key, takes_count, contains = _KINDS[self.kind]
         if (self.slope is None) != (key is None):
             raise ValueError(f"{self.kind} requires a {key}" if key
                              else f"{self.kind} takes no slope")
@@ -213,6 +210,9 @@ class AdmissibleSet:
                 else self.count is None):
             raise ValueError(f"{self.kind} takes {'a nonnegative integer' if takes_count else 'no'}"
                              f" count, not {self.count!r}")
+        if self.kind != "AllRationals" and contains(self, INFINITY):
+            raise ValueError(f"{self.kind} set contains the infinite slope, "
+                             f"which only AllRationals sets do")
 
     def to_json(self) -> dict:
         key, takes_count, _ = _KINDS[self.kind]

@@ -68,9 +68,13 @@ class Spine:
             h: list(doc["corner_vertices"][h]) for h in ("X", "Y")}
         self.connectors: Dict[str, Connector] = {}
         for c in doc["connectors"]:
+            positions = tuple(c["positions"])
+            if len(positions) != 2 or any(type(i) is not int or not 0 <= i <= 5
+                                          for i in positions):
+                raise ValueError(f"connector {c['id']!r}: positions must be two "
+                                 f"integers from 0 to 5, not {c['positions']!r}")
             conn = Connector(id=c["id"], hexagon=c["hexagon"],
-                             positions=(c["positions"][0], c["positions"][1]),
-                             kind=c["kind"])
+                             positions=positions, kind=c["kind"])
             self.connectors[conn.id] = conn
         self.symmetries: List[Symmetry] = [
             Symmetry(name=s["name"], side_map=dict(s["side_map"]),

@@ -31,6 +31,12 @@ End = Tuple[str, str]  # (branch id, "head" | "tail")
 _END_NAMES = ("head", "tail")
 
 
+def _string_id(doc: dict, what: str) -> str:
+    if type(doc["id"]) is not str:
+        raise ValueError(f"{what} id must be a string, not {doc['id']!r}")
+    return doc["id"]
+
+
 @dataclass(frozen=True)
 class Branch:
     id: str
@@ -42,13 +48,14 @@ class Branch:
 
     @staticmethod
     def from_json(doc: dict) -> "Branch":
+        bid = _string_id(doc, "branch")
         klass = tuple(doc.get("class", (0, 0)))
         loop = doc.get("loop", False)
         if len(klass) != 2 or any(type(x) is not int for x in klass):
-            raise ValueError(f"branch {doc['id']!r}: class must be two integers, not {klass!r}")
+            raise ValueError(f"branch {bid!r}: class must be two integers, not {klass!r}")
         if type(loop) is not bool:
-            raise ValueError(f"branch {doc['id']!r}: loop must be a boolean, not {loop!r}")
-        return Branch(id=doc["id"], klass=klass, loop=loop)
+            raise ValueError(f"branch {bid!r}: loop must be a boolean, not {loop!r}")
+        return Branch(id=bid, klass=klass, loop=loop)
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,8 @@ class Switch:
     def from_json(doc: dict) -> "Switch":
         def side(key):
             return tuple((ref["branch"], ref["end"]) for ref in doc[key])
-        return Switch(id=doc["id"], one_fold=side("one_fold"), two_fold=side("two_fold"))
+        return Switch(id=_string_id(doc, "switch"), one_fold=side("one_fold"),
+                      two_fold=side("two_fold"))
 
 
 class TrainTrack:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -49,7 +51,39 @@ BAD_ENTRY_RECORDS = {
     "arc-without-direction": (
         "B6", record_edit("disk_sectors", 0, "boundary", 0, "direction", drop=True)),
     "disk-without-boundary": ("B6", record_edit("disk_sectors", 0, "boundary", value=[])),
+    "meridian-null": ("B6_I_g", record_edit("complement", 0, "meridian_hits", value=None)),
+    "meridian-missing": ("B6_I_g", record_edit("complement", 0, "meridian_hits", drop=True)),
+    "meridian-pair": ("B7_II_fg", record_edit("complement", 0, "meridian_hits", value=[0, 0])),
+    "meridian-pair-type-i": ("B6_I_g", record_edit("complement", 0, "meridian_hits",
+                                                   value=[0, 0])),
+    "meridian-bool": ("B6_I_g", record_edit("complement", 0, "meridian_hits", value=True)),
 }
+
+
+@pytest.fixture
+def data_copy(tmp_path):
+    """A writable copy of the packaged data, for use as --catalog."""
+    root = tmp_path / "data"
+    shutil.copytree(DATA_DIR, root)
+    return root
+
+
+def restamp_manifest(root) -> None:
+    """Rewrite the manifest's checksums to match the files under root."""
+    manifest_path = root / "catalog" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for rel in manifest["files"]:
+        manifest["files"][rel] = hashlib.sha256((root / rel).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def rewrite(root, relpath, edit) -> None:
+    """Apply edit to the JSON document at root/relpath and restamp."""
+    path = root / relpath
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    restamp_manifest(root)
 
 
 @pytest.fixture(scope="session")

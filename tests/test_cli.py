@@ -1,14 +1,13 @@
-import hashlib
 import json
-import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosurf import errors
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
-from conftest import BAD_ENTRY_RECORDS, DATA_DIR
+from conftest import BAD_ENTRY_RECORDS, DATA_DIR, record_edit, restamp_manifest, rewrite
 
 
 # every command that takes --catalog, and paths it must refuse
@@ -19,20 +18,56 @@ BAD_CATALOG_PATHS = {DATA_DIR / "no-such-directory": "missing",
                      DATA_DIR / "catalog" / "manifest.json": "file"}
 
 
-def _restamp_manifest(root) -> None:
-    manifest_path = root / "catalog" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for rel in manifest["files"]:
-        manifest["files"][rel] = hashlib.sha256(
-            (root / rel).read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
+# the CLI exit status of every error class in anosurf.errors
+EXIT_CODES = {
+    "AnosurfError": 5,
+    "SlopeFormatError": 3,
+    "UnsupportedSlopeError": 3,
+    "SwitchSystemError": 5,
+    "MonogonError": 5,
+    "SpineCaseError": 5,
+    "UnsupportedComplexError": 5,
+    "ComplementShapeError": 5,
+    "CatalogIntegrityError": 5,
+    "CatalogKeyError": 5,
+    "SlopeLawError": 4,
+    "ClassificationGapError": 4,
+}
 
 
-@pytest.fixture
-def data_copy(tmp_path):
-    root = tmp_path / "data"
-    shutil.copytree(DATA_DIR, root)
-    return root
+def _meridian_hits(entry, value):
+    return (f"catalog/entries/{entry}.json",
+            record_edit("complement", 0, "meridian_hits", value=value))
+
+
+_Q4_NU_BOOL = ("tracks/Q4.json", record_edit("designated", "nu", 0, value=False))
+
+# single-field edits of a restamped catalog: the command, the edited file
+# with its edit, and the exit code the command must give
+RESTAMPED_FAULTS = {
+    "type-i-meridian-null": (["classify", "7/2"], _meridian_hits("B6_I_g", None), 5),
+    "type-i-meridian-pair": (["classify", "7/2"], _meridian_hits("B6_I_g", [0, 0]), 5),
+    "split-meridian-pair": (["classify", "7/2"], _meridian_hits("B7_II_fg", [0, 0]), 5),
+    "designated-bool-check": (["catalog", "check", "--laws", "--law-bound", "4"], _Q4_NU_BOOL, 5),
+    "designated-bool-track": (["track", "Q4", "--bound", "4"], _Q4_NU_BOOL, 5),
+    "switch-id-bool": (["track", "Q11", "--bound", "4"],
+                       ("tracks/Q11.json", record_edit("track", "switches", 0, "id", value=True)),
+                       5),
+    "connector-positions-text": (["classify", "7/2"],
+                                 ("spine.json",
+                                  record_edit("connectors", 0, "positions", value="4")),
+                                 5),
+    "at-least-meets-infinity": (["classify", "7/2"],
+                                ("catalog/entries/B5.json",
+                                 record_edit("admissible", "count", value=1)),
+                                5),
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.AnosurfError)}
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
 
 
 class TestExitCodes:
@@ -173,11 +208,7 @@ class TestCatalogCommands:
 
 class TestTamperedCatalog:
     def test_semantic_tamper_exits_four(self, data_copy, capsys):
-        entry_path = data_copy / "catalog" / "entries" / "B6.json"
-        doc = json.loads(entry_path.read_text())
-        doc["orientable"] = False
-        entry_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "catalog/entries/B6.json", record_edit("orientable", value=False))
 
         assert main(["catalog", "check", "--catalog", str(data_copy)]) == 4
         captured = capsys.readouterr()
@@ -197,28 +228,20 @@ class TestTamperedCatalog:
         assert "error:" in capsys.readouterr().err
 
     def test_law_check_uses_the_override_track(self, data_copy, capsys):
-        track_path = data_copy / "tracks" / "Q1.json"
-        doc = json.loads(track_path.read_text())
-        doc["law"] = {"kind": "ONLY_FOUR"}
-        track_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "tracks/Q1.json", record_edit("law", value={"kind": "ONLY_FOUR"}))
 
         assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 4
         assert "law Q1: violated" in capsys.readouterr().out
 
     def test_track_uses_the_override_track(self, data_copy, capsys):
-        track_path = data_copy / "tracks" / "Q1.json"
-        doc = json.loads(track_path.read_text())
-        doc["law"] = {"kind": "ONLY_FOUR"}
-        track_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "tracks/Q1.json", record_edit("law", value={"kind": "ONLY_FOUR"}))
 
         assert main(["track", "Q1", "--catalog", str(data_copy)]) == 4
         assert "law ONLY_FOUR" in capsys.readouterr().out
 
     def test_unusable_track_exits_five(self, data_copy, capsys):
         (data_copy / "tracks" / "Q1.json").write_text(json.dumps({"id": "Q1"}))
-        _restamp_manifest(data_copy)
+        restamp_manifest(data_copy)
 
         assert main(["catalog", "check", "--laws", "--catalog", str(data_copy)]) == 5
         assert "tracks/Q1.json" in capsys.readouterr().err
@@ -226,11 +249,7 @@ class TestTamperedCatalog:
     @pytest.mark.parametrize("height", ["6", 2.5, -3, True, MAX_SURJECTIVE_HEIGHT + 1],
                              ids=["text", "float", "negative", "bool", "above-ceiling"])
     def test_bad_surjective_height_exits_five(self, data_copy, height, capsys):
-        track_path = data_copy / "tracks" / "Q2.json"
-        doc = json.loads(track_path.read_text())
-        doc["law"]["surjective_height"] = height
-        track_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "tracks/Q2.json", record_edit("law", "surjective_height", value=height))
 
         assert main(["catalog", "check", "--laws", "--law-bound", "2",
                      "--catalog", str(data_copy)]) == 5
@@ -238,22 +257,15 @@ class TestTamperedCatalog:
 
     def test_infinite_bound_exits_five(self, data_copy, capsys):
         # a data fault, not a bad slope from the user (exit 3)
-        entry_path = data_copy / "catalog" / "entries" / "B4.json"
-        doc = json.loads(entry_path.read_text())
-        doc["admissible"]["bound"] = "inf"
-        entry_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "catalog/entries/B4.json",
+                record_edit("admissible", "bound", value="inf"))
 
         assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 5
         assert "catalog/entries/B4.json" in capsys.readouterr().err
 
     def test_parameter_of_another_kind_exits_five(self, data_copy, capsys):
         # B1 is Only 0; an extra bound used to replace its slope
-        entry_path = data_copy / "catalog" / "entries" / "B1.json"
-        doc = json.loads(entry_path.read_text())
-        doc["admissible"]["bound"] = "5"
-        entry_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "catalog/entries/B1.json", record_edit("admissible", "bound", value="5"))
 
         assert main(["catalog", "show", "B1", "--catalog", str(data_copy)]) == 5
         captured = capsys.readouterr()
@@ -266,21 +278,14 @@ class TestTamperedCatalog:
                                       "graph-without-edges", "arc-without-direction"])
     def test_malformed_entry_record_exits_five(self, data_copy, name, command, capsys):
         entry, edit = BAD_ENTRY_RECORDS[name]
-        entry_path = data_copy / "catalog" / "entries" / f"{entry}.json"
-        doc = json.loads(entry_path.read_text())
-        edit(doc)
-        entry_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, f"catalog/entries/{entry}.json", edit)
 
         assert main([*command, "--catalog", str(data_copy)]) == 5
         assert f"catalog/entries/{entry}.json" in capsys.readouterr().err
 
     def test_fractional_branch_class_exits_five(self, data_copy, capsys):
-        track_path = data_copy / "tracks" / "Q1.json"
-        doc = json.loads(track_path.read_text())
-        doc["track"]["branches"][0]["class"] = [1.5, 0]
-        track_path.write_text(json.dumps(doc))
-        _restamp_manifest(data_copy)
+        rewrite(data_copy, "tracks/Q1.json",
+                record_edit("track", "branches", 0, "class", value=[1.5, 0]))
 
         assert main(["track", "Q1", "--catalog", str(data_copy)]) == 5
         assert "tracks/Q1.json" in capsys.readouterr().err
@@ -290,3 +295,13 @@ class TestTamperedCatalog:
         monkeypatch.setenv("ANOSURF_CATALOG", str(missing))
         assert main(["classify", "7/2"]) == 5
         assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", RESTAMPED_FAULTS)
+def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
+    argv, (relpath, edit), code = RESTAMPED_FAULTS[name]
+    rewrite(data_copy, relpath, edit)
+    # main returns instead of raising: no traceback reaches the terminal
+    assert main([*argv, "--catalog", str(data_copy)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -51,11 +51,10 @@ class TestSlopeConstruction:
 
     def test_properties(self):
         s = Slope(7, 2)
-        assert not s.is_infinity and not s.is_integer
+        assert not s.is_infinity
         assert s.height == 7
         assert Slope(-3, 5).height == 5
         assert INFINITY.is_infinity
-        assert Slope(4, 1).is_integer
         assert s.as_fraction() == Fraction(7, 2)
         with pytest.raises(SlopeFormatError):
             INFINITY.as_fraction()
@@ -195,6 +194,24 @@ class TestAdmissibleSets:
             AdmissibleSet.from_json({"kind": "AllRationals", "anchor": "4"})
         with pytest.raises(ValueError):
             AdmissibleSet.from_json({"kind": "Only", "slope": "0", "count": 1})
+
+    @pytest.mark.parametrize("kind,slope,count", [
+        ("Only", INFINITY, None),
+        ("IntersectionWithAtLeast", Slope(4, 1), 1),      # the meridian meets 4 once
+        ("IntersectionWithAtLeast", Slope(4, 1), 0),
+        ("IntersectionWithMoreThan", Slope(4, 1), 0),
+        ("IntersectionWithMoreThan", Slope(1, 3), 2),     # ... and 1/3 three times
+    ])
+    def test_only_all_rationals_contains_infinity(self, kind, slope, count):
+        with pytest.raises(ValueError, match="infinite slope"):
+            AdmissibleSet(kind, slope=slope, count=count)
+
+    def test_sets_without_infinity_are_accepted(self):
+        # the meridian meets itself nowhere, so the count may be anything
+        assert not eval_admissible(
+            AdmissibleSet("IntersectionWithAtLeast", slope=INFINITY, count=1), INFINITY)
+        assert not eval_admissible(
+            AdmissibleSet("IntersectionWithMoreThan", slope=Slope(1, 3), count=3), INFINITY)
 
     def test_eval_core_kinds(self):
         assert eval_admissible(AdmissibleSet("AllRationals"), INFINITY)

@@ -1,12 +1,10 @@
 """Access to the packaged data files, with an override hook.
 
-Data lives under anosurf/_data. Setting the environment variable
-ANOSURF_CATALOG to a directory mirroring that layout makes files found
-there shadow the packaged ones, file by file. An explicit directory
-passed by a caller takes precedence over the environment variable.
-An override that is missing or not a directory raises
-CatalogIntegrityError instead of falling back to the packaged data.
-Integrity checking hashes whatever copy was actually resolved.
+Data lives under anosurf/_data. One override directory shadows it file
+by file: the one a caller passes, else the one named by the environment
+variable ANOSURF_CATALOG, never both. An override that is missing or not
+a directory raises CatalogIntegrityError instead of falling back to the
+packaged data. Integrity checking hashes whatever copy was actually resolved.
 """
 
 from __future__ import annotations
@@ -38,13 +36,8 @@ def _package_data_root():
 
 def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
     """Path of the active copy of a data file."""
-    roots = []
-    if override is not None:
-        roots.append(Path(override))
-    env_root = override_dir()
-    if env_root is not None:
-        roots.append(env_root)
-    for root in roots:
+    root = Path(override) if override is not None else override_dir()
+    if root is not None:
         # a missing override must fail, never fall back to the packaged data
         if not root.is_dir():
             raise CatalogIntegrityError(str(root), "the override is not a directory")
@@ -58,14 +51,18 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
 
 def load_json(relpath: str, override: Optional[PathLike] = None,
               sha256: Optional[str] = None) -> dict:
-    """Parse a data file from one read, whose bytes must hash to `sha256`."""
-    data = resolve(relpath, override=override).read_bytes()
-    if sha256 is not None:
-        have = hashlib.sha256(data).hexdigest()
-        if have != sha256:
-            raise CatalogIntegrityError(
-                relpath, f"checksum {have[:12]}... does not match the manifest")
-    return json.loads(data.decode("utf-8"))
+    """Parse one read of a data file, whose bytes must hash to `sha256`;
+    a file that cannot be read, checked or parsed is a CatalogIntegrityError."""
+    try:
+        data = resolve(relpath, override=override).read_bytes()
+        if sha256 is not None:
+            have = hashlib.sha256(data).hexdigest()
+            if have != sha256:
+                raise CatalogIntegrityError(
+                    relpath, f"checksum {have[:12]}... does not match the manifest")
+        return json.loads(data.decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CatalogIntegrityError(relpath, f"unusable file ({type(exc).__name__}: {exc})") from exc
 
 
 def sha256_of(relpath: str, override: Optional[PathLike] = None) -> str:

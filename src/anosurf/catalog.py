@@ -2,9 +2,9 @@
 
 All of it lives in packaged JSON, guarded by a manifest of SHA-256
 checksums. Loading hashes and parses the same bytes of each file, so a
-corrupted data file is caught before any classification runs. A
-directory named by the ANOSURF_CATALOG environment variable (or passed
-explicitly) shadows packaged files one by one.
+corrupted data file is caught before any classification runs. One
+directory, passed explicitly or else named by the ANOSURF_CATALOG
+environment variable, shadows packaged files one by one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .spine import Spine, TrackBundle
 from .traintrack import LawReport, check_law
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
+MANIFEST = "catalog/manifest.json"
 
 EXCLUSION_CLASSES = (
     "DiskLeaf",       # some leaf is a disk or the surface is too small
@@ -130,11 +131,25 @@ class Catalog:
             "only the eleven cataloged families are supported")
 
 
+def _checked_manifest(doc: dict) -> dict:
+    files, entry_files = doc["files"], doc["entry_files"]
+    if not (isinstance(files, dict) and isinstance(entry_files, list) and entry_files
+            and all(type(s) is str for s in [*files.values(), *entry_files])
+            and isinstance(doc["families"], dict) and doc["families"]):
+        raise ValueError("files, entry_files or families is not shaped as its schema says")
+    return doc
+
+
 def _loaded_entry(doc: dict) -> CatalogEntry:
     """An entry with its facts built, its orientation graph coloured and
     its disk sectors scanned once, so that a malformed record fails the
     load instead of a later classification or health check."""
     entry = CatalogEntry.from_json(doc)
+    if entry.family not in FAMILIES:
+        raise ValueError(f"entry {entry.id} has unknown family {entry.family!r}")
+    if entry.exclusion_class not in EXCLUSION_CLASSES:
+        raise ValueError(
+            f"entry {entry.id} has unknown exclusion class {entry.exclusion_class!r}")
     _ = entry.complement_pieces, entry.euler_characteristics
     detect_sink_disks(entry.disk_sectors)
     if entry.orientation_graph is not None:
@@ -145,49 +160,37 @@ def _loaded_entry(doc: dict) -> CatalogEntry:
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     """Load, checksum and build the catalog.
 
-    `path` overrides the ANOSURF_CATALOG environment variable; either
-    names a directory whose files shadow the packaged data file by
-    file. The manifest (wherever it resolves from) names one file per
-    entry and must match every data file it lists. Each file is read
-    once, and every listed file is checked before anything is built.
+    One directory, `path` or else ANOSURF_CATALOG (never both), shadows
+    the packaged data file by file. Each file, the manifest included, is
+    read once, and every file the manifest lists is checked against it
+    before anything is built. Only listed files are used: under either
+    `verify`, an unlisted file or a malformed manifest raises.
     """
-    manifest = _resources.load_json("catalog/manifest.json", override=path)
-    listed = manifest.get("files", {})
-    docs = {}
+    docs = {MANIFEST: _resources.load_json(MANIFEST, override=path)}
 
     def build(relpath, make):
+        if relpath not in docs:
+            raise CatalogIntegrityError(relpath, "the manifest does not list this file")
         try:
-            if relpath not in docs:
-                want = listed.get(relpath) if verify else None
-                docs[relpath] = _resources.load_json(relpath, override=path, sha256=want)
             return make(docs[relpath])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CatalogIntegrityError(
                 relpath, f"unusable data ({type(exc).__name__}: {exc})") from exc
 
-    for relpath in sorted(listed):
-        build(relpath, lambda doc: doc)
-    entry_files = manifest.get("entry_files", [])
-    if not entry_files:
-        raise CatalogIntegrityError("catalog/manifest.json",
-                                    "manifest names no entry files")
+    manifest = build(MANIFEST, _checked_manifest)
+    for relpath, sha in sorted(manifest["files"].items()):
+        docs[relpath] = _resources.load_json(relpath, override=path,
+                                             sha256=sha if verify else None)
     entries: Dict[str, CatalogEntry] = {}
-    for relpath in entry_files:
+    for relpath in manifest["entry_files"]:
         entry = build(relpath, _loaded_entry)
         if entry.id in entries:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
-        if entry.family not in FAMILIES:
-            raise CatalogIntegrityError(relpath,
-                                        f"entry {entry.id} has unknown family {entry.family!r}")
-        if entry.exclusion_class not in EXCLUSION_CLASSES:
-            raise CatalogIntegrityError(
-                relpath,
-                f"entry {entry.id} has unknown exclusion class {entry.exclusion_class!r}")
         entries[entry.id] = entry
     if verify and len(entries) != manifest.get("entry_count"):
         raise CatalogIntegrityError(
-            "catalog/manifest.json",
+            MANIFEST,
             f"{len(entries)} entries but the manifest promises {manifest.get('entry_count')}")
     return Catalog(
         entries=entries,
@@ -269,8 +272,8 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
     problems: List[str] = []
 
     counts = catalog.family_counts()
-    manifest_counts = catalog.manifest.get("families", {})
-    if manifest_counts and manifest_counts != counts:
+    manifest_counts = catalog.manifest["families"]
+    if manifest_counts != counts:
         problems.append(
             f"family counts {counts} disagree with the manifest {manifest_counts}")
 

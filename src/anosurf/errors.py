@@ -119,6 +119,10 @@ class CatalogKeyError(AnosurfError, KeyError):
         self.key = key
         super().__init__(f"no catalog entry or family named {key!r}")
 
+    def __str__(self) -> str:
+        # KeyError's own __str__ would repr the message, quotes and all
+        return self.args[0]
+
 
 class SlopeLawError(AnosurfError):
     """A realized boundary slope violates the family's slope law."""

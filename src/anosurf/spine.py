@@ -243,11 +243,18 @@ class TrackBundle:
 
     @staticmethod
     def from_json(doc: dict) -> "TrackBundle":
+        track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
+        designated = doc.get("designated", {})
+        for role, ids in designated.items():
+            if not isinstance(ids, list) or any(
+                    type(b) is not str or b not in track.branches for b in ids):
+                raise ValueError(f"designated role {role!r} must list branches of "
+                                 f"track {track.track_id!r}, not {ids!r}")
         return TrackBundle(
             family=doc["id"],
-            track=TrainTrack.from_json(doc["track"], track_id=doc["id"]),
+            track=track,
             law=SlopeLaw.from_json(doc["law"]),
-            designated={k: tuple(v) for k, v in doc.get("designated", {}).items()},
+            designated={k: tuple(v) for k, v in designated.items()},
             noncompact=tuple(doc.get("noncompact", ())),
             projection=tuple(doc.get("projection", ())),
         )

@@ -60,6 +60,19 @@ BAD_ENTRY_RECORDS = {
 }
 
 
+# Manifests that load_catalog and manifest.schema.json both refuse, with
+# their test ids: each maps the shipped manifest to a bad one.
+BAD_MANIFESTS = {
+    "manifest-list": lambda doc: [doc],
+    "files-list": lambda doc: {**doc, "files": list(doc["files"])},
+    "entry-files-string": lambda doc: {**doc, "entry_files": doc["entry_files"][0]},
+    "entry-files-empty": lambda doc: {**doc, "entry_files": []},
+    "entry-file-number": lambda doc: {**doc, "entry_files": [*doc["entry_files"], 7]},
+    "families-list": lambda doc: {**doc, "families": []},
+    "families-empty": lambda doc: {**doc, "families": {}},
+}
+
+
 @pytest.fixture
 def data_copy(tmp_path):
     """A writable copy of the packaged data, for use as --catalog."""

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -19,6 +20,7 @@ from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import (
     ALL_POSITIVE_COMPLEX,
     BAD_ENTRY_RECORDS,
+    DATA_DIR,
     admissible_edit,
     record_edit,
     restamp_manifest,
@@ -104,6 +106,9 @@ BAD_FIELDS = {
     "loop-zero": ("tracks/Q1.json", _first_branch(loop=0)),
     "branch-id-int": ("tracks/Q1.json", _first_branch(id=7)),
     "switch-id-bool": ("tracks/Q11.json", record_edit("track", "switches", 0, "id", value=True)),
+    "designated-bool": ("tracks/Q4.json", record_edit("designated", "nu", 0, value=False)),
+    "designated-unknown-branch": ("tracks/Q4.json",
+                                  record_edit("designated", "nu", 0, value="u.Z9")),
     "positions-text": ("spine.json", _first_connector_positions("4")),
     "positions-three": ("spine.json", _first_connector_positions([0, 1, 2])),
     "positions-out-of-range": ("spine.json", _first_connector_positions([5, 6])),
@@ -135,6 +140,31 @@ class TestLoading:
         with pytest.raises(CatalogIntegrityError) as info:
             load_catalog(path=str(bad) if how == "argument" else None)
         assert info.value.path == str(bad)
+
+    @pytest.mark.parametrize("environment", ["unreadable", "missing"])
+    def test_the_argument_replaces_the_environment(self, data_copy, tmp_path, monkeypatch,
+                                                   environment):
+        if environment == "unreadable":
+            for path in data_copy.rglob("*.json"):
+                path.write_text("not json")
+            monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
+        else:
+            monkeypatch.setenv("ANOSURF_CATALOG", str(tmp_path / "no-such-directory"))
+        # shadows one file; every other file comes from the packaged data
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        shutil.copy(DATA_DIR / "spine.json", partial / "spine.json")
+        assert len(load_catalog(path=str(partial))) == 38
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_unlisted_file_is_refused(self, data_copy, verify):
+        manifest_path = data_copy / "catalog" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["files"]["tracks/Q4.json"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=verify)
+        assert info.value.path == "tracks/Q4.json"
 
     def test_corrupted_file_detected(self, data_copy):
         entry_path = data_copy / "catalog" / "entries" / "B1.json"

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from anosurf import errors
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
-from conftest import BAD_ENTRY_RECORDS, DATA_DIR, record_edit, restamp_manifest, rewrite
+from conftest import (
+    BAD_ENTRY_RECORDS,
+    BAD_MANIFESTS,
+    DATA_DIR,
+    record_edit,
+    restamp_manifest,
+    rewrite,
+)
 
 
 # every command that takes --catalog, and paths it must refuse
@@ -49,6 +56,7 @@ RESTAMPED_FAULTS = {
     "type-i-meridian-pair": (["classify", "7/2"], _meridian_hits("B6_I_g", [0, 0]), 5),
     "split-meridian-pair": (["classify", "7/2"], _meridian_hits("B7_II_fg", [0, 0]), 5),
     "designated-bool-check": (["catalog", "check", "--laws", "--law-bound", "4"], _Q4_NU_BOOL, 5),
+    "designated-bool-check-no-laws": (["catalog", "check"], _Q4_NU_BOOL, 5),
     "designated-bool-track": (["track", "Q4", "--bound", "4"], _Q4_NU_BOOL, 5),
     "switch-id-bool": (["track", "Q11", "--bound", "4"],
                        ("tracks/Q11.json", record_edit("track", "switches", 0, "id", value=True)),
@@ -61,6 +69,37 @@ RESTAMPED_FAULTS = {
                                 ("catalog/entries/B5.json",
                                  record_edit("admissible", "count", value=1)),
                                 5),
+}
+
+
+MANIFEST = "catalog/manifest.json"
+
+
+def _manifest_edit(make):
+    """Replace the manifest by make(manifest), leaving its checksums as they are."""
+    def apply(root):
+        path = root / MANIFEST
+        path.write_text(json.dumps(make(json.loads(path.read_text()))))
+    return apply
+
+
+def _unlist_and_edit_q4(root):
+    _manifest_edit(lambda doc: {**doc, "files": {
+        relpath: sha for relpath, sha in doc["files"].items() if relpath != "tracks/Q4.json"}})(root)
+    rewrite(root, "tracks/Q4.json", record_edit("law", value={"kind": "ONLY_FOUR"}))
+
+
+# faults of the manifest itself, which no restamp can fix, and of a file it
+# does not list: the fault and the file that `catalog check` must name
+MANIFEST_FAULTS = {
+    **{name: (_manifest_edit(make), MANIFEST) for name, make in BAD_MANIFESTS.items()},
+    "manifest-not-json": (lambda root: (root / MANIFEST).write_text("not json"), MANIFEST),
+    "listed-file-missing": (_manifest_edit(lambda doc: {
+        **doc, "files": {**doc["files"], "tracks/Q12.json": "0" * 64}}), "tracks/Q12.json"),
+    "entry-path-directory": (_manifest_edit(lambda doc: {
+        **doc, "files": {**doc["files"], "catalog/entries": "0" * 64},
+        "entry_files": ["catalog/entries", *doc["entry_files"][1:]]}), "catalog/entries"),
+    "unlisted-file": (_unlist_and_edit_q4, "tracks/Q4.json"),
 }
 
 
@@ -89,6 +128,7 @@ class TestExitCodes:
 
     def test_unknown_entry(self, capsys):
         assert main(["catalog", "show", "B99"]) == 5
+        assert capsys.readouterr().err == "error: no catalog entry or family named 'B99'\n"
 
     def test_bad_track_family(self, capsys):
         assert main(["track", "Q99"]) == 2
@@ -305,3 +345,12 @@ def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
     assert main([*argv, "--catalog", str(data_copy)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", MANIFEST_FAULTS)
+def test_manifest_fault_exits_five(data_copy, name, capsys):
+    fault, relpath = MANIFEST_FAULTS[name]
+    fault(data_copy)
+    assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: catalog at {relpath}: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ from jsonschema import Draft202012Validator
 
 from anosurf.classifier import classify
 from anosurf.slopes import parse_slope
-from conftest import BAD_ENTRY_RECORDS, load_data_json, load_schema
+from conftest import BAD_ENTRY_RECORDS, BAD_MANIFESTS, load_data_json, load_schema
 
 FAMILIES = [f"Q{i}" for i in range(1, 12)]
 
@@ -50,6 +50,12 @@ def test_entry_schema_refuses_what_the_loader_refuses(name):
 def test_manifest_document():
     validator_for("manifest.schema.json").validate(
         load_data_json("catalog/manifest.json"))
+
+
+@pytest.mark.parametrize("name", BAD_MANIFESTS)
+def test_manifest_schema_refuses_what_the_loader_refuses(name):
+    doc = BAD_MANIFESTS[name](load_data_json("catalog/manifest.json"))
+    assert not validator_for("manifest.schema.json").is_valid(doc)
 
 
 def test_emitted_traces(catalog):

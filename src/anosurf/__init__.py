@@ -61,7 +61,6 @@ from .traintrack import (
     Switch,
     TrainTrack,
     carried_classes,
-    carries_slope,
     check_law,
     dead_branches,
     enumerate_solutions,
@@ -100,7 +99,6 @@ __all__ = [
     "adjacent_short_pairs",
     "candidates_for",
     "carried_classes",
-    "carries_slope",
     "case_of",
     "check_catalog",
     "check_law",

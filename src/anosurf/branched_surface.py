@@ -195,7 +195,6 @@ class ComplementComponent:
     meridian_hits: Optional[int] = None
     exceptional: Optional[bool] = None
     genus: Optional[int] = None
-    core_power: Optional[int] = None
     description: str = ""
 
     def __post_init__(self):
@@ -222,7 +221,6 @@ class ComplementComponent:
             meridian_hits=hits,
             exceptional=doc.get("exceptional"),
             genus=doc.get("genus"),
-            core_power=doc.get("core_power"),
             description=doc.get("description", ""),
         )
 

@@ -9,7 +9,7 @@ environment variable, shadows packaged files one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -80,7 +80,7 @@ class CatalogEntry:
 
     @cached_property
     def complement_pieces(self) -> Tuple[ComplementComponent, ...]:
-        """The complement records, parsed without any filling's core power."""
+        """The complement records as pieces, parsed once."""
         return tuple(ComplementComponent.from_json(doc) for doc in self.complement)
 
     @cached_property
@@ -157,6 +157,24 @@ def _loaded_entry(doc: dict) -> CatalogEntry:
     return entry
 
 
+def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
+    """One valid complex on the spine for each family, and no other."""
+    if set(doc) != set(FAMILIES):
+        raise ValueError(f"complexes of {sorted(doc)}, not of the families "
+                         f"{', '.join(FAMILIES)}")
+    complexes = {family: dict(body["connectors"]) for family, body in doc.items()}
+    for q in complexes.values():
+        spine.validate_complex(q)
+    return complexes
+
+
+def _loaded_track(doc: dict, family: str) -> TrackBundle:
+    bundle = TrackBundle.from_json(doc)
+    if bundle.family != family:
+        raise ValueError(f"the track of {family} has id {bundle.family!r}")
+    return bundle
+
+
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     """Load, checksum and build the catalog.
 
@@ -192,13 +210,14 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
         raise CatalogIntegrityError(
             MANIFEST,
             f"{len(entries)} entries but the manifest promises {manifest.get('entry_count')}")
+    spine = build("spine.json", Spine)
     return Catalog(
         entries=entries,
         manifest=manifest,
-        spine=build("spine.json", Spine),
-        complexes=build("qcomplexes.json", lambda doc: {
-            family: dict(body["connectors"]) for family, body in doc.items()}),
-        tracks={family: build(f"tracks/{family}.json", TrackBundle.from_json)
+        spine=spine,
+        complexes=build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine)),
+        tracks={family: build(f"tracks/{family}.json",
+                              lambda doc, family=family: _loaded_track(doc, family))
                 for family in FAMILIES},
     )
 
@@ -220,21 +239,13 @@ def candidates_for(catalog: Catalog, slope: Slope) -> List[CatalogEntry]:
 
 
 def complement_components(entry: CatalogEntry, slope: Slope) -> List[ComplementComponent]:
-    """Instantiate the complement records of an entry at a slope.
-
-    Records are static except that annulus sector pieces pick up the
-    core power of the filling (its denominator). The slope must be
-    admissible for the entry. The list is new on every call.
+    """The complement pieces of an entry at a slope, which must be
+    admissible for the entry. The pieces do not depend on the slope;
+    the list is new on every call.
     """
     if not eval_admissible(entry.admissible, slope):
         raise ValueError(f"slope {slope} is not admissible for {entry.id}")
-    pieces = entry.complement_pieces
-    if entry.exclusion_class != "BasicTypeII":
-        return list(pieces)
-    fill = slope.p if not slope.is_infinity else None
-    # a power stored in the record wins over the filling's
-    return [piece if piece.core_power is not None else replace(piece, core_power=fill)
-            for piece in pieces]
+    return list(entry.complement_pieces)
 
 
 def slope_law_check(catalog: Catalog, family: str, bound: int = 6) -> LawReport:

@@ -138,16 +138,6 @@ _CONCLUSIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    conclusion: Optional[str] = None  # None marks a premise step
-
-
-RULES: Dict[str, Rule] = {rule_id: Rule(rule_id, _CONCLUSIONS.get(rule_id))
-                          for rule_id in ANCHORS}
-
-
 def fenley_power_admissible(k: int) -> bool:
     """Whether a free homotopy to the k-th power of a primitive curve is
     possible for a periodic orbit on a hyperbolic filling."""
@@ -175,11 +165,11 @@ class ExclusionTrace:
 
     @property
     def conclusion(self) -> str:
-        last = RULES[self.steps[-1].rule]
-        if last.conclusion is None:
+        conclusion = _CONCLUSIONS.get(self.steps[-1].rule)
+        if conclusion is None:
             raise ClassificationGapError(
                 self.entry, self.slope, "trace ends on a premise step")
-        return last.conclusion
+        return conclusion
 
     def to_json(self) -> dict:
         return {"entry": self.entry,
@@ -194,7 +184,7 @@ class ExclusionTrace:
 
 
 def _step(rule_id: str, **facts) -> TraceStep:
-    if rule_id not in RULES:
+    if rule_id not in ANCHORS:
         raise KeyError(f"unknown rule {rule_id!r}")
     return TraceStep(rule=rule_id, facts=facts)
 
@@ -330,13 +320,22 @@ def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
     return ExclusionTrace(entry=entry.id, slope=slope, steps=tuple(steps))
 
 
+def _require_finite(slope: Slope) -> None:
+    if slope.is_infinity:
+        raise UnsupportedSlopeError(
+            slope, "the trivial filling is not a surgery; classification "
+                   "covers finite slopes only")
+
+
 def exclusion_reason(catalog: Catalog, entry_id: str, slope: Slope) -> ExclusionTrace:
     """Why the given entry cannot carry a flow lamination at the slope.
 
     Raises when no exclusion exists, in particular for the annulus
     sector entries at integer slopes, where the entry genuinely does
-    carry the lamination of the surgered suspension.
+    carry the lamination of the surgered suspension. The infinite slope
+    raises UnsupportedSlopeError, as in classify.
     """
+    _require_finite(slope)
     entry = catalog.get(entry_id)
     trace = exclusion_trace(entry, slope)
     if trace.conclusion != _EXCLUDES:
@@ -408,10 +407,7 @@ def classify(slope: Slope, catalog: Optional[Catalog] = None) -> ClassificationR
     admissible set contains the slope. Every filling carries a taut
     foliation regardless.
     """
-    if slope.is_infinity:
-        raise UnsupportedSlopeError(
-            slope, "the trivial filling is not a surgery; classification "
-                   "covers finite slopes only")
+    _require_finite(slope)
     if slope.p == 1:
         kind = SUSPENSION_ANOSOV if slope.q == 0 else UNIQUE_ANOSOV
         return ClassificationResult(

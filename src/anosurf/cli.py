@@ -272,8 +272,6 @@ def main(argv=None) -> int:
         # outside standalone mode click returns the code of an Exit raised
         # by a command, and the command's own result (None) otherwise
         return cli.main(args=argv, standalone_mode=False) or 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.exceptions.Abort:
         return 130
     except click.UsageError as exc:

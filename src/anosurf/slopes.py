@@ -21,7 +21,7 @@ from .errors import SlopeFormatError
 _SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class Slope:
     """A reduced filling slope. q is the meridian coefficient, p the
     longitude coefficient; q/p is the usual rational name."""
@@ -70,27 +70,12 @@ class Slope:
             raise SlopeFormatError("inf", "the infinite slope has no rational value")
         return Fraction(self.q, self.p)
 
-    def __lt__(self, other: "Slope") -> bool:
-        return self.as_fraction() < other.as_fraction()
-
-    def __le__(self, other: "Slope") -> bool:
-        return self.as_fraction() <= other.as_fraction()
-
-    def __gt__(self, other: "Slope") -> bool:
-        return self.as_fraction() > other.as_fraction()
-
-    def __ge__(self, other: "Slope") -> bool:
-        return self.as_fraction() >= other.as_fraction()
-
     def __str__(self) -> str:
         if self.is_infinity:
             return "inf"
         if self.p == 1:
             return str(self.q)
         return f"{self.q}/{self.p}"
-
-    def to_json(self) -> str:
-        return str(self)
 
 
 def _from_reduced(q: int, p: int) -> Slope:

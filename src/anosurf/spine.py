@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import SpineCaseError
-from .traintrack import SlopeLaw, TrainTrack
+from .traintrack import SlopeLaw, TrainTrack, check_roles
 
 EDGES = ("a", "b", "c", "d")
 
@@ -151,7 +151,7 @@ class Spine:
         for cid, mult in q.items():
             if cid not in self.connectors:
                 raise ValueError(f"unknown connector {cid!r}")
-            if not isinstance(mult, int) or mult < 1:
+            if type(mult) is not int or mult < 1:
                 raise ValueError(f"connector {cid!r} needs a positive integer multiplicity")
         counts = self.side_end_counts(q)
         for edge in EDGES:
@@ -245,11 +245,7 @@ class TrackBundle:
     def from_json(doc: dict) -> "TrackBundle":
         track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
         designated = doc.get("designated", {})
-        for role, ids in designated.items():
-            if not isinstance(ids, list) or any(
-                    type(b) is not str or b not in track.branches for b in ids):
-                raise ValueError(f"designated role {role!r} must list branches of "
-                                 f"track {track.track_id!r}, not {ids!r}")
+        check_roles(track, designated)
         return TrackBundle(
             family=doc["id"],
             track=track,

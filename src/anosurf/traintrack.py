@@ -21,10 +21,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
-from .slopes import Slope, _from_reduced, parse_slope
+from .slopes import Slope, _from_reduced
 
 End = Tuple[str, str]  # (branch id, "head" | "tail")
 
@@ -502,22 +502,6 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
                           None if null is None else dict(zip(ids, null)))
 
 
-def carries_slope(track: TrainTrack, slope, bound: int) -> Optional[Dict[str, int]]:
-    """A witness solution realizing the slope at this bound, or None."""
-    target = parse_slope(slope)
-    want = (target.q, target.p)
-    ids, classes, _ = _fold(track, bound)
-    # positions of the branch ids in alphabetical order
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    best = None
-    for (p, q), tup in classes.items():
-        if _reduced(p, q) == want:
-            key = tuple(map(tup.__getitem__, order))
-            if best is None or key < best[0]:
-                best = (key, tup)
-    return None if best is None else dict(zip(ids, best[1]))
-
-
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
     """Branches carrying zero weight in every solution at this bound."""
     alive: Set[str] = set()
@@ -543,6 +527,10 @@ LAW_KINDS = (
 )
 
 
+# The kinds whose check reads a surjective_height: every slope of height
+# at most h must be realized, with h = 1 when the law gives none.
+HEIGHT_KINDS = ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA")
+
 # The largest surjective_height a law may ask for. Checking height h
 # builds (2h + 1) * h slopes, 5,050 at 50.
 MAX_SURJECTIVE_HEIGHT = 50
@@ -557,18 +545,19 @@ class SlopeLaw:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown slope law {self.kind!r}")
         h = self.surjective_height
-        if h is not None and (type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT):
+        if h is None:
+            return
+        if self.kind not in HEIGHT_KINDS:
+            raise ValueError(f"{self.kind} takes no surjective_height, not {h!r}")
+        if type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT:
             raise ValueError(f"surjective_height must be an integer from 1 to "
                              f"{MAX_SURJECTIVE_HEIGHT}, not {h!r}")
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.surjective_height is not None:
-            doc["surjective_height"] = self.surjective_height
-        return doc
-
     @staticmethod
     def from_json(doc: dict) -> "SlopeLaw":
+        extra = set(doc) - {"kind", "surjective_height"}
+        if extra:
+            raise ValueError(f"a slope law takes no {', '.join(sorted(extra))}")
         return SlopeLaw(kind=doc["kind"], surjective_height=doc.get("surjective_height"))
 
 
@@ -613,6 +602,16 @@ _FORMULAS = {
 }
 
 
+def check_roles(track: TrainTrack, designated: Mapping[str, Sequence[str]]) -> None:
+    """Raise SwitchSystemError unless each designated role is a list (or
+    tuple) of branch ids of the track."""
+    for role, ids in designated.items():
+        if not isinstance(ids, (list, tuple)) or any(
+                type(b) is not str or b not in track.branches for b in ids):
+            raise SwitchSystemError(track.track_id, f"designated role {role!r} must list "
+                                                    f"branches of the track, not {ids!r}")
+
+
 def _role_sums(positions: List[int], witnesses) -> Iterator[int]:
     """Each witness tuple's weight summed over these positions, in order,
     through one getter built before the first witness."""
@@ -631,11 +630,7 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     assert an identity between each witness's class and the weight sums
     over the designated roles, plus the law's range condition.
     """
-    for role, ids in designated.items():
-        for b in ids:
-            if b not in track.branches:
-                raise SwitchSystemError(track.track_id,
-                                        f"designated role {role!r} names unknown branch {b!r}")
+    check_roles(track, designated)
     ids, classes, _ = _fold(track, bound)
     realized = _slopes(classes)
     violations: List[str] = []
@@ -668,7 +663,7 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 saw_positive_g = saw_positive_g or sums[0] > 0
         if law.kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
             violations.append("no witness with positive g")
-    if law.kind in ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA"):
+    if law.kind in HEIGHT_KINDS:
         h = law.surjective_height or 1
         missing = _slopes_up_to_height(h) - realized
         if missing:

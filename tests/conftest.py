@@ -60,6 +60,25 @@ BAD_ENTRY_RECORDS = {
 }
 
 
+# Slope laws that load_catalog and track.schema.json both refuse, with their
+# test ids: the family whose track file gets the law, and the law.
+BAD_LAWS = {
+    # a misspelled height used to fall back to 1 and let the law hold
+    "law-height-misspelled": ("Q2", {"kind": "FORMULA_MU_NU_OMEGA", "surjective_heigth": 6}),
+    "law-height-on-constant": ("Q1", {"kind": "ONLY_ZERO", "surjective_height": 5}),
+    "law-height-on-formula": ("Q4", {"kind": "FORMULA_THREE_PLUS", "surjective_height": 2}),
+}
+
+
+# Edits of qcomplexes.json that load_catalog and qcomplexes.schema.json both
+# refuse, with their test ids.
+BAD_COMPLEXES = {
+    "multiplicity-text": record_edit("Q1", "connectors", "ly3", value="1"),
+    "multiplicity-bool": record_edit("Q1", "connectors", "ly3", value=True),
+    "family-missing": record_edit("Q5", drop=True),
+}
+
+
 # Manifests that load_catalog and manifest.schema.json both refuse, with
 # their test ids: each maps the shipped manifest to a bad one.
 BAD_MANIFESTS = {

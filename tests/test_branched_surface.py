@@ -195,14 +195,6 @@ class TestComplementComponents:
         with pytest.raises(ValueError):
             ComplementComponent(kind="Ball", vertical_annuli=1, annulus_wrap=())
 
-    def test_from_json_core_power_fill(self):
-        doc = {"kind": "SolidTorus", "vertical_annuli": 1, "annulus_wrap": [2],
-               "meridian_hits": 2}
-        # from_json reads the record only; catalog.complement_components
-        # fills a missing power from the slope
-        assert ComplementComponent.from_json(doc).core_power is None
-        assert ComplementComponent.from_json({**doc, "core_power": 2}).core_power == 2
-
     def test_coherent_ibundle_table(self):
         def st_piece(annuli, wrap):
             return ComplementComponent(kind="SolidTorus", vertical_annuli=annuli,

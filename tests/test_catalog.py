@@ -19,7 +19,9 @@ from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import (
     ALL_POSITIVE_COMPLEX,
+    BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
+    BAD_LAWS,
     DATA_DIR,
     admissible_edit,
     record_edit,
@@ -113,6 +115,10 @@ BAD_FIELDS = {
     "positions-three": ("spine.json", _first_connector_positions([0, 1, 2])),
     "positions-out-of-range": ("spine.json", _first_connector_positions([5, 6])),
     "positions-bool": ("spine.json", _first_connector_positions([False, True])),
+    **{name: (f"tracks/{family}.json", record_edit("law", value=law))
+       for name, (family, law) in BAD_LAWS.items()},
+    **{f"complexes-{name}": ("qcomplexes.json", edit) for name, edit in BAD_COMPLEXES.items()},
+    "track-id-of-another-family": ("tracks/Q4.json", record_edit("id", value="Q5")),
 }
 
 
@@ -268,24 +274,8 @@ class TestCandidates:
 
 
 class TestComplements:
-    def test_annulus_pieces_pick_up_the_filling_power(self, catalog):
-        b6 = catalog.get("B6")
-        comps = complement_components(b6, parse_slope("7/2"))
-        assert [c.core_power for c in comps] == [2]
-        comps = complement_components(b6, parse_slope("5/3"))
-        assert [c.core_power for c in comps] == [3]
-
-    def test_a_stored_power_wins(self, catalog):
-        b6 = catalog.get("B6")
-        pinned = dataclasses.replace(
-            b6, complement=tuple({**doc, "core_power": 2} for doc in b6.complement))
-        comps = complement_components(pinned, parse_slope("5/3"))
-        assert [c.core_power for c in comps] == [2]
-
-    def test_non_annulus_entries_do_not(self, catalog):
-        b5 = catalog.get("B5")
-        comps = complement_components(b5, parse_slope("1/2"))
-        assert [c.core_power for c in comps] == [None]
+    def test_exceptional_piece(self, catalog):
+        comps = complement_components(catalog.get("B5"), parse_slope("1/2"))
         assert comps[0].exceptional is True
 
     def test_requires_admissible_slope(self, catalog):

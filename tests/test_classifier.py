@@ -9,7 +9,7 @@ import pytest
 from anosurf.catalog import candidates_for, load_catalog
 from anosurf.classifier import (
     ANCHORS,
-    RULES,
+    _CONCLUSIONS,
     ClassificationResult,
     ExclusionTrace,
     TraceStep,
@@ -27,14 +27,13 @@ HALF = Slope(1, 2)
 
 class TestRuleTable:
     def test_every_rule_is_anchored(self):
-        assert set(RULES) == set(ANCHORS)
-        for rule in RULES.values():
-            assert ANCHORS[rule.id].strip()
+        for rule_id, anchor in ANCHORS.items():
+            assert anchor.strip(), rule_id
 
     def test_concluding_rules(self):
-        assert list(RULES) == list(ANCHORS)
-        concluding = {r.id: r.conclusion for r in RULES.values() if r.conclusion is not None}
-        assert concluding == {
+        # a rule missing here is a premise step
+        assert set(_CONCLUSIONS) <= set(ANCHORS)
+        assert _CONCLUSIONS == {
             "disk-leaves/no-legal-shape": "Excludes",
             "complement/three-vertical-cusps": "Excludes",
             "attractor/uniqueness-two-orbits": "Excludes",
@@ -114,6 +113,13 @@ class TestExclusionChains:
     def test_exclusion_reason_happy_path(self, catalog):
         trace = exclusion_reason(catalog, "B3", Slope(4, 1))
         assert trace.conclusion == "Excludes"
+
+    @pytest.mark.parametrize("entry_id", ["B2", "B6"])
+    def test_exclusion_reason_refuses_the_trivial_filling(self, catalog, entry_id):
+        # B2's disk-leaf chain would exclude at any slope, and B6's
+        # annulus chain would read a core power of 0
+        with pytest.raises(UnsupportedSlopeError):
+            exclusion_reason(catalog, entry_id, INFINITY)
 
     def test_premise_terminal_trace_has_no_conclusion(self):
         trace = ExclusionTrace(entry="X", slope=HALF,

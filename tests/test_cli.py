@@ -8,7 +8,9 @@ from anosurf import errors
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import (
+    BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
+    BAD_LAWS,
     BAD_MANIFESTS,
     DATA_DIR,
     record_edit,
@@ -69,6 +71,13 @@ RESTAMPED_FAULTS = {
                                 ("catalog/entries/B5.json",
                                  record_edit("admissible", "count", value=1)),
                                 5),
+    **{name: (["track", family, "--bound", "4"],
+              (f"tracks/{family}.json", record_edit("law", value=law)), 5)
+       for name, (family, law) in BAD_LAWS.items()},
+    **{f"complexes-{name}": (["catalog", "check"], ("qcomplexes.json", edit), 5)
+       for name, edit in BAD_COMPLEXES.items()},
+    "track-id-of-another-family": (["track", "Q4", "--bound", "4"],
+                                   ("tracks/Q4.json", record_edit("id", value="Q5")), 5),
 }
 
 

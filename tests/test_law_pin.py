@@ -32,7 +32,7 @@ import pytest
 from trackgen import random_track_doc
 
 from anosurf.catalog import FAMILIES, load_catalog, slope_law_check
-from anosurf.traintrack import LAW_KINDS, SlopeLaw, TrainTrack, check_law
+from anosurf.traintrack import HEIGHT_KINDS, LAW_KINDS, SlopeLaw, TrainTrack, check_law
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PIN = GOLDEN / "law_violations.json"
@@ -40,7 +40,6 @@ THREE_PLUS_PIN = GOLDEN / "three_plus_random.json"
 THREE_PLUS_SEEDS = range(40)
 BOUND = 2
 ROLE_SOURCES = ("Q2", "Q4", "Q9")
-HEIGHT_KINDS = ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA")
 CHECK_BOUNDS = (20, 40)
 
 

@@ -5,7 +5,14 @@ from jsonschema import Draft202012Validator
 
 from anosurf.classifier import classify
 from anosurf.slopes import parse_slope
-from conftest import BAD_ENTRY_RECORDS, BAD_MANIFESTS, load_data_json, load_schema
+from conftest import (
+    BAD_COMPLEXES,
+    BAD_ENTRY_RECORDS,
+    BAD_LAWS,
+    BAD_MANIFESTS,
+    load_data_json,
+    load_schema,
+)
 
 FAMILIES = [f"Q{i}" for i in range(1, 12)]
 
@@ -25,10 +32,25 @@ def test_qcomplex_document():
         load_data_json("qcomplexes.json"))
 
 
+@pytest.mark.parametrize("name", BAD_COMPLEXES)
+def test_qcomplex_schema_refuses_what_the_loader_refuses(name):
+    doc = load_data_json("qcomplexes.json")
+    BAD_COMPLEXES[name](doc)
+    assert not validator_for("qcomplexes.schema.json").is_valid(doc)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_track_documents(family):
     validator_for("track.schema.json").validate(
         load_data_json(f"tracks/{family}.json"))
+
+
+@pytest.mark.parametrize("name", BAD_LAWS)
+def test_track_schema_refuses_what_the_loader_refuses(name):
+    family, law = BAD_LAWS[name]
+    doc = load_data_json(f"tracks/{family}.json")
+    doc["law"] = law
+    assert not validator_for("track.schema.json").is_valid(doc)
 
 
 def test_entry_documents():

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 import anosurf
+from anosurf import classifier
 from anosurf import spine as spine_module
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
 from anosurf.spine import SpineCase, Spine, adjacent_short_pairs, case_of
@@ -201,7 +202,8 @@ class TestDoubleCovers:
 
 # names spine.py no longer offers; the catalog owns the spine, the
 # complexes and the tracks
-DELETED_NAMES = ("DoubleCover", "boundary_double_cover", "canonical_complexes", "load_spine")
+DELETED_NAMES = ("DoubleCover", "boundary_double_cover", "canonical_complexes", "load_spine",
+                 "carries_slope")
 
 
 def test_public_names_resolve():
@@ -213,3 +215,6 @@ def test_public_names_resolve():
         assert name not in anosurf.__all__ and not hasattr(anosurf, name), name
     for name in DELETED_NAMES:
         assert not hasattr(spine_module, name), name
+    # the concluding rules live in classifier._CONCLUSIONS, keyed by ANCHORS ids
+    for name in ("RULES", "Rule"):
+        assert not hasattr(classifier, name), name

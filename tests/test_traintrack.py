@@ -15,11 +15,12 @@ from anosurf.errors import MonogonError, SlopeLawError, SwitchSystemError
 from anosurf.slopes import INFINITY, Slope
 from anosurf.traintrack import (
     Branch,
+    HEIGHT_KINDS,
+    LAW_KINDS,
     SlopeLaw,
     Switch,
     TrainTrack,
     carried_classes,
-    carries_slope,
     check_law,
     dead_branches,
     enumerate_solutions,
@@ -176,14 +177,6 @@ class TestCarriedClasses:
         report = carried_classes(circle("c", (0, 1)), 2)
         assert report.slopes() == {INFINITY}
 
-    def test_carries_slope(self):
-        track = pinched_pair((1, 4))
-        witness = carries_slope(track, "4", 3)
-        assert witness is not None
-        assert witness["A1"] + witness["B1"] >= 1
-        assert witness["A1"] == witness["A2"] and witness["B1"] == witness["B2"]
-        assert carries_slope(track, "5", 3) is None
-
     def test_dead_branches(self):
         assert dead_branches(pinched_pair(), 4) == {"X1", "X2"}
         assert dead_branches(circle("c"), 4) == set()
@@ -234,7 +227,6 @@ class TestCarriedClasses:
 
 NEGATIVE_BOUND_CALLS = {
     "carried_classes": lambda cat: carried_classes(cat.tracks["Q2"].track, -1),
-    "carries_slope": lambda cat: carries_slope(cat.tracks["Q2"].track, "1/2", -1),
     "dead_branches": lambda cat: dead_branches(cat.tracks["Q2"].track, -1),
     "check_law": lambda cat: check_law(cat.tracks["Q2"].track, cat.tracks["Q2"].law,
                                        cat.tracks["Q2"].designated, -1),
@@ -250,9 +242,16 @@ def test_negative_bound_rejected_everywhere(name, catalog):
 
 class TestSlopeLaws:
     def test_roundtrip(self):
-        law = SlopeLaw("FORMULA_MU_NU_OMEGA", surjective_height=6)
-        assert SlopeLaw.from_json(law.to_json()) == law
-        assert SlopeLaw.from_json({"kind": "ONLY_FOUR"}).surjective_height is None
+        for family in ("Q1", "Q2"):
+            doc = load_data_json(f"tracks/{family}.json")["law"]
+            law = SlopeLaw.from_json(doc)
+            assert {"kind": law.kind, "surjective_height": law.surjective_height} == {
+                "surjective_height": None, **doc}
+
+    @pytest.mark.parametrize("kind", sorted(set(LAW_KINDS) - set(HEIGHT_KINDS)))
+    def test_height_only_where_the_check_reads_it(self, kind):
+        with pytest.raises(ValueError, match="takes no surjective_height"):
+            SlopeLaw(kind, surjective_height=2)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

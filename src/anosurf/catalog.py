@@ -10,12 +10,13 @@ environment variable, shadows packaged files one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _resources
 from .branched_surface import (
     ComplementComponent,
+    OrientationResult,
     detect_sink_disks,
     euler_characteristic,
     is_transversely_orientable,
@@ -39,6 +40,11 @@ EXCLUSION_CLASSES = (
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One branched surface of the catalog. The constructor checks the id,
+    the family and the exclusion class and builds every slope-independent
+    fact, so a malformed record raises here (ValueError, KeyError or
+    TypeError), not in a later classification or health check."""
+
     id: str
     family: str
     summary: str
@@ -53,6 +59,35 @@ class CatalogEntry:
     vacant_annulus: Optional[str] = None
     split_curves: Tuple[str, ...] = ()
     notes: Dict[str, str] = field(default_factory=dict)
+    # Slope-independent facts, built by the constructor from the records
+    # above: the complement pieces, the Euler characteristics of the surface
+    # and complement CW structures, the colouring of the orientation graph
+    # (None without a graph) and the ids of the sink disks.
+    complement_pieces: Tuple[ComplementComponent, ...] = field(init=False, compare=False, repr=False)
+    euler_characteristics: Optional[Tuple[int, int]] = field(init=False, compare=False, repr=False)
+    orientation: Optional[OrientationResult] = field(init=False, compare=False, repr=False)
+    sink_disks: Tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if type(self.id) is not str or not self.id:
+            raise ValueError(f"entry id must be a non-empty string, not {self.id!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"entry {self.id} has unknown family {self.family!r}")
+        if self.exclusion_class not in EXCLUSION_CLASSES:
+            raise ValueError(
+                f"entry {self.id} has unknown exclusion class {self.exclusion_class!r}")
+        facts = {
+            "complement_pieces": tuple(
+                ComplementComponent.from_json(doc) for doc in self.complement),
+            "euler_characteristics": None if self.euler is None else (
+                euler_characteristic(self.euler["surface_cw"]),
+                euler_characteristic(self.euler["complement_cw"])),
+            "orientation": None if self.orientation_graph is None
+            else is_transversely_orientable(self.orientation_graph),
+            "sink_disks": tuple(detect_sink_disks(self.disk_sectors)),
+        }
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_json(doc: dict) -> "CatalogEntry":
@@ -73,24 +108,6 @@ class CatalogEntry:
             split_curves=tuple(doc.get("split_curves", ())),
             notes=dict(doc.get("notes", {})),
         )
-
-    # Slope-independent facts, kept on the instance: load_catalog builds
-    # both for each entry it loads, any other entry on first use. A build
-    # that raises caches nothing; a dataclasses.replace copy starts empty.
-
-    @cached_property
-    def complement_pieces(self) -> Tuple[ComplementComponent, ...]:
-        """The complement records as pieces, parsed once."""
-        return tuple(ComplementComponent.from_json(doc) for doc in self.complement)
-
-    @cached_property
-    def euler_characteristics(self) -> Optional[Tuple[int, int]]:
-        """Euler characteristics of the surface and complement CW
-        structures, or None when the entry ships none."""
-        if self.euler is None:
-            return None
-        return (euler_characteristic(self.euler["surface_cw"]),
-                euler_characteristic(self.euler["complement_cw"]))
 
 
 @dataclass(frozen=True)
@@ -140,31 +157,19 @@ def _checked_manifest(doc: dict) -> dict:
     return doc
 
 
-def _loaded_entry(doc: dict) -> CatalogEntry:
-    """An entry with its facts built, its orientation graph coloured and
-    its disk sectors scanned once, so that a malformed record fails the
-    load instead of a later classification or health check."""
-    entry = CatalogEntry.from_json(doc)
-    if entry.family not in FAMILIES:
-        raise ValueError(f"entry {entry.id} has unknown family {entry.family!r}")
-    if entry.exclusion_class not in EXCLUSION_CLASSES:
-        raise ValueError(
-            f"entry {entry.id} has unknown exclusion class {entry.exclusion_class!r}")
-    _ = entry.complement_pieces, entry.euler_characteristics
-    detect_sink_disks(entry.disk_sectors)
-    if entry.orientation_graph is not None:
-        is_transversely_orientable(entry.orientation_graph)
-    return entry
-
-
 def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
-    """One valid complex on the spine for each family, and no other."""
+    """One valid complex on the spine for each family, and no other; no
+    two families share one."""
     if set(doc) != set(FAMILIES):
         raise ValueError(f"complexes of {sorted(doc)}, not of the families "
                          f"{', '.join(FAMILIES)}")
     complexes = {family: dict(body["connectors"]) for family, body in doc.items()}
-    for q in complexes.values():
+    owners: Dict[frozenset, str] = {}
+    for family, q in complexes.items():
         spine.validate_complex(q)
+        owner = owners.setdefault(frozenset(q.items()), family)
+        if owner != family:
+            raise ValueError(f"{family} has the complex of {owner}")
     return complexes
 
 
@@ -201,7 +206,7 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
                                              sha256=sha if verify else None)
     entries: Dict[str, CatalogEntry] = {}
     for relpath in manifest["entry_files"]:
-        entry = build(relpath, _loaded_entry)
+        entry = build(relpath, CatalogEntry.from_json)
         if entry.id in entries:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
@@ -297,23 +302,20 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
 
     for entry in catalog:
         # no entry may contain a sink disk
-        sinks = detect_sink_disks(entry.disk_sectors)
-        if sinks:
-            problems.append(f"{entry.id}: sink disks {sinks}")
+        if entry.sink_disks:
+            problems.append(f"{entry.id}: sink disks {list(entry.sink_disks)}")
 
         # orientability flags must be certified
         if entry.orientable is not None:
-            if entry.orientation_graph is None:
+            if entry.orientation is None:
                 problems.append(f"{entry.id}: orientable flag without a sector graph")
-            else:
-                res = is_transversely_orientable(entry.orientation_graph)
-                if res.orientable != entry.orientable:
-                    problems.append(
-                        f"{entry.id}: sector graph says orientable={res.orientable}, "
-                        f"entry says {entry.orientable}")
+            elif entry.orientation.orientable != entry.orientable:
+                problems.append(
+                    f"{entry.id}: sector graph says orientable={entry.orientation.orientable}, "
+                    f"entry says {entry.orientable}")
 
         # stored CW structures must be consistent and agree
-        if entry.euler is not None:
+        if entry.euler_characteristics is not None:
             chi_b, chi_w = entry.euler_characteristics
             if chi_b != chi_w:
                 problems.append(

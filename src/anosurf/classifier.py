@@ -310,21 +310,19 @@ _CHAINS = {
 }
 
 
-def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
-    """The full argument excluding (or failing to exclude) an entry."""
-    chain = _CHAINS.get(entry.exclusion_class)
-    if chain is None:
-        raise ClassificationGapError(
-            entry.id, slope, f"no chain for class {entry.exclusion_class!r}")
-    steps = chain(entry, slope)
-    return ExclusionTrace(entry=entry.id, slope=slope, steps=tuple(steps))
-
-
 def _require_finite(slope: Slope) -> None:
     if slope.is_infinity:
         raise UnsupportedSlopeError(
             slope, "the trivial filling is not a surgery; classification "
                    "covers finite slopes only")
+
+
+def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
+    """The full argument excluding (or failing to exclude) an entry. The
+    infinite slope raises UnsupportedSlopeError, as in classify."""
+    _require_finite(slope)
+    steps = _CHAINS[entry.exclusion_class](entry, slope)
+    return ExclusionTrace(entry=entry.id, slope=slope, steps=tuple(steps))
 
 
 def exclusion_reason(catalog: Catalog, entry_id: str, slope: Slope) -> ExclusionTrace:
@@ -335,7 +333,6 @@ def exclusion_reason(catalog: Catalog, entry_id: str, slope: Slope) -> Exclusion
     carry the lamination of the surgered suspension. The infinite slope
     raises UnsupportedSlopeError, as in classify.
     """
-    _require_finite(slope)
     entry = catalog.get(entry_id)
     trace = exclusion_trace(entry, slope)
     if trace.conclusion != _EXCLUDES:

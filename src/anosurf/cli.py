@@ -38,6 +38,9 @@ catalog_option = click.option(
     type=click.Path(exists=True, file_okay=False),
     help="Directory shadowing the packaged catalog files.")
 
+format_option = click.option("--format", "fmt", type=click.Choice(["table", "json"]),
+                             default="table", show_default=True)
+
 
 def _slope_sort_key(s: Slope):
     if s.is_infinity:
@@ -56,8 +59,7 @@ def cli():
 @click.option("--traces", type=click.Choice(["none", "digest", "full"]),
               default="digest", show_default=True,
               help="How much of each exclusion argument to print.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
+@format_option
 @catalog_option
 def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str]):
     """Classify the filling at SLOPE (for example 3, -2, 7/2, 0)."""
@@ -91,8 +93,7 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
 @cli.command("sweep")
 @click.option("--max", "max_height", type=click.IntRange(min=0, max=MAX_SWEEP_HEIGHT), default=50,
               show_default=True, help="Largest numerator and denominator to visit.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
+@format_option
 @catalog_option
 def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
     """Classify every reduced slope q/p with p and |q| at most the bound."""
@@ -128,8 +129,7 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
 @click.argument("family", type=click.Choice(list(FAMILIES)))
 @click.option("--bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=20,
               show_default=True, help="Max weight per branch when enumerating solutions.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
+@format_option
 @catalog_option
 def track_cmd(family: str, bound: int, fmt: str, catalog_path: Optional[str]):
     """Check the boundary slope law of a family's double cover track."""
@@ -166,8 +166,7 @@ def catalog_group():
 
 
 @catalog_group.command("list")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
+@format_option
 @catalog_option
 def catalog_list(fmt: str, catalog_path: Optional[str]):
     """List every entry with its family and exclusion class."""
@@ -222,8 +221,7 @@ def catalog_show(entry_id: str, catalog_path: Optional[str]):
               help="Also check every family's boundary slope law (slower).")
 @click.option("--law-bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=6,
               show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
+@format_option
 @catalog_option
 def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: Optional[str]):
     """Verify checksums, counts, certificates and sector data."""

@@ -57,6 +57,9 @@ BAD_ENTRY_RECORDS = {
     "meridian-pair-type-i": ("B6_I_g", record_edit("complement", 0, "meridian_hits",
                                                    value=[0, 0])),
     "meridian-bool": ("B6_I_g", record_edit("complement", 0, "meridian_hits", value=True)),
+    "id-int": ("B6_I_h", record_edit("id", value=7)),
+    "id-list": ("B1", record_edit("id", value=["x"])),
+    "id-empty": ("B1", record_edit("id", value="")),
 }
 
 
@@ -77,6 +80,11 @@ BAD_COMPLEXES = {
     "multiplicity-bool": record_edit("Q1", "connectors", "ly3", value=True),
     "family-missing": record_edit("Q5", drop=True),
 }
+
+
+def q2_as_q1(doc):
+    """Give Q2 the complex of Q1 in qcomplexes.json."""
+    doc["Q2"] = doc["Q1"]
 
 
 # Manifests that load_catalog and manifest.schema.json both refuse, with

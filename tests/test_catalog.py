@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from anosurf import _resources
+from anosurf import catalog as catalog_module
 from anosurf.catalog import (
     candidates_for,
     check_catalog,
@@ -24,6 +25,7 @@ from conftest import (
     BAD_LAWS,
     DATA_DIR,
     admissible_edit,
+    q2_as_q1,
     record_edit,
     restamp_manifest,
     rewrite,
@@ -118,6 +120,8 @@ BAD_FIELDS = {
     **{name: (f"tracks/{family}.json", record_edit("law", value=law))
        for name, (family, law) in BAD_LAWS.items()},
     **{f"complexes-{name}": ("qcomplexes.json", edit) for name, edit in BAD_COMPLEXES.items()},
+    # a schema cannot say that the eleven complexes are distinct
+    "complexes-shared": ("qcomplexes.json", q2_as_q1),
     "track-id-of-another-family": ("tracks/Q4.json", record_edit("id", value="Q5")),
 }
 
@@ -253,6 +257,20 @@ class TestLoading:
             load_catalog(path=str(data_copy))
 
 
+class TestEntryFacts:
+    @pytest.mark.parametrize("field,value", [
+        ("family", "Q99"), ("exclusion_class", "KleinBottle"), ("id", 5)])
+    def test_a_replaced_copy_is_checked(self, catalog, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(catalog.get("B6"), **{field: value})
+
+    def test_a_replaced_graph_is_coloured_again(self, catalog):
+        b6, b3 = catalog.get("B6"), catalog.get("B3")
+        assert b6.orientation.orientable and not b3.orientation.orientable
+        copy = dataclasses.replace(b6, orientation_graph=b3.orientation_graph)
+        assert copy.orientation == b3.orientation
+
+
 class TestCandidates:
     def test_generic_noninteger_slope(self, catalog):
         cands = candidates_for(catalog, parse_slope("7/2"))
@@ -322,6 +340,14 @@ class TestHealthCheck:
         assert len(report.warnings) == 1
         assert "39" in report.warnings[0]
         assert "known, documented" in report.warnings[0]
+
+    def test_the_check_reads_the_facts_built_at_load(self, catalog, monkeypatch):
+        def recompute(*_args):
+            raise AssertionError("check_catalog recomputed a fact of an entry")
+
+        monkeypatch.setattr(catalog_module, "is_transversely_orientable", recompute)
+        monkeypatch.setattr(catalog_module, "detect_sink_disks", recompute)
+        assert check_catalog(catalog).problems == []
 
     def test_orientable_flag_must_match_graph(self, catalog):
         bad = dataclasses.replace(catalog.get("B6"), orientable=False)

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from anosurf.catalog import candidates_for, load_catalog
+from anosurf.catalog import EXCLUSION_CLASSES, candidates_for, load_catalog
 from anosurf.classifier import (
     ANCHORS,
+    _CHAINS,
     _CONCLUSIONS,
     ClassificationResult,
     ExclusionTrace,
@@ -121,6 +122,14 @@ class TestExclusionChains:
         with pytest.raises(UnsupportedSlopeError):
             exclusion_reason(catalog, entry_id, INFINITY)
 
+    @pytest.mark.parametrize("entry_id", ["B2", "B6"])
+    def test_exclusion_trace_refuses_the_trivial_filling(self, catalog, entry_id):
+        with pytest.raises(UnsupportedSlopeError):
+            exclusion_trace(catalog.get(entry_id), INFINITY)
+
+    def test_one_chain_per_exclusion_class(self):
+        assert set(_CHAINS) == set(EXCLUSION_CLASSES)
+
     def test_premise_terminal_trace_has_no_conclusion(self):
         trace = ExclusionTrace(entry="X", slope=HALF,
                                steps=(TraceStep(rule="type-ii/core-power"),))
@@ -168,11 +177,10 @@ class TestSlopeIndependentFacts:
         for _ in range(2):
             with pytest.raises(ClassificationGapError):
                 exclusion_trace(bad, HALF)
-        unparsable = dataclasses.replace(
-            catalog.get("B5"), complement=({"kind": "KleinBottle"},))
+        # an unparsable record is refused by the constructor, every time
         for _ in range(2):
             with pytest.raises(ValueError, match="KleinBottle"):
-                exclusion_trace(unparsable, HALF)
+                dataclasses.replace(catalog.get("B5"), complement=({"kind": "KleinBottle"},))
 
     def test_a_replaced_copy_starts_with_nothing_cached(self):
         fresh = load_catalog()

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from anosurf import errors
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
+import catalogfuzz
 from conftest import (
     BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
     BAD_LAWS,
     BAD_MANIFESTS,
     DATA_DIR,
+    q2_as_q1,
     record_edit,
     restamp_manifest,
     rewrite,
@@ -78,6 +81,11 @@ RESTAMPED_FAULTS = {
        for name, edit in BAD_COMPLEXES.items()},
     "track-id-of-another-family": (["track", "Q4", "--bound", "4"],
                                    ("tracks/Q4.json", record_edit("id", value="Q5")), 5),
+    "complexes-shared": (["catalog", "check"], ("qcomplexes.json", q2_as_q1), 5),
+    "entry-id-int": (["catalog", "list"],
+                     ("catalog/entries/B6_I_h.json", record_edit("id", value=7)), 5),
+    "entry-id-list": (["classify", "7/2"],
+                      ("catalog/entries/B1.json", record_edit("id", value=["x"])), 5),
 }
 
 
@@ -363,3 +371,22 @@ def test_manifest_fault_exits_five(data_copy, name, capsys):
     assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: catalog at {relpath}: ") and err.count("\n") == 1
+
+
+# The seeds of the restamp fuzzer that tier-1 runs, about 3 s; run
+# `python tests/catalogfuzz.py FIRST COUNT` for wider searches.
+FUZZ_SEEDS = range(60)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "data"
+    shutil.copytree(DATA_DIR, root)
+    return root
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_a_restamped_edit_exits_with_a_documented_code(fuzz_root, seed):
+    case = catalogfuzz.make_case(fuzz_root, seed)
+    for argv, code in catalogfuzz.run_case(fuzz_root, case):
+        assert code in catalogfuzz.EXIT_CODES, (case.edit, argv, code)

@@ -26,11 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from anosurf.branched_surface import (           # noqa: E402
-    detect_sink_disks,
-    euler_characteristic,
-    is_transversely_orientable,
-)
+from anosurf.catalog import CatalogEntry, check_catalog, load_catalog  # noqa: E402
 from anosurf.spine import Spine, SpineCase, adjacent_short_pairs, case_of  # noqa: E402
 from anosurf.slopes import AdmissibleSet         # noqa: E402
 from anosurf.traintrack import (                 # noqa: E402
@@ -767,17 +763,13 @@ def check_entries(entries):
     assert counts == EXPECTED_FAMILY_COUNTS, counts
 
     by_class = {}
-    for e in entries:
-        by_class.setdefault(e["exclusion_class"], []).append(e["id"])
-        AdmissibleSet.from_json(e["admissible"])
-        assert detect_sink_disks(e.get("disk_sectors", [])) == [], e["id"]
-        if e.get("orientable") is not None:
-            res = is_transversely_orientable(e["orientation_graph"])
-            assert res.orientable == e["orientable"], e["id"]
-        if "euler" in e:
-            chi_b = euler_characteristic(e["euler"]["surface_cw"])
-            chi_w = euler_characteristic(e["euler"]["complement_cw"])
-            assert chi_b == chi_w == EXPECTED_EULER[e["id"]], e["id"]
+    for entry in map(CatalogEntry.from_json, entries):
+        by_class.setdefault(entry.exclusion_class, []).append(entry.id)
+        assert entry.sink_disks == (), entry.id
+        if entry.orientable is not None:
+            assert entry.orientation.orientable == entry.orientable, entry.id
+        if entry.euler is not None:
+            assert entry.euler_characteristics == (EXPECTED_EULER[entry.id],) * 2, entry.id
     sizes = {k: len(v) for k, v in by_class.items()}
     assert sizes == {"DiskLeaf": 5, "BasicTypeII": 4, "R7Cusps": 1,
                      "SplitTypeII": 9, "TypeI": 19}, sizes
@@ -842,8 +834,6 @@ def main(argv=None) -> int:
     dump(out / "catalog" / "manifest.json", manifest)
 
     # reload what was just written through the package loader as a final check
-    from anosurf.catalog import check_catalog, load_catalog
-
     catalog = load_catalog(path=out)
     report = check_catalog(catalog)
     assert report.problems == [], report.problems

@@ -10,8 +10,9 @@ that all three sides of each edge receive the same number of endpoints;
 that common number is the edge weight w_e.
 
 The case split on zero patterns of (w_a, w_b, w_c, w_d) is taken up to
-the spine's symmetries, which ship as explicit side permutations and
-are validated against the incidence data.
+the spine's symmetries. Spine.symmetry derives a symmetry's edge
+permutation and vertex map from its side permutation; each shipped
+symmetry is rebuilt that way on load, and its shipped maps must agree.
 """
 
 from __future__ import annotations
@@ -76,11 +77,14 @@ class Spine:
             conn = Connector(id=c["id"], hexagon=c["hexagon"],
                              positions=positions, kind=c["kind"])
             self.connectors[conn.id] = conn
-        self.symmetries: List[Symmetry] = [
-            Symmetry(name=s["name"], side_map=dict(s["side_map"]),
-                     edge_map=dict(s["edge_map"]), vertex_map=dict(s["vertex_map"]))
-            for s in doc["symmetries"]]
         self._validate()
+        self.symmetries: List[Symmetry] = []
+        for s in doc["symmetries"]:
+            sym = self.symmetry(s["name"], s["side_map"])
+            if s["edge_map"] != sym.edge_map or s["vertex_map"] != sym.vertex_map:
+                raise ValueError(f"symmetry {sym.name}: shipped edge or vertex map "
+                                 f"differs from the one its side map induces")
+            self.symmetries.append(sym)
 
     # -- structure ---------------------------------------------------------
 
@@ -104,44 +108,44 @@ class Spine:
             s1, s2 = conn.sides(self)
             if s1 == s2:
                 raise ValueError(f"connector {conn.id} has two ends in one side")
-        for sym in self.symmetries:
-            self._validate_symmetry(sym)
 
-    def _validate_symmetry(self, sym: Symmetry) -> None:
+    def symmetry(self, name: str, side_map: Mapping[str, str]) -> Symmetry:
+        """The symmetry with this side permutation, with the edge permutation
+        and vertex map it induces on the incidence data. Raises ValueError
+        when the side map is not a permutation, tears a hexagon, breaks the
+        cyclic order of a hexagon's sides or maps an edge or a vertex two ways."""
         sides = set(self.edge_of)
-        if set(sym.side_map) != sides or set(sym.side_map.values()) != sides:
-            raise ValueError(f"symmetry {sym.name}: side map is not a permutation")
-        if set(sym.vertex_map) != {"P1", "P2"}:
-            raise ValueError(f"symmetry {sym.name}: vertex map must cover both vertices")
-        for side, image in sym.side_map.items():
-            if sym.edge_map[self.edge_of[side]] != self.edge_of[image]:
-                raise ValueError(
-                    f"symmetry {sym.name}: edge map disagrees at side {side}")
-        # cyclic adjacency of sides must be preserved, along with the
-        # vertex colors of the corners between them
-        position: Dict[str, Tuple[str, int]] = {}
-        for h in ("X", "Y"):
-            for i, side in enumerate(self.hexagons[h]):
-                position[side] = (h, i)
+        if set(side_map) != sides or set(side_map.values()) != sides:
+            raise ValueError(f"symmetry {name}: side map is not a permutation")
+        edge_map: Dict[str, str] = {}
+        for side, image in side_map.items():
+            if edge_map.setdefault(self.edge_of[side], self.edge_of[image]) != self.edge_of[image]:
+                raise ValueError(f"symmetry {name}: edge map broken at side {side}")
+        # cyclic adjacency of sides must be preserved; the corner between
+        # two sides goes to the corner between their images
+        position = {side: (h, i) for h in ("X", "Y")
+                    for i, side in enumerate(self.hexagons[h])}
+        vertex_map: Dict[str, str] = {}
         for h in ("X", "Y"):
             word = self.hexagons[h]
             for i in range(6):
                 s_here, s_next = word[i], word[(i + 1) % 6]
-                h1, i1 = position[sym.side_map[s_here]]
-                h2, i2 = position[sym.side_map[s_next]]
+                h1, i1 = position[side_map[s_here]]
+                h2, i2 = position[side_map[s_next]]
                 if h1 != h2:
                     raise ValueError(
-                        f"symmetry {sym.name}: hexagon torn between {s_here} and {s_next}")
-                forward = (i2 - i1) % 6 == 1
-                backward = (i1 - i2) % 6 == 1
-                if not (forward or backward):
-                    raise ValueError(
-                        f"symmetry {sym.name}: adjacency broken at {s_here}|{s_next}")
-                corner_here = self.corner_vertices[h][i]
-                corner_image = self.corner_vertices[h1][i1 if forward else i2]
-                if sym.vertex_map[corner_here] != corner_image:
-                    raise ValueError(
-                        f"symmetry {sym.name}: vertex map broken at corner {h}{i}")
+                        f"symmetry {name}: hexagon torn between {s_here} and {s_next}")
+                if (i2 - i1) % 6 == 1:
+                    corner = i1
+                elif (i1 - i2) % 6 == 1:
+                    corner = i2
+                else:
+                    raise ValueError(f"symmetry {name}: adjacency broken at {s_here}|{s_next}")
+                here, image = self.corner_vertices[h][i], self.corner_vertices[h1][corner]
+                if vertex_map.setdefault(here, image) != image:
+                    raise ValueError(f"symmetry {name}: vertex map broken at corner {h}{i}")
+        return Symmetry(name=name, side_map=dict(side_map),
+                        edge_map=edge_map, vertex_map=vertex_map)
 
     # -- complexes ---------------------------------------------------------
 

@@ -48,6 +48,26 @@ class TestStructure:
         with pytest.raises(ValueError):
             Spine(doc)
 
+    def test_shipped_symmetries_are_derived_from_their_side_maps(self, spine):
+        for sym in spine.symmetries:
+            assert spine.symmetry(sym.name, sym.side_map) == sym
+
+    @pytest.mark.parametrize("swap, message", [(("a1", "a3"), "torn"),
+                                                (("a1", "a2"), "adjacency broken")],
+                             ids=["tear", "cyclic-order"])
+    def test_side_map_that_breaks_a_hexagon_is_refused(self, spine, swap, message):
+        side_map = {side: side for side in spine.edge_of}
+        one, two = swap
+        side_map[one], side_map[two] = two, one
+        with pytest.raises(ValueError, match=message):
+            spine.symmetry("broken", side_map)
+
+    def test_shipped_edge_map_with_an_extra_key_rejected(self):
+        doc = copy.deepcopy(load_data_json("spine.json"))
+        doc["symmetries"][0]["edge_map"]["z"] = "a"
+        with pytest.raises(ValueError, match="differs"):
+            Spine(doc)
+
     def test_connector_kind_must_match_gap(self):
         doc = copy.deepcopy(load_data_json("spine.json"))
         row = next(c for c in doc["connectors"] if c["kind"] == "short")

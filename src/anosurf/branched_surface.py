@@ -74,7 +74,9 @@ def is_transversely_orientable(graph: dict) -> OrientationResult:
     nodes = list(graph["nodes"])
     adjacency: Dict[str, List[Tuple[str, bool, str]]] = {v: [] for v in nodes}
     for edge in graph["edges"]:
-        u, v, flip, eid = edge["from"], edge["to"], bool(edge["flip"]), edge["id"]
+        u, v, flip, eid = edge["from"], edge["to"], edge["flip"], edge["id"]
+        if type(flip) is not bool:
+            raise ValueError(f"orientation edge {eid!r}: flip must be a bool, not {flip!r}")
         if u not in adjacency or v not in adjacency:
             raise ValueError(f"orientation edge {eid!r} touches unknown sector")
         adjacency[u].append((v, flip, eid))
@@ -187,6 +189,11 @@ def detect_sink_disks(disk_sectors: Sequence[dict]) -> List[str]:
 _COMPONENT_KINDS = ("SolidTorus", "Ball", "TorusCrossInterval", "Handlebody", "Other")
 
 
+def _at_least(value, least: int) -> bool:
+    """Whether value is an integer (not a bool) of at least `least`."""
+    return type(value) is int and value >= least
+
+
 @dataclass(frozen=True)
 class ComplementComponent:
     kind: str
@@ -211,15 +218,22 @@ class ComplementComponent:
         piece carries its meridian data."""
         hits = doc.get("meridian_hits")
         needed = doc["kind"] == "SolidTorus"
-        if (needed or hits is not None) and (type(hits) is not int or hits < 0):
+        if (needed or hits is not None) and not _at_least(hits, 0):
             raise ValueError(f"{doc['kind']} record: meridian_hits must be a "
                              f"nonnegative integer, not {hits!r}")
+        annuli, wrap = doc.get("vertical_annuli", 0), doc.get("annulus_wrap", [])
+        exceptional = doc.get("exceptional")
+        if not _at_least(annuli, 0) or not isinstance(wrap, list) \
+                or not all(_at_least(w, 1) for w in wrap) \
+                or type(exceptional) not in (bool, type(None)):
+            raise ValueError(f"{doc['kind']} record: vertical_annuli, annulus_wrap or "
+                             f"exceptional is not shaped as its schema says")
         return ComplementComponent(
             kind=doc["kind"],
-            vertical_annuli=doc.get("vertical_annuli", 0),
-            annulus_wrap=tuple(doc.get("annulus_wrap", ())),
+            vertical_annuli=annuli,
+            annulus_wrap=tuple(wrap),
             meridian_hits=hits,
-            exceptional=doc.get("exceptional"),
+            exceptional=exceptional,
             genus=doc.get("genus"),
             description=doc.get("description", ""),
         )

@@ -38,12 +38,26 @@ EXCLUSION_CLASSES = (
 )
 
 
+def _is_text(value) -> bool:
+    return type(value) is str and value != ""
+
+
+def _texts(value, what: str, length: Optional[int] = None) -> Tuple[str, ...]:
+    """A list of non-empty strings, of the given length if there is one, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_text, value)) \
+            or length not in (None, len(value)):
+        raise ValueError(f"{what} must be {length or 'a list of'} non-empty strings, "
+                         f"not {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One branched surface of the catalog. The constructor checks the id,
-    the family and the exclusion class and builds every slope-independent
-    fact, so a malformed record raises here (ValueError, KeyError or
-    TypeError), not in a later classification or health check."""
+    the family, the exclusion class and the JSON type of each record it
+    reads, stores sector_pairs and split_curves as tuples, and builds every
+    slope-independent fact, so a malformed record raises here (ValueError,
+    KeyError or TypeError), not in a later classification or health check."""
 
     id: str
     family: str
@@ -76,7 +90,24 @@ class CatalogEntry:
         if self.exclusion_class not in EXCLUSION_CLASSES:
             raise ValueError(
                 f"entry {self.id} has unknown exclusion class {self.exclusion_class!r}")
+        if not _is_text(self.summary):
+            raise ValueError(f"entry {self.id}: summary must be non-empty text")
+        if type(self.orientable) not in (bool, type(None)):
+            raise ValueError(f"entry {self.id}: orientable must be a bool or null, "
+                             f"not {self.orientable!r}")
+        if self.vacant_annulus is not None and not _is_text(self.vacant_annulus):
+            raise ValueError(f"entry {self.id}: vacant_annulus must be non-empty text, "
+                             f"not {self.vacant_annulus!r}")
+        if not isinstance(self.notes, dict) or not all(
+                type(text) is str for text in self.notes.values()):
+            raise ValueError(f"entry {self.id}: notes must map names to text")
+        if not isinstance(self.sector_pairs, (list, tuple)):
+            raise ValueError(f"entry {self.id}: sector_pairs must be a list of pairs")
+        # the two list records as tuples, then the facts
         facts = {
+            "sector_pairs": tuple(_texts(pair, f"entry {self.id}: a sector pair", 2)
+                                  for pair in self.sector_pairs),
+            "split_curves": _texts(self.split_curves, f"entry {self.id}: split_curves"),
             "complement_pieces": tuple(
                 ComplementComponent.from_json(doc) for doc in self.complement),
             "euler_characteristics": None if self.euler is None else (
@@ -102,11 +133,10 @@ class CatalogEntry:
             disk_sectors=tuple(doc.get("disk_sectors", ())),
             complement=tuple(doc.get("complement", ())),
             euler=doc.get("euler"),
-            sector_pairs=tuple(
-                (a, b) for a, b in doc.get("sector_pairs", ())),
+            sector_pairs=doc.get("sector_pairs", ()),
             vacant_annulus=doc.get("vacant_annulus"),
-            split_curves=tuple(doc.get("split_curves", ())),
-            notes=dict(doc.get("notes", {})),
+            split_curves=doc.get("split_curves", ()),
+            notes=doc.get("notes", {}),
         )
 
 

@@ -60,6 +60,18 @@ BAD_ENTRY_RECORDS = {
     "id-int": ("B6_I_h", record_edit("id", value=7)),
     "id-list": ("B1", record_edit("id", value=["x"])),
     "id-empty": ("B1", record_edit("id", value="")),
+    # records of the wrong JSON type; each used to load
+    "summary-int": ("B1", record_edit("summary", value=7)),
+    "orientable-number": ("B6", record_edit("orientable", value=1)),
+    "vacant-annulus-object": ("B7_I_g", record_edit("vacant_annulus", value={"x": 1})),
+    "notes-number": ("B6", record_edit("notes", "geometry", value=7)),
+    "split-curves-text": ("B7_II_fg", record_edit("split_curves", value="fg")),
+    "sector-pairs-text": ("B6", record_edit("sector_pairs", value=["gh"])),
+    "vertical-annuli-bool": ("B6_I_g", record_edit("complement", 0, "vertical_annuli",
+                                                   value=True)),
+    "annulus-wrap-text": ("B6_I_g", record_edit("complement", 0, "annulus_wrap", value="2")),
+    "exceptional-object": ("B7_I_g", record_edit("complement", 0, "exceptional", value={})),
+    "flip-number": ("B3", record_edit("orientation_graph", "edges", 0, "flip", value=1)),
 }
 
 

@@ -331,8 +331,7 @@ class TestTamperedCatalog:
 
     @pytest.mark.parametrize("command", [["classify", "7/2"], ["catalog", "check"]],
                              ids=["classify", "check"])
-    @pytest.mark.parametrize("name", ["euler-edge-list", "surface-cw-list", "complement-number",
-                                      "graph-without-edges", "arc-without-direction"])
+    @pytest.mark.parametrize("name", BAD_ENTRY_RECORDS)
     def test_malformed_entry_record_exits_five(self, data_copy, name, command, capsys):
         entry, edit = BAD_ENTRY_RECORDS[name]
         rewrite(data_copy, f"catalog/entries/{entry}.json", edit)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import CatalogIntegrityError
 
 ENV_OVERRIDE = "ANOSURF_CATALOG"
+# the packaged data, read in place: the package must be installed as plain files
+PACKAGE_DATA = Path(__file__).resolve().parent / "_data"
 
 PathLike = Union[str, Path]
 
@@ -28,10 +29,6 @@ def override_dir() -> Optional[Path]:
     if not value:
         return None
     return Path(value)
-
-
-def _package_data_root():
-    return resources.files("anosurf") / "_data"
 
 
 def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
@@ -44,9 +41,7 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
         candidate = root / relpath
         if candidate.exists():
             return candidate
-    packaged = _package_data_root() / relpath
-    with resources.as_file(packaged) as p:
-        return Path(p)
+    return PACKAGE_DATA / relpath
 
 
 def load_json(relpath: str, override: Optional[PathLike] = None,

@@ -579,12 +579,8 @@ class LawReport:
 
 
 def _slopes_up_to_height(h: int) -> Set[Slope]:
-    out = {Slope(1, 0)}
-    for p in range(1, h + 1):
-        for q in range(-h, h + 1):
-            if Slope.of(q, p).height <= h:
-                out.add(Slope.of(q, p))
-    return out
+    # reducing q/p never raises its height, so every pair counts
+    return {Slope(1, 0)} | {Slope.of(q, p) for p in range(1, h + 1) for q in range(-h, h + 1)}
 
 
 # The slope each constant law allows, and for each formula law its

@@ -11,7 +11,10 @@ documented exit code, never with a traceback.
     python tests/catalogfuzz.py [FIRST [COUNT]]
 
 runs the cases of COUNT seeds from FIRST (default 0 and 100) and prints
-every case that raises or exits with another code.
+every case that raises or exits with another code. It also validates
+each edited file against its schema under docs/schemas and prints every
+case the schema refuses but no command refuses as unusable data (exit
+5); `catalog check --laws --law-bound 4` exits 4 on the shipped data too.
 """
 
 from __future__ import annotations
@@ -28,13 +31,18 @@ import traceback
 from pathlib import Path
 from typing import Iterator, List, NamedTuple, Tuple
 
+from jsonschema import Draft202012Validator
+
 from anosurf.catalog import FAMILIES, MANIFEST
 from anosurf.cli import main
-from conftest import DATA_DIR, restamp_manifest
+from conftest import DATA_DIR, load_schema, restamp_manifest
 
 POOL = (None, True, False, 0, 1, -1, 7, 2.5, "", "x", "Q1", "inf", "1/2",
         [], {}, [0, 0], ["x"], {"x": 1})
 EXIT_CODES = {0, 3, 4, 5}
+# the schema of each data file, by path prefix
+SCHEMAS = (("spine.json", "spine"), ("qcomplexes.json", "qcomplexes"), ("tracks/", "track"),
+           (MANIFEST, "manifest"), ("catalog/entries/", "entry"))
 
 
 def commands(family: str) -> List[List[str]]:
@@ -107,7 +115,9 @@ def run_case(root: Path, case: Case) -> List[Tuple[List[str], int]]:
 
 
 def _search(first: int, count: int) -> int:
-    bad = 0
+    bad = unseen = 0
+    validators = {name: Draft202012Validator(load_schema(f"{name}.schema.json"))
+                  for _, name in SCHEMAS}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "data"
         shutil.copytree(DATA_DIR, root)
@@ -124,7 +134,13 @@ def _search(first: int, count: int) -> int:
                 if code not in EXIT_CODES:
                     bad += 1
                     print(f"seed {seed}: {case.edit}: {' '.join(argv)} exited {code}")
-    print(f"{count} cases from seed {first}, {bad} faults")
+            schema = next(name for prefix, name in SCHEMAS if case.relpath.startswith(prefix))
+            if all(code != 5 for _, code in runs) and not validators[schema].is_valid(case.doc):
+                unseen += 1
+                print(f"seed {seed}: {case.edit}: the {schema} schema refuses it, "
+                      f"no command exits 5")
+    print(f"{count} cases from seed {first}, {bad} faults, "
+          f"{unseen} schema refusals that load")
     return 1 if bad else 0
 
 

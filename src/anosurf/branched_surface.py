@@ -189,11 +189,6 @@ def detect_sink_disks(disk_sectors: Sequence[dict]) -> List[str]:
 _COMPONENT_KINDS = ("SolidTorus", "Ball", "TorusCrossInterval", "Handlebody", "Other")
 
 
-def _at_least(value, least: int) -> bool:
-    """Whether value is an integer (not a bool) of at least `least`."""
-    return type(value) is int and value >= least
-
-
 @dataclass(frozen=True)
 class ComplementComponent:
     kind: str
@@ -214,26 +209,13 @@ class ComplementComponent:
 
     @staticmethod
     def from_json(doc: dict) -> "ComplementComponent":
-        """A record as shipped in a catalog entry, where every solid torus
-        piece carries its meridian data."""
-        hits = doc.get("meridian_hits")
-        needed = doc["kind"] == "SolidTorus"
-        if (needed or hits is not None) and not _at_least(hits, 0):
-            raise ValueError(f"{doc['kind']} record: meridian_hits must be a "
-                             f"nonnegative integer, not {hits!r}")
-        annuli, wrap = doc.get("vertical_annuli", 0), doc.get("annulus_wrap", [])
-        exceptional = doc.get("exceptional")
-        if not _at_least(annuli, 0) or not isinstance(wrap, list) \
-                or not all(_at_least(w, 1) for w in wrap) \
-                or type(exceptional) not in (bool, type(None)):
-            raise ValueError(f"{doc['kind']} record: vertical_annuli, annulus_wrap or "
-                             f"exceptional is not shaped as its schema says")
+        """A complement record of a catalog entry, shaped as entry.schema.json says."""
         return ComplementComponent(
             kind=doc["kind"],
-            vertical_annuli=annuli,
-            annulus_wrap=tuple(wrap),
-            meridian_hits=hits,
-            exceptional=exceptional,
+            vertical_annuli=doc.get("vertical_annuli", 0),
+            annulus_wrap=tuple(doc.get("annulus_wrap", ())),
+            meridian_hits=doc.get("meridian_hits"),
+            exceptional=doc.get("exceptional"),
             genus=doc.get("genus"),
             description=doc.get("description", ""),
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from . import _resources
+from . import _resources, _schema
 from .branched_surface import (
     ComplementComponent,
     OrientationResult,
@@ -22,7 +22,7 @@ from .branched_surface import (
     is_transversely_orientable,
 )
 from .errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
-from .slopes import AdmissibleSet, Slope, eval_admissible
+from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
 from .spine import Spine, TrackBundle
 from .traintrack import LawReport, check_law
 
@@ -38,26 +38,14 @@ EXCLUSION_CLASSES = (
 )
 
 
-def _is_text(value) -> bool:
-    return type(value) is str and value != ""
-
-
-def _texts(value, what: str, length: Optional[int] = None) -> Tuple[str, ...]:
-    """A list of non-empty strings, of the given length if there is one, as a tuple."""
-    if not isinstance(value, (list, tuple)) or not all(map(_is_text, value)) \
-            or length not in (None, len(value)):
-        raise ValueError(f"{what} must be {length or 'a list of'} non-empty strings, "
-                         f"not {value!r}")
-    return tuple(value)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One branched surface of the catalog. The constructor checks the id,
-    the family, the exclusion class and the JSON type of each record it
-    reads, stores sector_pairs and split_curves as tuples, and builds every
-    slope-independent fact, so a malformed record raises here (ValueError,
-    KeyError or TypeError), not in a later classification or health check."""
+    """One branched surface of the catalog. from_json checks a document
+    against entry.schema.json. The constructor checks the id, the family
+    and the exclusion class, stores the list records as tuples, and builds
+    every slope-independent fact, so a malformed record raises here
+    (ValueError, KeyError or TypeError), not in a later classification or
+    health check."""
 
     id: str
     family: str
@@ -90,24 +78,12 @@ class CatalogEntry:
         if self.exclusion_class not in EXCLUSION_CLASSES:
             raise ValueError(
                 f"entry {self.id} has unknown exclusion class {self.exclusion_class!r}")
-        if not _is_text(self.summary):
-            raise ValueError(f"entry {self.id}: summary must be non-empty text")
-        if type(self.orientable) not in (bool, type(None)):
-            raise ValueError(f"entry {self.id}: orientable must be a bool or null, "
-                             f"not {self.orientable!r}")
-        if self.vacant_annulus is not None and not _is_text(self.vacant_annulus):
-            raise ValueError(f"entry {self.id}: vacant_annulus must be non-empty text, "
-                             f"not {self.vacant_annulus!r}")
-        if not isinstance(self.notes, dict) or not all(
-                type(text) is str for text in self.notes.values()):
-            raise ValueError(f"entry {self.id}: notes must map names to text")
-        if not isinstance(self.sector_pairs, (list, tuple)):
-            raise ValueError(f"entry {self.id}: sector_pairs must be a list of pairs")
-        # the two list records as tuples, then the facts
+        # the list records as tuples, then the facts
         facts = {
-            "sector_pairs": tuple(_texts(pair, f"entry {self.id}: a sector pair", 2)
-                                  for pair in self.sector_pairs),
-            "split_curves": _texts(self.split_curves, f"entry {self.id}: split_curves"),
+            "disk_sectors": tuple(self.disk_sectors),
+            "complement": tuple(self.complement),
+            "sector_pairs": tuple(map(tuple, self.sector_pairs)),
+            "split_curves": tuple(self.split_curves),
             "complement_pieces": tuple(
                 ComplementComponent.from_json(doc) for doc in self.complement),
             "euler_characteristics": None if self.euler is None else (
@@ -122,22 +98,9 @@ class CatalogEntry:
 
     @staticmethod
     def from_json(doc: dict) -> "CatalogEntry":
-        return CatalogEntry(
-            id=doc["id"],
-            family=doc["family"],
-            summary=doc["summary"],
-            admissible=AdmissibleSet.from_json(doc["admissible"]),
-            exclusion_class=doc["exclusion_class"],
-            orientable=doc.get("orientable"),
-            orientation_graph=doc.get("orientation_graph"),
-            disk_sectors=tuple(doc.get("disk_sectors", ())),
-            complement=tuple(doc.get("complement", ())),
-            euler=doc.get("euler"),
-            sector_pairs=doc.get("sector_pairs", ()),
-            vacant_annulus=doc.get("vacant_annulus"),
-            split_curves=doc.get("split_curves", ()),
-            notes=doc.get("notes", {}),
-        )
+        # entry.schema.json allows exactly the keys the constructor takes
+        return CatalogEntry(**{**_schema.validate(doc, "entry"),
+                               "admissible": _admissible(doc["admissible"])})
 
 
 @dataclass(frozen=True)
@@ -178,21 +141,10 @@ class Catalog:
             "only the eleven cataloged families are supported")
 
 
-def _checked_manifest(doc: dict) -> dict:
-    files, entry_files = doc["files"], doc["entry_files"]
-    if not (isinstance(files, dict) and isinstance(entry_files, list) and entry_files
-            and all(type(s) is str for s in [*files.values(), *entry_files])
-            and isinstance(doc["families"], dict) and doc["families"]):
-        raise ValueError("files, entry_files or families is not shaped as its schema says")
-    return doc
-
-
 def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
     """One valid complex on the spine for each family, and no other; no
     two families share one."""
-    if set(doc) != set(FAMILIES):
-        raise ValueError(f"complexes of {sorted(doc)}, not of the families "
-                         f"{', '.join(FAMILIES)}")
+    _schema.validate(doc, "qcomplexes")
     complexes = {family: dict(body["connectors"]) for family, body in doc.items()}
     owners: Dict[frozenset, str] = {}
     for family, q in complexes.items():
@@ -230,7 +182,7 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
             raise CatalogIntegrityError(
                 relpath, f"unusable data ({type(exc).__name__}: {exc})") from exc
 
-    manifest = build(MANIFEST, _checked_manifest)
+    manifest = build(MANIFEST, lambda doc: _schema.validate(doc, "manifest"))
     for relpath, sha in sorted(manifest["files"].items()):
         docs[relpath] = _resources.load_json(relpath, override=path,
                                              sha256=sha if verify else None)
@@ -241,10 +193,9 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry
-    if verify and len(entries) != manifest.get("entry_count"):
+    if verify and len(entries) != manifest["entry_count"]:
         raise CatalogIntegrityError(
-            MANIFEST,
-            f"{len(entries)} entries but the manifest promises {manifest.get('entry_count')}")
+            MANIFEST, f"{len(entries)} entries but the manifest promises {manifest['entry_count']}")
     spine = build("spine.json", Spine)
     return Catalog(
         entries=entries,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import _schema
 from .errors import SlopeFormatError
 
 _SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
@@ -210,18 +211,14 @@ class AdmissibleSet:
 
     @staticmethod
     def from_json(doc: dict) -> "AdmissibleSet":
-        kind = doc.get("kind")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown admissible kind {kind!r}")
-        key, takes_count, _ = _KINDS[kind]
-        extra = set(doc) - {"kind", key, "count" if takes_count else None}
-        if extra:
-            raise ValueError(f"{kind} takes no {', '.join(sorted(extra))}")
-        text = doc.get(key)
-        if text is not None and not isinstance(text, str):
-            raise ValueError(f"{kind} {key} must be a string, not {text!r}")
-        slope = None if text is None else parse_slope(text)
-        return AdmissibleSet(kind=kind, slope=slope, count=doc.get("count"))
+        return _admissible(_schema.validate(doc, "entry", "admissible"))
+
+
+def _admissible(doc: dict) -> AdmissibleSet:
+    """The set of a record that has the shape of entry.schema.json's admissible."""
+    key = _KINDS[doc["kind"]][0]
+    return AdmissibleSet(kind=doc["kind"], slope=None if key is None else parse_slope(doc[key]),
+                         count=doc.get("count"))
 
 
 def eval_admissible(adm: AdmissibleSet, slope: Slope) -> bool:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Tuple
 
+from . import _schema
 from .errors import SpineCaseError
 from .traintrack import SlopeLaw, TrainTrack, check_roles
 
@@ -59,6 +60,7 @@ class Symmetry:
 
 class Spine:
     def __init__(self, doc: dict):
+        _schema.validate(doc, "spine")
         self.hexagons: Dict[str, List[str]] = {
             h: list(doc["hexagons"][h]["sides"]) for h in ("X", "Y")}
         self.edge_of: Dict[str, str] = {}
@@ -69,13 +71,8 @@ class Spine:
             h: list(doc["corner_vertices"][h]) for h in ("X", "Y")}
         self.connectors: Dict[str, Connector] = {}
         for c in doc["connectors"]:
-            positions = tuple(c["positions"])
-            if len(positions) != 2 or any(type(i) is not int or not 0 <= i <= 5
-                                          for i in positions):
-                raise ValueError(f"connector {c['id']!r}: positions must be two "
-                                 f"integers from 0 to 5, not {c['positions']!r}")
             conn = Connector(id=c["id"], hexagon=c["hexagon"],
-                             positions=positions, kind=c["kind"])
+                             positions=tuple(c["positions"]), kind=c["kind"])
             self.connectors[conn.id] = conn
         self._validate()
         self.symmetries: List[Symmetry] = []
@@ -96,18 +93,13 @@ class Spine:
             hits = [s for s in sides if self.edge_of[s] == edge]
             if len(hits) != 3:
                 raise ValueError(f"edge {edge} must appear on exactly three sides")
-        for h in ("X", "Y"):
-            if len(self.corner_vertices[h]) != 6:
-                raise ValueError("each hexagon has six corners")
         kinds = {1: "short", 2: "medium", 3: "long"}
         for conn in self.connectors.values():
             i, j = conn.positions
             gap = min((i - j) % 6, (j - i) % 6)
-            if kinds[gap] != conn.kind:
+            # two ends in one side (gap 0) make no kind
+            if kinds.get(gap) != conn.kind:
                 raise ValueError(f"connector {conn.id} kind disagrees with its positions")
-            s1, s2 = conn.sides(self)
-            if s1 == s2:
-                raise ValueError(f"connector {conn.id} has two ends in one side")
 
     def symmetry(self, name: str, side_map: Mapping[str, str]) -> Symmetry:
         """The symmetry with this side permutation, with the edge permutation
@@ -247,16 +239,16 @@ class TrackBundle:
 
     @staticmethod
     def from_json(doc: dict) -> "TrackBundle":
+        _schema.validate(doc, "track")
         track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
-        designated = doc.get("designated", {})
-        check_roles(track, designated)
+        check_roles(track, doc["designated"])
         return TrackBundle(
             family=doc["id"],
             track=track,
-            law=SlopeLaw.from_json(doc["law"]),
-            designated={k: tuple(v) for k, v in designated.items()},
-            noncompact=tuple(doc.get("noncompact", ())),
-            projection=tuple(doc.get("projection", ())),
+            law=SlopeLaw(**doc["law"]),
+            designated={k: tuple(v) for k, v in doc["designated"].items()},
+            noncompact=tuple(doc["noncompact"]),
+            projection=tuple(doc["projection"]),
         )
 
 

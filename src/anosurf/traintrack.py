@@ -23,18 +23,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
+from . import _schema
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import Slope, _from_reduced
 
 End = Tuple[str, str]  # (branch id, "head" | "tail")
 
 _END_NAMES = ("head", "tail")
-
-
-def _string_id(doc: dict, what: str) -> str:
-    if type(doc["id"]) is not str:
-        raise ValueError(f"{what} id must be a string, not {doc['id']!r}")
-    return doc["id"]
 
 
 @dataclass(frozen=True)
@@ -48,14 +43,7 @@ class Branch:
 
     @staticmethod
     def from_json(doc: dict) -> "Branch":
-        bid = _string_id(doc, "branch")
-        klass = tuple(doc.get("class", (0, 0)))
-        loop = doc.get("loop", False)
-        if len(klass) != 2 or any(type(x) is not int for x in klass):
-            raise ValueError(f"branch {bid!r}: class must be two integers, not {klass!r}")
-        if type(loop) is not bool:
-            raise ValueError(f"branch {bid!r}: loop must be a boolean, not {loop!r}")
-        return Branch(id=bid, klass=klass, loop=loop)
+        return Branch(id=doc["id"], klass=tuple(doc["class"]), loop=doc["loop"])
 
 
 @dataclass(frozen=True)
@@ -85,7 +73,7 @@ class Switch:
     def from_json(doc: dict) -> "Switch":
         def side(key):
             return tuple((ref["branch"], ref["end"]) for ref in doc[key])
-        return Switch(id=_string_id(doc, "switch"), one_fold=side("one_fold"),
+        return Switch(id=doc["id"], one_fold=side("one_fold"),
                       two_fold=side("two_fold"))
 
 
@@ -555,10 +543,7 @@ class SlopeLaw:
 
     @staticmethod
     def from_json(doc: dict) -> "SlopeLaw":
-        extra = set(doc) - {"kind", "surjective_height"}
-        if extra:
-            raise ValueError(f"a slope law takes no {', '.join(sorted(extra))}")
-        return SlopeLaw(kind=doc["kind"], surjective_height=doc.get("surjective_height"))
+        return SlopeLaw(**_schema.validate(doc, "track", "law"))
 
 
 @dataclass

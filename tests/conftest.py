@@ -6,10 +6,10 @@ import shutil
 import pytest
 
 from anosurf import _resources
+from anosurf._schema import SCHEMA_DIR
 from anosurf.catalog import load_catalog
 
 DATA_DIR = pathlib.Path(_resources.resolve("spine.json")).parent
-SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 # balanced, uses every edge, and puts three shorts around P1 corners; it is
 # none of the canonical complexes

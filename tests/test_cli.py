@@ -86,6 +86,24 @@ RESTAMPED_FAULTS = {
                      ("catalog/entries/B6_I_h.json", record_edit("id", value=7)), 5),
     "entry-id-list": (["classify", "7/2"],
                       ("catalog/entries/B1.json", record_edit("id", value=["x"])), 5),
+    # records of another shape than their schema's that used to load, some
+    # through a default, and exit 4 or 0
+    "vacant-annulus-null": (["catalog", "check"],
+                            ("catalog/entries/B7_I_g.json",
+                             record_edit("vacant_annulus", value=None)), 5),
+    "complement-text": (["classify", "7/2"],
+                        ("catalog/entries/R7.json", record_edit("complement", value="")), 5),
+    "split-curves-three": (["catalog", "check"],
+                           ("catalog/entries/B7_II_fg.json",
+                            record_edit("split_curves", value=["f", "g", "h"])), 5),
+    "genus-text": (["catalog", "check"],
+                   ("catalog/entries/B2.json", record_edit("complement", 0, "genus", value="inf")),
+                   5),
+    "branch-class-dropped": (["catalog", "check"],
+                             ("tracks/Q2.json",
+                              record_edit("track", "branches", 0, "class", drop=True)), 5),
+    "noncompact-dropped": (["catalog", "check"],
+                           ("tracks/Q2.json", record_edit("noncompact", drop=True)), 5),
 }
 
 
@@ -106,6 +124,14 @@ def _unlist_and_edit_q4(root):
     rewrite(root, "tracks/Q4.json", record_edit("law", value={"kind": "ONLY_FOUR"}))
 
 
+def _list_directory_entry(root):
+    """List a directory, named as the manifest schema names entry files, as the first entry."""
+    (root / "catalog" / "entries" / "dir.json").mkdir()
+    _manifest_edit(lambda doc: {
+        **doc, "files": {**doc["files"], "catalog/entries/dir.json": "0" * 64},
+        "entry_files": ["catalog/entries/dir.json", *doc["entry_files"][1:]]})(root)
+
+
 # faults of the manifest itself, which no restamp can fix, and of a file it
 # does not list: the fault and the file that `catalog check` must name
 MANIFEST_FAULTS = {
@@ -113,9 +139,10 @@ MANIFEST_FAULTS = {
     "manifest-not-json": (lambda root: (root / MANIFEST).write_text("not json"), MANIFEST),
     "listed-file-missing": (_manifest_edit(lambda doc: {
         **doc, "files": {**doc["files"], "tracks/Q12.json": "0" * 64}}), "tracks/Q12.json"),
-    "entry-path-directory": (_manifest_edit(lambda doc: {
+    "entry-path-directory": (_list_directory_entry, "catalog/entries/dir.json"),
+    "entry-path-outside-entries": (_manifest_edit(lambda doc: {
         **doc, "files": {**doc["files"], "catalog/entries": "0" * 64},
-        "entry_files": ["catalog/entries", *doc["entry_files"][1:]]}), "catalog/entries"),
+        "entry_files": ["catalog/entries", *doc["entry_files"][1:]]}), MANIFEST),
     "unlisted-file": (_unlist_and_edit_q4, "tracks/Q4.json"),
 }
 
@@ -387,5 +414,9 @@ def fuzz_root(tmp_path_factory):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_a_restamped_edit_exits_with_a_documented_code(fuzz_root, seed):
     case = catalogfuzz.make_case(fuzz_root, seed)
-    for argv, code in catalogfuzz.run_case(fuzz_root, case):
+    runs = catalogfuzz.run_case(fuzz_root, case)
+    for argv, code in runs:
         assert code in catalogfuzz.EXIT_CODES, (case.edit, argv, code)
+    # an edit that jsonschema refuses is unusable data for every command
+    if not catalogfuzz.oracle(catalogfuzz.schema_of(case.relpath)).is_valid(case.doc):
+        assert all(code == 5 for _, code in runs), (case.edit, runs)

@@ -1,17 +1,28 @@
-"""Every shipped data file conforms to its published schema."""
+"""Every shipped data file conforms to its packaged schema, and the
+package's validator agrees with jsonschema."""
+
+import pathlib
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import anosurf
+import catalogfuzz
+from anosurf import _schema
+from anosurf.catalog import load_catalog
 from anosurf.classifier import classify
+from anosurf.errors import CatalogIntegrityError
 from anosurf.slopes import parse_slope
 from conftest import (
     BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
     BAD_LAWS,
     BAD_MANIFESTS,
+    DATA_DIR,
     load_data_json,
     load_schema,
+    record_edit,
+    rewrite,
 )
 
 FAMILIES = [f"Q{i}" for i in range(1, 12)]
@@ -86,3 +97,130 @@ def test_emitted_traces(catalog):
     assert result.traces
     for trace in result.traces:
         validator.validate(trace.to_json())
+
+
+def package_accepts(doc, name: str) -> bool:
+    try:
+        _schema.validate(doc, name)
+    except ValueError:
+        return False
+    return True
+
+
+def bad_documents():
+    """Each BAD_* row of conftest as its schema and its edited document, by test id."""
+    rows = {}
+    for name, (entry, edit) in BAD_ENTRY_RECORDS.items():
+        doc = load_data_json(f"catalog/entries/{entry}.json")
+        edit(doc)
+        rows[f"entry-{name}"] = ("entry", doc)
+    for name, (family, law) in BAD_LAWS.items():
+        rows[f"track-{name}"] = ("track", {**load_data_json(f"tracks/{family}.json"), "law": law})
+    for name, edit in BAD_COMPLEXES.items():
+        doc = load_data_json("qcomplexes.json")
+        edit(doc)
+        rows[f"qcomplexes-{name}"] = ("qcomplexes", doc)
+    for name, make in BAD_MANIFESTS.items():
+        rows[f"manifest-{name}"] = ("manifest", make(load_data_json("catalog/manifest.json")))
+    return rows
+
+
+BAD_DOCUMENTS = bad_documents()
+
+
+def test_the_package_validator_accepts_every_shipped_file():
+    for relpath in catalogfuzz.data_files(DATA_DIR):
+        name = catalogfuzz.schema_of(relpath)
+        doc = load_data_json(relpath)
+        assert package_accepts(doc, name) and catalogfuzz.oracle(name).is_valid(doc), relpath
+
+
+@pytest.mark.parametrize("row", BAD_DOCUMENTS)
+def test_the_package_validator_agrees_with_jsonschema_on_a_bad_row(row):
+    name, doc = BAD_DOCUMENTS[row]
+    assert package_accepts(doc, name) == catalogfuzz.oracle(name).is_valid(doc)
+
+
+@pytest.mark.parametrize("first", range(0, 600, 100))
+def test_the_package_validator_agrees_with_jsonschema_on_fuzzed_files(first):
+    for seed in range(first, first + 100):
+        case = catalogfuzz.make_case(DATA_DIR, seed)
+        name = catalogfuzz.schema_of(case.relpath)
+        assert package_accepts(case.doc, name) == catalogfuzz.oracle(name).is_valid(case.doc), \
+            (seed, case.edit)
+
+
+# small schemas with the keywords of the packaged ones, and values on each
+# side of them
+EDGE_CASES = [
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, [5, -1, "x"]),
+    ({"const": 1}, [1, True, 1.0]),
+    ({"enum": ["a", 1, None]}, ["a", True, None, [1]]),
+    ({"type": "object", "additionalProperties": {"type": "string"}}, [{"a": 1}, {"a": "b"}]),
+    ({"patternProperties": {"^x": {"type": "integer"}}, "additionalProperties": False},
+     [{"xa": 1}, {"xa": 1, "b": 2}, {"xa": "s"}]),
+    ({"if": {"required": ["a"]}, "then": {"required": ["b"]}}, [{"a": 1}, {}, {"a": 1, "b": 2}]),
+    ({"type": "array", "minItems": 1, "maxItems": 2, "items": {"type": "integer"}},
+     [[], [1, 2], [1, 2, 3], [True]]),
+    ({"type": "string", "pattern": "^a", "minLength": 2}, ["ab", "ba", "a"]),
+    ({"minLength": 2, "minimum": 3}, [5, "x", 2, False]),
+    ({"type": ["integer", "null"], "minimum": 0}, [None, -1, 0, 0.5]),
+    ({"minProperties": 1, "required": ["a"]}, [{}, {"a": 0}, []]),
+]
+
+
+@pytest.mark.parametrize("schema, values", EDGE_CASES,
+                         ids=[f"case{i}" for i in range(len(EDGE_CASES))])
+def test_the_package_validator_agrees_with_jsonschema_on_edge_cases(schema, values):
+    check = _schema.compile_schema(schema)[None]
+    for value in values:
+        try:
+            check(value)
+            accepted = True
+        except _schema._Fault:
+            accepted = False
+        assert accepted == Draft202012Validator(schema).is_valid(value), value
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "array", "uniqueItems": True},
+    {"$defs": {"pair": {"type": "array", "items": {"type": "integer"}, "uniqueItems": True}},
+     "$ref": "#/$defs/pair"},
+], ids=["top-level", "in-defs"])
+def test_a_schema_with_an_unknown_keyword_does_not_compile(schema):
+    with pytest.raises(NotImplementedError, match="uniqueItems"):
+        _schema.compile_schema(schema)
+
+
+def test_an_integer_is_an_int():
+    law = {"kind": "ANY_SLOPE", "surjective_height": 2}
+    _schema.validate(law, "track", "law")
+    for value in (True, 2.0):
+        with pytest.raises(ValueError, match="^surjective_height: expected .'maximum': 50, "):
+            _schema.validate({**law, "surjective_height": value}, "track", "law")
+    # where jsonschema takes a float without a fraction for an integer
+    assert Draft202012Validator({"type": "integer"}).is_valid(2.0)
+
+
+@pytest.mark.parametrize("relpath, edit, where", [
+    ("catalog/entries/B6_I_g.json", BAD_ENTRY_RECORDS["meridian-null"][1],
+     "complement/0/meridian_hits: expected {'type': 'integer'}, not None"),
+    ("tracks/Q2.json", record_edit("law", value=BAD_LAWS["law-height-misspelled"][1]),
+     "law/surjective_heigth: expected {'additionalProperties': False}, not 6"),
+], ids=["entry", "law"])
+def test_a_refused_file_is_named_with_the_json_path(data_copy, relpath, edit, where):
+    rewrite(data_copy, relpath, edit)
+    with pytest.raises(CatalogIntegrityError) as info:
+        load_catalog(path=str(data_copy))
+    assert info.value.path == relpath and where in str(info.value)
+
+
+def test_every_packaged_json_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    package = pathlib.Path(anosurf.__file__).resolve().parent
+    pyproject = package.parent.parent / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["anosurf"]
+    listed = {path for pattern in globs for path in package.glob(pattern)}
+    shipped = set(package.rglob("*.json"))
+    assert _schema.SCHEMA_DIR / "entry.schema.json" in shipped
+    assert shipped - listed == set()

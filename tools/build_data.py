@@ -123,9 +123,12 @@ def build_spine_doc():
         },
         "corner_vertices": {"X": CORNER_COLORS, "Y": CORNER_COLORS},
         "connectors": connector_rows(),
-        "symmetries": [],
     }
-    symmetries = find_symmetries(Spine(doc))
+    # the spine schema wants a symmetry: the identity, until the search finds all eight
+    sides = X_SIDES + Y_SIDES
+    identity = {"name": "identity", "side_map": dict(zip(sides, sides)),
+                "edge_map": dict(zip("abcd", "abcd")), "vertex_map": {"P1": "P1", "P2": "P2"}}
+    symmetries = find_symmetries(Spine({**doc, "symmetries": [identity]}))
     # the layout was chosen so that the full group has order eight and
     # its edge action is the cyclic group generated by a 4-cycle; both
     # facts are relied on by the case split, so pin them here

@@ -23,8 +23,10 @@ _BRIEF = reprlib.Repr()
 _BRIEF.maxlevel, _BRIEF.maxdict = 2, 6
 
 
-class _Fault(Exception):
+class _Fault:
     """A value of another shape than its node's, and the keys from it to the root."""
+
+    __slots__ = ("node", "value", "path")
 
     def __init__(self, node: dict, value):
         self.node, self.value, self.path = node, value, []
@@ -34,13 +36,12 @@ def validate(doc, schema: str, definition=None):
     """Return doc if it has the shape of the packaged schema `schema` ("entry" for
     entry.schema.json) or of its $defs entry `definition`, else raise ValueError
     naming the JSON path of the fault, the schema there and the value."""
-    try:
-        _packaged(schema)[definition](doc)
-    except _Fault as fault:
+    fault = _packaged(schema)[definition](doc)
+    if fault is not None:
         where = "/".join(map(str, reversed(fault.path))) or "the document"
         shape = {k: v for k, v in fault.node.items() if k not in _NOTES}
         raise ValueError(f"{where}: expected {_BRIEF.repr(shape)}, "
-                         f"not {_BRIEF.repr(fault.value)}") from None
+                         f"not {_BRIEF.repr(fault.value)}")
     return doc
 
 
@@ -49,24 +50,18 @@ def _packaged(name: str) -> dict:
     return compile_schema(json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text("utf-8")))
 
 
-def _passes(check, value) -> bool:
-    try:
-        check(value)
-    except _Fault:
-        return False
-    return True
-
-
 def _refuse(value):
-    raise _Fault({"additionalProperties": False}, value)
+    return _Fault({"additionalProperties": False}, value)
 
 
 def compile_schema(root: dict) -> dict:
     """The check of root, under None, and of each of its $defs, by name: a function
-    that raises _Fault on a value of another shape."""
+    that returns None on a value of the node's shape and the _Fault on any other."""
     defs, checks = root.get("$defs", {}), {}
 
-    def build(node: dict):
+    def build(node: dict, inline=False):
+        """The check of node; with inline, a leaf of type and minLength only is
+        (types, minLength, node) instead, for a container to check without a call."""
         keys, name = set(node) - _NOTES, node.get("$ref", "")[len("#/$defs/"):]
         if name and (keys != {"$ref"} or node["$ref"] != f"#/$defs/{name}" or name not in defs):
             raise NotImplementedError(f"unsupported $ref in {node}")
@@ -80,6 +75,8 @@ def compile_schema(root: dict) -> dict:
             raise NotImplementedError(f"unsupported keywords in {node}")
         types = frozenset(map(_TYPES.get, names))
         if keys <= _LEAF:
+            if inline and types and keys <= {"type", "minLength"}:
+                return types, node.get("minLength", 0), node
             options = node.get("enum", [node["const"]] if "const" in node else None)
             members = None if options is None else {(type(o) is bool, o) for o in options}
             shortest, pattern = node.get("minLength", 0), node.get("pattern")
@@ -89,19 +86,19 @@ def compile_schema(root: dict) -> dict:
             def check_leaf(value):
                 kind = type(value)
                 if types and kind not in types or members is not None and (
-                        kind not in _SCALARS or (kind is bool, value) not in members):
-                    raise _Fault(node, value)
-                if kind is str and (len(value) < shortest or search and not search(value)) or (
-                        kind is int or kind is float) and not low <= value <= high:
-                    raise _Fault(node, value)
+                        kind not in _SCALARS or (kind is bool, value) not in members) or (
+                        kind is str and (len(value) < shortest or search and not search(value))
+                        or (kind is int or kind is float) and not low <= value <= high):
+                    return _Fault(node, value)
+                return None
             return check_leaf
         fewest, most = node.get("minItems", 0), node.get("maxItems", math.inf)
-        items = "items" in node and build(node["items"])
-        props = {key: build(sub) for key, sub in node.get("properties", {}).items()}
-        (regex, by_pattern), = [(re.compile(key), build(sub)) for key, sub in
+        items = build(node["items"], inline=True) if "items" in node else None
+        props = {key: build(sub, inline=True) for key, sub in node.get("properties", {}).items()}
+        (regex, by_pattern), = [(re.compile(key), build(sub, inline=True)) for key, sub in
                                 node.get("patternProperties", {}).items()] or [(None, None)]
         extra = node.get("additionalProperties", True)
-        extra = None if extra is True else _refuse if extra is False else build(extra)
+        extra = None if extra is True else _refuse if extra is False else build(extra, inline=True)
         required, least = frozenset(node.get("required", ())), node.get("minProperties", 0)
         condition = "if" in node and (build(node["if"]), build(node.get("then", {})))
         branches = [build(branch) for branch in node.get("oneOf", ())]
@@ -109,32 +106,42 @@ def compile_schema(root: dict) -> dict:
         def check(value):
             kind = type(value)
             if types and kind not in types:
-                raise _Fault(node, value)
+                return _Fault(node, value)
             if kind is dict:
                 if not value.keys() >= required:
-                    raise _Fault({"required": sorted(required - value.keys())}, value)
+                    return _Fault({"required": sorted(required - value.keys())}, value)
                 if len(value) < least:
-                    raise _Fault({"minProperties": least}, value)
-                for key, item in value.items():
-                    sub = by_pattern if regex and regex.search(key) else props.get(key, extra)
-                    try:
-                        sub and sub(item)
-                    except _Fault as fault:
-                        fault.path.append(key)
-                        raise
+                    return _Fault({"minProperties": least}, value)
+                pairs = value.items()
             elif kind is list:
                 if not fewest <= len(value) <= most:
-                    raise _Fault(node, value)
-                for index, item in enumerate(value if items else ()):
-                    try:
-                        items(item)
-                    except _Fault as fault:
-                        fault.path.append(index)
-                        raise
-            if condition and _passes(condition[0], value):
-                condition[1](value)
-            if branches and sum(_passes(branch, value) for branch in branches) != 1:
-                raise _Fault(node, value)
+                    return _Fault(node, value)
+                pairs = enumerate(value) if items else ()
+            else:
+                pairs = ()
+            for key, item in pairs:
+                sub = items if kind is list else by_pattern if regex and regex.search(
+                    key) else props.get(key, extra)
+                if sub is None:
+                    continue
+                if type(sub) is tuple:
+                    known, shortest, leaf = sub
+                    if type(item) in known and (type(item) is not str or len(item) >= shortest):
+                        continue
+                    fault = _Fault(leaf, item)
+                else:
+                    fault = sub(item)
+                    if fault is None:
+                        continue
+                fault.path.append(key)
+                return fault
+            if condition and condition[0](value) is None:
+                fault = condition[1](value)
+                if fault is not None:
+                    return fault
+            if branches and sum(branch(value) is None for branch in branches) != 1:
+                return _Fault(node, value)
+            return None
         return check
 
     for name in defs:

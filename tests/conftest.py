@@ -72,6 +72,8 @@ BAD_ENTRY_RECORDS = {
     "annulus-wrap-text": ("B6_I_g", record_edit("complement", 0, "annulus_wrap", value="2")),
     "exceptional-object": ("B7_I_g", record_edit("complement", 0, "exceptional", value={})),
     "flip-number": ("B3", record_edit("orientation_graph", "edges", 0, "flip", value=1)),
+    # a complement record that nothing reads, once shipped as null
+    "core-power-null": ("B6", record_edit("complement", 0, "core_power", value=None)),
 }
 
 

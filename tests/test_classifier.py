@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from anosurf.branched_surface import OrientationResult, verify_orientation_certificate
 from anosurf.catalog import EXCLUSION_CLASSES, candidates_for, load_catalog
 from anosurf.classifier import (
     ANCHORS,
@@ -215,6 +216,52 @@ class TestSlopeIndependentFacts:
                                    .encode("utf-8")).hexdigest() for s in grid]
 
         assert digests() == digests()
+
+
+class TestClassifyPath:
+    """classify runs each candidate's chain itself, after one check of the
+    slope, and reads the certificate its entry's constructor built."""
+
+    @pytest.mark.parametrize("text", ["1/2", "7/2", "-5/3", "101/37"])
+    def test_each_trace_is_the_entrys_exclusion_trace(self, catalog, text):
+        slope = parse_slope(text)
+        traces = classify(slope, catalog).traces
+        assert traces
+        for trace in traces:
+            alone = exclusion_trace(catalog.get(trace.entry), slope)
+            assert trace.steps == alone.steps
+            assert trace.conclusion == alone.conclusion == "Excludes"
+
+    def test_the_certificate_is_a_copy_of_the_entrys_colouring(self, catalog):
+        certified = [t for t in classify(HALF, catalog).traces
+                     if t.steps[-1].rule == "carried/orientable-contradiction"]
+        assert {catalog.get(t.entry).exclusion_class for t in certified} == {"BasicTypeII"}
+        for trace in certified:
+            entry = catalog.get(trace.entry)
+            certificate = trace.steps[-1].facts["certificate"]
+            assert certificate == entry.orientation.coloring
+            assert certificate is not entry.orientation.coloring
+            assert verify_orientation_certificate(
+                entry.orientation_graph, OrientationResult(orientable=True, coloring=certificate))
+
+    def test_an_odd_graph_under_an_orientable_flag_is_a_gap(self, catalog):
+        odd = dataclasses.replace(catalog.get("B6"),
+                                  orientation_graph=catalog.get("B3").orientation_graph)
+        assert odd.orientable is True and not odd.orientation.orientable
+        with pytest.raises(ClassificationGapError, match="failed to verify"):
+            exclusion_trace(odd, HALF)
+
+    def test_records_have_no_instance_dict(self, catalog):
+        result = classify(Slope(7, 2), catalog)
+        trace = result.traces[0]
+        step = trace.steps[0]
+        for record in (result, trace, step):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.rule = "type-ii/core-power"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.entry = "B1"
+        assert dataclasses.replace(step, facts={}) == TraceStep(step.rule)
 
 
 class TestExistenceSide:

@@ -513,7 +513,7 @@ def _loop_cw(edge_count, with_face):
 # complement records per exclusion class
 PRODUCT_PIECE = {"kind": "SolidTorus", "vertical_annuli": 2,
                  "annulus_wrap": [1, 1], "meridian_hits": 0,
-                 "exceptional": False, "core_power": None,
+                 "exceptional": False,
                  "description": "product piece behind the annulus sector; "
                                 "the core power is set by the filling denominator"}
 TYPE_I_PIECE = {"kind": "SolidTorus", "vertical_annuli": 1,

@@ -59,9 +59,7 @@ def compile_schema(root: dict) -> dict:
     that returns None on a value of the node's shape and the _Fault on any other."""
     defs, checks = root.get("$defs", {}), {}
 
-    def build(node: dict, inline=False):
-        """The check of node; with inline, a leaf of type and minLength only is
-        (types, minLength, node) instead, for a container to check without a call."""
+    def build(node: dict):
         keys, name = set(node) - _NOTES, node.get("$ref", "")[len("#/$defs/"):]
         if name and (keys != {"$ref"} or node["$ref"] != f"#/$defs/{name}" or name not in defs):
             raise NotImplementedError(f"unsupported $ref in {node}")
@@ -75,8 +73,6 @@ def compile_schema(root: dict) -> dict:
             raise NotImplementedError(f"unsupported keywords in {node}")
         types = frozenset(map(_TYPES.get, names))
         if keys <= _LEAF:
-            if inline and types and keys <= {"type", "minLength"}:
-                return types, node.get("minLength", 0), node
             options = node.get("enum", [node["const"]] if "const" in node else None)
             members = None if options is None else {(type(o) is bool, o) for o in options}
             shortest, pattern = node.get("minLength", 0), node.get("pattern")
@@ -93,12 +89,12 @@ def compile_schema(root: dict) -> dict:
                 return None
             return check_leaf
         fewest, most = node.get("minItems", 0), node.get("maxItems", math.inf)
-        items = build(node["items"], inline=True) if "items" in node else None
-        props = {key: build(sub, inline=True) for key, sub in node.get("properties", {}).items()}
-        (regex, by_pattern), = [(re.compile(key), build(sub, inline=True)) for key, sub in
+        items = build(node["items"]) if "items" in node else None
+        props = {key: build(sub) for key, sub in node.get("properties", {}).items()}
+        (regex, by_pattern), = [(re.compile(key), build(sub)) for key, sub in
                                 node.get("patternProperties", {}).items()] or [(None, None)]
         extra = node.get("additionalProperties", True)
-        extra = None if extra is True else _refuse if extra is False else build(extra, inline=True)
+        extra = None if extra is True else _refuse if extra is False else build(extra)
         required, least = frozenset(node.get("required", ())), node.get("minProperties", 0)
         condition = "if" in node and (build(node["if"]), build(node.get("then", {})))
         branches = [build(branch) for branch in node.get("oneOf", ())]
@@ -122,19 +118,10 @@ def compile_schema(root: dict) -> dict:
             for key, item in pairs:
                 sub = items if kind is list else by_pattern if regex and regex.search(
                     key) else props.get(key, extra)
-                if sub is None:
-                    continue
-                if type(sub) is tuple:
-                    known, shortest, leaf = sub
-                    if type(item) in known and (type(item) is not str or len(item) >= shortest):
-                        continue
-                    fault = _Fault(leaf, item)
-                else:
-                    fault = sub(item)
-                    if fault is None:
-                        continue
-                fault.path.append(key)
-                return fault
+                fault = sub and sub(item)
+                if fault is not None:
+                    fault.path.append(key)
+                    return fault
             if condition and condition[0](value) is None:
                 fault = condition[1](value)
                 if fault is not None:

@@ -166,7 +166,7 @@ EDGE_CASES = [
     ({"minLength": 2, "minimum": 3}, [5, "x", 2, False]),
     ({"type": ["integer", "null"], "minimum": 0}, [None, -1, 0, 0.5]),
     ({"minProperties": 1, "required": ["a"]}, [{}, {"a": 0}, []]),
-    # leaves of type and minLength only, which a container checks without a call
+    # a fault inside a container, and oneOf branches that each fail on an item
     ({"properties": {"a": {"type": "string", "minLength": 1}}, "additionalProperties": {
         "type": ["integer", "null"]}}, [{"a": ""}, {"a": "x"}, {"a": 1}, {"b": None},
                                         {"b": True}, {"b": 1.5}, {"a": "x", "b": 2}]),

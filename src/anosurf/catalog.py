@@ -23,11 +23,13 @@ from .branched_surface import (
 )
 from .errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
-from .spine import Spine, TrackBundle
-from .traintrack import LawReport, check_law
+from .spine import Spine, TrackBundle, adjacent_short_pairs
+from .traintrack import LawReport, check_law, dead_branches
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
+# the enumeration bound at which a track's noncompact branches are dead
+NONCOMPACT_BOUND = 6
 
 EXCLUSION_CLASSES = (
     "DiskLeaf",       # some leaf is a disk or the surface is too small
@@ -155,10 +157,20 @@ def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
     return complexes
 
 
-def _loaded_track(doc: dict, family: str) -> TrackBundle:
+def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
+    """The family's track, whose projection lifts its complex q: one record
+    for each copy 1 to m of each connector of multiplicity m, and arcs that
+    partition the branches, so the track has two branches per copy."""
     bundle = TrackBundle.from_json(doc)
     if bundle.family != family:
         raise ValueError(f"the track of {family} has id {bundle.family!r}")
+    copies = sorted((rec["connector"], rec["copy"]) for rec in bundle.projection)
+    if copies != sorted((cid, k) for cid, m in q.items() for k in range(1, m + 1)):
+        raise ValueError(f"the projection of {family} does not list copies 1 to m of "
+                         f"each connector of its complex {dict(q)}")
+    arcs = sorted(arc for rec in bundle.projection for arc in rec["arcs"])
+    if arcs != sorted(bundle.track.branches):
+        raise ValueError(f"the projection arcs of {family} do not partition its branches")
     return bundle
 
 
@@ -169,7 +181,10 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     the packaged data file by file. Each file, the manifest included, is
     read once, and every file the manifest lists is checked against it
     before anything is built. Only listed files are used: under either
-    `verify`, an unlisted file or a malformed manifest raises.
+    `verify`, an unlisted file or a malformed manifest raises. Each file
+    must have the shape of its schema, and each track's projection must
+    lift its family's complex; the facts that need an enumeration are left
+    to check_catalog.
     """
     docs = {MANIFEST: _resources.load_json(MANIFEST, override=path)}
 
@@ -197,13 +212,15 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
         raise CatalogIntegrityError(
             MANIFEST, f"{len(entries)} entries but the manifest promises {manifest['entry_count']}")
     spine = build("spine.json", Spine)
+    complexes = build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine))
     return Catalog(
         entries=entries,
         manifest=manifest,
         spine=spine,
-        complexes=build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine)),
+        complexes=complexes,
         tracks={family: build(f"tracks/{family}.json",
-                              lambda doc, family=family: _loaded_track(doc, family))
+                              lambda doc, family=family: _loaded_track(
+                                  doc, family, complexes[family]))
                 for family in FAMILIES},
     )
 
@@ -257,11 +274,13 @@ class CatalogReport:
 
 
 def check_catalog(catalog: Catalog) -> CatalogReport:
-    """Structural health check of every entry.
+    """Structural health check of every entry, complex and track.
 
     Verifies sink disk emptiness, orientation certificates, Euler
-    characteristic records, and the per family counts against the
-    manifest. A mismatch between the shipped entry count and the total
+    characteristic records, the per family counts against the manifest,
+    that no complex has adjacent short connectors, and that each track's
+    noncompact branches are the ones dead in every solution at bound
+    NONCOMPACT_BOUND. A mismatch between the shipped entry count and the total
     stated by the underlying tabulation is reported as a warning, not a
     failure; the discrepancy is known and documented.
     """
@@ -307,6 +326,16 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
             problems.append(f"{entry.id}: type I entry without a vacant annulus")
         if entry.exclusion_class == "SplitTypeII" and len(entry.split_curves) != 2:
             problems.append(f"{entry.id}: split entry must name two split curves")
+
+    for family in FAMILIES:
+        pairs = adjacent_short_pairs(catalog.spine, catalog.complexes[family])
+        if pairs:
+            problems.append(f"{family}: adjacent short connectors {pairs}")
+        bundle = catalog.tracks[family]
+        dead = sorted(dead_branches(bundle.track, NONCOMPACT_BOUND))
+        if sorted(bundle.noncompact) != dead:
+            problems.append(f"{family}: noncompact {list(bundle.noncompact)} "
+                            f"is not the dead branches {dead}")
 
     return CatalogReport(
         entry_count=len(catalog),

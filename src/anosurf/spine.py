@@ -10,9 +10,9 @@ that all three sides of each edge receive the same number of endpoints;
 that common number is the edge weight w_e.
 
 The case split on zero patterns of (w_a, w_b, w_c, w_d) is taken up to
-the spine's symmetries. Spine.symmetry derives a symmetry's edge
-permutation and vertex map from its side permutation; each shipped
-symmetry is rebuilt that way on load, and its shipped maps must agree.
+the spine's symmetries. The data ships each symmetry as its side
+permutation only; Spine.symmetry derives the edge permutation and vertex
+map from it on load, and refuses a side map that induces none.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .traintrack import SlopeLaw, TrainTrack, check_roles
 
 EDGES = ("a", "b", "c", "d")
 
+KINDS = {1: "short", 2: "medium", 3: "long"}
+
 
 class SpineCase(Enum):
     CD_ZERO = "CD_ZERO"
@@ -40,7 +42,12 @@ class Connector:
     id: str
     hexagon: str            # "X" or "Y"
     positions: Tuple[int, int]
-    kind: str               # "short" | "medium" | "long"
+
+    @property
+    def kind(self) -> str:
+        """short, medium or long, by the gap between its two ends"""
+        i, j = self.positions
+        return KINDS[min((i - j) % 6, (j - i) % 6)]
 
     def sides(self, spine: "Spine") -> Tuple[str, str]:
         word = spine.hexagons[self.hexagon]
@@ -49,8 +56,8 @@ class Connector:
 
 @dataclass(frozen=True)
 class Symmetry:
-    """An automorphism of the spine, stored as a side permutation with
-    its induced edge permutation and vertex map."""
+    """An automorphism of the spine: a side permutation with the edge
+    permutation and vertex map it induces."""
 
     name: str
     side_map: Mapping[str, str]
@@ -71,17 +78,11 @@ class Spine:
             h: list(doc["corner_vertices"][h]) for h in ("X", "Y")}
         self.connectors: Dict[str, Connector] = {}
         for c in doc["connectors"]:
-            conn = Connector(id=c["id"], hexagon=c["hexagon"],
-                             positions=tuple(c["positions"]), kind=c["kind"])
+            conn = Connector(id=c["id"], hexagon=c["hexagon"], positions=tuple(c["positions"]))
             self.connectors[conn.id] = conn
         self._validate()
-        self.symmetries: List[Symmetry] = []
-        for s in doc["symmetries"]:
-            sym = self.symmetry(s["name"], s["side_map"])
-            if s["edge_map"] != sym.edge_map or s["vertex_map"] != sym.vertex_map:
-                raise ValueError(f"symmetry {sym.name}: shipped edge or vertex map "
-                                 f"differs from the one its side map induces")
-            self.symmetries.append(sym)
+        self.symmetries: List[Symmetry] = [self.symmetry(s["name"], s["side_map"])
+                                           for s in doc["symmetries"]]
 
     # -- structure ---------------------------------------------------------
 
@@ -93,13 +94,10 @@ class Spine:
             hits = [s for s in sides if self.edge_of[s] == edge]
             if len(hits) != 3:
                 raise ValueError(f"edge {edge} must appear on exactly three sides")
-        kinds = {1: "short", 2: "medium", 3: "long"}
         for conn in self.connectors.values():
-            i, j = conn.positions
-            gap = min((i - j) % 6, (j - i) % 6)
-            # two ends in one side (gap 0) make no kind
-            if kinds.get(gap) != conn.kind:
-                raise ValueError(f"connector {conn.id} kind disagrees with its positions")
+            # two ends in one side make no kind
+            if conn.positions[0] == conn.positions[1]:
+                raise ValueError(f"connector {conn.id} has both ends on one side")
 
     def symmetry(self, name: str, side_map: Mapping[str, str]) -> Symmetry:
         """The symmetry with this side permutation, with the edge permutation

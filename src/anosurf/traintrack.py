@@ -23,7 +23,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from . import _schema
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import Slope, _from_reduced
 
@@ -540,10 +539,6 @@ class SlopeLaw:
         if type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT:
             raise ValueError(f"surjective_height must be an integer from 1 to "
                              f"{MAX_SURJECTIVE_HEIGHT}, not {h!r}")
-
-    @staticmethod
-    def from_json(doc: dict) -> "SlopeLaw":
-        return SlopeLaw(**_schema.validate(doc, "track", "law"))
 
 
 @dataclass

@@ -101,6 +101,20 @@ def q2_as_q1(doc):
     doc["Q2"] = doc["Q1"]
 
 
+def _q6_projection_on_all_positive(doc):
+    # Q6's six records each lift one copy of a distinct connector
+    for record, connector in zip(doc["projection"], ALL_POSITIVE_COMPLEX):
+        record["connector"] = connector
+
+
+# Q6 with ALL_POSITIVE_COMPLEX in place of its complex, in the two files that
+# must agree on it: the edited files with their edits
+ALL_POSITIVE_AS_Q6 = (
+    ("qcomplexes.json", record_edit("Q6", "connectors", value=ALL_POSITIVE_COMPLEX)),
+    ("tracks/Q6.json", _q6_projection_on_all_positive),
+)
+
+
 # Manifests that load_catalog and manifest.schema.json both refuse, with
 # their test ids: each maps the shipped manifest to a bad one.
 BAD_MANIFESTS = {

@@ -19,6 +19,7 @@ from anosurf.errors import CatalogIntegrityError, CatalogKeyError, UnsupportedCo
 from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 from conftest import (
+    ALL_POSITIVE_AS_Q6,
     ALL_POSITIVE_COMPLEX,
     BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
@@ -225,13 +226,13 @@ class TestLoading:
         assert default_catalog().tracks["Q1"].law.kind == "ONLY_FOUR"
 
     def test_family_of_reads_the_override_complexes(self, catalog, data_copy):
-        packaged_q1 = catalog.complexes["Q1"]
-        rewrite(data_copy, "qcomplexes.json",
-                 lambda doc: doc.update(Q1={"connectors": ALL_POSITIVE_COMPLEX}))
+        packaged_q6 = catalog.complexes["Q6"]
+        for relpath, edit in ALL_POSITIVE_AS_Q6:
+            rewrite(data_copy, relpath, edit)
         override = load_catalog(path=str(data_copy))
-        assert override.family_of(ALL_POSITIVE_COMPLEX) == "Q1"
+        assert override.family_of(ALL_POSITIVE_COMPLEX) == "Q6"
         with pytest.raises(UnsupportedComplexError):
-            override.family_of(packaged_q1)
+            override.family_of(packaged_q6)
         with pytest.raises(UnsupportedComplexError):
             catalog.family_of(ALL_POSITIVE_COMPLEX)
 

@@ -10,6 +10,7 @@ from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
 import catalogfuzz
 from conftest import (
+    ALL_POSITIVE_AS_Q6,
     BAD_COMPLEXES,
     BAD_ENTRY_RECORDS,
     BAD_LAWS,
@@ -54,8 +55,8 @@ def _meridian_hits(entry, value):
 
 _Q4_NU_BOOL = ("tracks/Q4.json", record_edit("designated", "nu", 0, value=False))
 
-# single-field edits of a restamped catalog: the command, the edited file
-# with its edit, and the exit code the command must give
+# edits of a restamped catalog, most of one field: the command, each edited
+# file with its edit, and the exit code the command must give
 RESTAMPED_FAULTS = {
     "type-i-meridian-null": (["classify", "7/2"], _meridian_hits("B6_I_g", None), 5),
     "type-i-meridian-pair": (["classify", "7/2"], _meridian_hits("B6_I_g", [0, 0]), 5),
@@ -104,6 +105,20 @@ RESTAMPED_FAULTS = {
                               record_edit("track", "branches", 0, "class", drop=True)), 5),
     "noncompact-dropped": (["catalog", "check"],
                            ("tracks/Q2.json", record_edit("noncompact", drop=True)), 5),
+    # a track whose projection does not lift its family's complex; each loaded
+    "projection-connector-outside-complex": (
+        ["classify", "7/2"],
+        ("tracks/Q2.json", record_edit("projection", 0, "connector", value="t6")), 5),
+    "projection-copy-missing": (["classify", "7/2"],
+                                ("tracks/Q2.json", record_edit("projection", 3, "copy", value=3)),
+                                5),
+    "projection-arc-duplicated": (
+        ["classify", "7/2"],
+        ("tracks/Q1.json", record_edit("projection", 0, "arcs", value=["u.A1", "u.A1"])), 5),
+    # facts that take an enumeration or a search, which `catalog check` makes
+    "noncompact-not-dead": (["catalog", "check"],
+                            ("tracks/Q2.json", record_edit("noncompact", value=["pos.A1"])), 4),
+    "complex-adjacent-shorts": (["catalog", "check"], *ALL_POSITIVE_AS_Q6, 4),
 }
 
 
@@ -382,8 +397,9 @@ class TestTamperedCatalog:
 
 @pytest.mark.parametrize("name", RESTAMPED_FAULTS)
 def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
-    argv, (relpath, edit), code = RESTAMPED_FAULTS[name]
-    rewrite(data_copy, relpath, edit)
+    argv, *edits, code = RESTAMPED_FAULTS[name]
+    for relpath, edit in edits:
+        rewrite(data_copy, relpath, edit)
     # main returns instead of raising: no traceback reaches the terminal
     assert main([*argv, "--catalog", str(data_copy)]) == code
     err = capsys.readouterr().err

@@ -21,7 +21,8 @@ from .branched_surface import (
     euler_characteristic,
     is_transversely_orientable,
 )
-from .errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
+from .errors import (ClassificationGapError, CatalogIntegrityError, CatalogKeyError,
+                     UnsupportedComplexError)
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
 from .spine import Spine, TrackBundle, adjacent_short_pairs
 from .traintrack import LawReport, check_law, dead_branches
@@ -242,9 +243,11 @@ def candidates_for(catalog: Catalog, slope: Slope) -> List[CatalogEntry]:
 
 
 def complement_components(entry: CatalogEntry, slope: Slope) -> List[ComplementComponent]:
-    """The complement pieces of an entry at a slope, which must be
-    admissible for the entry. The pieces do not depend on the slope;
-    the list is new on every call.
+    """The complement pieces of an entry at a slope, the checked accessor
+    that exclusion_trace and library callers use: a slope outside the
+    entry's admissible set raises ValueError. The pieces do not depend on
+    the slope; the list is new on every call. classify skips the check and
+    reads entry.complement_pieces, since its candidates are admissible.
     """
     if not eval_admissible(entry.admissible, slope):
         raise ValueError(f"slope {slope} is not admissible for {entry.id}")
@@ -280,10 +283,16 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
     characteristic records, the per family counts against the manifest,
     that no complex has adjacent short connectors, and that each track's
     noncompact branches are the ones dead in every solution at bound
-    NONCOMPACT_BOUND. A mismatch between the shipped entry count and the total
-    stated by the underlying tabulation is reported as a warning, not a
-    failure; the discrepancy is known and documented.
+    NONCOMPACT_BOUND. Each entry with no problem so far then runs its
+    exclusion chain once at 1/2: a chain reads the slope only through its
+    denominator, and denominator two checks the most premises, so a gap
+    that classify would meet at some slope is reported here. A mismatch
+    between the shipped entry count and the total stated by the
+    underlying tabulation is reported as a warning, not a failure; the
+    discrepancy is known and documented.
     """
+    from .classifier import _trace  # here, since classifier imports this module
+
     warnings: List[str] = []
     problems: List[str] = []
 
@@ -301,6 +310,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
             f"between the two lists")
 
     for entry in catalog:
+        reported = len(problems)
         # no entry may contain a sink disk
         if entry.sink_disks:
             problems.append(f"{entry.id}: sink disks {list(entry.sink_disks)}")
@@ -322,10 +332,12 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
                     f"{entry.id}: surface Euler characteristic {chi_b} "
                     f"differs from complement {chi_w}")
 
-        if entry.exclusion_class == "TypeI" and not entry.vacant_annulus:
-            problems.append(f"{entry.id}: type I entry without a vacant annulus")
-        if entry.exclusion_class == "SplitTypeII" and len(entry.split_curves) != 2:
-            problems.append(f"{entry.id}: split entry must name two split curves")
+        # the premises of the entry's chain, unless a check above reported it
+        if len(problems) == reported:
+            try:
+                _trace(entry, Slope(1, 2), entry.complement_pieces)
+            except ClassificationGapError as exc:
+                problems.append(f"{entry.id}: {exc.detail}")
 
     for family in FAMILIES:
         pairs = adjacent_short_pairs(catalog.spine, catalog.complexes[family])

@@ -12,7 +12,7 @@ from a fixed registry of the underlying facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .branched_surface import (
     ComplementComponent,
@@ -192,10 +192,13 @@ def _step(rule_id: str, **facts) -> TraceStep:
 
 
 # ---------------------------------------------------------------------------
-# Exclusion chains, one per exclusion class.
+# Exclusion chains, one per exclusion class. Each takes the entry, a
+# finite slope and the entry's complement pieces, which it only reads.
+
+_Pieces = Sequence[ComplementComponent]
 
 
-def _solid_torus(comps: List[ComplementComponent]) -> Optional[ComplementComponent]:
+def _solid_torus(comps: _Pieces) -> Optional[ComplementComponent]:
     # a loop: next() over a generator expression takes about five times as long
     for c in comps:
         if c.kind == "SolidTorus":
@@ -203,8 +206,7 @@ def _solid_torus(comps: List[ComplementComponent]) -> Optional[ComplementCompone
     return None
 
 
-def _disk_leaf_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
-    comps = complement_components(entry, slope)
+def _disk_leaf_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
     coherent = [admits_coherent_ibundle(c) for c in comps]
     if any(coherent):
         raise ClassificationGapError(
@@ -221,8 +223,7 @@ def _disk_leaf_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     return steps
 
 
-def _r7_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
-    comps = complement_components(entry, slope)
+def _r7_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
     torus = _solid_torus(comps)
     if torus is None or torus.vertical_annuli != 3:
         raise ClassificationGapError(
@@ -235,8 +236,10 @@ def _r7_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
                   coherent=False)]
 
 
-def _type_i_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
-    comps = complement_components(entry, slope)
+def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
+    if not entry.vacant_annulus:
+        raise ClassificationGapError(
+            entry.id, slope, "type I entry without a vacant annulus")
     torus = _solid_torus(comps)
     if torus is None:
         raise ClassificationGapError(
@@ -255,8 +258,10 @@ def _type_i_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     ]
 
 
-def _split_type_ii_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
-    comps = complement_components(entry, slope)
+def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
+    if len(entry.split_curves) != 2:
+        raise ClassificationGapError(
+            entry.id, slope, "split entry must name two split curves")
     torus = _solid_torus(comps)
     if torus is None or torus.vertical_annuli != 2:
         raise ClassificationGapError(
@@ -273,7 +278,7 @@ def _split_type_ii_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     ]
 
 
-def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
+def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> List[TraceStep]:
     power = slope.p
     steps = [
         _step("type-ii/slope-infinity-annulus",
@@ -328,16 +333,21 @@ def _require_finite(slope: Slope) -> None:
                    "covers finite slopes only")
 
 
-def _trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
-    """The entry's chain at a slope already checked to be finite."""
-    return ExclusionTrace(entry.id, slope, tuple(_CHAINS[entry.exclusion_class](entry, slope)))
+def _trace(entry: CatalogEntry, slope: Slope, pieces: _Pieces) -> ExclusionTrace:
+    """The entry's chain on its complement pieces, at a slope already
+    checked to be finite. Admissibility is the caller's: classify passes
+    only candidates, and exclusion_trace checks it."""
+    return ExclusionTrace(entry.id, slope,
+                          tuple(_CHAINS[entry.exclusion_class](entry, slope, pieces)))
 
 
 def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
     """The full argument excluding (or failing to exclude) an entry. The
-    infinite slope raises UnsupportedSlopeError, as in classify."""
+    infinite slope raises UnsupportedSlopeError, as in classify, and a
+    slope outside the entry's admissible set raises ValueError, for every
+    exclusion class."""
     _require_finite(slope)
-    return _trace(entry, slope)
+    return _trace(entry, slope, complement_components(entry, slope))
 
 
 def exclusion_reason(catalog: Catalog, entry_id: str, slope: Slope) -> ExclusionTrace:
@@ -430,7 +440,7 @@ def classify(slope: Slope, catalog: Optional[Catalog] = None) -> ClassificationR
         catalog = default_catalog()
     traces = []
     for entry in candidates_for(catalog, slope):
-        trace = _trace(entry, slope)
+        trace = _trace(entry, slope, entry.complement_pieces)
         if trace.conclusion != _EXCLUDES:
             raise ClassificationGapError(
                 entry.id, slope,

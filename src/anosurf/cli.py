@@ -19,7 +19,7 @@ import click
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
 from .classifier import ANCHORS, classify
 from .errors import AnosurfError
-from .slopes import Slope, is_hyperbolic, parse_slope
+from .slopes import Slope, is_hyperbolic, parse_slope, up_to_height
 
 
 # Ceiling on law-check bounds: the check grows steeply with the bound, and
@@ -97,17 +97,11 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str])
 @catalog_option
 def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
     """Classify every reduced slope q/p with p and |q| at most the bound."""
-    from math import gcd
-
     catalog = load_catalog(path=catalog_path)
     started = time.monotonic()
     kinds = {}
-    for p in range(1, max_height + 1):
-        for q in range(-max_height, max_height + 1):
-            if gcd(p, abs(q)) != 1:
-                continue
-            s = Slope(q=q, p=p)
-            kinds.setdefault(classify(s, catalog=catalog).kind, []).append(s)
+    for s in up_to_height(max_height):
+        kinds.setdefault(classify(s, catalog=catalog).kind, []).append(s)
     elapsed = time.monotonic() - started
     counts = {k: len(v) for k, v in sorted(kinds.items())}
     if fmt == "json":

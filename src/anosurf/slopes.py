@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from . import _schema
 from .errors import SlopeFormatError
@@ -51,12 +51,7 @@ class Slope:
             raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
-        if p < 0:
-            p, q = -p, -q
-        if p == 0:
-            return Slope(1, 0)
-        g = math.gcd(p, q)
-        return Slope(q // g, p // g)
+        return Slope(*_reduced(p, q))
 
     @property
     def is_infinity(self) -> bool:
@@ -79,9 +74,19 @@ class Slope:
         return f"{self.q}/{self.p}"
 
 
+def _reduced(p: int, q: int) -> Tuple[int, int]:
+    """The slope of the nonzero class (p, q) as a reduced pair (q, p), with
+    p >= 0 and the meridian as (1, 0): the one reduction of an integer
+    pair, which Slope.of and the slope law checks share."""
+    g = math.gcd(p, q)
+    if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
+        g = -g
+    return q // g, p // g
+
+
 def _from_reduced(q: int, p: int) -> Slope:
     """The Slope (q, p) without the checks of __post_init__, for a pair
-    that traintrack._reduced produced: both are ints, not bools, p >= 0,
+    that _reduced produced: both are ints, not bools, p >= 0,
     gcd(p, q) == 1 (so not both 0), and the meridian is (1, 0). Any other
     pair goes through Slope or Slope.of."""
     slope = object.__new__(Slope)
@@ -119,11 +124,15 @@ def parse_slope(text: Union[str, int, Fraction, "Slope"]) -> Slope:
         p = int(m.group(2)) if m.group(2) is not None else 1
     except ValueError:    # more digits than int() converts
         raise SlopeFormatError(text, "too many digits") from None
-    if p == 0 and q == 0:
-        raise SlopeFormatError(text, "both coefficients vanish")
-    if p == 0:
-        return INFINITY
     return Slope.of(q, p)
+
+
+def up_to_height(h: int) -> Iterator[Slope]:
+    """The finite slopes of height at most h, each once, by p and then q."""
+    for p in range(1, h + 1):
+        for q in range(-h, h + 1):
+            if math.gcd(p, q) == 1:
+                yield Slope(q, p)
 
 
 def intersection_number(a: Slope, b: Slope) -> int:

@@ -15,7 +15,9 @@ every case that raises or exits with another code. It also validates
 each edited file with jsonschema against its packaged schema (under
 src/anosurf/_schemas) and prints every case the schema refuses but some
 command does not refuse as unusable data (exit 5); `catalog check --laws
---law-bound 4` exits 4 on the shipped data too.
+--law-bound 4` exits 4 on the shipped data too. Last, it prints every
+case that a plain `catalog check` passes (exit 0) while a classify
+command does not: a catalog that checks ok must classify.
 """
 
 from __future__ import annotations
@@ -58,10 +60,19 @@ def oracle(name: str) -> Draft202012Validator:
     return Draft202012Validator(load_schema(f"{name}.schema.json"))
 
 
+CLASSIFY = (["classify", "7/2"], ["classify", "5/3"])
+CHECK = ["catalog", "check"]
+
+
 def commands(family: str) -> List[List[str]]:
-    return [["classify", "7/2"], ["classify", "5/3"], ["sweep", "--max", "4"],
-            ["track", family, "--bound", "4"],
+    return [*CLASSIFY, ["sweep", "--max", "4"], ["track", family, "--bound", "4"], CHECK,
             ["catalog", "check", "--laws", "--law-bound", "4"], ["catalog", "list"]]
+
+
+def checked_but_unclassified(runs: List[Tuple[List[str], int]]) -> bool:
+    """Whether `catalog check` passed the case while a classify refused it."""
+    codes = {tuple(argv): code for argv, code in runs}
+    return codes[tuple(CHECK)] == 0 and any(codes[tuple(argv)] for argv in CLASSIFY)
 
 
 def data_files(root: Path) -> List[str]:
@@ -128,7 +139,7 @@ def run_case(root: Path, case: Case) -> List[Tuple[List[str], int]]:
 
 
 def _search(first: int, count: int) -> int:
-    bad = unseen = 0
+    bad = unseen = missed = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "data"
         shutil.copytree(DATA_DIR, root)
@@ -150,8 +161,12 @@ def _search(first: int, count: int) -> int:
                 unseen += 1
                 print(f"seed {seed}: {case.edit}: the {schema} schema refuses it, "
                       f"not every command exits 5")
+            if checked_but_unclassified(runs):
+                missed += 1
+                print(f"seed {seed}: {case.edit}: catalog check exits 0, a classify does not")
     print(f"{count} cases from seed {first}, {bad} faults, "
-          f"{unseen} schema refusals that load")
+          f"{unseen} schema refusals that load, "
+          f"{missed} classify refusals that catalog check passes")
     return 1 if bad else 0
 
 

@@ -3,9 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
+from anosurf import classifier
 from anosurf.branched_surface import OrientationResult, verify_orientation_certificate
 from anosurf.catalog import EXCLUSION_CLASSES, candidates_for, load_catalog
 from anosurf.classifier import (
@@ -22,9 +24,20 @@ from anosurf.classifier import (
     unique_flow_argument,
 )
 from anosurf.errors import ClassificationGapError, UnsupportedSlopeError
-from anosurf.slopes import INFINITY, Slope, parse_slope
+from anosurf.slopes import INFINITY, ZERO, AdmissibleSet, Slope, parse_slope
 
 HALF = Slope(1, 2)
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+# one entry of each exclusion class at a slope outside its admissible
+# set, the set replaced where the shipped one admits every slope
+INADMISSIBLE = {
+    "DiskLeaf": ("B1", None, "1/2"),
+    "TypeI": ("B5", None, "7/2"),
+    "SplitTypeII": ("B7_II_fg", None, "3"),
+    "R7Cusps": ("R7", AdmissibleSet("IntegerDenominatorAtLeast2"), "3"),
+    "BasicTypeII": ("B6", AdmissibleSet("Only", slope=ZERO), "1/2"),
+}
 
 
 class TestRuleTable:
@@ -131,6 +144,16 @@ class TestExclusionChains:
     def test_one_chain_per_exclusion_class(self):
         assert set(_CHAINS) == set(EXCLUSION_CLASSES)
 
+    @pytest.mark.parametrize("klass", EXCLUSION_CLASSES)
+    def test_exclusion_trace_refuses_an_inadmissible_slope(self, catalog, klass):
+        entry_id, admissible, text = INADMISSIBLE[klass]
+        entry = catalog.get(entry_id)
+        if admissible is not None:
+            entry = dataclasses.replace(entry, admissible=admissible)
+        assert entry.exclusion_class == klass
+        with pytest.raises(ValueError, match="not admissible"):
+            exclusion_trace(entry, parse_slope(text))
+
     def test_premise_terminal_trace_has_no_conclusion(self):
         trace = ExclusionTrace(entry="X", slope=HALF,
                                steps=(TraceStep(rule="type-ii/core-power"),))
@@ -231,6 +254,15 @@ class TestClassifyPath:
             alone = exclusion_trace(catalog.get(trace.entry), slope)
             assert trace.steps == alone.steps
             assert trace.conclusion == alone.conclusion == "Excludes"
+
+    @pytest.mark.parametrize("name,text", [("classify_7_2.json", "7/2"),
+                                           ("classify_1_2.json", "1/2")])
+    def test_classify_does_not_retest_admissibility(self, catalog, monkeypatch, name, text):
+        def refuse(entry, slope):
+            raise AssertionError("classify called the checked accessor")
+        monkeypatch.setattr(classifier, "complement_components", refuse)
+        doc = classify(parse_slope(text), catalog).to_json("full")
+        assert json.dumps(doc, indent=2) + "\n" == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
     def test_the_certificate_is_a_copy_of_the_entrys_colouring(self, catalog):
         certified = [t for t in classify(HALF, catalog).traces

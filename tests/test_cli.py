@@ -119,6 +119,15 @@ RESTAMPED_FAULTS = {
     "noncompact-not-dead": (["catalog", "check"],
                             ("tracks/Q2.json", record_edit("noncompact", value=["pos.A1"])), 4),
     "complex-adjacent-shorts": (["catalog", "check"], *ALL_POSITIVE_AS_Q6, 4),
+    # a premise that a chain cites and its entry lacks: the chain refuses
+    # it, and `catalog check` runs each entry's chain once; each exited 0
+    "vacant-annulus-dropped": (["classify", "7/2"],
+                               ("catalog/entries/B7_I_g.json",
+                                record_edit("vacant_annulus", drop=True)), 4),
+    "split-curves-dropped": (["classify", "7/2"],
+                             ("catalog/entries/B7_II_fg.json",
+                              record_edit("split_curves", drop=True)), 4),
+    "type-i-meridian-three-check": (["catalog", "check"], _meridian_hits("B5", 3), 4),
 }
 
 
@@ -436,3 +445,5 @@ def test_a_restamped_edit_exits_with_a_documented_code(fuzz_root, seed):
     # an edit that jsonschema refuses is unusable data for every command
     if not catalogfuzz.oracle(catalogfuzz.schema_of(case.relpath)).is_valid(case.doc):
         assert all(code == 5 for _, code in runs), (case.edit, runs)
+    # a catalog that `catalog check` passes classifies
+    assert not catalogfuzz.checked_but_unclassified(runs), (case.edit, runs)

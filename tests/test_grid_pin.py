@@ -17,7 +17,7 @@ import pathlib
 
 from anosurf.catalog import load_catalog
 from anosurf.classifier import classify
-from anosurf.slopes import Slope
+from anosurf.slopes import Slope, up_to_height
 
 PIN = pathlib.Path(__file__).resolve().parent / "golden" / "grid_h50.sha256"
 MAX_HEIGHT = 50
@@ -50,6 +50,13 @@ def test_grid_results_are_unchanged(catalog):
     # compare per height, so a failure names the heights that moved
     moved = [w.split()[0] for w, h in zip(want, have) if w != h]
     assert len(have) == len(want) and not moved, f"heights that changed: {moved}"
+
+
+def test_up_to_height_is_the_grid_by_p_then_q():
+    grid = list(up_to_height(MAX_HEIGHT))
+    assert len(grid) == 3095
+    assert set(grid) == {s for h in range(1, MAX_HEIGHT + 1) for s in height_slopes(h)}
+    assert grid == sorted(grid, key=lambda s: (s.p, s.q))
 
 
 if __name__ == "__main__":

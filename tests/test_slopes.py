@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anosurf.errors import SlopeFormatError
@@ -48,6 +48,25 @@ class TestSlopeConstruction:
             Slope.of(True, 1)
         with pytest.raises(SlopeFormatError):
             Slope.of(3, False)
+
+    @settings(max_examples=300)
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+    @example(5, 0)
+    @example(-1, 0)
+    @example(0, 0)
+    @example(0, -7)
+    @example(6, -4)
+    def test_of_is_the_reduction_through_fraction(self, q, p):
+        if p == q == 0:
+            with pytest.raises(SlopeFormatError):
+                Slope.of(q, p)
+            return
+        value = INFINITY if p == 0 else Slope(Fraction(q, p).numerator,
+                                              Fraction(q, p).denominator)
+        assert Slope.of(q, p) == value
+        for bad in ((True, p), (q, False)):
+            with pytest.raises(SlopeFormatError):
+                Slope.of(*bad)
 
     def test_properties(self):
         s = Slope(7, 2)

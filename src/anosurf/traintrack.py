@@ -17,10 +17,12 @@ of the weight tuple over branch ids sorted alphabetically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
@@ -77,19 +79,25 @@ class Switch:
 
 
 class TrainTrack:
+    """A validated track. It is immutable after construction: `branches`
+    and `switches` are read-only mappings, so the solve plan built on the
+    first solve stays the plan of this track."""
+
     def __init__(self, branches: Sequence[Branch], switches: Sequence[Switch],
                  track_id: str = "track"):
         self.track_id = track_id
-        self.branches: Dict[str, Branch] = {}
+        by_id: Dict[str, Branch] = {}
         for b in branches:
-            if b.id in self.branches:
+            if b.id in by_id:
                 raise SwitchSystemError(track_id, f"duplicate branch id {b.id!r}")
-            self.branches[b.id] = b
-        self.switches: Dict[str, Switch] = {}
+            by_id[b.id] = b
+        self.branches: Mapping[str, Branch] = MappingProxyType(by_id)
+        by_sid: Dict[str, Switch] = {}
         for s in switches:
-            if s.id in self.switches:
+            if s.id in by_sid:
                 raise SwitchSystemError(track_id, f"duplicate switch id {s.id!r}")
-            self.switches[s.id] = s
+            by_sid[s.id] = s
+        self.switches: Mapping[str, Switch] = MappingProxyType(by_sid)
         self.validate()
 
     # -- structure ---------------------------------------------------------
@@ -177,6 +185,12 @@ class TrainTrack:
         comps.sort(key=lambda g: g[0])
         return comps
 
+    @functools.cached_property
+    def _solve_plan(self) -> "_SolvePlan":
+        """What every solve of this track needs at any bound, built on the
+        first solve and kept on the track."""
+        return _SolvePlan.of(self)
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -199,13 +213,16 @@ class TrainTrack:
 
 
 Row = Tuple[Tuple[int, int], ...]  # (local index, coefficient) pairs
+System = Tuple[int, Tuple[Row, ...]]  # a component's size and its rows
+# One level per free choice: (index chosen, steps); see _elimination_plan.
+Levels = Tuple[Tuple[Optional[int], tuple], ...]
 
 # The most solutions enumerate_solutions builds. Every family fits at bound
 # 10 (Q7 has 121^3 = 1,771,561); Q2 at bound 20 has 3311^2 = 10,962,721.
 ENUMERATION_CAP = 2_000_000
 
 
-def _local_system(rows: List[Dict[str, int]], comp: List[str]) -> Tuple[Row, ...]:
+def _local_system(rows: List[Dict[str, int]], comp: Sequence[str]) -> Tuple[Row, ...]:
     """The switch rows supported on comp, in comp's local indices, sorted
     so that components with the same system get the same key."""
     index = {bid: i for i, bid in enumerate(comp)}
@@ -213,7 +230,7 @@ def _local_system(rows: List[Dict[str, int]], comp: List[str]) -> Tuple[Row, ...
                         for row in rows if row and next(iter(row)) in index))
 
 
-def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[int], list]]:
+def _elimination_plan(n: int, system: Tuple[Row, ...]) -> Levels:
     """One level per free choice (None before the first): (index chosen,
     steps). A step (i, c, rest, b) forces w[i] from its row's other entries
     rest; (None, 0, row, b) checks a fully known row. What a row forces
@@ -231,25 +248,24 @@ def _elimination_plan(n: int, system: Tuple[Row, ...]) -> List[Tuple[Optional[in
             pending.remove(row)
             i, c = next(((i, c) for i, c in row if i not in known), (None, 0))
             known.add(i)
-            rest = [(j, d) for j, d in row if j != i]
+            rest = tuple((j, d) for j, d in row if j != i)
             b = sum(d * moves.get(j, 0) for j, d in rest)
             if i is not None:
                 b = moves[i] = -c * b
             steps.append((i, c, rest, b))
-        levels.append((choice, steps))
+        levels.append((choice, tuple(steps)))
         choice = next((i for i in range(n) if i not in known), None)
         if choice is None:
-            return levels
+            return tuple(levels)
         known.add(choice)
 
 
-def _component_solutions(n: int, system: Tuple[Row, ...], bound: int) -> List[Tuple[int, ...]]:
-    """All weight tuples of length n satisfying every row of system (in
-    local indices), each weight <= bound, sorted. Each level of the
-    elimination plan works out once, from the weights already known, the
-    range of its free choice that keeps every forced weight in [0, bound]
-    and every checked row at 0, and walks only that range."""
-    levels = _elimination_plan(n, system)
+def _component_solutions(n: int, levels: Levels, bound: int) -> List[Tuple[int, ...]]:
+    """All weight tuples of length n satisfying the rows that levels, their
+    elimination plan, was built from, each weight <= bound, sorted. Each
+    level works out once, from the weights already known, the range of its
+    free choice that keeps every forced weight in [0, bound] and every
+    checked row at 0, and walks only that range."""
     weights = [0] * n
     out: List[Tuple[int, ...]] = []
 
@@ -318,17 +334,36 @@ def _component_solutions(n: int, system: Tuple[Row, ...], bound: int) -> List[Tu
     return out
 
 
-def _solve(track: TrainTrack, bound: int) -> Tuple[List[List[str]], List[List[Tuple[int, ...]]]]:
-    """The track's components and, aligned with them, each one's sorted
-    weight tuples at this bound. Components with the same size and the
-    same rows in local indices are solved once and share one list."""
+class _SolvePlan(NamedTuple):
+    """The part of a solve that does not depend on the bound. Components
+    with the same size and the same rows in local indices share one
+    elimination plan."""
+
+    comps: Tuple[Tuple[str, ...], ...]
+    systems: Tuple[System, ...]                       # aligned with comps
+    levels: Mapping[System, Levels]                   # one per distinct system
+    klasses: Tuple[Tuple[Tuple[int, int], ...], ...]  # branch classes, aligned with comps
+
+    @classmethod
+    def of(cls, track: TrainTrack) -> "_SolvePlan":
+        comps = tuple(map(tuple, track.components()))
+        rows = track.switch_system()
+        systems = tuple((len(comp), _local_system(rows, comp)) for comp in comps)
+        levels = {key: _elimination_plan(*key) for key in dict.fromkeys(systems)}
+        klasses = tuple(tuple(track.branches[b].klass for b in comp) for comp in comps)
+        return cls(comps, systems, MappingProxyType(levels), klasses)
+
+
+def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Tuple[int, ...]]]]:
+    """The track's solve plan and, aligned with its components, each one's
+    sorted weight tuples at this bound. Components that share an
+    elimination plan are solved once and share one list."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    comps = track.components()
-    rows = track.switch_system()
-    keys = [(len(comp), _local_system(rows, comp)) for comp in comps]
-    solved = {key: _component_solutions(*key, bound) for key in set(keys)}
-    return comps, [solved[key] for key in keys]
+    plan = track._solve_plan
+    solved = {key: _component_solutions(key[0], levels, bound)
+              for key, levels in plan.levels.items()}
+    return plan, [solved[key] for key in plan.systems]
 
 
 def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
@@ -337,12 +372,12 @@ def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
 
     Raises ValueError, before building any, when there are more than
     ENUMERATION_CAP of them."""
-    comps, per_comp = _solve(track, bound)
+    plan, per_comp = _solve(track, bound)
     count = math.prod(map(len, per_comp))
     if count > ENUMERATION_CAP:
         raise ValueError(f"{count} solutions at bound {bound} exceed the "
                          f"enumeration cap of {ENUMERATION_CAP}")
-    ids = [bid for comp in comps for bid in comp]
+    ids = [bid for comp in plan.comps for bid in comp]
     order = track.branch_order()
     solutions = [dict(zip(ids, itertools.chain.from_iterable(combo)))
                  for combo in itertools.product(*per_comp)]
@@ -395,14 +430,20 @@ class _ClassMap(NamedTuple):
 
 def _class_map(sols: List[Tuple[int, ...]], coef: Tuple[int, ...], bound: int) -> _ClassMap:
     """The class map of a component with these sorted solutions and
-    packed branch classes, with one dot product per solution."""
+    packed branch classes."""
     least = bound * sum(min(c, 0) for c in coef)
+    # Every solution's packed class minus least, summed column by column:
+    # one lazy product per branch over its weight column.
+    packed = itertools.repeat(-least)
+    for c, column in zip(coef, zip(*sols)):
+        if c:
+            packed = map(operator.add, packed, map(operator.mul, itertools.repeat(c), column))
     # sols[0] is the zero tuple; the rest are nonzero and ascending, so
     # the first tuple seen for a class is its lex-first one, and at class
     # 0 it is the component's null tuple.
     nonzero: Dict[int, Tuple[int, ...]] = {}
-    for tup in itertools.islice(sols, 1, None):
-        nonzero.setdefault(sum(map(operator.mul, coef, tup)) - least, tup)
+    for bit, tup in zip(itertools.islice(packed, 1, None), itertools.islice(sols, 1, None)):
+        nonzero.setdefault(bit, tup)
     zero = -least
     nonzero_mask = sum(1 << b for b in nonzero)
     after = dict(nonzero)
@@ -414,8 +455,8 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     """The branch ids in component order, and over them as one weight
     tuple the witness of each nonzero realized class, in ascending witness
     order, and the null witness or None. See carried_classes."""
-    comps, solved = _solve(track, bound)
-    klasses = [[track.branches[b].klass for b in comp] for comp in comps]
+    plan, solved = _solve(track, bound)
+    klasses = plan.klasses
     # A class (p, q) packs into the integer p * width + q. width exceeds
     # the spread of q over every solution, so the packing is one to one
     # and classes add as their packed integers do.
@@ -465,7 +506,7 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
         else:
             p, q = divmod(b - zero_bit - q_least, width)
             classes[(p, q + q_least)] = tup
-    return [bid for comp in comps for bid in comp], classes, null
+    return [bid for comp in plan.comps for bid in comp], classes, null
 
 
 def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
@@ -483,7 +524,8 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
     """Branches carrying zero weight in every solution at this bound."""
     alive: Set[str] = set()
-    for comp, sols in zip(*_solve(track, bound)):
+    plan, solved = _solve(track, bound)
+    for comp, sols in zip(plan.comps, solved):
         for tup in sols:
             for bid, w in zip(comp, tup):
                 if w:

@@ -366,6 +366,10 @@ def brute_force_solutions(n, system, bound):
             if all(sum(c * w[i] for i, c in row) == 0 for row in system)]
 
 
+def solve_system(n, system, bound):
+    return traintrack._component_solutions(n, traintrack._elimination_plan(n, system), bound)
+
+
 class TestComponentSolve:
     @pytest.mark.parametrize("n,system", DOUBLING_SYSTEMS)
     def test_doubling_systems_move_by_two(self, n, system):
@@ -376,16 +380,44 @@ class TestComponentSolve:
     @pytest.mark.parametrize("bound", range(6))
     @pytest.mark.parametrize("n,system", DOUBLING_SYSTEMS)
     def test_doubling_systems_match_brute_force(self, n, system, bound):
-        assert traintrack._component_solutions(n, system, bound) == \
-            brute_force_solutions(n, system, bound)
+        assert solve_system(n, system, bound) == brute_force_solutions(n, system, bound)
 
     @example(DOUBLING_SYSTEMS[0], 3)
     @given(raw_systems(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=250, deadline=None)
     def test_raw_systems_match_brute_force(self, case, bound):
         n, system = case
-        assert traintrack._component_solutions(n, system, bound) == \
-            brute_force_solutions(n, system, bound)
+        assert solve_system(n, system, bound) == brute_force_solutions(n, system, bound)
+
+
+def dot_product_class_map(sols, coef, bound):
+    """_class_map's definition: one dot product per solution, keeping the
+    first tuple of each class."""
+    least = bound * sum(min(c, 0) for c in coef)
+    nonzero = {}
+    for tup in sols[1:]:
+        nonzero.setdefault(sum(c * w for c, w in zip(coef, tup)) - least, tup)
+    zero = -least
+    nonzero_mask = sum(1 << b for b in nonzero)
+    after = {**nonzero, zero: sols[0]}
+    return nonzero, nonzero_mask, zero, nonzero_mask | 1 << zero, after
+
+
+class TestClassMap:
+    @given(raw_systems(), st.data(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=250, deadline=None)
+    def test_column_packing_matches_dot_products(self, case, data, bound):
+        n, system = case
+        # small coefficients make classes collide, so the first tuple of a
+        # class has later tuples to lose to
+        coef = tuple(data.draw(st.lists(st.integers(min_value=-4, max_value=4),
+                                         min_size=n, max_size=n)))
+        sols = solve_system(n, system, bound)
+        got = traintrack._class_map(sols, coef, bound)
+        nonzero, nonzero_mask, zero, mask, after = dot_product_class_map(sols, coef, bound)
+        assert list(got.nonzero.items()) == list(nonzero.items())
+        assert (got.nonzero_mask, got.zero, got.mask) == (nonzero_mask, zero, mask)
+        assert list(got.after.items()) == list(after.items())
 
 
 def _assert_matches_witness_oracle(doc, bound, track_id):
@@ -411,6 +443,78 @@ EDGE_TRACKS = {
     "negative-p": lambda: joined("negative-p", circle("a", (-1, -4)), circle("b", (-2, 1)),
                                  pinched_pair((1, 3))),
 }
+
+
+def _assert_same_result(got, want):
+    """Equal results, down to the order of the classes."""
+    assert got == want
+    if isinstance(got, traintrack.CarriedClasses):
+        assert list(got.classes.items()) == list(want.classes.items())
+
+
+class TestSolvePlan:
+    @pytest.mark.parametrize("family", [f"Q{i}" for i in range(1, 12)])
+    def test_a_warm_track_matches_a_fresh_one(self, family, catalog, monkeypatch):
+        build, built = traintrack._elimination_plan, []
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(traintrack, "_elimination_plan", counted)
+        bundle = catalog.tracks[family]
+        doc = load_data_json(f"tracks/{family}.json")["track"]
+        warm = TrainTrack.from_json(doc, track_id=family)
+        rows = warm.switch_system()
+        systems = {(len(comp), traintrack._local_system(rows, comp))
+                   for comp in warm.components()}
+        calls = [
+            lambda t: dead_branches(t, 6),
+            lambda t: check_law(t, bundle.law, bundle.designated, 20, family=family),
+            lambda t: carried_classes(t, 0),
+            lambda t: carried_classes(t, 3),
+            lambda t: enumerate_solutions(t, 2),
+        ]
+        for k, call in enumerate(calls):
+            before = len(built)
+            got = call(warm)
+            # the first call builds one plan per distinct local system,
+            # and no later call builds any
+            assert len(built) - before == (len(systems) if k == 0 else 0)
+            if k == 0:
+                assert set(built) == systems
+            _assert_same_result(got, call(TrainTrack.from_json(doc, track_id=family)))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.permutations(range(5)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_warm_tracks_match_fresh_ones(self, seed, bounds):
+        doc = random_track_doc(seed, max_branches=6)
+        warm = TrainTrack.from_json(doc, track_id=f"warm{seed}")
+        for bound in bounds:
+            fresh = TrainTrack.from_json(doc, track_id=f"fresh{seed}")
+            for call in (carried_classes, dead_branches, enumerate_solutions):
+                _assert_same_result(call(warm, bound), call(fresh, bound))
+
+    def test_branches_and_switches_are_read_only(self):
+        track = pinched_pair()
+        with pytest.raises(TypeError):
+            track.branches["A1"] = Branch("A1", (5, 5))
+        with pytest.raises(TypeError):
+            track.switches["swA1"] = track.switches["swB1"]
+
+    def test_components_are_new_lists(self):
+        def two_circles():
+            return joined("two", circle("a", (1, 0)), circle("b", (0, 1)))
+
+        want = carried_classes(two_circles(), 3)
+        track = two_circles()
+        for _ in range(2):  # before the plan is built, then after
+            comps = track.components()
+            comps[0].append("b1")
+            comps.pop()
+            assert track.components() == [["a1", "a2"], ["b1", "b2"]]
+            got = carried_classes(track, 3)
+            assert list(got.classes.items()) == list(want.classes.items())
 
 
 class TestAgainstWitnessOracle:

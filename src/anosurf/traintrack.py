@@ -13,6 +13,15 @@ Branches may close up without meeting any switch (loop branches); their
 weight is unconstrained. Weight enumeration is exact and bounded: all
 solutions with every weight at most the bound, in lexicographic order
 of the weight tuple over branch ids sorted alphabetically.
+
+Each connected component is solved on its own, as runs: along the last
+free weight of its elimination plan the solutions move by one fixed
+step, so a run (first tuple, length) stands for that many consecutive
+solutions, and so does an arithmetic progression of packed classes. A
+component with more than COMPONENT_SOLUTION_CAP solutions raises
+SwitchSystemError. Every formula law is linear in its role sums, so it
+holds on every witness once it holds on every single branch; check_law
+compares witness by witness only when some branch breaks it.
 """
 
 from __future__ import annotations
@@ -216,10 +225,16 @@ Row = Tuple[Tuple[int, int], ...]  # (local index, coefficient) pairs
 System = Tuple[int, Tuple[Row, ...]]  # a component's size and its rows
 # One level per free choice: (index chosen, steps); see _elimination_plan.
 Levels = Tuple[Tuple[Optional[int], tuple], ...]
+# Consecutive solutions (first tuple, length); see _component_solutions.
+Run = Tuple[Tuple[int, ...], int]
 
 # The most solutions enumerate_solutions builds. Every family fits at bound
 # 10 (Q7 has 121^3 = 1,771,561); Q2 at bound 20 has 3311^2 = 10,962,721.
 ENUMERATION_CAP = 2_000_000
+
+# The most solutions one component may have. The shipped tracks peak at
+# 45,526, Q4's at bound 50.
+COMPONENT_SOLUTION_CAP = 1_000_000
 
 
 def _local_system(rows: List[Dict[str, int]], comp: Sequence[str]) -> Tuple[Row, ...]:
@@ -260,14 +275,33 @@ def _elimination_plan(n: int, system: Tuple[Row, ...]) -> Levels:
         known.add(choice)
 
 
-def _component_solutions(n: int, levels: Levels, bound: int) -> List[Tuple[int, ...]]:
+def _run_step(n: int, levels: Levels) -> Tuple[int, ...]:
+    """How a run moves from one solution to the next: 1 on the last
+    level's choice and b on each weight that level forces (0 everywhere
+    when there is no choice). It does not depend on the bound."""
+    choice, steps = levels[-1]
+    moves = {i: b for i, _, _, b in steps if i is not None} if choice is not None else {}
+    return tuple(1 if i == choice else moves.get(i, 0) for i in range(n))
+
+
+def _component_solutions(n: int, levels: Levels, bound: int,
+                         track_id: str = "track") -> List[Run]:
     """All weight tuples of length n satisfying the rows that levels, their
-    elimination plan, was built from, each weight <= bound, sorted. Each
-    level works out once, from the weights already known, the range of its
-    free choice that keeps every forced weight in [0, bound] and every
-    checked row at 0, and walks only that range."""
+    elimination plan, was built from, each weight <= bound, as runs in
+    ascending order. Each level works out once, from the weights already
+    known, the range of its free choice that keeps every forced weight in
+    [0, bound] and every checked row at 0, and walks only that range. At
+    the last level that range is one run (first tuple, length), whose
+    tuples move by _run_step. A level's choice is the smallest index still
+    unknown, so the walk is in lex order and the first run starts at the
+    zero tuple.
+
+    Raises SwitchSystemError as soon as the runs would hold more than
+    COMPONENT_SOLUTION_CAP solutions."""
     weights = [0] * n
-    out: List[Tuple[int, ...]] = []
+    out: List[Run] = []
+    count = 0
+    last = len(levels) - 1
 
     def settle(steps) -> Optional[Tuple[int, int, list]]:
         """The feasible range lo..hi of the level's choice, whose weight
@@ -304,33 +338,41 @@ def _component_solutions(n: int, levels: Levels, bound: int) -> List[Tuple[int, 
         return (lo, hi, forced) if lo <= hi else None
 
     def walk(level: int) -> None:
+        nonlocal count
         choice, steps = levels[level]
         weights[choice] = 0
         span = settle(steps)
         if span is None:
             return
         lo, hi, forced = span
-        nxt = level + 1
-        last = nxt == len(levels)
+        if level == last:
+            count += hi - lo + 1
+            if count > COMPONENT_SOLUTION_CAP:
+                raise SwitchSystemError(track_id, f"a component has more than "
+                                                  f"{COMPONENT_SOLUTION_CAP} solutions at bound {bound}")
+            weights[choice] = lo
+            for i, a, b in forced:
+                weights[i] = a + b * lo
+            out.append((tuple(weights), hi - lo + 1))
+            return
         for x in range(lo, hi + 1):
             weights[choice] = x
             for i, a, b in forced:
                 weights[i] = a + b * x
-            if last:
-                out.append(tuple(weights))
-            else:
-                walk(nxt)
+            walk(level + 1)
 
-    # level 0 has no choice: its weights are forced from nothing
-    if settle(levels[0][1]) is not None:
-        if len(levels) == 1:
-            out.append(tuple(weights))
-        else:
-            walk(1)
-    # walk reaches itself through its closure; without this the cycle keeps
-    # out alive after the callers drop it, until a cyclic collection runs
-    del walk
-    out.sort()
+    try:
+        # level 0 has no choice: its weights are forced from nothing
+        if settle(levels[0][1]) is not None:
+            if last:
+                walk(1)
+            else:
+                out.append((tuple(weights), 1))
+    finally:
+        # walk reaches itself through its closure; without this the cycle
+        # keeps out alive after the callers drop it, until a cyclic
+        # collection runs
+        del walk
     return out
 
 
@@ -342,6 +384,7 @@ class _SolvePlan(NamedTuple):
     comps: Tuple[Tuple[str, ...], ...]
     systems: Tuple[System, ...]                       # aligned with comps
     levels: Mapping[System, Levels]                   # one per distinct system
+    steps: Mapping[System, Tuple[int, ...]]           # its runs' step, per system
     klasses: Tuple[Tuple[Tuple[int, int], ...], ...]  # branch classes, aligned with comps
 
     @classmethod
@@ -350,18 +393,19 @@ class _SolvePlan(NamedTuple):
         rows = track.switch_system()
         systems = tuple((len(comp), _local_system(rows, comp)) for comp in comps)
         levels = {key: _elimination_plan(*key) for key in dict.fromkeys(systems)}
+        steps = {key: _run_step(key[0], plan) for key, plan in levels.items()}
         klasses = tuple(tuple(track.branches[b].klass for b in comp) for comp in comps)
-        return cls(comps, systems, MappingProxyType(levels), klasses)
+        return cls(comps, systems, MappingProxyType(levels), MappingProxyType(steps), klasses)
 
 
-def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Tuple[int, ...]]]]:
+def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
     """The track's solve plan and, aligned with its components, each one's
-    sorted weight tuples at this bound. Components that share an
-    elimination plan are solved once and share one list."""
+    runs at this bound. Components that share an elimination plan are
+    solved once and share one list."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     plan = track._solve_plan
-    solved = {key: _component_solutions(key[0], levels, bound)
+    solved = {key: _component_solutions(key[0], levels, bound, track.track_id)
               for key, levels in plan.levels.items()}
     return plan, [solved[key] for key in plan.systems]
 
@@ -373,14 +417,17 @@ def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
     Raises ValueError, before building any, when there are more than
     ENUMERATION_CAP of them."""
     plan, per_comp = _solve(track, bound)
-    count = math.prod(map(len, per_comp))
+    count = math.prod(sum(length for _, length in runs) for runs in per_comp)
     if count > ENUMERATION_CAP:
         raise ValueError(f"{count} solutions at bound {bound} exceed the "
                          f"enumeration cap of {ENUMERATION_CAP}")
     ids = [bid for comp in plan.comps for bid in comp]
     order = track.branch_order()
+    tuples = [[tuple(w + k * d for w, d in zip(first, plan.steps[key]))
+               for first, length in runs for k in range(length)]
+              for runs, key in zip(per_comp, plan.systems)]
     solutions = [dict(zip(ids, itertools.chain.from_iterable(combo)))
-                 for combo in itertools.product(*per_comp)]
+                 for combo in itertools.product(*tuples)]
     solutions.sort(key=lambda w: tuple(w[b] for b in order))
     return solutions
 
@@ -428,27 +475,41 @@ class _ClassMap(NamedTuple):
     after: Dict[int, Tuple[int, ...]]
 
 
-def _class_map(sols: List[Tuple[int, ...]], coef: Tuple[int, ...], bound: int) -> _ClassMap:
-    """The class map of a component with these sorted solutions and
+def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
+               bound: int) -> _ClassMap:
+    """The class map of a component with these runs, their step, and
     packed branch classes."""
     least = bound * sum(min(c, 0) for c in coef)
-    # Every solution's packed class minus least, summed column by column:
-    # one lazy product per branch over its weight column.
-    packed = itertools.repeat(-least)
-    for c, column in zip(coef, zip(*sols)):
-        if c:
-            packed = map(operator.add, packed, map(operator.mul, itertools.repeat(c), column))
-    # sols[0] is the zero tuple; the rest are nonzero and ascending, so
-    # the first tuple seen for a class is its lex-first one, and at class
-    # 0 it is the component's null tuple.
+    # Along a run the packed class moves by one stride, so the run's m
+    # classes are comb, m one-bits |stride| apart, shifted to its lowest.
+    stride = sum(map(operator.mul, coef, step))
+    gap = abs(stride)
+    combs: Dict[int, int] = {}  # run length -> comb; a division each is costly
+    # The runs and each run's tuples ascend, and the first tuple is the
+    # zero tuple, so the first nonzero tuple of a class is its lex-first.
     nonzero: Dict[int, Tuple[int, ...]] = {}
-    for bit, tup in zip(itertools.islice(packed, 1, None), itertools.islice(sols, 1, None)):
-        nonzero.setdefault(bit, tup)
+    seen = 0
+    skip = 1  # the zero tuple starts the first run
+    for first, length in runs:
+        m = length - skip
+        if m > 0:
+            start = sum(map(operator.mul, coef, first)) - least + skip * stride
+            comb = combs.get(m)
+            if comb is None:
+                comb = combs[m] = ((1 << m * gap) - 1) // ((1 << gap) - 1) if gap else 1
+            new = comb << min(start, start + (m - 1) * stride) & ~seen
+            if new:
+                seen |= new
+                bits = _set_bits(new)
+                for bit in (reversed(bits) if stride < 0 else bits):
+                    # with stride 0 the run has one bit, at k = skip
+                    k = skip + (bit - start) // (stride or 1)
+                    nonzero[bit] = tuple(w + k * d for w, d in zip(first, step))
+        skip = 0
     zero = -least
-    nonzero_mask = sum(1 << b for b in nonzero)
     after = dict(nonzero)
-    after[zero] = sols[0]
-    return _ClassMap(nonzero, nonzero_mask, zero, nonzero_mask | 1 << zero, after)
+    after[zero] = runs[0][0]
+    return _ClassMap(nonzero, seen, zero, seen | 1 << zero, after)
 
 
 def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional[Tuple[int, ...]]]:
@@ -463,7 +524,7 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
     q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
 
-    # Components that share a solution list (see _solve) and their packed
+    # Components that share a run list (see _solve) and their packed
     # branch classes share one class map. Each list stays alive in solved
     # for the whole fold, so its id names it.
     maps: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
@@ -474,12 +535,12 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     # concatenation of its components' tuples.
     zero_bit, zero_prefix = 0, ()
     layer: Dict[int, Tuple[int, ...]] = {}
-    for klass, sols in zip(klasses, solved):
+    for klass, runs, system in zip(klasses, solved, plan.systems):
         coef = tuple(p * width + q for p, q in klass)
-        key = (id(sols), coef)
+        key = (id(runs), coef)
         cmap = maps.get(key)
         if cmap is None:
-            cmap = maps[key] = _class_map(sols, coef, bound)
+            cmap = maps[key] = _class_map(runs, plan.steps[system], coef, bound)
         mask, after = cmap.mask, cmap.after
 
         # The zero prefix comes first and covers the component's nonzero
@@ -496,7 +557,7 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
                 for b in sorted(_set_bits(new), key=after.__getitem__):
                     nxt[shift + b] = prefix + after[b]
         layer = nxt
-        zero_bit, zero_prefix = zero_bit + cmap.zero, zero_prefix + sols[0]
+        zero_bit, zero_prefix = zero_bit + cmap.zero, zero_prefix + runs[0][0]
 
     classes: Witnesses = {}
     null = None
@@ -525,11 +586,12 @@ def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
     """Branches carrying zero weight in every solution at this bound."""
     alive: Set[str] = set()
     plan, solved = _solve(track, bound)
-    for comp, sols in zip(plan.comps, solved):
-        for tup in sols:
-            for bid, w in zip(comp, tup):
-                if w:
-                    alive.add(bid)
+    for comp, runs, system in zip(plan.comps, solved, plan.systems):
+        # a run longer than one moves every weight its step moves
+        if any(length > 1 for _, length in runs):
+            alive.update(bid for bid, d in zip(comp, plan.steps[system]) if d)
+        for first, _ in runs:
+            alive.update(bid for bid, w in zip(comp, first) if w)
     return set(track.branches) - alive
 
 
@@ -549,6 +611,8 @@ _FORMULAS = {
     "FORMULA_B9": ("(g, g+h-e-f-i)", ("g", "h", "e", "f", "i"),
                    lambda g, h, e, f, i: (g, g + h - e - f - i)),
 }
+# the formula kinds with a range condition
+_RANGE_KINDS = ("FORMULA_THREE_PLUS", "FORMULA_B9")
 # every kind, in the order of the schema's enum
 LAW_KINDS = (*_CONSTANT_LAWS, "ANY_SLOPE", *_FORMULAS)
 
@@ -644,14 +708,26 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
         # each role's positions in the witness tuples; the ids were checked
         # above, and a role not designated sums to 0
         at = {bid: k for k, bid in enumerate(ids)}
+        positions = [[at[b] for b in designated.get(role, ())] for role in roles]
+        # Every formula is linear, so a witness's class minus the formula
+        # of its role sums is the sum over branches b of w_b * delta_b,
+        # delta_b being b's class minus the formula of b's role counts.
+        # When each delta_b is 0 no witness disagrees, and only the column
+        # that the range condition reads is built.
+        certified = all(track.branches[bid].klass
+                        == formula(*(designated.get(role, ()).count(bid) for role in roles))
+                        for bid in ids)
+        if certified:
+            positions = positions[:1] if law.kind in _RANGE_KINDS else []
         witnesses = classes.values()
-        columns = [_role_sums([at[b] for b in designated.get(role, ())], witnesses)
-                   for role in roles]
+        columns = [_role_sums(pos, witnesses) for pos in positions]
         saw_positive_g = False
         for (p, q), sums in zip(classes, zip(*columns)):
-            want = formula(*sums)
-            if (p, q) != want:
-                violations.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
+            if not certified:
+                want = formula(*sums)
+                if (p, q) != want:
+                    violations.append(f"class ({p},{q}) disagrees with "
+                                      f"{label}=({want[0]},{want[1]})")
             if law.kind == "FORMULA_THREE_PLUS":
                 if sums[0] < 1:
                     violations.append(f"class ({p},{q}) realized with mu = 0")

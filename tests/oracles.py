@@ -57,16 +57,23 @@ def _component_grid(comp: List[str], rows: List[Dict[str, int]],
     if (bound + 1) ** k > _GRID_CAP:
         raise ValueError(f"oracle grid too large: ({bound}+1)^{k}")
     local = [row for row in rows if any(b in comp for b in row)]
-    axes = [np.arange(bound + 1, dtype=np.int64)] * k
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    keep = np.ones(len(grid), dtype=bool)
     index = {b: i for i, b in enumerate(comp)}
+    # The grid grows one column at a time, in "ij" (lexicographic) order,
+    # and each row is checked as soon as its last column is there, so a
+    # large component with few solutions never holds its full grid.
+    due: Dict[int, List[Dict[str, int]]] = {}
     for row in local:
-        total = np.zeros(len(grid), dtype=np.int64)
-        for b, c in row.items():
-            total += c * grid[:, index[b]]
-        keep &= total == 0
-    return [tuple(int(v) for v in g) for g in grid[keep]]
+        due.setdefault(max(index[b] for b in row), []).append(row)
+    values = np.arange(bound + 1, dtype=np.int64)
+    grid = np.zeros((1, 0), dtype=np.int64)
+    for j in range(k):
+        grid = np.column_stack([np.repeat(grid, bound + 1, axis=0), np.tile(values, len(grid))])
+        for row in due.get(j, ()):
+            total = np.zeros(len(grid), dtype=np.int64)
+            for b, c in row.items():
+                total += c * grid[:, index[b]]
+            grid = grid[total == 0]
+    return [tuple(int(v) for v in g) for g in grid]
 
 
 def oracle_solutions(track_doc: dict, bound: int) -> Set[Tuple[int, ...]]:

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import shutil
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosurf import errors
+from anosurf import cli as cli_module, errors
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
-from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
+from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT, TrainTrack
 import catalogfuzz
 from conftest import (
     ALL_POSITIVE_AS_Q6,
@@ -21,6 +23,7 @@ from conftest import (
     restamp_manifest,
     rewrite,
 )
+from trackgen import hung_loops_doc
 
 
 # every command that takes --catalog, and paths it must refuse
@@ -422,6 +425,27 @@ def test_manifest_fault_exits_five(data_copy, name, capsys):
     assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: catalog at {relpath}: ") and err.count("\n") == 1
+
+
+# `catalog check` solves every track at bound 6 for its noncompact check
+# before it checks the laws
+@pytest.mark.parametrize("argv,bound", [(["track", "Q7", "--bound", "20"], 20),
+                                        (["catalog", "check", "--laws", "--law-bound", "20"], 6)],
+                         ids=["track", "check"])
+def test_a_component_over_the_solution_cap_exits_five(argv, bound, catalog, monkeypatch,
+                                                      capsys):
+    # A track file must have as many branches as its projection lists, 18
+    # for Q7, so this 22-branch track with 8 free weights is swapped into
+    # a loaded catalog instead. At bound 20 it has 21^8 solutions.
+    track = TrainTrack.from_json(hung_loops_doc(8), track_id="Q7")
+    bundle = dataclasses.replace(catalog.tracks["Q7"], track=track)
+    swapped = dataclasses.replace(catalog, tracks={**catalog.tracks, "Q7": bundle})
+    monkeypatch.setattr(cli_module, "load_catalog", lambda path=None: swapped)
+    started = time.perf_counter()
+    assert main(argv) == 5
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (f"error: track 'Q7': a component has more than "
+                                       f"1000000 solutions at bound {bound}\n")
 
 
 # The seeds of the restamp fuzzer that tier-1 runs, about 3 s; run

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import load_data_json
 from oracles import oracle_class_witnesses, oracle_dead_branches, oracle_solutions, switch_rows
-from trackgen import random_track_doc
+from trackgen import hung_loops_doc, random_track_doc
 
 from anosurf import traintrack
 from anosurf.catalog import slope_law_check
@@ -366,8 +366,20 @@ def brute_force_solutions(n, system, bound):
             if all(sum(c * w[i] for i, c in row) == 0 for row in system)]
 
 
+def solve_runs(n, system, bound):
+    """The runs of a system in local indices, and their step."""
+    levels = traintrack._elimination_plan(n, system)
+    return traintrack._component_solutions(n, levels, bound), traintrack._run_step(n, levels)
+
+
+def expand(runs, step):
+    """Each run's tuples, first + k * step for k below its length."""
+    return [[tuple(w + k * d for w, d in zip(first, step)) for k in range(length)]
+            for first, length in runs]
+
+
 def solve_system(n, system, bound):
-    return traintrack._component_solutions(n, traintrack._elimination_plan(n, system), bound)
+    return [tup for run in expand(*solve_runs(n, system, bound)) for tup in run]
 
 
 class TestComponentSolve:
@@ -387,7 +399,17 @@ class TestComponentSolve:
     @settings(max_examples=250, deadline=None)
     def test_raw_systems_match_brute_force(self, case, bound):
         n, system = case
-        assert solve_system(n, system, bound) == brute_force_solutions(n, system, bound)
+        want = brute_force_solutions(n, system, bound)
+        assert solve_system(n, system, bound) == want
+        # runs ascend without overlapping, start at the zero tuple, and
+        # each one's tuples are consecutive in the brute-force list
+        runs = expand(*solve_runs(n, system, bound))
+        assert runs[0][0] == (0,) * n
+        for before, after in zip(runs, runs[1:]):
+            assert before[-1] < after[0]
+        for run in runs:
+            at = want.index(run[0])
+            assert want[at:at + len(run)] == run
 
 
 def dot_product_class_map(sols, coef, bound):
@@ -406,18 +428,142 @@ def dot_product_class_map(sols, coef, bound):
 class TestClassMap:
     @given(raw_systems(), st.data(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=250, deadline=None)
-    def test_column_packing_matches_dot_products(self, case, data, bound):
+    def test_runs_match_dot_products(self, case, data, bound):
         n, system = case
         # small coefficients make classes collide, so the first tuple of a
         # class has later tuples to lose to
         coef = tuple(data.draw(st.lists(st.integers(min_value=-4, max_value=4),
                                          min_size=n, max_size=n)))
+        runs, step = solve_runs(n, system, bound)
+        got = traintrack._class_map(runs, step, coef, bound)
         sols = solve_system(n, system, bound)
-        got = traintrack._class_map(sols, coef, bound)
         nonzero, nonzero_mask, zero, mask, after = dot_product_class_map(sols, coef, bound)
         assert list(got.nonzero.items()) == list(nonzero.items())
         assert (got.nonzero_mask, got.zero, got.mask) == (nonzero_mask, zero, mask)
         assert list(got.after.items()) == list(after.items())
+
+
+class TestSolutionCap:
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        # the circle has bound + 1 solutions
+        monkeypatch.setattr(traintrack, "COMPONENT_SOLUTION_CAP", 4)
+        assert len(enumerate_solutions(circle("c"), 3)) == 4
+        with pytest.raises(SwitchSystemError,
+                           match=r"^track 'circle_c': a component has more than 4 "
+                                 r"solutions at bound 4$"):
+            carried_classes(circle("c"), 4)
+
+    @pytest.mark.parametrize("call", [carried_classes, dead_branches, enumerate_solutions],
+                             ids=lambda f: f.__name__)
+    def test_a_component_over_the_cap_is_refused(self, call):
+        # 21^8 solutions, in runs of 21: the walk stops after about 47,620
+        track = TrainTrack.from_json(hung_loops_doc(8), track_id="hung")
+        with pytest.raises(SwitchSystemError,
+                           match=r"^track 'hung': a component has more than 1000000 "
+                                 r"solutions at bound 20$"):
+            call(track, 20)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_the_same_track_at_a_small_bound_matches_the_oracle(self, bound):
+        doc = hung_loops_doc(8)
+        track = TrainTrack.from_json(doc, track_id="hung")
+        assert len(track.components()) == 1
+        assert len(track._solve_plan.levels[track._solve_plan.systems[0]]) - 1 == 8
+        order = track.branch_order()
+        got = [tuple(w[b] for b in order) for w in enumerate_solutions(track, bound)]
+        assert len(got) == (bound + 1) ** 8
+        assert set(got) == oracle_solutions(doc, bound)
+
+    def test_every_family_stays_under_the_cap(self, catalog):
+        peak = {}
+        for family, bundle in catalog.tracks.items():
+            for bound in range(51):
+                _, solved = traintrack._solve(bundle.track, bound)
+                peak[family] = max(sum(length for _, length in runs) for runs in solved)
+        # the peaks at bound 50; Q4's is the largest
+        assert max(peak.values()) == peak["Q4"] == 45_526
+        assert peak["Q4"] < traintrack.COMPONENT_SOLUTION_CAP
+
+
+FORMULA_CHECKS = {
+    # the formula and the range condition of each formula law, written
+    # out here apart from traintrack's table
+    "FORMULA_THREE_PLUS": ("(omega, 3*omega+mu+nu)",
+                           lambda s: (s["omega"], 3 * s["omega"] + s["mu"] + s["nu"])),
+}
+
+
+def expected_formula_violations(doc, bound):
+    """The per-witness messages of a FORMULA_THREE_PLUS track document,
+    from the witness oracle."""
+    label, formula = FORMULA_CHECKS[doc["law"]["kind"]]
+    classes, _ = oracle_class_witnesses(doc["track"], bound)
+    out = []
+    for (p, q), witness in classes.items():
+        sums = {role: sum(witness[b] for b in ids) for role, ids in doc["designated"].items()}
+        want = formula(sums)
+        if (p, q) != want:
+            out.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
+        if sums["mu"] < 1:
+            out.append(f"class ({p},{q}) realized with mu = 0")
+        if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
+            out.append(f"realized slope {Slope.of(q, p)} not greater than 3")
+    return out
+
+
+class TestLawCertificate:
+    @given(st.sampled_from(sorted(traintrack._FORMULAS)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_formula_is_linear(self, kind, data):
+        # the premise of the per-branch certificate
+        _, roles, formula = traintrack._FORMULAS[kind]
+        sums = st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                        min_size=len(roles), max_size=len(roles))
+        a, b = data.draw(sums), data.draw(sums)
+        assert formula(*[0] * len(roles)) == (0, 0)
+        fa, fb = formula(*a), formula(*b)
+        assert formula(*map(sum, zip(a, b))) == (fa[0] + fb[0], fa[1] + fb[1])
+
+    @staticmethod
+    def counted_formula(monkeypatch, kind):
+        label, roles, formula = traintrack._FORMULAS[kind]
+        calls = []
+
+        def counted(*sums):
+            calls.append(sums)
+            return formula(*sums)
+
+        monkeypatch.setitem(traintrack._FORMULAS, kind, (label, roles, counted))
+        return calls
+
+    @pytest.mark.parametrize("family", ["Q2", "Q4", "Q9"])
+    def test_shipped_formula_laws_are_certified_per_branch(self, family, catalog, monkeypatch):
+        bundle = catalog.tracks[family]
+        calls = self.counted_formula(monkeypatch, bundle.law.kind)
+        report = check_law(bundle.track, bundle.law, bundle.designated, 6, family=family)
+        assert report.ok
+        # one formula evaluation per branch, none per witness
+        assert len(calls) == len(bundle.track.branches)
+
+    def test_a_restamped_branch_class_is_checked_per_witness(self, monkeypatch):
+        doc = load_data_json("tracks/Q4.json")
+        branch = next(b for b in doc["track"]["branches"] if b["id"] == "u.F1")
+        branch["class"] = [0, 2]  # its formula value is (0, 1)
+        track = TrainTrack.from_json(doc["track"], track_id="Q4")
+        law = SlopeLaw(**doc["law"])
+        calls = self.counted_formula(monkeypatch, law.kind)
+        report = check_law(track, law, doc["designated"], 3, family="Q4")
+        want = expected_formula_violations(doc, 3)
+        assert any("disagrees" in v for v in want)
+        assert report.violations == want
+        # the certificate stops at the first branch that fails it; then
+        # the formula is evaluated once per witness
+        classes, _ = oracle_class_witnesses(doc["track"], 3)
+        _, roles, _ = traintrack._FORMULAS[law.kind]
+        per_witness = [tuple(sum(w[b] for b in doc["designated"][role]) for role in roles)
+                       for w in classes.values()]
+        assert calls[len(calls) - len(classes):] == per_witness
+        assert len(calls) - len(classes) <= len(track.branches)
 
 
 def _assert_matches_witness_oracle(doc, bound, track_id):

@@ -60,3 +60,29 @@ def random_track_doc(seed: int, max_branches: int = 8) -> dict:
         })
         counter += 1
     return {"branches": branches, "switches": switches}
+
+
+def hung_loops_doc(loops: int) -> dict:
+    """One component with `loops` free weights, each in [0, bound] on its
+    own: loop x<i> has both ends on switch h<i>, which kills stem y<i>,
+    and the stems hang from a chain of spine branches z<i> through joints
+    j<i>. Every y and z weighs 0, so there are (bound + 1)^loops
+    solutions. Needs loops >= 2."""
+    def end(bid, name):
+        return {"branch": bid, "end": name}
+
+    branches = [{"id": f"{kind}{i}", "class": [1, i] if kind == "x" else [0, 0], "loop": False}
+                for kind, count in (("x", loops), ("y", loops), ("z", loops - 2))
+                for i in range(1, count + 1)]
+    switches = [{"id": f"h{i}", "one_fold": [end(f"x{i}", "head")],
+                 "two_fold": [end(f"x{i}", "tail"), end(f"y{i}", "tail")]}
+                for i in range(1, loops + 1)]
+    # j1 joins y1 and y2 to z1; each later joint hangs one more stem
+    inner = ["y1"] + [f"z{i}" for i in range(1, loops - 1)]
+    for i in range(1, loops):
+        two = [end(f"y{i + 1}", "head")]
+        if i < loops - 1:
+            two.append(end(f"z{i}", "tail"))
+        switches.append({"id": f"j{i}", "one_fold": [end(inner[i - 1], "head")],
+                         "two_fold": two})
+    return {"branches": branches, "switches": switches}

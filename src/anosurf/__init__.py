@@ -63,7 +63,6 @@ from .traintrack import (
     carried_classes,
     check_law,
     dead_branches,
-    enumerate_solutions,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "classify",
     "complement_components",
     "dead_branches",
-    "enumerate_solutions",
     "exclusion_reason",
     "fenley_power_admissible",
     "intersection_number",

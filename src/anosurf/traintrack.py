@@ -10,9 +10,9 @@ given by the weighted sum of its branches. The boundary slope of a
 nonzero realized class (p, q) is q/p, with q/0 read as the meridian.
 
 Branches may close up without meeting any switch (loop branches); their
-weight is unconstrained. Weight enumeration is exact and bounded: all
-solutions with every weight at most the bound, in lexicographic order
-of the weight tuple over branch ids sorted alphabetically.
+weight is unconstrained. A bound caps every weight, and the solutions
+under it are never listed one by one: they are kept as runs, which
+carried_classes and dead_branches read.
 
 Each connected component is solved on its own, as runs: along the last
 free weight of its elimination plan the solutions move by one fixed
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -47,9 +46,6 @@ class Branch:
     id: str
     klass: Tuple[int, int] = (0, 0)
     loop: bool = False
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "class": list(self.klass), "loop": self.loop}
 
     @staticmethod
     def from_json(doc: dict) -> "Branch":
@@ -71,13 +67,6 @@ class Switch:
 
     def ends(self) -> Tuple[End, ...]:
         return self.one_fold + self.two_fold
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "one_fold": [{"branch": b, "end": e} for b, e in self.one_fold],
-            "two_fold": [{"branch": b, "end": e} for b, e in self.two_fold],
-        }
 
     @staticmethod
     def from_json(doc: dict) -> "Switch":
@@ -151,9 +140,6 @@ class TrainTrack:
                     raise SwitchSystemError(self.track_id,
                                             f"branch {b.id!r} has a free {end_name}")
 
-    def branch_order(self) -> List[str]:
-        return sorted(self.branches)
-
     def switch_system(self) -> List[Dict[str, int]]:
         """One row per switch: branch id -> coefficient, one-fold counted
         positive. Coefficients land in {-1, 0, 1}; a branch whose two ends
@@ -202,12 +188,6 @@ class TrainTrack:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "branches": [self.branches[b].to_json() for b in sorted(self.branches)],
-            "switches": [self.switches[s].to_json() for s in sorted(self.switches)],
-        }
-
     @staticmethod
     def from_json(doc: dict, track_id: str = "track") -> "TrainTrack":
         return TrainTrack(
@@ -227,10 +207,6 @@ System = Tuple[int, Tuple[Row, ...]]  # a component's size and its rows
 Levels = Tuple[Tuple[Optional[int], tuple], ...]
 # Consecutive solutions (first tuple, length); see _component_solutions.
 Run = Tuple[Tuple[int, ...], int]
-
-# The most solutions enumerate_solutions builds. Every family fits at bound
-# 10 (Q7 has 121^3 = 1,771,561); Q2 at bound 20 has 3311^2 = 10,962,721.
-ENUMERATION_CAP = 2_000_000
 
 # The most solutions one component may have. The shipped tracks peak at
 # 45,526, Q4's at bound 50.
@@ -402,34 +378,14 @@ def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
     """The track's solve plan and, aligned with its components, each one's
     runs at this bound. Components that share an elimination plan are
     solved once and share one list."""
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an integer, not {bound!r}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     plan = track._solve_plan
     solved = {key: _component_solutions(key[0], levels, bound, track.track_id)
               for key, levels in plan.levels.items()}
     return plan, [solved[key] for key in plan.systems]
-
-
-def enumerate_solutions(track: TrainTrack, bound: int) -> List[Dict[str, int]]:
-    """Every solution with all weights <= bound, zero vector included,
-    in lexicographic order over alphabetically sorted branch ids.
-
-    Raises ValueError, before building any, when there are more than
-    ENUMERATION_CAP of them."""
-    plan, per_comp = _solve(track, bound)
-    count = math.prod(sum(length for _, length in runs) for runs in per_comp)
-    if count > ENUMERATION_CAP:
-        raise ValueError(f"{count} solutions at bound {bound} exceed the "
-                         f"enumeration cap of {ENUMERATION_CAP}")
-    ids = [bid for comp in plan.comps for bid in comp]
-    order = track.branch_order()
-    tuples = [[tuple(w + k * d for w, d in zip(first, plan.steps[key]))
-               for first, length in runs for k in range(length)]
-              for runs, key in zip(per_comp, plan.systems)]
-    solutions = [dict(zip(ids, itertools.chain.from_iterable(combo)))
-                 for combo in itertools.product(*tuples)]
-    solutions.sort(key=lambda w: tuple(w[b] for b in order))
-    return solutions
 
 
 def _slopes(classes) -> Set[Slope]:

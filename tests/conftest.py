@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import pathlib
 import shutil
 
 import pytest
 
-from anosurf import _resources
+from anosurf import _resources, traintrack
 from anosurf._schema import SCHEMA_DIR
 from anosurf.catalog import load_catalog
 
@@ -170,3 +171,22 @@ def load_data_json(relpath: str) -> dict:
 
 def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / name).read_text(encoding="utf-8"))
+
+
+def expand(runs, step):
+    """Each run's tuples, first + k * step for k below its length."""
+    return [[tuple(w + k * d for w, d in zip(first, step)) for k in range(length)]
+            for first, length in runs]
+
+
+def all_solutions(track, bound):
+    """Every solution at the bound, as a weight tuple over
+    sorted(track.branches): the product over the components of their
+    expanded runs, in the product's order."""
+    plan, solved = traintrack._solve(track, bound)
+    ids = [bid for comp in plan.comps for bid in comp]
+    order = [ids.index(bid) for bid in sorted(track.branches)]
+    per_comp = [[tup for run in expand(runs, plan.steps[system]) for tup in run]
+                for runs, system in zip(solved, plan.systems)]
+    flats = (sum(combo, ()) for combo in itertools.product(*per_comp))
+    return [tuple(flat[i] for i in order) for flat in flats]

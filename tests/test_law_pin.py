@@ -69,7 +69,7 @@ def three_plus_pins() -> dict:
     pins = {}
     for seed in THREE_PLUS_SEEDS:
         track = TrainTrack.from_json(random_track_doc(seed), track_id=f"rand{seed}")
-        ids = track.branch_order()
+        ids = sorted(track.branches)
         designated = {"omega": ids[0::3], "mu": ids[1::3], "nu": ids[2::3]}
         report = check_law(track, SlopeLaw("FORMULA_THREE_PLUS"), designated, BOUND)
         pins[f"rand{seed}"] = {

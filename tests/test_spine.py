@@ -5,6 +5,7 @@ import pytest
 import anosurf
 from anosurf import classifier
 from anosurf import spine as spine_module
+from anosurf import traintrack
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
 from anosurf.spine import SpineCase, Spine, adjacent_short_pairs, case_of
 from anosurf.traintrack import dead_branches
@@ -234,3 +235,11 @@ def test_public_names_resolve():
     # the concluding rules live in classifier._CONCLUSIONS, keyed by ANCHORS ids
     for name in ("RULES", "Rule"):
         assert not hasattr(classifier, name), name
+    # the solve's runs are the only solutions; COMPONENT_SOLUTION_CAP the only cap
+    for name in ("enumerate_solutions", "ENUMERATION_CAP"):
+        assert name not in anosurf.__all__, name
+        for module in (anosurf, traintrack):
+            assert not hasattr(module, name), (module.__name__, name)
+    for cls in (traintrack.TrainTrack, traintrack.Branch, traintrack.Switch):
+        for name in ("branch_order", "to_json"):
+            assert not hasattr(cls, name), (cls.__name__, name)

@@ -1,11 +1,12 @@
 import gc
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_data_json
+from conftest import all_solutions, expand, load_data_json
 from oracles import oracle_class_witnesses, oracle_dead_branches, oracle_solutions, switch_rows
 from trackgen import hung_loops_doc, random_track_doc
 
@@ -23,7 +24,6 @@ from anosurf.traintrack import (
     carried_classes,
     check_law,
     dead_branches,
-    enumerate_solutions,
 )
 
 
@@ -103,21 +103,15 @@ class TestValidation:
                        [Switch("s", (("a", "top"),), (("b", "tail"),)),
                         Switch("s2", (("b", "head"),), (("a", "tail"),))])
 
-    def test_json_roundtrip(self):
-        track = pinched_pair()
-        again = TrainTrack.from_json(track.to_json(), track_id="pinched")
-        assert again.to_json() == track.to_json()
-
 
 class TestEnumeration:
     def test_circle_solutions(self):
-        track = circle("c")
-        sols = enumerate_solutions(track, 2)
-        assert sols == [{"c1": 0, "c2": 0}, {"c1": 1, "c2": 1}, {"c1": 2, "c2": 2}]
+        # over the branches c1, c2
+        assert all_solutions(circle("c"), 2) == [(0, 0), (1, 1), (2, 2)]
 
     def test_pinched_pair_kills_cross_arcs(self):
         track = pinched_pair()
-        sols = enumerate_solutions(track, 2)
+        sols = [dict(zip(sorted(track.branches), w)) for w in all_solutions(track, 2)]
         assert len(sols) == 9
         for w in sols:
             assert w["X1"] == w["X2"] == 0
@@ -125,32 +119,19 @@ class TestEnumeration:
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_solutions(circle("c"), -1)
+            traintrack._solve(circle("c"), -1)
 
     def test_lexicographic_order(self):
+        # one component, whose ids are the sorted ones, so the runs alone
+        # give the order
         track = pinched_pair()
-        sols = enumerate_solutions(track, 1)
-        order = track.branch_order()
-        keys = [tuple(w[b] for b in order) for w in sols]
+        assert len(track.components()) == 1
+        keys = all_solutions(track, 1)
         assert keys == sorted(keys)
 
     def test_loop_branch_weight_free(self):
         track = TrainTrack([Branch("l", (1, 4), loop=True)], [])
-        sols = enumerate_solutions(track, 3)
-        assert [w["l"] for w in sols] == [0, 1, 2, 3]
-
-    def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(traintrack, "ENUMERATION_CAP", 3)
-        assert len(enumerate_solutions(circle("c"), 2)) == 3
-        with pytest.raises(ValueError, match="4 solutions at bound 3"):
-            enumerate_solutions(circle("c"), 3)
-
-    def test_oversized_enumeration_refused(self, catalog):
-        # 3311 solutions per half of Q2 at bound 20: the cap is checked on
-        # the per-component counts, before any of the 10,962,721 dicts
-        assert traintrack.ENUMERATION_CAP == 2_000_000
-        with pytest.raises(ValueError, match="10962721 solutions at bound 20"):
-            enumerate_solutions(catalog.tracks["Q2"].track, 20)
+        assert all_solutions(track, 3) == [(0,), (1,), (2,), (3,)]
 
 
 class TestCarriedClasses:
@@ -181,7 +162,7 @@ class TestCarriedClasses:
         assert dead_branches(pinched_pair(), 4) == {"X1", "X2"}
         assert dead_branches(circle("c"), 4) == set()
 
-    @pytest.mark.parametrize("consumer", [enumerate_solutions, carried_classes, dead_branches],
+    @pytest.mark.parametrize("consumer", [traintrack._solve, carried_classes, dead_branches],
                              ids=lambda f: f.__name__)
     def test_identical_components_solved_once(self, consumer, catalog, monkeypatch):
         # Q2's neg.* and pos.* halves have the same switch rows
@@ -212,7 +193,7 @@ class TestCarriedClasses:
         slope_law_check(catalog, family, bound=3)
         assert len(calls) == len(set(sizes)) < len(sizes)
 
-    @pytest.mark.parametrize("consumer", [enumerate_solutions, carried_classes, dead_branches],
+    @pytest.mark.parametrize("consumer", [traintrack._solve, carried_classes, dead_branches],
                              ids=lambda f: f.__name__)
     def test_solving_leaves_no_cyclic_garbage(self, consumer, catalog):
         # a cycle would hold each solution list until a cyclic collection
@@ -225,19 +206,31 @@ class TestCarriedClasses:
             gc.enable()
 
 
-NEGATIVE_BOUND_CALLS = {
-    "carried_classes": lambda cat: carried_classes(cat.tracks["Q2"].track, -1),
-    "dead_branches": lambda cat: dead_branches(cat.tracks["Q2"].track, -1),
-    "check_law": lambda cat: check_law(cat.tracks["Q2"].track, cat.tracks["Q2"].law,
-                                       cat.tracks["Q2"].designated, -1),
-    "slope_law_check": lambda cat: slope_law_check(cat, "Q2", bound=-1),
+BOUND_CALLS = {
+    "carried_classes": lambda cat, bound: carried_classes(cat.tracks["Q2"].track, bound),
+    "dead_branches": lambda cat, bound: dead_branches(cat.tracks["Q2"].track, bound),
+    "check_law": lambda cat, bound: check_law(cat.tracks["Q2"].track, cat.tracks["Q2"].law,
+                                              cat.tracks["Q2"].designated, bound),
+    "slope_law_check": lambda cat, bound: slope_law_check(cat, "Q2", bound=bound),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NEGATIVE_BOUND_CALLS))
+@pytest.mark.parametrize("name", sorted(BOUND_CALLS))
 def test_negative_bound_rejected_everywhere(name, catalog):
     with pytest.raises(ValueError, match="bound must be nonnegative"):
-        NEGATIVE_BOUND_CALLS[name](catalog)
+        BOUND_CALLS[name](catalog, -1)
+
+
+@pytest.mark.parametrize("bound", [2.5, "3", None, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(BOUND_CALLS))
+def test_non_integer_bound_refused_everywhere(name, bound, catalog, monkeypatch):
+    # refused before any component is walked; True is not bound 1
+    def walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(traintrack, "_component_solutions", walk)
+    with pytest.raises(TypeError, match=f"^bound must be an integer, not {re.escape(repr(bound))}$"):
+        BOUND_CALLS[name](catalog, bound)
 
 
 class TestSlopeLaws:
@@ -311,9 +304,7 @@ class TestAgainstOracle:
     def test_random_tracks_match_oracle(self, seed):
         doc = random_track_doc(seed)
         track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
-        order = track.branch_order()
-        got = {tuple(w[b] for b in order) for w in enumerate_solutions(track, 3)}
-        assert got == oracle_solutions(doc, 3)
+        assert set(all_solutions(track, 3)) == oracle_solutions(doc, 3)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -321,7 +312,7 @@ class TestAgainstOracle:
         doc = random_track_doc(seed, max_branches=6)
         track = TrainTrack.from_json(doc, track_id=f"h{seed}")
         rows = switch_rows(doc)
-        sols = enumerate_solutions(track, 2)
+        sols = [dict(zip(sorted(track.branches), w)) for w in all_solutions(track, 2)]
 
         def check(w):
             for row in rows:
@@ -370,12 +361,6 @@ def solve_runs(n, system, bound):
     """The runs of a system in local indices, and their step."""
     levels = traintrack._elimination_plan(n, system)
     return traintrack._component_solutions(n, levels, bound), traintrack._run_step(n, levels)
-
-
-def expand(runs, step):
-    """Each run's tuples, first + k * step for k below its length."""
-    return [[tuple(w + k * d for w, d in zip(first, step)) for k in range(length)]
-            for first, length in runs]
 
 
 def solve_system(n, system, bound):
@@ -447,13 +432,13 @@ class TestSolutionCap:
     def test_the_cap_is_inclusive(self, monkeypatch):
         # the circle has bound + 1 solutions
         monkeypatch.setattr(traintrack, "COMPONENT_SOLUTION_CAP", 4)
-        assert len(enumerate_solutions(circle("c"), 3)) == 4
+        assert len(all_solutions(circle("c"), 3)) == 4
         with pytest.raises(SwitchSystemError,
                            match=r"^track 'circle_c': a component has more than 4 "
                                  r"solutions at bound 4$"):
             carried_classes(circle("c"), 4)
 
-    @pytest.mark.parametrize("call", [carried_classes, dead_branches, enumerate_solutions],
+    @pytest.mark.parametrize("call", [carried_classes, dead_branches, traintrack._solve],
                              ids=lambda f: f.__name__)
     def test_a_component_over_the_cap_is_refused(self, call):
         # 21^8 solutions, in runs of 21: the walk stops after about 47,620
@@ -469,8 +454,7 @@ class TestSolutionCap:
         track = TrainTrack.from_json(doc, track_id="hung")
         assert len(track.components()) == 1
         assert len(track._solve_plan.levels[track._solve_plan.systems[0]]) - 1 == 8
-        order = track.branch_order()
-        got = [tuple(w[b] for b in order) for w in enumerate_solutions(track, bound)]
+        got = all_solutions(track, bound)
         assert len(got) == (bound + 1) ** 8
         assert set(got) == oracle_solutions(doc, bound)
 
@@ -576,6 +560,18 @@ def _assert_matches_witness_oracle(doc, bound, track_id):
     assert dead_branches(track, bound) == oracle_dead_branches(doc, bound)
 
 
+def track_doc(track: TrainTrack) -> dict:
+    """The document TrainTrack.from_json reads back as this track."""
+    def side(ends):
+        return [{"branch": b, "end": e} for b, e in ends]
+    return {
+        "branches": [{"id": b.id, "class": list(b.klass), "loop": b.loop}
+                     for b in map(track.branches.get, sorted(track.branches))],
+        "switches": [{"id": s.id, "one_fold": side(s.one_fold), "two_fold": side(s.two_fold)}
+                     for s in map(track.switches.get, sorted(track.switches))],
+    }
+
+
 EDGE_TRACKS = {
     # no switches at all: every loop is its own component, weights free
     "loops-only": lambda: TrainTrack(
@@ -619,7 +615,7 @@ class TestSolvePlan:
             lambda t: check_law(t, bundle.law, bundle.designated, 20, family=family),
             lambda t: carried_classes(t, 0),
             lambda t: carried_classes(t, 3),
-            lambda t: enumerate_solutions(t, 2),
+            lambda t: traintrack._solve(t, 2),
         ]
         for k, call in enumerate(calls):
             before = len(built)
@@ -638,7 +634,7 @@ class TestSolvePlan:
         warm = TrainTrack.from_json(doc, track_id=f"warm{seed}")
         for bound in bounds:
             fresh = TrainTrack.from_json(doc, track_id=f"fresh{seed}")
-            for call in (carried_classes, dead_branches, enumerate_solutions):
+            for call in (carried_classes, dead_branches, traintrack._solve):
                 _assert_same_result(call(warm, bound), call(fresh, bound))
 
     def test_branches_and_switches_are_read_only(self):
@@ -681,4 +677,4 @@ class TestAgainstWitnessOracle:
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))
     def test_edge_tracks(self, name, bound):
-        _assert_matches_witness_oracle(EDGE_TRACKS[name]().to_json(), bound, name)
+        _assert_matches_witness_oracle(track_doc(EDGE_TRACKS[name]()), bound, name)

@@ -24,8 +24,8 @@ from .branched_surface import (
 from .errors import (ClassificationGapError, CatalogIntegrityError, CatalogKeyError,
                      UnsupportedComplexError)
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
-from .spine import Spine, TrackBundle, adjacent_short_pairs
-from .traintrack import LawReport, check_law, dead_branches
+from .spine import Spine, adjacent_short_pairs
+from .traintrack import LawReport, SlopeLaw, TrainTrack, check_law, check_roles, dead_branches
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
@@ -107,6 +107,16 @@ class CatalogEntry:
 
 
 @dataclass(frozen=True)
+class TrackBundle:
+    """A family's boundary track with its slope law and annotations."""
+
+    track: TrainTrack
+    law: SlopeLaw
+    designated: Mapping[str, Tuple[str, ...]]
+    noncompact: Tuple[str, ...]    # branches dead in every solution
+
+
+@dataclass(frozen=True)
 class Catalog:
     entries: Dict[str, CatalogEntry]
     manifest: dict
@@ -159,20 +169,29 @@ def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
 
 
 def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
-    """The family's track, whose projection lifts its complex q: one record
-    for each copy 1 to m of each connector of multiplicity m, and arcs that
-    partition the branches, so the track has two branches per copy."""
-    bundle = TrackBundle.from_json(doc)
-    if bundle.family != family:
-        raise ValueError(f"the track of {family} has id {bundle.family!r}")
-    copies = sorted((rec["connector"], rec["copy"]) for rec in bundle.projection)
+    """The family's track file, the one reader of its keys. After its
+    schema, the switch system, the designated roles and the law, the file's
+    id must be the family, and its projection must lift the complex q: one
+    record for each copy 1 to m of each connector of multiplicity m, and
+    arcs that partition the branches, so the track has two branches per
+    copy. The projection is checked here and not kept."""
+    _schema.validate(doc, "track")
+    track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
+    check_roles(track, doc["designated"])
+    law = SlopeLaw(**doc["law"])
+    if doc["id"] != family:
+        raise ValueError(f"the track of {family} has id {doc['id']!r}")
+    projection = doc["projection"]
+    copies = sorted((rec["connector"], rec["copy"]) for rec in projection)
     if copies != sorted((cid, k) for cid, m in q.items() for k in range(1, m + 1)):
         raise ValueError(f"the projection of {family} does not list copies 1 to m of "
                          f"each connector of its complex {dict(q)}")
-    arcs = sorted(arc for rec in bundle.projection for arc in rec["arcs"])
-    if arcs != sorted(bundle.track.branches):
+    arcs = sorted(arc for rec in projection for arc in rec["arcs"])
+    if arcs != sorted(track.branches):
         raise ValueError(f"the projection arcs of {family} do not partition its branches")
-    return bundle
+    return TrackBundle(track=track, law=law,
+                       designated={k: tuple(v) for k, v in doc["designated"].items()},
+                       noncompact=tuple(doc["noncompact"]))
 
 
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:

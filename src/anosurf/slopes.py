@@ -32,8 +32,7 @@ class Slope:
 
     def __post_init__(self):
         q, p = self.q, self.p
-        if not (isinstance(q, int) and isinstance(p, int)) or type(q) is bool or type(p) is bool:
-            raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
+        _check_integers(q, p)
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
         if p < 0:
@@ -46,9 +45,9 @@ class Slope:
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":
         """Build a slope from an arbitrary integer pair, reducing it."""
-        # reduction would turn True into the integer 1 before Slope sees it
-        if type(q) is bool or type(p) is bool:
-            raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
+        # before the reduction, which would turn True into 1 and refuse a
+        # float with math.gcd's TypeError
+        _check_integers(q, p)
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
         return Slope(*_reduced(p, q))
@@ -72,6 +71,12 @@ class Slope:
         if self.p == 1:
             return str(self.q)
         return f"{self.q}/{self.p}"
+
+
+def _check_integers(q, p) -> None:
+    """The one integer test of a slope's coefficients: ints, not bools."""
+    if not (isinstance(q, int) and isinstance(p, int)) or type(q) is bool or type(p) is bool:
+        raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
 
 
 def _reduced(p: int, q: int) -> Tuple[int, int]:

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Tuple
 
 from . import _schema
 from .errors import SpineCaseError
-from .traintrack import SlopeLaw, TrainTrack, check_roles
 
 EDGES = ("a", "b", "c", "d")
 
@@ -220,37 +219,10 @@ def adjacent_short_pairs(spine: Spine, q: Mapping[str, int]) -> List[Tuple[str, 
     return pairs
 
 
-# ---------------------------------------------------------------------------
-# Boundary tracks of the canonical complexes.
-
-
-@dataclass(frozen=True)
-class TrackBundle:
-    """A family's boundary track with its slope law and annotations."""
-
-    family: str
-    track: TrainTrack
-    law: SlopeLaw
-    designated: Mapping[str, Tuple[str, ...]]
-    noncompact: Tuple[str, ...]    # branches dead in every solution
-    projection: Tuple[dict, ...]   # one record per connector copy
-
-    @staticmethod
-    def from_json(doc: dict) -> "TrackBundle":
-        _schema.validate(doc, "track")
-        track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
-        check_roles(track, doc["designated"])
-        return TrackBundle(
-            family=doc["id"],
-            track=track,
-            law=SlopeLaw(**doc["law"]),
-            designated={k: tuple(v) for k, v in doc["designated"].items()},
-            noncompact=tuple(doc["noncompact"]),
-            projection=tuple(doc["projection"]),
-        )
-
-
-# Only perfbench calls this (its load_track_bundle_s layer); ROADMAP item 1 deletes it.
-def load_track_bundle(family: str) -> TrackBundle:
+# Only perfbench calls this (its load_track_bundle_s layer); ROADMAP item 1
+# deletes it. It imports the catalog lazily, since the catalog imports this
+# module.
+def load_track_bundle(family: str):
+    """The family's TrackBundle in the default catalog."""
     from .catalog import default_catalog
     return default_catalog().tracks[family]

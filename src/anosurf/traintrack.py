@@ -101,6 +101,15 @@ class TrainTrack:
     # -- structure ---------------------------------------------------------
 
     def validate(self) -> None:
+        for b in self.branches.values():
+            # the solve packs classes as ints and reads loop as a flag
+            if not (type(b.klass) is tuple and len(b.klass) == 2
+                    and all(type(x) is int for x in b.klass)):
+                raise SwitchSystemError(self.track_id, f"branch {b.id!r} needs a class of "
+                                        f"two integers, not {b.klass!r}")
+            if type(b.loop) is not bool:
+                raise SwitchSystemError(self.track_id,
+                                        f"branch {b.id!r} needs a bool loop, not {b.loop!r}")
         seen: Dict[End, str] = {}
         for s in self.switches.values():
             if len(s.one_fold) != 1:

@@ -64,7 +64,7 @@ class TestSlopeConstruction:
         value = INFINITY if p == 0 else Slope(Fraction(q, p).numerator,
                                               Fraction(q, p).denominator)
         assert Slope.of(q, p) == value
-        for bad in ((True, p), (q, False)):
+        for bad in ((True, p), (q, False), (1.5, p), ("3", p), (q, None)):
             with pytest.raises(SlopeFormatError):
                 Slope.of(*bad)
 

@@ -1,4 +1,6 @@
+import ast
 import copy
+import pathlib
 
 import pytest
 
@@ -6,6 +8,7 @@ import anosurf
 from anosurf import classifier
 from anosurf import spine as spine_module
 from anosurf import traintrack
+from anosurf.catalog import FAMILIES, default_catalog
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
 from anosurf.spine import SpineCase, Spine, adjacent_short_pairs, case_of
 from anosurf.traintrack import dead_branches
@@ -195,12 +198,14 @@ class TestDoubleCovers:
             assert len(catalog.tracks[found].track.branches) == 2 * sum(q.values())
 
     def test_projection_partitions_branches(self, catalog):
+        # the loader checks the projection and does not keep it
         for family, q in catalog.complexes.items():
             bundle = catalog.tracks[family]
-            used = [b for rec in bundle.projection for b in rec["arcs"]]
+            projection = load_data_json(f"tracks/{family}.json")["projection"]
+            used = [b for rec in projection for b in rec["arcs"]]
             assert sorted(used) == sorted(bundle.track.branches)
             copies = {}
-            for rec in bundle.projection:
+            for rec in projection:
                 copies[rec["connector"]] = max(
                     copies.get(rec["connector"], 0), rec["copy"])
             assert copies == dict(q)
@@ -220,7 +225,30 @@ class TestDoubleCovers:
 # names spine.py no longer offers; the catalog owns the spine, the
 # complexes and the tracks
 DELETED_NAMES = ("DoubleCover", "boundary_double_cover", "canonical_complexes", "load_spine",
-                 "carries_slope")
+                 "carries_slope", "TrackBundle")
+
+
+def test_spine_imports_no_track_or_catalog_module():
+    # only load_track_bundle reaches the catalog, through an import in its body
+    tree = ast.parse(pathlib.Path(spine_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert name.rpartition(".")[2] not in ("traintrack", "catalog"), name
+
+
+def test_load_track_bundle_is_the_default_catalogs_bundle(monkeypatch):
+    # the benchmark times this shim and drops its result
+    monkeypatch.delenv("ANOSURF_CATALOG", raising=False)
+    tracks = default_catalog().tracks
+    assert sorted(tracks) == sorted(FAMILIES)
+    for family in FAMILIES:
+        assert spine_module.load_track_bundle(family) is tracks[family]
 
 
 def test_public_names_resolve():

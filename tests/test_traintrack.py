@@ -27,11 +27,11 @@ from anosurf.traintrack import (
 )
 
 
-def circle(prefix: str, klass=(0, 0)) -> TrainTrack:
+def circle(prefix: str, klass=(0, 0), loop=False) -> TrainTrack:
     """A circle made of two arcs joined at two degenerate switches."""
     c1, c2 = f"{prefix}1", f"{prefix}2"
     return TrainTrack(
-        [Branch(c1, klass), Branch(c2)],
+        [Branch(c1, klass, loop), Branch(c2)],
         [Switch(f"{prefix}_j1", ((c1, "head"),), ((c2, "tail"),)),
          Switch(f"{prefix}_j2", ((c2, "head"),), ((c1, "tail"),))],
         track_id=f"circle_{prefix}")
@@ -96,6 +96,15 @@ class TestValidation:
             TrainTrack([Branch("a"), Branch("b")],
                        [Switch("s", (("a", "head"), ("b", "head")),
                                (("a", "tail"), ("b", "tail")))])
+
+    @pytest.mark.parametrize("klass, loop", [
+        ((1.5, 0), False), ((1, 2, 3), False), ((1,), False), (("1", 0), False),
+        ((True, 0), False), ((0, False), False), ([1, 0], False), ((1, 0), "yes"),
+        ((1, 0), 0)])
+    def test_class_and_loop_types(self, klass, loop):
+        # each used to build a track whose solve failed or misread it
+        with pytest.raises(SwitchSystemError, match="^track 'circle_c': branch 'c1' needs a"):
+            circle("c", klass, loop)
 
     def test_bad_end_name(self):
         with pytest.raises(SwitchSystemError):
@@ -240,7 +249,7 @@ class TestSlopeLaws:
             law = SlopeLaw(**doc)
             assert {"kind": law.kind, "surjective_height": law.surjective_height} == {
                 "surjective_height": None, **doc}
-        # a track's law is built by TrackBundle.from_json after its schema check
+        # a track's law is built by catalog._loaded_track after its schema check
         assert not hasattr(SlopeLaw, "from_json")
 
     @pytest.mark.parametrize("kind", sorted(set(LAW_KINDS) - set(HEIGHT_KINDS)))

@@ -23,7 +23,8 @@ from .slopes import Slope, is_hyperbolic, parse_slope, up_to_height
 
 
 # Ceiling on law-check bounds: the check grows steeply with the bound, and
-# Q4, the slowest family, takes about 0.12 s at bound 50 (Python 3.11, 2 cores).
+# Q4, the slowest family, takes about 0.11 s at bound 50, its first call in a
+# fresh process (Python 3.11.7, 2 cores).
 MAX_LAW_BOUND = 50
 
 # Ceiling on `sweep --max`: the sweep visits about 1.2 * max^2 slopes, and

@@ -19,9 +19,17 @@ free weight of its elimination plan the solutions move by one fixed
 step, so a run (first tuple, length) stands for that many consecutive
 solutions, and so does an arithmetic progression of packed classes. A
 component with more than COMPONENT_SOLUTION_CAP solutions raises
-SwitchSystemError. Every formula law is linear in its role sums, so it
-holds on every witness once it holds on every single branch; check_law
-compares witness by witness only when some branch breaks it.
+SwitchSystemError.
+
+The components' classes are folded into the track's, each class with the
+value of its lex-first witness. A value adds over components: it is the
+witness tuple itself for carried_classes, or, for check_law, the int sum
+of a weight per branch times the witness's weights. Every formula law is
+linear in its role sums, so it holds on every witness once it holds on
+every single branch. Then check_law folds only the role sum that the
+law's range condition reads, or no value at all (every weight 0); it
+folds tuples and compares witness by witness only when some branch
+breaks the law.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import INFINITY, ZERO, Slope, _from_reduced, _reduced, up_to_height
@@ -424,20 +433,18 @@ def _set_bits(mask: int) -> List[int]:
     return out
 
 
-Witnesses = Dict[Tuple[int, int], Tuple[int, ...]]
-
-
 class _ClassMap(NamedTuple):
     """One component's classes as bits of the fold, a bit being a packed
-    class minus the least packed class the component can reach."""
+    class minus the least packed class the component can reach. A class's
+    lex-first nonzero tuple is first + k * step for a run's first tuple."""
 
-    nonzero: Dict[int, Tuple[int, ...]]  # bit -> lex-first nonzero tuple, ascending
+    nonzero: Dict[int, Tuple[Tuple[int, ...], int]]  # bit -> (first, k), ascending
     nonzero_mask: int
     zero: int                            # the bit of class 0
     mask: int                            # nonzero_mask with the zero bit set
-    # bit -> its lex-first tuple after a nonzero prefix, where the zero
-    # tuple is class 0's
-    after: Dict[int, Tuple[int, ...]]
+    # bit -> the place of its lex-first tuple after a nonzero prefix: the
+    # zero tuple, class 0's, is 0 and the nonzero tuples follow
+    rank: Dict[int, int]
 
 
 def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
@@ -452,7 +459,7 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
     combs: Dict[int, int] = {}  # run length -> comb; a division each is costly
     # The runs and each run's tuples ascend, and the first tuple is the
     # zero tuple, so the first nonzero tuple of a class is its lex-first.
-    nonzero: Dict[int, Tuple[int, ...]] = {}
+    nonzero: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     seen = 0
     skip = 1  # the zero tuple starts the first run
     for first, length in runs:
@@ -462,25 +469,33 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
             comb = combs.get(m)
             if comb is None:
                 comb = combs[m] = ((1 << m * gap) - 1) // ((1 << gap) - 1) if gap else 1
-            new = comb << min(start, start + (m - 1) * stride) & ~seen
+            low = comb << min(start, start + (m - 1) * stride)
+            new = low ^ (low & seen)
             if new:
                 seen |= new
-                bits = _set_bits(new)
+                bits = _set_bits(new) if new & (new - 1) else (new.bit_length() - 1,)
                 for bit in (reversed(bits) if stride < 0 else bits):
                     # with stride 0 the run has one bit, at k = skip
-                    k = skip + (bit - start) // (stride or 1)
-                    nonzero[bit] = tuple(w + k * d for w, d in zip(first, step))
+                    nonzero[bit] = (first, skip + (bit - start) // (stride or 1))
         skip = 0
     zero = -least
-    after = dict(nonzero)
-    after[zero] = runs[0][0]
-    return _ClassMap(nonzero, seen, zero, seen | 1 << zero, after)
+    rank = {bit: i for i, bit in enumerate(nonzero, 1)}
+    rank[zero] = 0
+    return _ClassMap(nonzero, seen, zero, seen | 1 << zero, rank)
 
 
-def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional[Tuple[int, ...]]]:
-    """The branch ids in component order, and over them as one weight
-    tuple the witness of each nonzero realized class, in ascending witness
-    order, and the null witness or None. See carried_classes."""
+def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = None
+          ) -> Tuple[List[str], Dict[Tuple[int, int], object], object]:
+    """The branch ids in component order; each nonzero realized class with
+    the value of its witness, in ascending witness order; and the value of
+    the null witness, or None. See carried_classes for the witnesses.
+
+    A value adds over components. With no weights it is the witness
+    itself, one weight tuple over the ids. With weights (branch id -> int,
+    0 for a branch not in it) it is the int sum over the branches of
+    weight times witness weight; with empty weights every value is 0. The
+    classes, their order and the null witness's presence do not depend on
+    the weights."""
     plan, solved = _solve(track, bound)
     klasses = plan.klasses
     # A class (p, q) packs into the integer p * width + q. width exceeds
@@ -495,43 +510,54 @@ def _fold(track: TrainTrack, bound: int) -> Tuple[List[str], Witnesses, Optional
     maps: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
 
     # The fold keeps the zero prefix (every component so far at its zero
-    # tuple) apart from the nonzero layer: bit -> the lex-first nonzero
-    # prefix of that class, in ascending witness order. A prefix is the
-    # concatenation of its components' tuples.
-    zero_bit, zero_prefix = 0, ()
-    layer: Dict[int, Tuple[int, ...]] = {}
-    for klass, runs, system in zip(klasses, solved, plan.systems):
+    # tuple) apart from the nonzero layer: bit -> the value of the
+    # lex-first nonzero prefix of that class, in ascending witness order.
+    # A prefix is the concatenation of its components' tuples.
+    zero_bit, zero_value = 0, () if weights is None else 0
+    layer: Dict[int, object] = {}
+    for comp, klass, runs, system in zip(plan.comps, klasses, solved, plan.systems):
         coef = tuple(p * width + q for p, q in klass)
+        step = plan.steps[system]
         key = (id(runs), coef)
         cmap = maps.get(key)
         if cmap is None:
-            cmap = maps[key] = _class_map(runs, plan.steps[system], coef, bound)
-        mask, after = cmap.mask, cmap.after
+            cmap = maps[key] = _class_map(runs, step, coef, bound)
+        mask, rank = cmap.mask, cmap.rank
+        # the value of the tuple k steps into the run starting at first
+        if weights is None:
+            zero, at = runs[0][0], lambda first, k: tuple(w + k * d for w, d in zip(first, step))
+        else:
+            own = [weights.get(bid, 0) for bid in comp]
+            moved = sum(map(operator.mul, own, step))
+            zero, at = 0, lambda first, k: sum(map(operator.mul, own, first)) + k * moved
+        value = ({b: at(first, k) for b, (first, k) in cmap.nonzero.items()}
+                 if weights is None or any(own) else dict.fromkeys(cmap.nonzero, 0))
 
         # The zero prefix comes first and covers the component's nonzero
         # classes shifted by its own bit. Then each nonzero prefix, in
         # ascending witness order, shifts the mask by its bit; only bits
-        # not yet covered get a witness, in ascending tuple order, so the
-        # first cover of a class is its lex-least witness.
-        nxt = {zero_bit + b: zero_prefix + tup for b, tup in cmap.nonzero.items()}
+        # not yet covered get a witness, in rank order, so the first
+        # cover of a class is its lex-least witness.
+        nxt = {zero_bit + b: zero_value + v for b, v in value.items()}
+        value[cmap.zero] = zero  # after a nonzero prefix
         covered = cmap.nonzero_mask << zero_bit
         for shift, prefix in layer.items():
-            new = mask & ~(covered >> shift)
-            if new:
-                covered |= new << shift
-                for b in sorted(_set_bits(new), key=after.__getitem__):
-                    nxt[shift + b] = prefix + after[b]
+            ms = mask << shift
+            fresh = ms ^ (ms & covered)
+            if fresh:
+                covered |= fresh
+                new = fresh >> shift
+                for b in (sorted(_set_bits(new), key=rank.__getitem__) if new & (new - 1)
+                          else (new.bit_length() - 1,)):
+                    nxt[shift + b] = prefix + value[b]
         layer = nxt
-        zero_bit, zero_prefix = zero_bit + cmap.zero, zero_prefix + runs[0][0]
+        zero_bit, zero_value = zero_bit + cmap.zero, zero_value + zero
 
-    classes: Witnesses = {}
-    null = None
-    for b, tup in layer.items():
-        if b == zero_bit:
-            null = tup
-        else:
-            p, q = divmod(b - zero_bit - q_least, width)
-            classes[(p, q + q_least)] = tup
+    null = layer.pop(zero_bit, None)
+    # every other bit, less zero_bit + q_least, is p * width + q - q_least
+    pairs = map(divmod, map(operator.sub, layer, itertools.repeat(zero_bit + q_least)),
+                itertools.repeat(width))
+    classes = {(p, q + q_least): v for (p, q), v in zip(pairs, layer.values())}
     return [bid for comp in plan.comps for bid in comp], classes, null
 
 
@@ -640,26 +666,41 @@ def check_roles(track: TrainTrack, designated: Mapping[str, Sequence[str]]) -> N
                                                     f"branches of the track, not {ids!r}")
 
 
-def _role_sums(positions: List[int], witnesses) -> Iterator[int]:
-    """Each witness tuple's weight summed over these positions, in order,
-    through one getter built before the first witness."""
-    if not positions:
-        return itertools.repeat(0, len(witnesses))
-    if len(positions) == 1:
-        return map(operator.itemgetter(positions[0]), witnesses)
-    return map(sum, map(operator.itemgetter(*positions), witnesses))
-
-
 def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]],
               bound: int, family: str = "?") -> LawReport:
     """Verify the family's slope law against bounded enumeration.
 
     Constant laws assert the realized slope set exactly. Formula laws
     assert an identity between each witness's class and the weight sums
-    over the designated roles, plus the law's range condition.
+    over the designated roles, plus the law's range condition. A branch
+    that a role lists twice counts twice in its sum.
+
+    When every branch satisfies the formula on its own role counts, no
+    witness can break the identity, and the fold's value of each class is
+    the only sum the range condition reads: the first role's sum over the
+    class's lex-first witness (mu for FORMULA_THREE_PLUS, g for
+    FORMULA_B9). Other laws read no witness and fold empty weights. When
+    some branch breaks the formula, the fold's values are the witness
+    tuples, and each witness is compared with the formula in turn.
     """
     check_roles(track, designated)
-    ids, classes, _ = _fold(track, bound)
+    weights: Optional[Mapping[str, int]] = {}  # no witness is read
+    if law.kind in _FORMULAS:
+        label, roles, formula = _FORMULAS[law.kind]
+        # Every formula is linear, so a witness's class minus the formula
+        # of its role sums is the sum over branches b of w_b * delta_b,
+        # delta_b being b's class minus the formula of b's role counts.
+        # When each delta_b is 0 no witness disagrees, and the fold needs
+        # only the sum that the range condition reads, if any. A branch
+        # a role lists twice counts twice.
+        certified = all(track.branches[bid].klass
+                        == formula(*(designated.get(role, ()).count(bid) for role in roles))
+                        for comp in track._solve_plan.comps for bid in comp)
+        if not certified:
+            weights = None
+        elif law.kind in _RANGE_KINDS:
+            weights = Counter(designated.get(roles[0], ()))
+    ids, classes, _ = _fold(track, bound, weights)
     realized = _slopes(classes)
     violations: List[str] = []
     if law.kind in _CONSTANT_LAWS:
@@ -669,26 +710,17 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
     if law.kind in _FORMULAS:
-        label, roles, formula = _FORMULAS[law.kind]
-        # each role's positions in the witness tuples; the ids were checked
-        # above, and a role not designated sums to 0
-        at = {bid: k for k, bid in enumerate(ids)}
-        positions = [[at[b] for b in designated.get(role, ())] for role in roles]
-        # Every formula is linear, so a witness's class minus the formula
-        # of its role sums is the sum over branches b of w_b * delta_b,
-        # delta_b being b's class minus the formula of b's role counts.
-        # When each delta_b is 0 no witness disagrees, and only the column
-        # that the range condition reads is built.
-        certified = all(track.branches[bid].klass
-                        == formula(*(designated.get(role, ()).count(bid) for role in roles))
-                        for bid in ids)
-        if certified:
-            positions = positions[:1] if law.kind in _RANGE_KINDS else []
-        witnesses = classes.values()
-        columns = [_role_sums(pos, witnesses) for pos in positions]
+        # the fold's values are the sums the range condition reads, if any
+        columns = [classes.values()] if law.kind in _RANGE_KINDS else []
+        if weights is None:
+            # each role's sum over each witness tuple; the ids were checked
+            # above, and a role not designated sums to 0
+            at = {bid: k for k, bid in enumerate(ids)}
+            columns = [[sum(w[at[b]] for b in designated.get(role, ())) for w in classes.values()]
+                       for role in roles]
         saw_positive_g = False
         for (p, q), sums in zip(classes, zip(*columns)):
-            if not certified:
+            if weights is None:
                 want = formula(*sums)
                 if (p, q) != want:
                     violations.append(f"class ({p},{q}) disagrees with "

@@ -37,9 +37,12 @@ from typing import Iterator, List, NamedTuple, Tuple
 
 from jsonschema import Draft202012Validator
 
-from anosurf.catalog import FAMILIES, MANIFEST
-from anosurf.cli import main
-from conftest import DATA_DIR, load_schema, restamp_manifest
+# run as a script, the package comes from this checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from anosurf.catalog import FAMILIES, MANIFEST  # noqa: E402
+from anosurf.cli import main  # noqa: E402
+from conftest import DATA_DIR, load_schema, restamp_manifest  # noqa: E402
 
 POOL = (None, True, False, 0, 1, -1, 7, 2.5, "", "x", "Q1", "inf", "1/2",
         [], {}, [0, 0], ["x"], {"x": 1})

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -458,6 +462,17 @@ def fuzz_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz") / "data"
     shutil.copytree(DATA_DIR, root)
     return root
+
+
+def test_the_fuzzer_runs_as_a_script_without_pythonpath(tmp_path):
+    # the command the README gives, from a fresh checkout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = Path(catalogfuzz.__file__).resolve()
+    done = subprocess.run([sys.executable, str(script), "0", "1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("1 cases from seed 0, 0 faults, 0 schema refusals that load, "
+                                "0 classify refusals that catalog check passes\n")
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

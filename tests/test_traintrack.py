@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import re
 
 import pytest
@@ -143,6 +144,23 @@ class TestEnumeration:
         assert all_solutions(track, 3) == [(0,), (1,), (2,), (3,)]
 
 
+def shipped_law_check(family):
+    """check_law on a family's shipped track, law and roles at bound 3."""
+    return lambda cat: check_law(cat.tracks[family].track, cat.tracks[family].law,
+                                 cat.tracks[family].designated, 3, family=family)
+
+
+# Calls that must free what they build without a cyclic collection. Q4's
+# and Q9's laws are certified range laws, so they fold role sums.
+GARBAGE_FREE_CALLS = {
+    "_solve": lambda cat: traintrack._solve(cat.tracks["Q4"].track, 3),
+    "carried_classes": lambda cat: carried_classes(cat.tracks["Q4"].track, 3),
+    "dead_branches": lambda cat: dead_branches(cat.tracks["Q4"].track, 3),
+    "check_law-Q4": shipped_law_check("Q4"),
+    "check_law-Q9": shipped_law_check("Q9"),
+}
+
+
 class TestCarriedClasses:
     def test_single_class_with_witness(self):
         report = carried_classes(pinched_pair((1, 0)), 2)
@@ -202,14 +220,13 @@ class TestCarriedClasses:
         slope_law_check(catalog, family, bound=3)
         assert len(calls) == len(set(sizes)) < len(sizes)
 
-    @pytest.mark.parametrize("consumer", [traintrack._solve, carried_classes, dead_branches],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("consumer", sorted(GARBAGE_FREE_CALLS))
     def test_solving_leaves_no_cyclic_garbage(self, consumer, catalog):
         # a cycle would hold each solution list until a cyclic collection
         gc.collect()
         gc.disable()
         try:
-            consumer(catalog.tracks["Q4"].track, 3)
+            GARBAGE_FREE_CALLS[consumer](catalog)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -432,9 +449,16 @@ class TestClassMap:
         got = traintrack._class_map(runs, step, coef, bound)
         sols = solve_system(n, system, bound)
         nonzero, nonzero_mask, zero, mask, after = dot_product_class_map(sols, coef, bound)
-        assert list(got.nonzero.items()) == list(nonzero.items())
+        # each class's lex-first tuple is k steps into a run
+        lengths = dict(runs)
+        assert all(0 <= k < lengths[first] for first, k in got.nonzero.values())
+        tuples = {b: tuple(w + k * d for w, d in zip(first, step))
+                  for b, (first, k) in got.nonzero.items()}
+        assert list(tuples.items()) == list(nonzero.items())
         assert (got.nonzero_mask, got.zero, got.mask) == (nonzero_mask, zero, mask)
-        assert list(got.after.items()) == list(after.items())
+        # the ranks order the bits as their tuples after a nonzero prefix do
+        assert got.rank.keys() == after.keys() and len(set(got.rank.values())) == len(after)
+        assert sorted(got.rank, key=got.rank.__getitem__) == sorted(after, key=after.__getitem__)
 
 
 class TestSolutionCap:
@@ -479,29 +503,61 @@ class TestSolutionCap:
 
 
 FORMULA_CHECKS = {
-    # the formula and the range condition of each formula law, written
-    # out here apart from traintrack's table
-    "FORMULA_THREE_PLUS": ("(omega, 3*omega+mu+nu)",
+    # the roles (the one the range condition reads first), the formula and
+    # its text of each formula law with a range condition, written out
+    # here apart from traintrack's table
+    "FORMULA_THREE_PLUS": (("mu", "omega", "nu"), "(omega, 3*omega+mu+nu)",
                            lambda s: (s["omega"], 3 * s["omega"] + s["mu"] + s["nu"])),
+    "FORMULA_B9": (("g", "h", "e", "f", "i"), "(g, g+h-e-f-i)",
+                   lambda s: (s["g"], s["g"] + s["h"] - s["e"] - s["f"] - s["i"])),
 }
 
 
 def expected_formula_violations(doc, bound):
-    """The per-witness messages of a FORMULA_THREE_PLUS track document,
-    from the witness oracle."""
-    label, formula = FORMULA_CHECKS[doc["law"]["kind"]]
+    """The per-witness messages of a FORMULA_THREE_PLUS or FORMULA_B9
+    track document, from the witness oracle."""
+    kind = doc["law"]["kind"]
+    roles, label, formula = FORMULA_CHECKS[kind]
     classes, _ = oracle_class_witnesses(doc["track"], bound)
     out = []
+    saw_positive_g = False
     for (p, q), witness in classes.items():
-        sums = {role: sum(witness[b] for b in ids) for role, ids in doc["designated"].items()}
+        sums = {role: sum(witness[b] for b in doc["designated"].get(role, ())) for role in roles}
         want = formula(sums)
         if (p, q) != want:
             out.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
+        if kind == "FORMULA_B9":
+            saw_positive_g = saw_positive_g or sums["g"] > 0
+            continue
         if sums["mu"] < 1:
             out.append(f"class ({p},{q}) realized with mu = 0")
         if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
             out.append(f"realized slope {Slope.of(q, p)} not greater than 3")
+    if kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
+        out.append("no witness with positive g")
     return out
+
+
+def certified_law_doc(seed, kind):
+    """A random track document with the formula law `kind`, where each
+    branch has a random role or none and the class that the formula gives
+    its role counts, so the per-branch certificate holds. One branch is
+    listed twice in the range condition's role and counts twice there."""
+    rng = random.Random(seed)
+    track = random_track_doc(seed)
+    roles, _, formula = FORMULA_CHECKS[kind]
+    first = roles[0]  # the role the range condition reads
+    designated = {role: [] for role in roles}
+    for branch in track["branches"]:
+        role = rng.choice([*roles, None])
+        if role is not None:
+            designated[role].append(branch["id"])
+    twice = rng.choice(track["branches"])["id"]
+    designated[first] += [twice] if twice in designated[first] else [twice, twice]
+    for branch in track["branches"]:
+        counts = {role: ids.count(branch["id"]) for role, ids in designated.items()}
+        branch["class"] = list(formula(counts))
+    return {"track": track, "law": {"kind": kind}, "designated": designated}
 
 
 class TestLawCertificate:
@@ -537,6 +593,21 @@ class TestLawCertificate:
         assert report.ok
         # one formula evaluation per branch, none per witness
         assert len(calls) == len(bundle.track.branches)
+
+    @pytest.mark.parametrize("kind", sorted(FORMULA_CHECKS))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_certified_range_laws_on_random_tracks_match_the_witness_oracle(
+            self, seed, kind, monkeypatch):
+        # the fold reads only the range condition's role sum of each
+        # lex-first witness, and must read the oracle's
+        doc = certified_law_doc(seed, kind)
+        track = TrainTrack.from_json(doc["track"], track_id=f"rand{seed}")
+        calls = self.counted_formula(monkeypatch, kind)
+        for bound in range(4):
+            report = check_law(track, SlopeLaw(kind), doc["designated"], bound)
+            assert report.violations == expected_formula_violations(doc, bound), bound
+        # certified: one formula evaluation per branch and bound, none per witness
+        assert len(calls) == 4 * len(track.branches)
 
     def test_a_restamped_branch_class_is_checked_per_witness(self, monkeypatch):
         doc = load_data_json("tracks/Q4.json")
@@ -682,6 +753,24 @@ class TestAgainstWitnessOracle:
     @pytest.mark.parametrize("seed", range(50))
     def test_random_tracks_at_small_bounds(self, seed, bound):
         _assert_matches_witness_oracle(random_track_doc(seed), bound, f"rand{seed}")
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_weighted_folds_sum_each_witness(self, seed):
+        # with weights the fold keeps the classes and their order and
+        # gives each witness's weighted sum; a weight may be 0, 2 or
+        # negative, and a branch without one weighs 0
+        doc = random_track_doc(seed)
+        rng = random.Random(seed)
+        weights = {b["id"]: rng.choice([-1, 0, 1, 2]) for b in doc["branches"] if rng.random() < 0.8}
+        track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
+        for bound in range(4):
+            classes, null = oracle_class_witnesses(doc, bound)
+            _, got, got_null = traintrack._fold(track, bound, weights)
+
+            def total(witness):
+                return sum(weights.get(b, 0) * w for b, w in witness.items())
+            assert list(got.items()) == [(klass, total(w)) for klass, w in classes.items()]
+            assert got_null == (None if null is None else total(null))
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))

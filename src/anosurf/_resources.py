@@ -47,7 +47,8 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
 def load_json(relpath: str, override: Optional[PathLike] = None,
               sha256: Optional[str] = None) -> dict:
     """Parse one read of a data file, whose bytes must hash to `sha256`;
-    a file that cannot be read, checked or parsed is a CatalogIntegrityError."""
+    a file that cannot be read, checked or parsed, nested too deeply for
+    the parser included, is a CatalogIntegrityError."""
     try:
         data = resolve(relpath, override=override).read_bytes()
         if sha256 is not None:
@@ -56,7 +57,7 @@ def load_json(relpath: str, override: Optional[PathLike] = None,
                 raise CatalogIntegrityError(
                     relpath, f"checksum {have[:12]}... does not match the manifest")
         return json.loads(data.decode("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise CatalogIntegrityError(relpath, f"unusable file ({type(exc).__name__}: {exc})") from exc
 
 

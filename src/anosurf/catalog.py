@@ -183,7 +183,9 @@ def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
         raise ValueError(f"the track of {family} has id {doc['id']!r}")
     projection = doc["projection"]
     copies = sorted((rec["connector"], rec["copy"]) for rec in projection)
-    if copies != sorted((cid, k) for cid, m in q.items() for k in range(1, m + 1)):
+    # the count first, so that the copies listed below are as many as the records
+    if len(copies) != sum(q.values()) or copies != sorted(
+            (cid, k) for cid, m in q.items() for k in range(1, m + 1)):
         raise ValueError(f"the projection of {family} does not list copies 1 to m of "
                          f"each connector of its complex {dict(q)}")
     arcs = sorted(arc for rec in projection for arc in rec["arcs"])

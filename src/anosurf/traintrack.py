@@ -22,14 +22,17 @@ component with more than COMPONENT_SOLUTION_CAP solutions raises
 SwitchSystemError.
 
 The components' classes are folded into the track's, each class with the
-value of its lex-first witness. A value adds over components: it is the
-witness tuple itself for carried_classes, or, for check_law, the int sum
-of a weight per branch times the witness's weights. Every formula law is
-linear in its role sums, so it holds on every witness once it holds on
-every single branch. Then check_law folds only the role sum that the
-law's range condition reads, or no value at all (every weight 0); it
-folds tuples and compares witness by witness only when some branch
-breaks the law.
+value of its lex-first witness: the int sum of a weight per branch times
+the witness's weights, which adds over components. carried_classes gives
+branch number i the weight 1 << i * w, w the bit length of the bound, and
+reads the witness back from the value's base 2**w digits. check_law folds
+each role sum it reads with the role's counts as weights. Every formula
+law is linear in its role sums, so it holds on every witness once it
+holds on every single branch. Then check_law folds only the role sum that
+the law's range condition reads, or empty weights when it reads none; it
+folds every role and compares witness by witness only when some branch
+breaks the law. A track whose packed classes would span more than
+CLASS_SPAN_CAP bits raises SwitchSystemError.
 """
 
 from __future__ import annotations
@@ -229,6 +232,10 @@ Run = Tuple[Tuple[int, ...], int]
 # The most solutions one component may have. The shipped tracks peak at
 # 45,526, Q4's at bound 50.
 COMPONENT_SOLUTION_CAP = 1_000_000
+# The most bits the packed classes of a track may span at one bound; the
+# fold's masks are that wide. The shipped tracks peak at 161,001, Q5's and
+# Q10's at bound 50.
+CLASS_SPAN_CAP = 1_000_000
 
 
 def _local_system(rows: List[Dict[str, int]], comp: Sequence[str]) -> Tuple[Row, ...]:
@@ -392,14 +399,18 @@ class _SolvePlan(NamedTuple):
         return cls(comps, systems, MappingProxyType(levels), MappingProxyType(steps), klasses)
 
 
-def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
-    """The track's solve plan and, aligned with its components, each one's
-    runs at this bound. Components that share an elimination plan are
-    solved once and share one list."""
+def _check_bound(bound: int) -> None:
     if type(bound) is not int:
         raise TypeError(f"bound must be an integer, not {bound!r}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+
+
+def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
+    """The track's solve plan and, aligned with its components, each one's
+    runs at this bound. Components that share an elimination plan are
+    solved once and share one list."""
+    _check_bound(bound)
     plan = track._solve_plan
     solved = {key: _component_solutions(key[0], levels, bound, track.track_id)
               for key, levels in plan.levels.items()}
@@ -484,18 +495,18 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
     return _ClassMap(nonzero, seen, zero, seen | 1 << zero, rank)
 
 
-def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = None
-          ) -> Tuple[List[str], Dict[Tuple[int, int], object], object]:
-    """The branch ids in component order; each nonzero realized class with
-    the value of its witness, in ascending witness order; and the value of
-    the null witness, or None. See carried_classes for the witnesses.
+def _fold(track: TrainTrack, bound: int, weights: Mapping[str, int]
+          ) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
+    """Each nonzero realized class with the value of its witness, in
+    ascending witness order, and the value of the null witness, or None.
+    See carried_classes for the witnesses. The value of a witness is the
+    int sum over the branches of weights[b] (0 for a branch not in
+    weights) times b's weight in the witness, so it adds over components.
+    The classes, their order and the null witness's presence do not
+    depend on the weights.
 
-    A value adds over components. With no weights it is the witness
-    itself, one weight tuple over the ids. With weights (branch id -> int,
-    0 for a branch not in it) it is the int sum over the branches of
-    weight times witness weight; with empty weights every value is 0. The
-    classes, their order and the null witness's presence do not depend on
-    the weights."""
+    Raises SwitchSystemError when the packed classes span more than
+    CLASS_SPAN_CAP bits."""
     plan, solved = _solve(track, bound)
     klasses = plan.klasses
     # A class (p, q) packs into the integer p * width + q. width exceeds
@@ -503,6 +514,9 @@ def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = 
     # and classes add as their packed integers do.
     width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
     q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
+    if (1 + bound * sum(abs(p) for klass in klasses for p, _ in klass)) * width > CLASS_SPAN_CAP:
+        raise SwitchSystemError(track.track_id, f"the classes span more than "
+                                                f"{CLASS_SPAN_CAP} bits at bound {bound}")
 
     # Components that share a run list (see _solve) and their packed
     # branch classes share one class map. Each list stays alive in solved
@@ -510,11 +524,11 @@ def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = 
     maps: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
 
     # The fold keeps the zero prefix (every component so far at its zero
-    # tuple) apart from the nonzero layer: bit -> the value of the
-    # lex-first nonzero prefix of that class, in ascending witness order.
-    # A prefix is the concatenation of its components' tuples.
-    zero_bit, zero_value = 0, () if weights is None else 0
-    layer: Dict[int, object] = {}
+    # tuple, of value 0) apart from the nonzero layer: bit -> the value of
+    # the lex-first nonzero prefix of that class, in ascending witness
+    # order. A prefix is the concatenation of its components' tuples.
+    zero_bit = 0
+    layer: Dict[int, int] = {}
     for comp, klass, runs, system in zip(plan.comps, klasses, solved, plan.systems):
         coef = tuple(p * width + q for p, q in klass)
         step = plan.steps[system]
@@ -524,22 +538,19 @@ def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = 
             cmap = maps[key] = _class_map(runs, step, coef, bound)
         mask, rank = cmap.mask, cmap.rank
         # the value of the tuple k steps into the run starting at first
-        if weights is None:
-            zero, at = runs[0][0], lambda first, k: tuple(w + k * d for w, d in zip(first, step))
-        else:
-            own = [weights.get(bid, 0) for bid in comp]
-            moved = sum(map(operator.mul, own, step))
-            zero, at = 0, lambda first, k: sum(map(operator.mul, own, first)) + k * moved
-        value = ({b: at(first, k) for b, (first, k) in cmap.nonzero.items()}
-                 if weights is None or any(own) else dict.fromkeys(cmap.nonzero, 0))
+        own = [weights.get(bid, 0) for bid in comp]
+        moved = sum(map(operator.mul, own, step))
+        value = ({b: sum(map(operator.mul, own, first)) + k * moved
+                  for b, (first, k) in cmap.nonzero.items()}
+                 if any(own) else dict.fromkeys(cmap.nonzero, 0))
 
         # The zero prefix comes first and covers the component's nonzero
         # classes shifted by its own bit. Then each nonzero prefix, in
         # ascending witness order, shifts the mask by its bit; only bits
         # not yet covered get a witness, in rank order, so the first
         # cover of a class is its lex-least witness.
-        nxt = {zero_bit + b: zero_value + v for b, v in value.items()}
-        value[cmap.zero] = zero  # after a nonzero prefix
+        nxt = {zero_bit + b: v for b, v in value.items()}
+        value[cmap.zero] = 0  # after a nonzero prefix
         covered = cmap.nonzero_mask << zero_bit
         for shift, prefix in layer.items():
             ms = mask << shift
@@ -551,14 +562,13 @@ def _fold(track: TrainTrack, bound: int, weights: Optional[Mapping[str, int]] = 
                           else (new.bit_length() - 1,)):
                     nxt[shift + b] = prefix + value[b]
         layer = nxt
-        zero_bit, zero_value = zero_bit + cmap.zero, zero_value + zero
+        zero_bit += cmap.zero
 
     null = layer.pop(zero_bit, None)
     # every other bit, less zero_bit + q_least, is p * width + q - q_least
     pairs = map(divmod, map(operator.sub, layer, itertools.repeat(zero_bit + q_least)),
                 itertools.repeat(width))
-    classes = {(p, q + q_least): v for (p, q), v in zip(pairs, layer.values())}
-    return [bid for comp in plan.comps for bid in comp], classes, null
+    return {(p, q + q_least): v for (p, q), v in zip(pairs, layer.values())}, null
 
 
 def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
@@ -567,10 +577,21 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     The witness for a class is deterministic: components are taken in
     order of their smallest branch id, each contributing its
     lexicographically first weight tuple for its share of the class.
+    The fold gives each witness as one integer: branch number i, in that
+    order, weighs 1 << i * w, with w the bit length of the bound, so the
+    witness's weights are its base 2**w digits.
     """
-    ids, classes, null = _fold(track, bound)
-    return CarriedClasses({klass: dict(zip(ids, tup)) for klass, tup in classes.items()},
-                          None if null is None else dict(zip(ids, null)))
+    _check_bound(bound)
+    ids = [bid for comp in track._solve_plan.comps for bid in comp]
+    w, digit = bound.bit_length(), (1 << bound.bit_length()) - 1
+    places = [(bid, i * w) for i, bid in enumerate(ids)]
+    classes, null = _fold(track, bound, {bid: 1 << at for bid, at in places})
+
+    def witness(code: int) -> Dict[str, int]:
+        return {bid: code >> at & digit for bid, at in places}
+
+    return CarriedClasses({klass: witness(code) for klass, code in classes.items()},
+                          None if null is None else witness(null))
 
 
 def dead_branches(track: TrainTrack, bound: int) -> Set[str]:
@@ -675,32 +696,32 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     over the designated roles, plus the law's range condition. A branch
     that a role lists twice counts twice in its sum.
 
-    When every branch satisfies the formula on its own role counts, no
-    witness can break the identity, and the fold's value of each class is
-    the only sum the range condition reads: the first role's sum over the
-    class's lex-first witness (mu for FORMULA_THREE_PLUS, g for
-    FORMULA_B9). Other laws read no witness and fold empty weights. When
-    some branch breaks the formula, the fold's values are the witness
-    tuples, and each witness is compared with the formula in turn.
+    Each role sum the check reads comes from one fold, whose weights are
+    the role's counts, so each class's value is that role's sum over the
+    class's lex-first witness. When every branch satisfies the formula on
+    its own role counts, no witness can break the identity, and the check
+    reads only the sum of the range condition's role (mu for
+    FORMULA_THREE_PLUS, g for FORMULA_B9). Other laws read no sum and fold
+    empty weights. When some branch breaks the formula, it folds every
+    role and compares each witness with the formula in turn.
     """
     check_roles(track, designated)
-    weights: Optional[Mapping[str, int]] = {}  # no witness is read
+    read: Sequence[str] = ()  # the roles whose sums the check reads
     if law.kind in _FORMULAS:
         label, roles, formula = _FORMULAS[law.kind]
         # Every formula is linear, so a witness's class minus the formula
         # of its role sums is the sum over branches b of w_b * delta_b,
         # delta_b being b's class minus the formula of b's role counts.
-        # When each delta_b is 0 no witness disagrees, and the fold needs
+        # When each delta_b is 0 no witness disagrees, and the check needs
         # only the sum that the range condition reads, if any. A branch
         # a role lists twice counts twice.
         certified = all(track.branches[bid].klass
                         == formula(*(designated.get(role, ()).count(bid) for role in roles))
                         for comp in track._solve_plan.comps for bid in comp)
-        if not certified:
-            weights = None
-        elif law.kind in _RANGE_KINDS:
-            weights = Counter(designated.get(roles[0], ()))
-    ids, classes, _ = _fold(track, bound, weights)
+        read = roles if not certified else roles[:1] if law.kind in _RANGE_KINDS else ()
+    # a role not designated sums to 0; the ids were checked above
+    columns = [_fold(track, bound, Counter(designated.get(role, ())))[0] for role in read]
+    classes = columns[0] if columns else _fold(track, bound, {})[0]
     realized = _slopes(classes)
     violations: List[str] = []
     if law.kind in _CONSTANT_LAWS:
@@ -710,17 +731,9 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
     if law.kind in _FORMULAS:
-        # the fold's values are the sums the range condition reads, if any
-        columns = [classes.values()] if law.kind in _RANGE_KINDS else []
-        if weights is None:
-            # each role's sum over each witness tuple; the ids were checked
-            # above, and a role not designated sums to 0
-            at = {bid: k for k, bid in enumerate(ids)}
-            columns = [[sum(w[at[b]] for b in designated.get(role, ())) for w in classes.values()]
-                       for role in roles]
-        saw_positive_g = False
-        for (p, q), sums in zip(classes, zip(*columns)):
-            if weights is None:
+        # every fold has the same classes in the same order
+        for (p, q), sums in zip(classes, zip(*(column.values() for column in columns))):
+            if not certified:
                 want = formula(*sums)
                 if (p, q) != want:
                     violations.append(f"class ({p},{q}) disagrees with "
@@ -731,9 +744,8 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 # q/p > 3 on integers; p = 0 is the meridian, never above 3
                 if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
                     violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
-            elif law.kind == "FORMULA_B9":
-                saw_positive_g = saw_positive_g or sums[0] > 0
-        if law.kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
+        # columns[0] holds g
+        if law.kind == "FORMULA_B9" and bound >= 1 and not any(g > 0 for g in columns[0].values()):
             violations.append("no witness with positive g")
     if law.kind in HEIGHT_KINDS:
         h = law.surjective_height or 1

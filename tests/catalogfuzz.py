@@ -44,7 +44,8 @@ from anosurf.catalog import FAMILIES, MANIFEST  # noqa: E402
 from anosurf.cli import main  # noqa: E402
 from conftest import DATA_DIR, load_schema, restamp_manifest  # noqa: E402
 
-POOL = (None, True, False, 0, 1, -1, 7, 2.5, "", "x", "Q1", "inf", "1/2",
+# 10**30 is too large for anything that allocates or shifts by a value
+POOL = (None, True, False, 0, 1, -1, 7, 10**30, 2.5, "", "x", "Q1", "inf", "1/2",
         [], {}, [0, 0], ["x"], {"x": 1})
 EXIT_CODES = {0, 3, 4, 5}
 # the schema of each data file, by path prefix

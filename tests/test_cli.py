@@ -62,6 +62,26 @@ def _meridian_hits(entry, value):
 
 _Q4_NU_BOOL = ("tracks/Q4.json", record_edit("designated", "nu", 0, value=False))
 
+
+def _q1_class(q):
+    """Q1's branch u.A1 with the class (1, q)."""
+    return ("tracks/Q1.json", record_edit("track", "branches", 0, "class", value=[1, q]))
+
+
+_Q1_MULTIPLICITIES = ("qcomplexes.json",
+                      record_edit("Q1", "connectors",
+                                  value={"ly3": 10**30, "s1": 10**30, "s4": 10**30}))
+
+# restamped edits that make a number of the data huge; each must be
+# refused in well under a second, without a traceback or a large allocation
+SIZE_FAULTS = {
+    "branch-class-10e30-track": (["track", "Q1", "--bound", "2"], _q1_class(10**30), 5),
+    "branch-class-10e30-laws": (["catalog", "check", "--laws"], _q1_class(10**30), 5),
+    "branch-class-10e6-track": (["track", "Q1", "--bound", "20"], _q1_class(10**6), 5),
+    "multiplicities-10e30-classify": (["classify", "7/2"], _Q1_MULTIPLICITIES, 5),
+    "multiplicities-10e30-list": (["catalog", "list"], _Q1_MULTIPLICITIES, 5),
+}
+
 # edits of a restamped catalog, most of one field: the command, each edited
 # file with its edit, and the exit code the command must give
 RESTAMPED_FAULTS = {
@@ -135,6 +155,9 @@ RESTAMPED_FAULTS = {
                              ("catalog/entries/B7_II_fg.json",
                               record_edit("split_curves", drop=True)), 4),
     "type-i-meridian-three-check": (["catalog", "check"], _meridian_hits("B5", 3), 4),
+    **SIZE_FAULTS,
+    # a class whose span stays under the cap breaks the law as before
+    "branch-class-1000-track": (["track", "Q1", "--bound", "20"], _q1_class(1000), 4),
 }
 
 
@@ -420,6 +443,38 @@ def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
     assert main([*argv, "--catalog", str(data_copy)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", SIZE_FAULTS)
+def test_a_size_fault_is_refused_within_a_second(data_copy, name):
+    argv, (relpath, edit), code = SIZE_FAULTS[name]
+    rewrite(data_copy, relpath, edit)
+    started = time.perf_counter()
+    assert main([*argv, "--catalog", str(data_copy)]) == code
+    assert time.perf_counter() - started < 1
+
+
+# a JSON document nested deeper than the parser recurses
+NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("override", ["option", "environment"])
+@pytest.mark.parametrize("relpath", [MANIFEST, "spine.json"])
+@pytest.mark.parametrize("argv", [["classify", "7/2"], ["catalog", "list"]],
+                         ids=["classify", "catalog-list"])
+def test_deeply_nested_json_exits_five(data_copy, argv, relpath, override, monkeypatch,
+                                       capsys):
+    (data_copy / relpath).write_text(NESTED_JSON)
+    if relpath != MANIFEST:
+        restamp_manifest(data_copy)
+    if override == "option":
+        argv = [*argv, "--catalog", str(data_copy)]
+    else:
+        monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: catalog at {relpath}: unusable file (RecursionError: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", MANIFEST_FAULTS)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from trackgen import hung_loops_doc, random_track_doc
 
 from anosurf import traintrack
 from anosurf.catalog import slope_law_check
+from anosurf.cli import MAX_LAW_BOUND
 from anosurf.errors import MonogonError, SlopeLawError, SwitchSystemError
 from anosurf.slopes import INFINITY, Slope
 from anosurf.traintrack import (
@@ -184,6 +186,12 @@ class TestCarriedClasses:
     def test_meridian_class(self):
         report = carried_classes(circle("c", (0, 1)), 2)
         assert report.slopes() == {INFINITY}
+
+    @pytest.mark.parametrize("bound", [255, 256, 1023, 1024])
+    def test_witness_digits_around_powers_of_two(self, bound):
+        # both arcs carry every weight up to the bound; 256 and 1024 need
+        # one bit more than 255 and 1023
+        _assert_matches_witness_oracle(track_doc(circle("c", (0, 1))), bound, "circle_c")
 
     def test_dead_branches(self):
         assert dead_branches(pinched_pair(), 4) == {"X1", "X2"}
@@ -502,6 +510,36 @@ class TestSolutionCap:
         assert peak["Q4"] < traintrack.COMPONENT_SOLUTION_CAP
 
 
+class TestClassSpanCap:
+    @pytest.mark.parametrize("call", [
+        carried_classes,
+        lambda track, bound: check_law(track, SlopeLaw("ANY_SLOPE"), {}, bound),
+        # fails the per-branch certificate, so it folds every role
+        lambda track, bound: check_law(track, SlopeLaw("FORMULA_B9"), {"g": ["c1"]}, bound),
+    ], ids=["carried_classes", "check_law", "check_law-uncertified"])
+    def test_a_wide_class_is_refused_at_once(self, call):
+        # its classes would span 21 * (1 + 20 * 10**6) bits
+        track = circle("c", (1, 10**6))
+        started = time.perf_counter()
+        with pytest.raises(SwitchSystemError,
+                           match=r"^track 'circle_c': the classes span more than 1000000 "
+                                 r"bits at bound 20$"):
+            call(track, 20)
+        assert time.perf_counter() - started < 1
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        # the classes of circle c at bound 3 span (1 + 3 * 1) * (1 + 3 * 2) bits
+        monkeypatch.setattr(traintrack, "CLASS_SPAN_CAP", 28)
+        assert len(carried_classes(circle("c", (1, 2)), 3).classes) == 3
+        with pytest.raises(SwitchSystemError, match="more than 28 bits at bound 4$"):
+            carried_classes(circle("c", (1, 2)), 4)
+
+    @pytest.mark.parametrize("family", ["Q5", "Q10"])
+    def test_the_widest_shipped_tracks_fit_at_the_top_bound(self, family, catalog):
+        # 161,001 bits each at bound 50, the most of any shipped track
+        assert slope_law_check(catalog, family, bound=MAX_LAW_BOUND).ok
+
+
 FORMULA_CHECKS = {
     # the roles (the one the range condition reads first), the formula and
     # its text of each formula law with a range condition, written out
@@ -765,7 +803,7 @@ class TestAgainstWitnessOracle:
         track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
         for bound in range(4):
             classes, null = oracle_class_witnesses(doc, bound)
-            _, got, got_null = traintrack._fold(track, bound, weights)
+            got, got_null = traintrack._fold(track, bound, weights)
 
             def total(witness):
                 return sum(weights.get(b, 0) * w for b, w in witness.items())

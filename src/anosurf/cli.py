@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 import click
@@ -19,13 +18,8 @@ import click
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
 from .classifier import ANCHORS, classify
 from .errors import AnosurfError
-from .slopes import Slope, is_hyperbolic, parse_slope, up_to_height
-
-
-# Ceiling on law-check bounds: the check grows steeply with the bound, and
-# Q4, the slowest family, takes about 0.11 s at bound 50, its first call in a
-# fresh process (Python 3.11.7, 2 cores).
-MAX_LAW_BOUND = 50
+from .slopes import is_hyperbolic, parse_slope, sorted_slopes, up_to_height
+from .traintrack import MAX_LAW_BOUND
 
 # Ceiling on `sweep --max`: the sweep visits about 1.2 * max^2 slopes, and
 # 200 (48,927 slopes) is the largest documented sweep.
@@ -41,12 +35,6 @@ catalog_option = click.option(
 
 format_option = click.option("--format", "fmt", type=click.Choice(["table", "json"]),
                              default="table", show_default=True)
-
-
-def _slope_sort_key(s: Slope):
-    if s.is_infinity:
-        return (1, Fraction(0))
-    return (0, s.as_fraction())
 
 
 @click.group()
@@ -110,7 +98,7 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
             "max": max_height,
             "counts": counts,
             "seconds": round(elapsed, 3),
-            "slopes": {k: [str(s) for s in sorted(v, key=_slope_sort_key)]
+            "slopes": {k: [str(s) for s in sorted_slopes(v)]
                        for k, v in sorted(kinds.items())},
         }, indent=2))
         return
@@ -131,7 +119,7 @@ def track_cmd(family: str, bound: int, fmt: str, catalog_path: Optional[str]):
     catalog = load_catalog(path=catalog_path)
     bundle = catalog.tracks[family]
     report = slope_law_check(catalog, family, bound=bound)
-    realized = sorted(report.realized, key=_slope_sort_key)
+    realized = sorted_slopes(report.realized)
     if fmt == "json":
         click.echo(json.dumps({
             "family": family,

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import _schema
 from .errors import SlopeFormatError
@@ -25,8 +25,12 @@ _SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
 @dataclass(frozen=True)
 class Slope:
     """A reduced filling slope. q is the meridian coefficient, p the
-    longitude coefficient; q/p is the usual rational name."""
+    longitude coefficient; q/p is the usual rational name. Slopes have no
+    order of their own: sorted_slopes gives the order of q/p."""
 
+    # _hash, a slot and not a field, keeps hash((q, p)), the hash that a
+    # frozen dataclass computes on every call
+    __slots__ = ("q", "p", "_hash")
     q: int
     p: int
 
@@ -41,6 +45,15 @@ class Slope:
             raise SlopeFormatError(f"{q}/{p}", "coefficients must be coprime")
         if p == 0 and q != 1:
             raise SlopeFormatError(f"{q}/{p}", "the infinite slope is stored as 1/0")
+        object.__setattr__(self, "_hash", hash((q, p)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checks; a frozen object's
+        # slots refuse the setattr of the default protocol
+        return Slope, (self.q, self.p)
 
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":
@@ -81,8 +94,8 @@ def _check_integers(q, p) -> None:
 
 def _reduced(p: int, q: int) -> Tuple[int, int]:
     """The slope of the nonzero class (p, q) as a reduced pair (q, p), with
-    p >= 0 and the meridian as (1, 0): the one reduction of an integer
-    pair, which Slope.of and the slope law checks share."""
+    p >= 0 and the meridian as (1, 0). The slope law checks reduce their
+    classes the same way in one loop of their own."""
     g = math.gcd(p, q)
     if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
         g = -g
@@ -91,13 +104,21 @@ def _reduced(p: int, q: int) -> Tuple[int, int]:
 
 def _from_reduced(q: int, p: int) -> Slope:
     """The Slope (q, p) without the checks of __post_init__, for a pair
-    that _reduced produced: both are ints, not bools, p >= 0,
-    gcd(p, q) == 1 (so not both 0), and the meridian is (1, 0). Any other
-    pair goes through Slope or Slope.of."""
-    slope = object.__new__(Slope)
-    fields = slope.__dict__
-    fields["q"], fields["p"] = q, p
+    known to be reduced: both are ints, not bools, p >= 0, gcd(p, q) == 1
+    (so not both 0), and the meridian is (1, 0). Any other pair goes
+    through Slope or Slope.of."""
+    slope = _new_slope(Slope)
+    _set_q(slope, q)
+    _set_p(slope, p)
+    _set_hash(slope, hash((q, p)))
     return slope
+
+
+# bound once for _from_reduced, which check_law calls once per realized
+# slope: object.__new__ and the slots' own setters, which a frozen Slope's
+# __setattr__ refuses
+_new_slope = object.__new__
+_set_q, _set_p, _set_hash = (Slope.__dict__[name].__set__ for name in Slope.__slots__)
 
 
 INFINITY = Slope(1, 0)
@@ -136,8 +157,21 @@ def up_to_height(h: int) -> Iterator[Slope]:
     """The finite slopes of height at most h, each once, by p and then q."""
     for p in range(1, h + 1):
         for q in range(-h, h + 1):
-            if math.gcd(p, q) == 1:
-                yield Slope(q, p)
+            if math.gcd(p, q) == 1:  # reduced, with p >= 1
+                yield _from_reduced(q, p)
+
+
+def sorted_slopes(slopes: Iterable[Slope]) -> List[Slope]:
+    """The slopes in ascending order of q/p, the meridian last, compared
+    on integers. Two distinct reduced slopes q/p and q'/p' differ by at
+    least 1/(p * p'), so once scaled by the square of the largest finite
+    denominator they are at least 1 apart, and their floors keep their
+    order. Equal slopes keep the order they came in."""
+    slopes = list(slopes)
+    finite = [s for s in slopes if s.p]
+    scale = max((s.p for s in finite), default=1) ** 2
+    finite.sort(key=lambda s: s.q * scale // s.p)
+    return finite + [s for s in slopes if not s.p]
 
 
 def intersection_number(a: Slope, b: Slope) -> int:

@@ -23,22 +23,26 @@ SwitchSystemError.
 
 The components' classes are folded into the track's, each class with the
 value of its lex-first witness: the int sum of a weight per branch times
-the witness's weights, which adds over components. carried_classes gives
-branch number i the weight 1 << i * w, w the bit length of the bound, and
-reads the witness back from the value's base 2**w digits. check_law folds
-each role sum it reads with the role's counts as weights. Every formula
-law is linear in its role sums, so it holds on every witness once it
-holds on every single branch. Then check_law folds only the role sum that
-the law's range condition reads, or empty weights when it reads none; it
-folds every role and compares witness by witness only when some branch
-breaks the law. A track whose packed classes would span more than
-CLASS_SPAN_CAP bits raises SwitchSystemError.
+the witness's weights, which adds over components. One fold solves the
+track and builds its class maps once, then folds each weight map it is
+given. carried_classes gives branch number i the weight 1 << i * w, w the
+bit length of the bound, and reads the witness back from the value's base
+2**w digits. check_law folds once per call, with one weight map per role
+sum it reads: the role's counts. Every formula law is linear in its role
+sums, so it holds on every witness once it holds on every single branch.
+Then check_law reads only the role sum that the law's range condition
+reads, or none, and folds empty weights for the classes alone; it reads
+every role and compares witness by witness only when some branch breaks
+the law. A track whose packed classes would span more than CLASS_SPAN_CAP
+bits raises SwitchSystemError; check_class_span decides that from the
+branch classes alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,7 +50,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
-from .slopes import INFINITY, ZERO, Slope, _from_reduced, _reduced, up_to_height
+from .slopes import INFINITY, ZERO, Slope, _from_reduced, up_to_height
 
 End = Tuple[str, str]  # (branch id, "head" | "tail")
 
@@ -236,6 +240,11 @@ COMPONENT_SOLUTION_CAP = 1_000_000
 # fold's masks are that wide. The shipped tracks peak at 161,001, Q5's and
 # Q10's at bound 50.
 CLASS_SPAN_CAP = 1_000_000
+# The largest bound of a law check that the CLI accepts, and the bound at
+# which `catalog check` checks the class span. The check grows steeply
+# with the bound: Q4, the slowest family, takes about 0.1 s at bound 50,
+# its first call in a fresh process (Python 3.11.7, 2 cores).
+MAX_LAW_BOUND = 50
 
 
 def _local_system(rows: List[Dict[str, int]], comp: Sequence[str]) -> Tuple[Row, ...]:
@@ -418,9 +427,16 @@ def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
 
 
 def _slopes(classes) -> Set[Slope]:
-    # reduce on integers first, then build one Slope per distinct slope
-    # straight from its reduced pair
-    return {_from_reduced(q, p) for q, p in {_reduced(p, q) for p, q in classes}}
+    """The slopes of the nonzero classes (p, q). Each class is reduced on
+    integers as slopes._reduced reduces it, in one loop, and one Slope is
+    built per distinct slope, straight from its reduced pair."""
+    gcd, pairs = math.gcd, set()
+    for p, q in classes:
+        g = gcd(p, q)
+        if p < 0 or not p and q < 0:  # the meridian is (1, 0)
+            g = -g
+        pairs.add((q // g, p // g))
+    return {_from_reduced(q, p) for q, p in pairs}
 
 
 @dataclass
@@ -480,11 +496,11 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
             comb = combs.get(m)
             if comb is None:
                 comb = combs[m] = ((1 << m * gap) - 1) // ((1 << gap) - 1) if gap else 1
-            low = comb << min(start, start + (m - 1) * stride)
-            new = low ^ (low & seen)
+            grown = seen | comb << min(start, start + (m - 1) * stride)
+            new = grown ^ seen
             if new:
-                seen |= new
-                bits = _set_bits(new) if new & (new - 1) else (new.bit_length() - 1,)
+                seen = grown
+                bits = _set_bits(new) if new.bit_count() > 1 else (new.bit_length() - 1,)
                 for bit in (reversed(bits) if stride < 0 else bits):
                     # with stride 0 the run has one bit, at k = skip
                     nonzero[bit] = (first, skip + (bit - start) // (stride or 1))
@@ -495,47 +511,68 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
     return _ClassMap(nonzero, seen, zero, seen | 1 << zero, rank)
 
 
-def _fold(track: TrainTrack, bound: int, weights: Mapping[str, int]
-          ) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
-    """Each nonzero realized class with the value of its witness, in
-    ascending witness order, and the value of the null witness, or None.
-    See carried_classes for the witnesses. The value of a witness is the
-    int sum over the branches of weights[b] (0 for a branch not in
-    weights) times b's weight in the witness, so it adds over components.
-    The classes, their order and the null witness's presence do not
-    depend on the weights.
+def check_class_span(track: TrainTrack, bound: int) -> None:
+    """Raise SwitchSystemError when the packed classes of the track would
+    span more than CLASS_SPAN_CAP bits at this bound. The span, (1 +
+    bound * sum |p|) * (1 + bound * sum |q|) over the branch classes, grows
+    with the bound, so a track that passes at MAX_LAW_BOUND passes at
+    every bound the CLI accepts."""
+    klasses = [b.klass for b in track.branches.values()]
+    if ((1 + bound * sum(abs(p) for p, _ in klasses))
+            * (1 + bound * sum(abs(q) for _, q in klasses)) > CLASS_SPAN_CAP):
+        raise SwitchSystemError(track.track_id, f"the classes span more than "
+                                                f"{CLASS_SPAN_CAP} bits at bound {bound}")
+
+
+def _fold(track: TrainTrack, bound: int, weight_maps: Sequence[Mapping[str, int]]
+          ) -> List[Tuple[Dict[Tuple[int, int], int], Optional[int]]]:
+    """For each weight map, each nonzero realized class with the value of
+    its witness, in ascending witness order, and the value of the null
+    witness, or None. See carried_classes for the witnesses. The value of
+    a witness is the int sum over the branches of weights[b] (0 for a
+    branch not in weights) times b's weight in the witness, so it adds
+    over components. The classes, their order and the null witness's
+    presence do not depend on the weights: the track is solved and its
+    class maps are built once, for every weight map.
 
     Raises SwitchSystemError when the packed classes span more than
     CLASS_SPAN_CAP bits."""
     plan, solved = _solve(track, bound)
+    check_class_span(track, bound)
     klasses = plan.klasses
     # A class (p, q) packs into the integer p * width + q. width exceeds
     # the spread of q over every solution, so the packing is one to one
     # and classes add as their packed integers do.
     width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
     q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
-    if (1 + bound * sum(abs(p) for klass in klasses for p, _ in klass)) * width > CLASS_SPAN_CAP:
-        raise SwitchSystemError(track.track_id, f"the classes span more than "
-                                                f"{CLASS_SPAN_CAP} bits at bound {bound}")
 
     # Components that share a run list (see _solve) and their packed
     # branch classes share one class map. Each list stays alive in solved
     # for the whole fold, so its id names it.
-    maps: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
+    shared: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
+    maps: List[_ClassMap] = []
+    for klass, runs, system in zip(klasses, solved, plan.systems):
+        coef = tuple(p * width + q for p, q in klass)
+        key = (id(runs), coef)
+        cmap = shared.get(key)
+        if cmap is None:
+            cmap = shared[key] = _class_map(runs, plan.steps[system], coef, bound)
+        maps.append(cmap)
+    return [_fold_weights(plan, maps, weights, width, q_least) for weights in weight_maps]
 
+
+def _fold_weights(plan: _SolvePlan, maps: Sequence[_ClassMap], weights: Mapping[str, int],
+                  width: int, q_least: int) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
+    """One weight map's fold of the class maps, aligned with plan.comps;
+    see _fold."""
     # The fold keeps the zero prefix (every component so far at its zero
     # tuple, of value 0) apart from the nonzero layer: bit -> the value of
     # the lex-first nonzero prefix of that class, in ascending witness
     # order. A prefix is the concatenation of its components' tuples.
     zero_bit = 0
     layer: Dict[int, int] = {}
-    for comp, klass, runs, system in zip(plan.comps, klasses, solved, plan.systems):
-        coef = tuple(p * width + q for p, q in klass)
+    for comp, cmap, system in zip(plan.comps, maps, plan.systems):
         step = plan.steps[system]
-        key = (id(runs), coef)
-        cmap = maps.get(key)
-        if cmap is None:
-            cmap = maps[key] = _class_map(runs, step, coef, bound)
         mask, rank = cmap.mask, cmap.rank
         # the value of the tuple k steps into the run starting at first
         own = [weights.get(bid, 0) for bid in comp]
@@ -553,13 +590,15 @@ def _fold(track: TrainTrack, bound: int, weights: Mapping[str, int]
         value[cmap.zero] = 0  # after a nonzero prefix
         covered = cmap.nonzero_mask << zero_bit
         for shift, prefix in layer.items():
-            ms = mask << shift
-            fresh = ms ^ (ms & covered)
+            grown = covered | mask << shift
+            fresh = grown ^ covered
             if fresh:
-                covered |= fresh
-                new = fresh >> shift
-                for b in (sorted(_set_bits(new), key=rank.__getitem__) if new & (new - 1)
-                          else (new.bit_length() - 1,)):
+                covered = grown
+                if fresh.bit_count() == 1:
+                    b = fresh.bit_length() - 1
+                    nxt[b] = prefix + value[b - shift]
+                    continue
+                for b in sorted(_set_bits(fresh >> shift), key=rank.__getitem__):
                     nxt[shift + b] = prefix + value[b]
         layer = nxt
         zero_bit += cmap.zero
@@ -585,7 +624,7 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     ids = [bid for comp in track._solve_plan.comps for bid in comp]
     w, digit = bound.bit_length(), (1 << bound.bit_length()) - 1
     places = [(bid, i * w) for i, bid in enumerate(ids)]
-    classes, null = _fold(track, bound, {bid: 1 << at for bid, at in places})
+    [(classes, null)] = _fold(track, bound, [{bid: 1 << at for bid, at in places}])
 
     def witness(code: int) -> Dict[str, int]:
         return {bid: code >> at & digit for bid, at in places}
@@ -696,14 +735,15 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     over the designated roles, plus the law's range condition. A branch
     that a role lists twice counts twice in its sum.
 
-    Each role sum the check reads comes from one fold, whose weights are
-    the role's counts, so each class's value is that role's sum over the
-    class's lex-first witness. When every branch satisfies the formula on
-    its own role counts, no witness can break the identity, and the check
-    reads only the sum of the range condition's role (mu for
-    FORMULA_THREE_PLUS, g for FORMULA_B9). Other laws read no sum and fold
-    empty weights. When some branch breaks the formula, it folds every
-    role and compares each witness with the formula in turn.
+    The check solves the track once: one fold call takes a weight map per
+    role sum it reads, the role's counts, so each class's value under it
+    is that role's sum over the class's lex-first witness. When every
+    branch satisfies the formula on its own role counts, no witness can
+    break the identity, and the check reads only the sum of the range
+    condition's role (mu for FORMULA_THREE_PLUS, g for FORMULA_B9). Other
+    laws read no sum and fold empty weights. When some branch breaks the
+    formula, it reads every role and compares each witness with the
+    formula in turn.
     """
     check_roles(track, designated)
     read: Sequence[str] = ()  # the roles whose sums the check reads
@@ -719,9 +759,12 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                         == formula(*(designated.get(role, ()).count(bid) for role in roles))
                         for comp in track._solve_plan.comps for bid in comp)
         read = roles if not certified else roles[:1] if law.kind in _RANGE_KINDS else ()
-    # a role not designated sums to 0; the ids were checked above
-    columns = [_fold(track, bound, Counter(designated.get(role, ())))[0] for role in read]
-    classes = columns[0] if columns else _fold(track, bound, {})[0]
+    # One fold call: a weight map per role read, or one empty map for the
+    # classes alone; a role not designated sums to 0, and the ids were
+    # checked above.
+    folds = _fold(track, bound, [Counter(designated.get(role, ())) for role in read] or [{}])
+    classes = folds[0][0]
+    columns = [column for column, _ in folds[:len(read)]]
     realized = _slopes(classes)
     violations: List[str] = []
     if law.kind in _CONSTANT_LAWS:
@@ -731,19 +774,24 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
     if law.kind in _FORMULAS:
-        # every fold has the same classes in the same order
-        for (p, q), sums in zip(classes, zip(*(column.values() for column in columns))):
-            if not certified:
-                want = formula(*sums)
-                if (p, q) != want:
-                    violations.append(f"class ({p},{q}) disagrees with "
-                                      f"{label}=({want[0]},{want[1]})")
-            if law.kind == "FORMULA_THREE_PLUS":
-                if sums[0] < 1:
-                    violations.append(f"class ({p},{q}) realized with mu = 0")
-                # q/p > 3 on integers; p = 0 is the meridian, never above 3
-                if p == 0 or (q if p > 0 else -q) <= 3 * abs(p):
-                    violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
+        three_plus = law.kind == "FORMULA_THREE_PLUS"
+        # Every fold has the same classes in the same order. A certified
+        # law has no witness to compare, and only FORMULA_THREE_PLUS has a
+        # range condition on each witness.
+        if three_plus or not certified:
+            for (p, q), sums in zip(classes, zip(*(column.values() for column in columns))):
+                if not certified:
+                    want = formula(*sums)
+                    if (p, q) != want:
+                        violations.append(f"class ({p},{q}) disagrees with "
+                                          f"{label}=({want[0]},{want[1]})")
+                if three_plus:
+                    if sums[0] < 1:
+                        violations.append(f"class ({p},{q}) realized with mu = 0")
+                    # q/p > 3 on integers, p * (q - 3p) > 0; p = 0 is the
+                    # meridian, never above 3
+                    if p * (q - 3 * p) <= 0:
+                        violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
         # columns[0] holds g
         if law.kind == "FORMULA_B9" and bound >= 1 and not any(g > 0 for g in columns[0].values()):
             violations.append("no witness with positive g")

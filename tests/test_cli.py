@@ -77,6 +77,7 @@ _Q1_MULTIPLICITIES = ("qcomplexes.json",
 SIZE_FAULTS = {
     "branch-class-10e30-track": (["track", "Q1", "--bound", "2"], _q1_class(10**30), 5),
     "branch-class-10e30-laws": (["catalog", "check", "--laws"], _q1_class(10**30), 5),
+    "branch-class-10e30-check": (["catalog", "check"], _q1_class(10**30), 5),
     "branch-class-10e6-track": (["track", "Q1", "--bound", "20"], _q1_class(10**6), 5),
     "multiplicities-10e30-classify": (["classify", "7/2"], _Q1_MULTIPLICITIES, 5),
     "multiplicities-10e30-list": (["catalog", "list"], _Q1_MULTIPLICITIES, 5),
@@ -156,8 +157,10 @@ RESTAMPED_FAULTS = {
                               record_edit("split_curves", drop=True)), 4),
     "type-i-meridian-three-check": (["catalog", "check"], _meridian_hits("B5", 3), 4),
     **SIZE_FAULTS,
-    # a class whose span stays under the cap breaks the law as before
+    # a class whose span stays under the cap breaks the law as before; its
+    # span at the top law bound is over the cap, which `catalog check` refuses
     "branch-class-1000-track": (["track", "Q1", "--bound", "20"], _q1_class(1000), 4),
+    "branch-class-1000-check": (["catalog", "check"], _q1_class(1000), 5),
 }
 
 
@@ -443,6 +446,27 @@ def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
     assert main([*argv, "--catalog", str(data_copy)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the rows whose command checks a slope law and exits 5
+LAW_CHECK_REFUSALS = [name for name, (argv, *_, code) in RESTAMPED_FAULTS.items()
+                      if code == 5 and (argv[0] == "track"
+                                        or argv[:3] == ["catalog", "check", "--laws"])]
+
+
+@pytest.mark.parametrize("name", LAW_CHECK_REFUSALS)
+def test_a_refused_law_check_fails_plain_catalog_check(data_copy, name):
+    # a passing `catalog check` certifies the law checks at every bound
+    # the CLI accepts
+    argv, *edits, code = RESTAMPED_FAULTS[name]
+    for relpath, edit in edits:
+        rewrite(data_copy, relpath, edit)
+    assert main(["catalog", "check", "--catalog", str(data_copy)]) != 0
+
+
+def test_the_law_check_refusals_hold_the_class_span_rows():
+    assert {"branch-class-10e30-track", "branch-class-10e30-laws",
+            "branch-class-10e6-track"} <= set(LAW_CHECK_REFUSALS)
 
 
 @pytest.mark.parametrize("name", SIZE_FAULTS)

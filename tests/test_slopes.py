@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,8 +15,10 @@ from anosurf.slopes import (
     Slope,
     eval_admissible,
     intersection_number,
+    _from_reduced,
     is_hyperbolic,
     parse_slope,
+    sorted_slopes,
 )
 
 
@@ -79,7 +84,7 @@ class TestSlopeConstruction:
             INFINITY.as_fraction()
 
     def test_ordering_and_str(self):
-        # slopes compare for equality only; callers sort by as_fraction()
+        # slopes compare for equality only; callers sort with sorted_slopes
         with pytest.raises(TypeError):
             Slope(-5, 1) < ZERO
         assert str(Slope(7, 2)) == "7/2"
@@ -137,6 +142,66 @@ class TestParseProperties:
         except SlopeFormatError:
             return
         assert isinstance(slope, Slope)
+
+
+def fraction_key(slope):
+    """The order the CLI sorted slopes by before sorted_slopes: by the
+    Fraction q/p, the meridian last."""
+    return (1, Fraction(0)) if slope.is_infinity else (0, slope.as_fraction())
+
+
+# slopes near each other, far apart and huge, with negative q and the meridian
+ORDERED_SLOPES = st.one_of(
+    st.just(INFINITY),
+    st.builds(Slope.of, st.integers(-60, 60), st.integers(1, 60)),
+    FINITE_SLOPES,
+    st.builds(Slope.of, st.sampled_from([10**30, -10**30, 10**30 + 1, -(10**30 - 1)]),
+              st.sampled_from([1, 2, 10**30, 10**30 - 1])))
+
+
+class TestSlopeOrder:
+    @settings(max_examples=300)
+    @given(st.lists(ORDERED_SLOPES, max_size=30))
+    @example([INFINITY, Slope(10**30, 1), ZERO, Slope(-10**30, 1), Slope(1, 10**30),
+              Slope(1, 10**30 - 1), Slope(-1, 10**30), INFINITY, Slope(-7, 2)])
+    def test_the_integer_order_is_the_fraction_order(self, slopes):
+        got = sorted_slopes(slopes)
+        assert got == sorted(slopes, key=fraction_key)
+        # the meridians come last
+        finite = [s for s in got if not s.is_infinity]
+        assert got[len(finite):] == [INFINITY] * (len(got) - len(finite))
+
+    def test_takes_any_iterable(self):
+        assert sorted_slopes(iter({INFINITY, Slope(1, 2), Slope(-3, 1)})) == [
+            Slope(-3, 1), Slope(1, 2), INFINITY]
+        assert sorted_slopes([]) == [] and sorted_slopes([INFINITY]) == [INFINITY]
+
+
+class TestSlopeRecord:
+    def test_a_slope_is_slotted_and_frozen(self):
+        slope = Slope(7, 2)
+        assert not hasattr(slope, "__dict__")
+        assert [f.name for f in dataclasses.fields(Slope)] == ["q", "p"]
+        for name in ("q", "p", "_hash"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(slope, name, 1)
+        assert (str(slope), repr(slope)) == ("7/2", "Slope(q=7, p=2)")
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.just(INFINITY), FINITE_SLOPES))
+    def test_an_unchecked_slope_equals_the_checked_one(self, checked):
+        unchecked = _from_reduced(checked.q, checked.p)
+        assert unchecked == checked and checked == unchecked
+        assert hash(unchecked) == hash(checked) == hash((checked.q, checked.p))
+        assert len({checked, unchecked}) == 1
+        assert unchecked != _from_reduced(checked.q + 1, checked.p)
+
+    def test_copies_and_pickles_are_equal_slopes(self):
+        for slope in (Slope(-5, 3), INFINITY, _from_reduced(10**30, 7)):
+            for clone in (copy.copy(slope), copy.deepcopy(slope),
+                          pickle.loads(pickle.dumps(slope))):
+                assert type(clone) is Slope and clone == slope
+                assert hash(clone) == hash(slope)
 
 
 class TestIntersection:

@@ -14,13 +14,13 @@ from trackgen import hung_loops_doc, random_track_doc
 
 from anosurf import traintrack
 from anosurf.catalog import slope_law_check
-from anosurf.cli import MAX_LAW_BOUND
 from anosurf.errors import MonogonError, SlopeLawError, SwitchSystemError
 from anosurf.slopes import INFINITY, Slope
 from anosurf.traintrack import (
     Branch,
     HEIGHT_KINDS,
     LAW_KINDS,
+    MAX_LAW_BOUND,
     SlopeLaw,
     Switch,
     TrainTrack,
@@ -647,6 +647,28 @@ class TestLawCertificate:
         # certified: one formula evaluation per branch and bound, none per witness
         assert len(calls) == 4 * len(track.branches)
 
+    def test_an_uncertified_law_solves_the_track_once(self, monkeypatch):
+        # Q4 with one branch's q raised by 1 fails the certificate, so the
+        # check folds all three roles; the folds share one solve
+        doc = load_data_json("tracks/Q4.json")
+        branch = doc["track"]["branches"][0]
+        branch["class"] = [branch["class"][0], branch["class"][1] + 1]
+        track = TrainTrack.from_json(doc["track"], track_id="Q4")
+        law = SlopeLaw(**doc["law"])
+        solve, calls = traintrack._solve, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(traintrack, "_solve", counted)
+        for bound in (0, 1, 3):
+            calls.clear()
+            report = check_law(track, law, doc["designated"], bound, family="Q4")
+            assert len(calls) == 1, bound
+            assert report.violations == expected_formula_violations(doc, bound), bound
+        assert any("disagrees" in v for v in report.violations)
+
     def test_a_restamped_branch_class_is_checked_per_witness(self, monkeypatch):
         doc = load_data_json("tracks/Q4.json")
         branch = next(b for b in doc["track"]["branches"] if b["id"] == "u.F1")
@@ -796,19 +818,23 @@ class TestAgainstWitnessOracle:
     def test_weighted_folds_sum_each_witness(self, seed):
         # with weights the fold keeps the classes and their order and
         # gives each witness's weighted sum; a weight may be 0, 2 or
-        # negative, and a branch without one weighs 0
+        # negative, and a branch without one weighs 0. One call folds
+        # every weight map it is given, the empty one too.
         doc = random_track_doc(seed)
         rng = random.Random(seed)
-        weights = {b["id"]: rng.choice([-1, 0, 1, 2]) for b in doc["branches"] if rng.random() < 0.8}
+        weight_maps = [{b["id"]: rng.choice([-1, 0, 1, 2])
+                        for b in doc["branches"] if rng.random() < 0.8} for _ in range(3)]
+        weight_maps.append({})
         track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
         for bound in range(4):
             classes, null = oracle_class_witnesses(doc, bound)
-            got, got_null = traintrack._fold(track, bound, weights)
-
-            def total(witness):
-                return sum(weights.get(b, 0) * w for b, w in witness.items())
-            assert list(got.items()) == [(klass, total(w)) for klass, w in classes.items()]
-            assert got_null == (None if null is None else total(null))
+            folds = traintrack._fold(track, bound, weight_maps)
+            assert len(folds) == len(weight_maps)
+            for weights, (got, got_null) in zip(weight_maps, folds):
+                def total(witness):
+                    return sum(weights.get(b, 0) * w for b, w in witness.items())
+                assert list(got.items()) == [(klass, total(w)) for klass, w in classes.items()]
+                assert got_null == (None if null is None else total(null))
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))

@@ -25,8 +25,8 @@ from .errors import (ClassificationGapError, CatalogIntegrityError, CatalogKeyEr
                      UnsupportedComplexError)
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
 from .spine import Spine, adjacent_short_pairs
-from .traintrack import (MAX_LAW_BOUND, LawReport, SlopeLaw, TrainTrack, check_class_span,
-                         check_law, check_roles, dead_branches)
+from .traintrack import (LawReport, SlopeLaw, TrainTrack, check_law, check_law_bounds,
+                         check_roles, dead_branches)
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
@@ -306,9 +306,10 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
     that no complex has adjacent short connectors, and that each track's
     noncompact branches are the ones dead in every solution at bound
     NONCOMPACT_BOUND. A track whose classes would span more than
-    CLASS_SPAN_CAP bits at MAX_LAW_BOUND, so that a law check at some
-    bound the CLI accepts would refuse it, raises SwitchSystemError as
-    that law check does. Each entry with no problem so far then runs its
+    CLASS_SPAN_CAP bits, or one of whose components would have more than
+    COMPONENT_SOLUTION_CAP solutions, at MAX_LAW_BOUND, so that a law
+    check at some bound the CLI accepts would refuse it, raises
+    SwitchSystemError as that law check does. Each entry with no problem so far then runs its
     exclusion chain once at 1/2: a chain reads the slope only through its
     denominator, and denominator two checks the most premises, so a gap
     that classify would meet at some slope is reported here. A mismatch
@@ -369,11 +370,11 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         if pairs:
             problems.append(f"{family}: adjacent short connectors {pairs}")
         bundle = catalog.tracks[family]
-        check_class_span(bundle.track, MAX_LAW_BOUND)
         dead = sorted(dead_branches(bundle.track, NONCOMPACT_BOUND))
         if sorted(bundle.noncompact) != dead:
             problems.append(f"{family}: noncompact {list(bundle.noncompact)} "
                             f"is not the dead branches {dead}")
+        check_law_bounds(bundle.track)
 
     return CatalogReport(
         entry_count=len(catalog),

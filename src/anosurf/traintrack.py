@@ -21,21 +21,20 @@ solutions, and so does an arithmetic progression of packed classes. A
 component with more than COMPONENT_SOLUTION_CAP solutions raises
 SwitchSystemError.
 
-The components' classes are folded into the track's, each class with the
-value of its lex-first witness: the int sum of a weight per branch times
-the witness's weights, which adds over components. One fold solves the
-track and builds its class maps once, then folds each weight map it is
-given. carried_classes gives branch number i the weight 1 << i * w, w the
+The components' classes are folded into the track's as a sumset of
+bitmasks, a class packed into one bit. check_law decides every law from
+that class set alone; a formula law certified branch by branch needs no
+witness, and a certified range condition is decided from the classes and
+the runs. The valued fold serves carried_classes and a law that this
+finds broken: each class gets the value of its lex-first witness, the
+int sum of a weight per branch times the witness's weights, which adds
+over components. One solve and one set of class maps serve every weight
+map. carried_classes gives branch number i the weight 1 << i * w, w the
 bit length of the bound, and reads the witness back from the value's base
-2**w digits. check_law folds once per call, with one weight map per role
-sum it reads: the role's counts. Every formula law is linear in its role
-sums, so it holds on every witness once it holds on every single branch.
-Then check_law reads only the role sum that the law's range condition
-reads, or none, and folds empty weights for the classes alone; it reads
-every role and compares witness by witness only when some branch breaks
-the law. A track whose packed classes would span more than CLASS_SPAN_CAP
-bits raises SwitchSystemError; check_class_span decides that from the
-branch classes alone.
+2**w digits; a failing check folds the role counts of each role sum it
+reads and compares witness by witness. A track whose packed classes would
+span more than CLASS_SPAN_CAP bits raises SwitchSystemError;
+check_class_span decides that from the branch classes alone.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import INFINITY, ZERO, Slope, _from_reduced, up_to_height
@@ -241,9 +240,10 @@ COMPONENT_SOLUTION_CAP = 1_000_000
 # Q10's at bound 50.
 CLASS_SPAN_CAP = 1_000_000
 # The largest bound of a law check that the CLI accepts, and the bound at
-# which `catalog check` checks the class span. The check grows steeply
-# with the bound: Q4, the slowest family, takes about 0.1 s at bound 50,
-# its first call in a fresh process (Python 3.11.7, 2 cores).
+# which `catalog check` checks the class span and the solution cap. The
+# check grows steeply with the bound: Q4, the slowest family, takes about
+# 0.06 s at bound 50, its first call in a fresh process (Python 3.11.7,
+# 2 cores).
 MAX_LAW_BOUND = 50
 
 
@@ -452,51 +452,59 @@ class CarriedClasses:
 
 
 def _set_bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The places of mask's one-bits, ascending, from one pass over its
+    binary digits; peeling the lowest bit off in turn would copy the
+    whole int once per bit."""
+    # the runs of zeros below each one-bit, least first, and one above
+    gaps = bin(mask)[:1:-1].split("1")
+    gaps.pop()
+    return list(itertools.accumulate(map((1).__add__, map(len, gaps)), initial=-1))[1:]
 
 
-class _ClassMap(NamedTuple):
+class _ClassMap:
     """One component's classes as bits of the fold, a bit being a packed
-    class minus the least packed class the component can reach. A class's
-    lex-first nonzero tuple is first + k * step for a run's first tuple."""
+    class minus the least packed class the component can reach. The masks
+    are built with the map; nonzero and rank, which only a valued fold
+    reads, on first use."""
 
-    nonzero: Dict[int, Tuple[Tuple[int, ...], int]]  # bit -> (first, k), ascending
-    nonzero_mask: int
-    zero: int                            # the bit of class 0
-    mask: int                            # nonzero_mask with the zero bit set
-    # bit -> the place of its lex-first tuple after a nonzero prefix: the
-    # zero tuple, class 0's, is 0 and the nonzero tuples follow
-    rank: Dict[int, int]
+    def __init__(self, runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
+                 bound: int):
+        self.runs, self.coef = runs, coef
+        self.zero = -bound * sum(min(c, 0) for c in coef)  # the bit of class 0
+        self.stride = sum(map(operator.mul, coef, step))
+        self.nonzero_mask = functools.reduce(operator.or_,
+                                             (mask for *_, mask in self._run_masks()), 0)
+        self.mask = self.nonzero_mask | 1 << self.zero
 
+    def _run_masks(self) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
+        """For each run with a nonzero tuple: its first tuple, the k and the
+        bit of its first nonzero tuple, and the mask of the classes from
+        there on. Along a run the packed class moves by one stride, so the
+        run's m classes are comb, m one-bits |stride| apart, shifted to its
+        lowest."""
+        stride, gap = self.stride, abs(self.stride)
+        combs: Dict[int, int] = {}  # run length -> comb; a division each is costly
+        skip = 1  # the zero tuple starts the first run
+        for first, length in self.runs:
+            m = length - skip
+            if m > 0:
+                start = sum(map(operator.mul, self.coef, first)) + self.zero + skip * stride
+                comb = combs.get(m)
+                if comb is None:
+                    comb = combs[m] = ((1 << m * gap) - 1) // ((1 << gap) - 1) if gap else 1
+                yield first, skip, start, comb << min(start, start + (m - 1) * stride)
+            skip = 0
 
-def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
-               bound: int) -> _ClassMap:
-    """The class map of a component with these runs, their step, and
-    packed branch classes."""
-    least = bound * sum(min(c, 0) for c in coef)
-    # Along a run the packed class moves by one stride, so the run's m
-    # classes are comb, m one-bits |stride| apart, shifted to its lowest.
-    stride = sum(map(operator.mul, coef, step))
-    gap = abs(stride)
-    combs: Dict[int, int] = {}  # run length -> comb; a division each is costly
-    # The runs and each run's tuples ascend, and the first tuple is the
-    # zero tuple, so the first nonzero tuple of a class is its lex-first.
-    nonzero: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    seen = 0
-    skip = 1  # the zero tuple starts the first run
-    for first, length in runs:
-        m = length - skip
-        if m > 0:
-            start = sum(map(operator.mul, coef, first)) - least + skip * stride
-            comb = combs.get(m)
-            if comb is None:
-                comb = combs[m] = ((1 << m * gap) - 1) // ((1 << gap) - 1) if gap else 1
-            grown = seen | comb << min(start, start + (m - 1) * stride)
+    @functools.cached_property
+    def nonzero(self) -> Dict[int, Tuple[Tuple[int, ...], int]]:
+        """bit -> (first, k), ascending: the class's lex-first nonzero tuple
+        is first + k * step for a run's first tuple."""
+        # The runs and each run's tuples ascend, and the first tuple is the
+        # zero tuple, so the first nonzero tuple of a class is its lex-first.
+        nonzero: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        seen, stride = 0, self.stride
+        for first, skip, start, run_mask in self._run_masks():
+            grown = seen | run_mask
             new = grown ^ seen
             if new:
                 seen = grown
@@ -504,11 +512,22 @@ def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
                 for bit in (reversed(bits) if stride < 0 else bits):
                     # with stride 0 the run has one bit, at k = skip
                     nonzero[bit] = (first, skip + (bit - start) // (stride or 1))
-        skip = 0
-    zero = -least
-    rank = {bit: i for i, bit in enumerate(nonzero, 1)}
-    rank[zero] = 0
-    return _ClassMap(nonzero, seen, zero, seen | 1 << zero, rank)
+        return nonzero
+
+    @functools.cached_property
+    def rank(self) -> Dict[int, int]:
+        """bit -> the place of its lex-first tuple after a nonzero prefix:
+        the zero tuple, class 0's, is 0 and the nonzero tuples follow."""
+        rank = {bit: i for i, bit in enumerate(self.nonzero, 1)}
+        rank[self.zero] = 0
+        return rank
+
+
+def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
+               bound: int) -> _ClassMap:
+    """The class map of a component with these runs, their step, and
+    packed branch classes."""
+    return _ClassMap(runs, step, coef, bound)
 
 
 def check_class_span(track: TrainTrack, bound: int) -> None:
@@ -524,62 +543,80 @@ def check_class_span(track: TrainTrack, bound: int) -> None:
                                                 f"{CLASS_SPAN_CAP} bits at bound {bound}")
 
 
-def _fold(track: TrainTrack, bound: int, weight_maps: Sequence[Mapping[str, int]]
-          ) -> List[Tuple[Dict[Tuple[int, int], int], Optional[int]]]:
-    """For each weight map, each nonzero realized class with the value of
-    its witness, in ascending witness order, and the value of the null
-    witness, or None. See carried_classes for the witnesses. The value of
-    a witness is the int sum over the branches of weights[b] (0 for a
-    branch not in weights) times b's weight in the witness, so it adds
-    over components. The classes, their order and the null witness's
-    presence do not depend on the weights: the track is solved and its
-    class maps are built once, for every weight map.
+def check_law_bounds(track: TrainTrack) -> None:
+    """Raise SwitchSystemError when a law check of the track would at some
+    bound the CLI accepts. Its class span and the solutions of each of its
+    components grow with the bound, so both are checked at MAX_LAW_BOUND:
+    the span from the branch classes alone, then the solutions, with a
+    walk only when the plan allows more than COMPONENT_SOLUTION_CAP. A
+    plan with c free choices allows at most (bound + 1)^c solutions."""
+    check_class_span(track, MAX_LAW_BOUND)
+    if any((MAX_LAW_BOUND + 1) ** (len(levels) - 1) > COMPONENT_SOLUTION_CAP
+           for levels in track._solve_plan.levels.values()):
+        _solve(track, MAX_LAW_BOUND)
+
+
+class _Folding:
+    """A track solved at one bound, with the class map of each component,
+    aligned with plan.comps: what every fold of the track at that bound
+    reads. A class (p, q) packs into the integer p * width + q, where
+    width exceeds the spread of q over every solution, so the packing is
+    one to one and classes add as their packed integers do.
 
     Raises SwitchSystemError when the packed classes span more than
     CLASS_SPAN_CAP bits."""
-    plan, solved = _solve(track, bound)
-    check_class_span(track, bound)
-    klasses = plan.klasses
-    # A class (p, q) packs into the integer p * width + q. width exceeds
-    # the spread of q over every solution, so the packing is one to one
-    # and classes add as their packed integers do.
-    width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
-    q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
 
-    # Components that share a run list (see _solve) and their packed
-    # branch classes share one class map. Each list stays alive in solved
-    # for the whole fold, so its id names it.
-    shared: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
-    maps: List[_ClassMap] = []
-    for klass, runs, system in zip(klasses, solved, plan.systems):
-        coef = tuple(p * width + q for p, q in klass)
-        key = (id(runs), coef)
-        cmap = shared.get(key)
-        if cmap is None:
-            cmap = shared[key] = _class_map(runs, plan.steps[system], coef, bound)
-        maps.append(cmap)
-    return [_fold_weights(plan, maps, weights, width, q_least) for weights in weight_maps]
+    def __init__(self, track: TrainTrack, bound: int):
+        self.plan, solved = _solve(track, bound)
+        check_class_span(track, bound)
+        klasses = self.plan.klasses
+        self.width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
+        self.q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
+
+        # Components that share a run list (see _solve) and their packed
+        # branch classes share one class map. Each list stays alive in
+        # solved while the maps are built, so its id names it.
+        shared: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
+        self.maps: List[_ClassMap] = []
+        for klass, runs, system in zip(klasses, solved, self.plan.systems):
+            coef = tuple(p * self.width + q for p, q in klass)
+            key = (id(runs), coef)
+            if key not in shared:
+                shared[key] = _class_map(runs, self.plan.steps[system], coef, bound)
+            self.maps.append(shared[key])
+
+    def classes(self, bits: Iterable[int], zero_bit: int) -> List[Tuple[int, int]]:
+        """The class (p, q) of each bit of a fold whose class 0 is zero_bit."""
+        # every bit, less zero_bit + q_least, is p * width + q - q_least
+        pairs = map(divmod, map(operator.sub, bits, itertools.repeat(zero_bit + self.q_least)),
+                    itertools.repeat(self.width))
+        return [(p, q + self.q_least) for p, q in pairs]
 
 
-def _fold_weights(plan: _SolvePlan, maps: Sequence[_ClassMap], weights: Mapping[str, int],
-                  width: int, q_least: int) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
-    """One weight map's fold of the class maps, aligned with plan.comps;
-    see _fold."""
+def _fold_weights(folding: _Folding, weights: Mapping[str, int]
+                  ) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
+    """Each nonzero realized class with the value of its witness, in
+    ascending witness order, and the value of the null witness, or None.
+    See carried_classes for the witnesses. The value of a witness is the
+    int sum over the branches of weights[b] (0 for a branch not in
+    weights) times b's weight in the witness, so it adds over components.
+    The classes, their order and the null witness's presence do not
+    depend on the weights, so one folding serves every weight map."""
+    plan = folding.plan
     # The fold keeps the zero prefix (every component so far at its zero
     # tuple, of value 0) apart from the nonzero layer: bit -> the value of
     # the lex-first nonzero prefix of that class, in ascending witness
     # order. A prefix is the concatenation of its components' tuples.
     zero_bit = 0
     layer: Dict[int, int] = {}
-    for comp, cmap, system in zip(plan.comps, maps, plan.systems):
+    for comp, cmap, system in zip(plan.comps, folding.maps, plan.systems):
         step = plan.steps[system]
         mask, rank = cmap.mask, cmap.rank
         # the value of the tuple k steps into the run starting at first
         own = [weights.get(bid, 0) for bid in comp]
         moved = sum(map(operator.mul, own, step))
-        value = ({b: sum(map(operator.mul, own, first)) + k * moved
-                  for b, (first, k) in cmap.nonzero.items()}
-                 if any(own) else dict.fromkeys(cmap.nonzero, 0))
+        value = {b: sum(map(operator.mul, own, first)) + k * moved
+                 for b, (first, k) in cmap.nonzero.items()}
 
         # The zero prefix comes first and covers the component's nonzero
         # classes shifted by its own bit. Then each nonzero prefix, in
@@ -604,10 +641,41 @@ def _fold_weights(plan: _SolvePlan, maps: Sequence[_ClassMap], weights: Mapping[
         zero_bit += cmap.zero
 
     null = layer.pop(zero_bit, None)
-    # every other bit, less zero_bit + q_least, is p * width + q - q_least
-    pairs = map(divmod, map(operator.sub, layer, itertools.repeat(zero_bit + q_least)),
-                itertools.repeat(width))
-    return {(p, q + q_least): v for (p, q), v in zip(pairs, layer.values())}, null
+    return dict(zip(folding.classes(layer, zero_bit), layer.values())), null
+
+
+def _class_set(folding: _Folding) -> List[Tuple[int, int]]:
+    """Every nonzero realized class, in no set order: the sumset of the
+    components' masks, with no witness, rank or value."""
+    total, zero_bit = 1, 0
+    for cmap in folding.maps:
+        # shift the denser mask once per bit of the sparser one
+        sparse, dense = sorted((total, cmap.mask), key=int.bit_count)
+        total = 0
+        for bit in _set_bits(sparse):
+            total |= dense << bit
+        zero_bit += cmap.zero
+    # the zero solution sets zero_bit, whose class is 0
+    return folding.classes(_set_bits(total ^ 1 << zero_bit), zero_bit)
+
+
+def _reaches_off(folding: _Folding, ids: Set[str]) -> bool:
+    """Whether a solution with weight 0 on every branch in ids realizes a
+    nonzero class: exactly when some component's such tuple does, with
+    the others at their zero tuples. Along a run the sum of the ids'
+    weights is affine in k and never negative, so it vanishes at none of
+    the run's tuples, at the end where it is least, or at all of them."""
+    plan = folding.plan
+    for comp, cmap, system in zip(plan.comps, folding.maps, plan.systems):
+        own = [bid in ids for bid in comp]
+        moved = sum(map(operator.mul, own, plan.steps[system]))
+        for first, length in cmap.runs:
+            k = 0 if moved >= 0 else length - 1  # where the sum is least
+            if sum(map(operator.mul, own, first)) + k * moved == 0:
+                start = sum(map(operator.mul, cmap.coef, first))
+                if start + k * cmap.stride or not moved and start + (length - 1) * cmap.stride:
+                    return True
+    return False
 
 
 def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
@@ -624,7 +692,7 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     ids = [bid for comp in track._solve_plan.comps for bid in comp]
     w, digit = bound.bit_length(), (1 << bound.bit_length()) - 1
     places = [(bid, i * w) for i, bid in enumerate(ids)]
-    [(classes, null)] = _fold(track, bound, [{bid: 1 << at for bid, at in places}])
+    classes, null = _fold_weights(_Folding(track, bound), {bid: 1 << at for bid, at in places})
 
     def witness(code: int) -> Dict[str, int]:
         return {bid: code >> at & digit for bid, at in places}
@@ -662,8 +730,6 @@ _FORMULAS = {
     "FORMULA_B9": ("(g, g+h-e-f-i)", ("g", "h", "e", "f", "i"),
                    lambda g, h, e, f, i: (g, g + h - e - f - i)),
 }
-# the formula kinds with a range condition
-_RANGE_KINDS = ("FORMULA_THREE_PLUS", "FORMULA_B9")
 # every kind, in the order of the schema's enum
 LAW_KINDS = (*_CONSTANT_LAWS, "ANY_SLOPE", *_FORMULAS)
 
@@ -712,10 +778,6 @@ class LawReport:
             raise SlopeLawError(self.family, "; ".join(self.violations))
 
 
-def _slopes_up_to_height(h: int) -> Set[Slope]:
-    return {INFINITY, *up_to_height(h)}
-
-
 def check_roles(track: TrainTrack, designated: Mapping[str, Sequence[str]]) -> None:
     """Raise SwitchSystemError unless each designated role is a list (or
     tuple) of branch ids of the track."""
@@ -735,36 +797,18 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     over the designated roles, plus the law's range condition. A branch
     that a role lists twice counts twice in its sum.
 
-    The check solves the track once: one fold call takes a weight map per
-    role sum it reads, the role's counts, so each class's value under it
-    is that role's sum over the class's lex-first witness. When every
-    branch satisfies the formula on its own role counts, no witness can
-    break the identity, and the check reads only the sum of the range
-    condition's role (mu for FORMULA_THREE_PLUS, g for FORMULA_B9). Other
-    laws read no sum and fold empty weights. When some branch breaks the
-    formula, it reads every role and compares each witness with the
-    formula in turn.
+    The check solves the track and builds its class maps once, and
+    decides the law from the class set: the realized slopes, and for a
+    formula law whose every branch satisfies the formula on its own role
+    counts (so no witness can break the identity), the range condition:
+    g is p on every witness, and mu vanishes only where each mu branch
+    weighs 0. When that finds the law broken, or some branch breaks the
+    formula, it folds the witness values of each role sum it reads, on
+    the same solve, and compares witness by witness.
     """
     check_roles(track, designated)
-    read: Sequence[str] = ()  # the roles whose sums the check reads
-    if law.kind in _FORMULAS:
-        label, roles, formula = _FORMULAS[law.kind]
-        # Every formula is linear, so a witness's class minus the formula
-        # of its role sums is the sum over branches b of w_b * delta_b,
-        # delta_b being b's class minus the formula of b's role counts.
-        # When each delta_b is 0 no witness disagrees, and the check needs
-        # only the sum that the range condition reads, if any. A branch
-        # a role lists twice counts twice.
-        certified = all(track.branches[bid].klass
-                        == formula(*(designated.get(role, ()).count(bid) for role in roles))
-                        for comp in track._solve_plan.comps for bid in comp)
-        read = roles if not certified else roles[:1] if law.kind in _RANGE_KINDS else ()
-    # One fold call: a weight map per role read, or one empty map for the
-    # classes alone; a role not designated sums to 0, and the ids were
-    # checked above.
-    folds = _fold(track, bound, [Counter(designated.get(role, ())) for role in read] or [{}])
-    classes = folds[0][0]
-    columns = [column for column, _ in folds[:len(read)]]
+    folding = _Folding(track, bound)
+    classes = _class_set(folding)
     realized = _slopes(classes)
     violations: List[str] = []
     if law.kind in _CONSTANT_LAWS:
@@ -774,12 +818,31 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                 f"realized {sorted(str(s) for s in realized)} != expected "
                 f"{sorted(str(s) for s in expected)}")
     if law.kind in _FORMULAS:
+        label, roles, formula = _FORMULAS[law.kind]
         three_plus = law.kind == "FORMULA_THREE_PLUS"
-        # Every fold has the same classes in the same order. A certified
-        # law has no witness to compare, and only FORMULA_THREE_PLUS has a
-        # range condition on each witness.
-        if three_plus or not certified:
-            for (p, q), sums in zip(classes, zip(*(column.values() for column in columns))):
+        # Every formula is linear, so a witness's class minus the formula
+        # of its role sums is the sum over branches b of w_b * delta_b,
+        # delta_b being b's class minus the formula of b's role counts.
+        # When each delta_b is 0 no witness disagrees. A branch a role
+        # lists twice counts twice.
+        certified = all(track.branches[bid].klass
+                        == formula(*(designated.get(role, ()).count(bid) for role in roles))
+                        for comp in track._solve_plan.comps for bid in comp)
+        # The roles whose sums the check reads, one fold each: every role
+        # when some delta_b is not 0. A certified FORMULA_THREE_PLUS reads
+        # mu only when the class set cannot rule out a witness with mu = 0
+        # or a slope not above 3: mu is a sum of nonnegative weights, 0
+        # only where each of its branches weighs 0.
+        read = (roles if not certified
+                else roles[:1] if three_plus and (
+                    any(p * (q - 3 * p) <= 0 for p, q in classes)
+                    or _reaches_off(folding, set(designated.get(roles[0], ()))))
+                else ())
+        # a role not designated sums to 0, and the ids were checked above
+        columns = [_fold_weights(folding, Counter(designated.get(role, ())))[0] for role in read]
+        # every fold has the same classes in the same order
+        if columns:
+            for (p, q), sums in zip(columns[0], zip(*(column.values() for column in columns))):
                 if not certified:
                     want = formula(*sums)
                     if (p, q) != want:
@@ -792,12 +855,14 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
                     # meridian, never above 3
                     if p * (q - 3 * p) <= 0:
                         violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
-        # columns[0] holds g
-        if law.kind == "FORMULA_B9" and bound >= 1 and not any(g > 0 for g in columns[0].values()):
+        # columns[0] holds g unless the law is certified, and then each
+        # witness's g is its class's p
+        if law.kind == "FORMULA_B9" and bound >= 1 and not any(
+                g > 0 for g in (columns[0].values() if columns else (p for p, _ in classes))):
             violations.append("no witness with positive g")
     if law.kind in HEIGHT_KINDS:
         h = law.surjective_height or 1
-        missing = _slopes_up_to_height(h) - realized
+        missing = {INFINITY, *up_to_height(h)} - realized
         if missing:
             violations.append(f"missing slopes of height <= {h}: "
                               f"{sorted(str(s) for s in missing)}")

@@ -72,6 +72,27 @@ _Q1_MULTIPLICITIES = ("qcomplexes.json",
                       record_edit("Q1", "connectors",
                                   value={"ly3": 10**30, "s1": 10**30, "s4": 10**30}))
 
+def _q7_hung_loops(doc):
+    """Rewire Q7's 18 branches: 16 of them as hung_loops_doc(6), one
+    component with 6 free weights, and the other two as a circle. That
+    component has 7^6 solutions at bound 6, under COMPONENT_SOLUTION_CAP,
+    and (bound + 1)^6 over it from bound 10 on; its stems and spine are
+    listed as noncompact, which they are."""
+    hung = hung_loops_doc(6)
+    ends = [("c1", "c2"), ("c2", "c1")]
+    switches = hung["switches"] + [
+        {"id": f"c{i}", "one_fold": [{"branch": a, "end": "head"}],
+         "two_fold": [{"branch": b, "end": "tail"}]} for i, (a, b) in enumerate(ends)]
+    names = [b["id"] for b in hung["branches"]] + ["c1", "c2"]
+    rename = dict(zip(names, (b["id"] for b in doc["track"]["branches"])))
+    doc["track"]["switches"] = [
+        {"id": sw["id"], **{side: [{**end, "branch": rename[end["branch"]]} for end in sw[side]]
+                            for side in ("one_fold", "two_fold")}} for sw in switches]
+    doc["noncompact"] = sorted(rename[b] for b in names if b[0] in "yz")
+
+
+_Q7_HUNG_LOOPS = ("tracks/Q7.json", _q7_hung_loops)
+
 # restamped edits that make a number of the data huge; each must be
 # refused in well under a second, without a traceback or a large allocation
 SIZE_FAULTS = {
@@ -161,6 +182,11 @@ RESTAMPED_FAULTS = {
     # span at the top law bound is over the cap, which `catalog check` refuses
     "branch-class-1000-track": (["track", "Q1", "--bound", "20"], _q1_class(1000), 4),
     "branch-class-1000-check": (["catalog", "check"], _q1_class(1000), 5),
+    # a component within the solution cap at the noncompact check's bound
+    # 6 and over it from bound 10 on, which `catalog check` walks at the
+    # top law bound
+    "solution-cap-from-bound-10-track": (["track", "Q7", "--bound", "10"], _Q7_HUNG_LOOPS, 5),
+    "solution-cap-from-bound-10-check": (["catalog", "check"], _Q7_HUNG_LOOPS, 5),
 }
 
 

@@ -1,5 +1,7 @@
+import functools
 import gc
 import itertools
+import operator
 import random
 import re
 import time
@@ -499,6 +501,19 @@ class TestSolutionCap:
         assert len(got) == (bound + 1) ** 8
         assert set(got) == oracle_solutions(doc, bound)
 
+    def test_the_top_bound_check_walks_only_where_the_plan_allows_the_cap(
+            self, catalog, monkeypatch):
+        # four free weights allow 51^4 solutions at bound 50, and have them
+        with pytest.raises(SwitchSystemError, match="more than 1000000 solutions at bound 50$"):
+            traintrack.check_law_bounds(TrainTrack.from_json(hung_loops_doc(4), track_id="hung"))
+        # every shipped plan has at most three free choices: 51^3 solutions
+        walked = []
+        monkeypatch.setattr(traintrack, "_component_solutions",
+                            lambda *args: walked.append(args) or [])
+        for bundle in catalog.tracks.values():
+            traintrack.check_law_bounds(bundle.track)
+        assert walked == []
+
     def test_every_family_stays_under_the_cap(self, catalog):
         peak = {}
         for family, bundle in catalog.tracks.items():
@@ -549,13 +564,22 @@ FORMULA_CHECKS = {
     "FORMULA_B9": (("g", "h", "e", "f", "i"), "(g, g+h-e-f-i)",
                    lambda s: (s["g"], s["g"] + s["h"] - s["e"] - s["f"] - s["i"])),
 }
+# every formula law: the two above and the one without a range
+# condition, which asks instead that every slope of height at most 1 be
+# realized
+FORMULAS = {**FORMULA_CHECKS,
+            "FORMULA_MU_NU_OMEGA": (("omega", "mu", "nu"), "(omega, mu-nu)",
+                                    lambda s: (s["omega"], s["mu"] - s["nu"]))}
+# the (q, p) of each constant law's slope
+CONSTANT_SLOPES = {"ONLY_ZERO": (0, 1), "ONLY_FOUR": (4, 1), "ONLY_INFINITY": (1, 0)}
 
 
 def expected_formula_violations(doc, bound):
-    """The per-witness messages of a FORMULA_THREE_PLUS or FORMULA_B9
-    track document, from the witness oracle."""
+    """The per-witness messages of a formula law's track document, from
+    the witness oracle, and for FORMULA_MU_NU_OMEGA the missing slopes
+    of height at most 1."""
     kind = doc["law"]["kind"]
-    roles, label, formula = FORMULA_CHECKS[kind]
+    roles, label, formula = FORMULAS[kind]
     classes, _ = oracle_class_witnesses(doc["track"], bound)
     out = []
     saw_positive_g = False
@@ -566,6 +590,7 @@ def expected_formula_violations(doc, bound):
             out.append(f"class ({p},{q}) disagrees with {label}=({want[0]},{want[1]})")
         if kind == "FORMULA_B9":
             saw_positive_g = saw_positive_g or sums["g"] > 0
+        if kind != "FORMULA_THREE_PLUS":
             continue
         if sums["mu"] < 1:
             out.append(f"class ({p},{q}) realized with mu = 0")
@@ -573,17 +598,34 @@ def expected_formula_violations(doc, bound):
             out.append(f"realized slope {Slope.of(q, p)} not greater than 3")
     if kind == "FORMULA_B9" and not saw_positive_g and bound >= 1:
         out.append("no witness with positive g")
+    if kind == "FORMULA_MU_NU_OMEGA":
+        realized = {Slope.of(q, p) for p, q in classes}
+        missing = {Slope(1, 0), Slope(-1, 1), Slope(0, 1), Slope(1, 1)} - realized
+        if missing:
+            out.append(f"missing slopes of height <= 1: {sorted(str(s) for s in missing)}")
     return out
 
 
-def certified_law_doc(seed, kind):
+def expected_law_violations(doc, bound):
+    """expected_formula_violations, and for a constant law the message
+    when the oracle's realized slopes are not the law's one slope."""
+    kind = doc["law"]["kind"]
+    if kind not in CONSTANT_SLOPES:
+        return expected_formula_violations(doc, bound)
+    classes, _ = oracle_class_witnesses(doc["track"], bound)
+    realized = sorted({str(Slope.of(q, p)) for p, q in classes})
+    want = [str(Slope(*CONSTANT_SLOPES[kind]))]
+    return [] if realized == want else [f"realized {realized} != expected {want}"]
+
+
+def certified_law_doc(seed, kind, max_branches=8):
     """A random track document with the formula law `kind`, where each
     branch has a random role or none and the class that the formula gives
     its role counts, so the per-branch certificate holds. One branch is
     listed twice in the range condition's role and counts twice there."""
     rng = random.Random(seed)
-    track = random_track_doc(seed)
-    roles, _, formula = FORMULA_CHECKS[kind]
+    track = random_track_doc(seed, max_branches)
+    roles, _, formula = FORMULAS[kind]
     first = roles[0]  # the role the range condition reads
     designated = {role: [] for role in roles}
     for branch in track["branches"]:
@@ -688,6 +730,144 @@ class TestLawCertificate:
                        for w in classes.values()]
         assert calls[len(calls) - len(classes):] == per_witness
         assert len(calls) - len(classes) <= len(track.branches)
+
+
+def law_doc(seed, kind, certified):
+    """A random track document of at most 6 branches with the law `kind`.
+    A formula law's roles list random branches; when certified, each
+    branch's class is then the formula of its role counts (see
+    certified_law_doc), and otherwise it stays random. A constant law
+    designates no branch."""
+    if certified and kind in FORMULAS:
+        return certified_law_doc(seed, kind, max_branches=6)
+    rng = random.Random(seed)
+    track = random_track_doc(seed, max_branches=6)
+    designated = {role: [b["id"] for b in track["branches"] if rng.random() < 0.4]
+                  for role in (FORMULAS[kind][0] if kind in FORMULAS else ())}
+    return {"track": track, "law": {"kind": kind}, "designated": designated}
+
+
+def naive_set_bits(mask):
+    """The places of mask's one-bits, the lowest peeled off in turn."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class TestClassSetDecision:
+    """check_law decides a law from the track's class set and folds the
+    witness values only to explain a failure."""
+
+    @staticmethod
+    def counted_valued_folds(monkeypatch):
+        fold, calls = traintrack._fold_weights, []
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(traintrack, "_fold_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize("bound", [6, 20, 50])
+    def test_shipped_laws_fold_no_witness_values(self, bound, catalog, monkeypatch):
+        calls = self.counted_valued_folds(monkeypatch)
+        for family, bundle in catalog.tracks.items():
+            assert check_law(bundle.track, bundle.law, bundle.designated, bound, family=family).ok
+        assert calls == []
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([*sorted(FORMULAS), *sorted(CONSTANT_SLOPES)]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_laws_match_the_witness_oracle(self, seed, kind, certified):
+        doc = law_doc(seed, kind, certified)
+        track = TrainTrack.from_json(doc["track"], track_id=f"rand{seed}")
+        for bound in range(7):
+            report = check_law(track, SlopeLaw(kind), doc["designated"], bound)
+            assert report.violations == expected_law_violations(doc, bound), bound
+
+    def test_a_class_reached_with_mu_zero_can_have_a_witness_with_mu(self, monkeypatch):
+        # Both circles realize (1, 4) per unit of weight, and only b1 is in
+        # mu: a1 reaches every class with mu = 0, so the class set cannot
+        # rule a violation out and mu is folded. Each class's lex-first
+        # witness leaves circle a, the first component, at 0, so its mu
+        # is at least 1 and the law holds.
+        track = joined("late-mu", circle("a", (1, 4)), circle("b", (1, 4)))
+        designated = {"omega": ["a1", "b1"], "nu": ["a1"], "mu": ["b1"]}
+        doc = {"track": track_doc(track), "law": {"kind": "FORMULA_THREE_PLUS"},
+               "designated": designated}
+        calls = self.counted_valued_folds(monkeypatch)
+        for bound in range(5):
+            report = check_law(track, SlopeLaw("FORMULA_THREE_PLUS"), designated, bound)
+            assert report.violations == expected_formula_violations(doc, bound) == [], bound
+        assert len(calls) == 4  # one mu fold per bound with a nonzero class
+
+    def test_mu_can_vanish_at_the_end_of_a_run(self):
+        # c = a - b, and the walk moves b up and c down: in the run of each
+        # a, mu (c) is 0 only at the run's last tuple, whose class (a, 5a)
+        # has no other witness
+        track = TrainTrack([Branch("a", (1, 3)), Branch("b", (0, 2)), Branch("c", (0, 1))],
+                           [Switch("s1", (("a", "head"),), (("b", "tail"), ("c", "tail"))),
+                            Switch("s2", (("a", "tail"),), (("b", "head"), ("c", "head")))],
+                           track_id="falling-mu")
+        designated = {"omega": ["a"], "mu": ["c"], "nu": ["b", "b"]}
+        doc = {"track": track_doc(track), "law": {"kind": "FORMULA_THREE_PLUS"},
+               "designated": designated}
+        for bound in range(5):
+            report = check_law(track, SlopeLaw("FORMULA_THREE_PLUS"), designated, bound)
+            assert report.violations == expected_formula_violations(doc, bound)
+            assert (f"class ({bound},{5 * bound}) realized with mu = 0" in report.violations
+                    ) == (bound > 0)
+
+    @pytest.mark.parametrize("bound", range(4))
+    def test_q4_with_a_mu_branch_moved_to_nu(self, bound):
+        # v.M1, in omega too, has the formula's class in either role, so
+        # the law stays certified. A witness through v.M1 and not v.F1 now
+        # has mu = 0, and a lex-first one leaves component u at 0.
+        doc = load_data_json("tracks/Q4.json")
+        doc["designated"]["mu"].remove("v.M1")
+        doc["designated"]["nu"].append("v.M1")
+        track = TrainTrack.from_json(doc["track"], track_id="Q4")
+        report = check_law(track, SlopeLaw(**doc["law"]), doc["designated"], bound, family="Q4")
+        want = expected_formula_violations(doc, bound)
+        assert report.violations == want
+        assert bool(want) == (bound > 0)
+
+    @pytest.mark.parametrize("bound", range(4))
+    def test_q9_without_its_g_branch(self, bound):
+        # g.GA's class no longer fits the formula, and no witness has g > 0
+        doc = load_data_json("tracks/Q9.json")
+        doc["designated"]["g"] = []
+        track = TrainTrack.from_json(doc["track"], track_id="Q9")
+        report = check_law(track, SlopeLaw(**doc["law"]), doc["designated"], bound, family="Q9")
+        want = expected_formula_violations(doc, bound)
+        assert report.violations == want
+        assert ("no witness with positive g" in want) == (bound > 0)
+
+
+class TestSetBits:
+    def test_zero(self):
+        assert traintrack._set_bits(0) == naive_set_bits(0) == []
+
+    @pytest.mark.parametrize("place", [0, 1, 63, 64, 161_000])
+    def test_single_bits(self, place):
+        assert traintrack._set_bits(1 << place) == naive_set_bits(1 << place) == [place]
+
+    @given(st.integers(min_value=0, max_value=161_000), st.integers(min_value=0, max_value=2_000),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_masks_up_to_the_widest_span(self, top, count, rng):
+        mask = functools.reduce(operator.or_, (1 << rng.randrange(top + 1) for _ in range(count)),
+                                1 << top)
+        assert traintrack._set_bits(mask) == naive_set_bits(mask)
+
+    @given(st.integers(min_value=0, max_value=1 << 5_000))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_masks(self, mask):
+        assert traintrack._set_bits(mask) == naive_set_bits(mask)
 
 
 def _assert_matches_witness_oracle(doc, bound, track_id):
@@ -818,8 +998,8 @@ class TestAgainstWitnessOracle:
     def test_weighted_folds_sum_each_witness(self, seed):
         # with weights the fold keeps the classes and their order and
         # gives each witness's weighted sum; a weight may be 0, 2 or
-        # negative, and a branch without one weighs 0. One call folds
-        # every weight map it is given, the empty one too.
+        # negative, and a branch without one weighs 0. One folding serves
+        # every weight map, the empty one too.
         doc = random_track_doc(seed)
         rng = random.Random(seed)
         weight_maps = [{b["id"]: rng.choice([-1, 0, 1, 2])
@@ -828,9 +1008,9 @@ class TestAgainstWitnessOracle:
         track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
         for bound in range(4):
             classes, null = oracle_class_witnesses(doc, bound)
-            folds = traintrack._fold(track, bound, weight_maps)
-            assert len(folds) == len(weight_maps)
-            for weights, (got, got_null) in zip(weight_maps, folds):
+            folding = traintrack._Folding(track, bound)
+            for weights in weight_maps:
+                got, got_null = traintrack._fold_weights(folding, weights)
                 def total(witness):
                     return sum(weights.get(b, 0) * w for b, w in witness.items())
                 assert list(got.items()) == [(klass, total(w)) for klass, w in classes.items()]

@@ -25,8 +25,8 @@ from .errors import (ClassificationGapError, CatalogIntegrityError, CatalogKeyEr
                      UnsupportedComplexError)
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
 from .spine import Spine, adjacent_short_pairs
-from .traintrack import (LawReport, SlopeLaw, TrainTrack, check_law, check_law_bounds,
-                         check_roles, dead_branches)
+from .traintrack import (_FORMULAS, LawReport, SlopeLaw, TrainTrack, check_law,
+                         check_law_bounds, check_roles, dead_branches)
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
@@ -171,15 +171,21 @@ def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
 
 def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
     """The family's track file, the one reader of its keys. After its
-    schema, the switch system, the designated roles and the law, the file's
-    id must be the family, and its projection must lift the complex q: one
-    record for each copy 1 to m of each connector of multiplicity m, and
-    arcs that partition the branches, so the track has two branches per
-    copy. The projection is checked here and not kept."""
+    schema, the switch system, the designated roles and the law, a formula
+    law may designate only its formula's roles (one it does not read, a
+    misspelled mu say, would leave mu summing to 0), the file's id must be
+    the family, and its projection must lift the complex q: one record for
+    each copy 1 to m of each connector of multiplicity m, and arcs that
+    partition the branches, so the track has two branches per copy. The
+    projection is checked here and not kept."""
     _schema.validate(doc, "track")
     track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
     check_roles(track, doc["designated"])
     law = SlopeLaw(**doc["law"])
+    if law.kind in _FORMULAS:
+        stray = sorted(set(doc["designated"]) - set(_FORMULAS[law.kind][1]))
+        if stray:
+            raise ValueError(f"the {law.kind} law of {family} has no role {stray[0]!r}")
     if doc["id"] != family:
         raise ValueError(f"the track of {family} has id {doc['id']!r}")
     projection = doc["projection"]

@@ -25,16 +25,15 @@ The components' classes are folded into the track's as a sumset of
 bitmasks, a class packed into one bit. check_law decides every law from
 that class set alone; a formula law certified branch by branch needs no
 witness, and a certified range condition is decided from the classes and
-the runs. The valued fold serves carried_classes and a law that this
-finds broken: each class gets the value of its lex-first witness, the
-int sum of a weight per branch times the witness's weights, which adds
-over components. One solve and one set of class maps serve every weight
-map. carried_classes gives branch number i the weight 1 << i * w, w the
-bit length of the bound, and reads the witness back from the value's base
-2**w digits; a failing check folds the role counts of each role sum it
-reads and compares witness by witness. A track whose packed classes would
-span more than CLASS_SPAN_CAP bits raises SwitchSystemError;
-check_class_span decides that from the branch classes alone.
+the runs. One witness fold serves carried_classes and a check that the
+class set cannot settle: each class gets the code of its lex-first
+witness, branch number i weighing 1 << i * w with w the bit length of
+the bound, so the witness's weights are the code's base 2**w digits and
+codes add over components. carried_classes decodes each code into a
+dict; a failing check reads each role sum off the digits of its
+branches. A track whose packed classes would span more than
+CLASS_SPAN_CAP bits raises SwitchSystemError; check_class_span decides
+that from the branch classes alone.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
@@ -408,18 +406,14 @@ class _SolvePlan(NamedTuple):
         return cls(comps, systems, MappingProxyType(levels), MappingProxyType(steps), klasses)
 
 
-def _check_bound(bound: int) -> None:
-    if type(bound) is not int:
-        raise TypeError(f"bound must be an integer, not {bound!r}")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-
-
 def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
     """The track's solve plan and, aligned with its components, each one's
     runs at this bound. Components that share an elimination plan are
     solved once and share one list."""
-    _check_bound(bound)
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an integer, not {bound!r}")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     plan = track._solve_plan
     solved = {key: _component_solutions(key[0], levels, bound, track.track_id)
               for key, levels in plan.levels.items()}
@@ -464,7 +458,7 @@ def _set_bits(mask: int) -> List[int]:
 class _ClassMap:
     """One component's classes as bits of the fold, a bit being a packed
     class minus the least packed class the component can reach. The masks
-    are built with the map; nonzero and rank, which only a valued fold
+    are built with the map; nonzero and rank, which only the witness fold
     reads, on first use."""
 
     def __init__(self, runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
@@ -523,13 +517,6 @@ class _ClassMap:
         return rank
 
 
-def _class_map(runs: List[Run], step: Tuple[int, ...], coef: Tuple[int, ...],
-               bound: int) -> _ClassMap:
-    """The class map of a component with these runs, their step, and
-    packed branch classes."""
-    return _ClassMap(runs, step, coef, bound)
-
-
 def check_class_span(track: TrainTrack, bound: int) -> None:
     """Raise SwitchSystemError when the packed classes of the track would
     span more than CLASS_SPAN_CAP bits at this bound. The span, (1 +
@@ -567,22 +554,22 @@ class _Folding:
     CLASS_SPAN_CAP bits."""
 
     def __init__(self, track: TrainTrack, bound: int):
+        self.bound = bound
         self.plan, solved = _solve(track, bound)
         check_class_span(track, bound)
         klasses = self.plan.klasses
         self.width = 1 + bound * sum(abs(q) for klass in klasses for _, q in klass)
         self.q_least = bound * sum(min(q, 0) for klass in klasses for _, q in klass)
 
-        # Components that share a run list (see _solve) and their packed
-        # branch classes share one class map. Each list stays alive in
-        # solved while the maps are built, so its id names it.
-        shared: Dict[Tuple[int, Tuple[int, ...]], _ClassMap] = {}
+        # Components with one system share a run list (see _solve); those
+        # with the same packed branch classes too share one class map.
+        shared: Dict[Tuple[System, Tuple[int, ...]], _ClassMap] = {}
         self.maps: List[_ClassMap] = []
         for klass, runs, system in zip(klasses, solved, self.plan.systems):
             coef = tuple(p * self.width + q for p, q in klass)
-            key = (id(runs), coef)
+            key = (system, coef)
             if key not in shared:
-                shared[key] = _class_map(runs, self.plan.steps[system], coef, bound)
+                shared[key] = _ClassMap(runs, self.plan.steps[system], coef, bound)
             self.maps.append(shared[key])
 
     def classes(self, bits: Iterable[int], zero_bit: int) -> List[Tuple[int, int]]:
@@ -593,18 +580,19 @@ class _Folding:
         return [(p, q + self.q_least) for p, q in pairs]
 
 
-def _fold_weights(folding: _Folding, weights: Mapping[str, int]
-                  ) -> Tuple[Dict[Tuple[int, int], int], Optional[int]]:
-    """Each nonzero realized class with the value of its witness, in
-    ascending witness order, and the value of the null witness, or None.
-    See carried_classes for the witnesses. The value of a witness is the
-    int sum over the branches of weights[b] (0 for a branch not in
-    weights) times b's weight in the witness, so it adds over components.
-    The classes, their order and the null witness's presence do not
-    depend on the weights, so one folding serves every weight map."""
-    plan = folding.plan
+def _witness_codes(folding: _Folding) -> Tuple[Dict[str, int], int, Dict[Tuple[int, int], int],
+                                                 Optional[int]]:
+    """Each branch's place, the digit mask, each nonzero realized class
+    with the code of its witness, in ascending witness order, and the code
+    of the null witness, or None. See carried_classes for the witnesses.
+    Branch number i, in component order, has the place i * w, w the bit
+    length of the bound, and a witness's code is the int sum of its
+    weights, each shifted to its branch's place: code >> place[b] & digit
+    is b's weight, and codes add over components."""
+    plan, w = folding.plan, folding.bound.bit_length()
+    place = {bid: i * w for i, bid in enumerate(itertools.chain.from_iterable(plan.comps))}
     # The fold keeps the zero prefix (every component so far at its zero
-    # tuple, of value 0) apart from the nonzero layer: bit -> the value of
+    # tuple, of code 0) apart from the nonzero layer: bit -> the code of
     # the lex-first nonzero prefix of that class, in ascending witness
     # order. A prefix is the concatenation of its components' tuples.
     zero_bit = 0
@@ -612,19 +600,19 @@ def _fold_weights(folding: _Folding, weights: Mapping[str, int]
     for comp, cmap, system in zip(plan.comps, folding.maps, plan.systems):
         step = plan.steps[system]
         mask, rank = cmap.mask, cmap.rank
-        # the value of the tuple k steps into the run starting at first
-        own = [weights.get(bid, 0) for bid in comp]
+        # the code of the tuple k steps into the run starting at first
+        own = [1 << place[bid] for bid in comp]
         moved = sum(map(operator.mul, own, step))
-        value = {b: sum(map(operator.mul, own, first)) + k * moved
-                 for b, (first, k) in cmap.nonzero.items()}
+        code = {b: sum(map(operator.mul, own, first)) + k * moved
+                for b, (first, k) in cmap.nonzero.items()}
 
         # The zero prefix comes first and covers the component's nonzero
         # classes shifted by its own bit. Then each nonzero prefix, in
         # ascending witness order, shifts the mask by its bit; only bits
         # not yet covered get a witness, in rank order, so the first
         # cover of a class is its lex-least witness.
-        nxt = {zero_bit + b: v for b, v in value.items()}
-        value[cmap.zero] = 0  # after a nonzero prefix
+        nxt = {zero_bit + b: c for b, c in code.items()}
+        code[cmap.zero] = 0  # after a nonzero prefix
         covered = cmap.nonzero_mask << zero_bit
         for shift, prefix in layer.items():
             grown = covered | mask << shift
@@ -633,20 +621,21 @@ def _fold_weights(folding: _Folding, weights: Mapping[str, int]
                 covered = grown
                 if fresh.bit_count() == 1:
                     b = fresh.bit_length() - 1
-                    nxt[b] = prefix + value[b - shift]
+                    nxt[b] = prefix + code[b - shift]
                     continue
                 for b in sorted(_set_bits(fresh >> shift), key=rank.__getitem__):
-                    nxt[shift + b] = prefix + value[b]
+                    nxt[shift + b] = prefix + code[b]
         layer = nxt
         zero_bit += cmap.zero
 
     null = layer.pop(zero_bit, None)
-    return dict(zip(folding.classes(layer, zero_bit), layer.values())), null
+    return (place, (1 << w) - 1, dict(zip(folding.classes(layer, zero_bit), layer.values())),
+            null)
 
 
 def _class_set(folding: _Folding) -> List[Tuple[int, int]]:
     """Every nonzero realized class, in no set order: the sumset of the
-    components' masks, with no witness, rank or value."""
+    components' masks, with no witness, rank or code."""
     total, zero_bit = 1, 0
     for cmap in folding.maps:
         # shift the denser mask once per bit of the sparser one
@@ -684,20 +673,15 @@ def carried_classes(track: TrainTrack, bound: int) -> CarriedClasses:
     The witness for a class is deterministic: components are taken in
     order of their smallest branch id, each contributing its
     lexicographically first weight tuple for its share of the class.
-    The fold gives each witness as one integer: branch number i, in that
-    order, weighs 1 << i * w, with w the bit length of the bound, so the
-    witness's weights are its base 2**w digits.
+    The fold gives each witness as one integer, its code (see
+    _witness_codes), whose base 2**w digits are the witness's weights.
     """
-    _check_bound(bound)
-    ids = [bid for comp in track._solve_plan.comps for bid in comp]
-    w, digit = bound.bit_length(), (1 << bound.bit_length()) - 1
-    places = [(bid, i * w) for i, bid in enumerate(ids)]
-    classes, null = _fold_weights(_Folding(track, bound), {bid: 1 << at for bid, at in places})
+    place, digit, codes, null = _witness_codes(_Folding(track, bound))
 
     def witness(code: int) -> Dict[str, int]:
-        return {bid: code >> at & digit for bid, at in places}
+        return {bid: code >> at & digit for bid, at in place.items()}
 
-    return CarriedClasses({klass: witness(code) for klass, code in classes.items()},
+    return CarriedClasses({klass: witness(code) for klass, code in codes.items()},
                           None if null is None else witness(null))
 
 
@@ -802,9 +786,10 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
     formula law whose every branch satisfies the formula on its own role
     counts (so no witness can break the identity), the range condition:
     g is p on every witness, and mu vanishes only where each mu branch
-    weighs 0. When that finds the law broken, or some branch breaks the
-    formula, it folds the witness values of each role sum it reads, on
-    the same solve, and compares witness by witness.
+    weighs 0. When that cannot rule a violation out, or some branch
+    breaks the formula, it folds the witness codes once, on the same
+    solve, reads each role sum off each code's digits and compares
+    witness by witness.
     """
     check_roles(track, designated)
     folding = _Folding(track, bound)
@@ -828,37 +813,37 @@ def check_law(track: TrainTrack, law: SlopeLaw, designated: Dict[str, List[str]]
         certified = all(track.branches[bid].klass
                         == formula(*(designated.get(role, ()).count(bid) for role in roles))
                         for comp in track._solve_plan.comps for bid in comp)
-        # The roles whose sums the check reads, one fold each: every role
-        # when some delta_b is not 0. A certified FORMULA_THREE_PLUS reads
-        # mu only when the class set cannot rule out a witness with mu = 0
-        # or a slope not above 3: mu is a sum of nonnegative weights, 0
-        # only where each of its branches weighs 0.
-        read = (roles if not certified
-                else roles[:1] if three_plus and (
-                    any(p * (q - 3 * p) <= 0 for p, q in classes)
-                    or _reaches_off(folding, set(designated.get(roles[0], ()))))
-                else ())
-        # a role not designated sums to 0, and the ids were checked above
-        columns = [_fold_weights(folding, Counter(designated.get(role, ())))[0] for role in read]
-        # every fold has the same classes in the same order
-        if columns:
-            for (p, q), sums in zip(columns[0], zip(*(column.values() for column in columns))):
-                if not certified:
-                    want = formula(*sums)
-                    if (p, q) != want:
-                        violations.append(f"class ({p},{q}) disagrees with "
-                                          f"{label}=({want[0]},{want[1]})")
-                if three_plus:
-                    if sums[0] < 1:
-                        violations.append(f"class ({p},{q}) realized with mu = 0")
-                    # q/p > 3 on integers, p * (q - 3p) > 0; p = 0 is the
-                    # meridian, never above 3
-                    if p * (q - 3 * p) <= 0:
-                        violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
-        # columns[0] holds g unless the law is certified, and then each
-        # witness's g is its class's p
+        # A certified law needs no witness, unless it is FORMULA_THREE_PLUS
+        # and the class set cannot rule out a witness with mu = 0 or a
+        # slope not above 3: mu is a sum of nonnegative weights, 0 only
+        # where each of its branches weighs 0. Otherwise one fold gives
+        # every witness's code, and each role sum is read off its digits;
+        # a role not designated sums to 0, and the ids were checked above.
+        sums: Dict[Tuple[int, int], List[int]] = {}
+        if not certified or three_plus and (
+                any(p * (q - 3 * p) <= 0 for p, q in classes)
+                or _reaches_off(folding, set(designated.get(roles[0], ())))):
+            place, digit, codes, _ = _witness_codes(folding)
+            members = [[place[b] for b in designated.get(role, ())] for role in roles]
+            sums = {klass: [sum(code >> at & digit for at in ats) for ats in members]
+                    for klass, code in codes.items()}
+        for (p, q), role_sums in sums.items():
+            if not certified:
+                want = formula(*role_sums)
+                if (p, q) != want:
+                    violations.append(f"class ({p},{q}) disagrees with "
+                                      f"{label}=({want[0]},{want[1]})")
+            if three_plus:
+                if role_sums[0] < 1:
+                    violations.append(f"class ({p},{q}) realized with mu = 0")
+                # q/p > 3 on integers, p * (q - 3p) > 0; p = 0 is the
+                # meridian, never above 3
+                if p * (q - 3 * p) <= 0:
+                    violations.append(f"realized slope {Slope.of(q, p)} not greater than 3")
+        # the first role sum is g, and a certified witness's g is its
+        # class's p
         if law.kind == "FORMULA_B9" and bound >= 1 and not any(
-                g > 0 for g in (columns[0].values() if columns else (p for p, _ in classes))):
+                g > 0 for g, *_ in (sums.values() if sums else classes)):
             violations.append("no witness with positive g")
     if law.kind in HEIGHT_KINDS:
         h = law.surjective_height or 1

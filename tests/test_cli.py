@@ -63,6 +63,14 @@ def _meridian_hits(entry, value):
 _Q4_NU_BOOL = ("tracks/Q4.json", record_edit("designated", "nu", 0, value=False))
 
 
+def _misspell_mu(doc):
+    doc["designated"]["mu_"] = doc["designated"].pop("mu")
+
+
+# Q4's mu role under a name its formula does not read, which would sum to 0
+_Q4_MU_MISSPELLED = ("tracks/Q4.json", _misspell_mu)
+
+
 def _q1_class(q):
     """Q1's branch u.A1 with the class (1, q)."""
     return ("tracks/Q1.json", record_edit("track", "branches", 0, "class", value=[1, q]))
@@ -113,6 +121,8 @@ RESTAMPED_FAULTS = {
     "designated-bool-check": (["catalog", "check", "--laws", "--law-bound", "4"], _Q4_NU_BOOL, 5),
     "designated-bool-check-no-laws": (["catalog", "check"], _Q4_NU_BOOL, 5),
     "designated-bool-track": (["track", "Q4", "--bound", "4"], _Q4_NU_BOOL, 5),
+    "designated-role-misspelled-track": (["track", "Q4", "--bound", "4"], _Q4_MU_MISSPELLED, 5),
+    "designated-role-misspelled-check": (["catalog", "check"], _Q4_MU_MISSPELLED, 5),
     "switch-id-bool": (["track", "Q11", "--bound", "4"],
                        ("tracks/Q11.json", record_edit("track", "switches", 0, "id", value=True)),
                        5),

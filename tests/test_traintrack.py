@@ -155,7 +155,7 @@ def shipped_law_check(family):
 
 
 # Calls that must free what they build without a cyclic collection. Q4's
-# and Q9's laws are certified range laws, so they fold role sums.
+# and Q9's laws are certified range laws, decided from the class set.
 GARBAGE_FREE_CALLS = {
     "_solve": lambda cat: traintrack._solve(cat.tracks["Q4"].track, 3),
     "carried_classes": lambda cat: carried_classes(cat.tracks["Q4"].track, 3),
@@ -215,20 +215,21 @@ class TestCarriedClasses:
         consumer(track, 2)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("family", ["Q4", "Q9"])
-    def test_identical_components_share_one_class_map(self, family, catalog, monkeypatch):
+    @pytest.mark.parametrize("family, maps", [("Q4", 1), ("Q9", 2), ("Q2", 2)])
+    def test_identical_components_share_one_class_map(self, family, maps, catalog,
+                                                      monkeypatch):
         # Q4's two components, and Q9's three 2-branch ones, have the same
-        # switch rows and the same branch classes
-        build, calls = traintrack._class_map, []
+        # switch rows and the same branch classes. Q2's pos.* and neg.*
+        # halves have the same switch rows but not the same classes.
+        build, calls = traintrack._ClassMap, []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(traintrack, "_class_map", counted)
-        sizes = [len(comp) for comp in catalog.tracks[family].track.components()]
+        monkeypatch.setattr(traintrack, "_ClassMap", counted)
         slope_law_check(catalog, family, bound=3)
-        assert len(calls) == len(set(sizes)) < len(sizes)
+        assert len(calls) == maps
 
     @pytest.mark.parametrize("consumer", sorted(GARBAGE_FREE_CALLS))
     def test_solving_leaves_no_cyclic_garbage(self, consumer, catalog):
@@ -434,7 +435,7 @@ class TestComponentSolve:
 
 
 def dot_product_class_map(sols, coef, bound):
-    """_class_map's definition: one dot product per solution, keeping the
+    """_ClassMap's definition: one dot product per solution, keeping the
     first tuple of each class."""
     least = bound * sum(min(c, 0) for c in coef)
     nonzero = {}
@@ -456,7 +457,7 @@ class TestClassMap:
         coef = tuple(data.draw(st.lists(st.integers(min_value=-4, max_value=4),
                                          min_size=n, max_size=n)))
         runs, step = solve_runs(n, system, bound)
-        got = traintrack._class_map(runs, step, coef, bound)
+        got = traintrack._ClassMap(runs, step, coef, bound)
         sols = solve_system(n, system, bound)
         nonzero, nonzero_mask, zero, mask, after = dot_product_class_map(sols, coef, bound)
         # each class's lex-first tuple is k steps into a run
@@ -678,7 +679,7 @@ class TestLawCertificate:
     @pytest.mark.parametrize("seed", range(40))
     def test_certified_range_laws_on_random_tracks_match_the_witness_oracle(
             self, seed, kind, monkeypatch):
-        # the fold reads only the range condition's role sum of each
+        # a certified check reads only the range condition of each
         # lex-first witness, and must read the oracle's
         doc = certified_law_doc(seed, kind)
         track = TrainTrack.from_json(doc["track"], track_id=f"rand{seed}")
@@ -689,9 +690,10 @@ class TestLawCertificate:
         # certified: one formula evaluation per branch and bound, none per witness
         assert len(calls) == 4 * len(track.branches)
 
-    def test_an_uncertified_law_solves_the_track_once(self, monkeypatch):
+    def test_an_uncertified_law_solves_and_folds_the_track_once(self, monkeypatch):
         # Q4 with one branch's q raised by 1 fails the certificate, so the
-        # check folds all three roles; the folds share one solve
+        # check reads its three role sums off one fold of the witness
+        # codes, on the solve that gave the class set
         doc = load_data_json("tracks/Q4.json")
         branch = doc["track"]["branches"][0]
         branch["class"] = [branch["class"][0], branch["class"][1] + 1]
@@ -704,10 +706,12 @@ class TestLawCertificate:
             return solve(*args)
 
         monkeypatch.setattr(traintrack, "_solve", counted)
-        for bound in (0, 1, 3):
+        folds = TestClassSetDecision.counted_valued_folds(monkeypatch)
+        for bound in (0, 1, 3, 6):
             calls.clear()
+            folds.clear()
             report = check_law(track, law, doc["designated"], bound, family="Q4")
-            assert len(calls) == 1, bound
+            assert (len(calls), len(folds)) == (1, 1), bound
             assert report.violations == expected_formula_violations(doc, bound), bound
         assert any("disagrees" in v for v in report.violations)
 
@@ -763,13 +767,13 @@ class TestClassSetDecision:
 
     @staticmethod
     def counted_valued_folds(monkeypatch):
-        fold, calls = traintrack._fold_weights, []
+        fold, calls = traintrack._witness_codes, []
 
         def counted(*args):
             calls.append(args)
             return fold(*args)
 
-        monkeypatch.setattr(traintrack, "_fold_weights", counted)
+        monkeypatch.setattr(traintrack, "_witness_codes", counted)
         return calls
 
     @pytest.mark.parametrize("bound", [6, 20, 50])
@@ -792,9 +796,9 @@ class TestClassSetDecision:
     def test_a_class_reached_with_mu_zero_can_have_a_witness_with_mu(self, monkeypatch):
         # Both circles realize (1, 4) per unit of weight, and only b1 is in
         # mu: a1 reaches every class with mu = 0, so the class set cannot
-        # rule a violation out and mu is folded. Each class's lex-first
-        # witness leaves circle a, the first component, at 0, so its mu
-        # is at least 1 and the law holds.
+        # rule a violation out and the witnesses are folded. Each class's
+        # lex-first witness leaves circle a, the first component, at 0, so
+        # its mu is at least 1 and the law holds.
         track = joined("late-mu", circle("a", (1, 4)), circle("b", (1, 4)))
         designated = {"omega": ["a1", "b1"], "nu": ["a1"], "mu": ["b1"]}
         doc = {"track": track_doc(track), "law": {"kind": "FORMULA_THREE_PLUS"},
@@ -803,7 +807,7 @@ class TestClassSetDecision:
         for bound in range(5):
             report = check_law(track, SlopeLaw("FORMULA_THREE_PLUS"), designated, bound)
             assert report.violations == expected_formula_violations(doc, bound) == [], bound
-        assert len(calls) == 4  # one mu fold per bound with a nonzero class
+        assert len(calls) == 4  # one fold per bound with a nonzero class
 
     def test_mu_can_vanish_at_the_end_of_a_run(self):
         # c = a - b, and the walk moves b up and c down: in the run of each
@@ -993,28 +997,6 @@ class TestAgainstWitnessOracle:
     @pytest.mark.parametrize("seed", range(50))
     def test_random_tracks_at_small_bounds(self, seed, bound):
         _assert_matches_witness_oracle(random_track_doc(seed), bound, f"rand{seed}")
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_weighted_folds_sum_each_witness(self, seed):
-        # with weights the fold keeps the classes and their order and
-        # gives each witness's weighted sum; a weight may be 0, 2 or
-        # negative, and a branch without one weighs 0. One folding serves
-        # every weight map, the empty one too.
-        doc = random_track_doc(seed)
-        rng = random.Random(seed)
-        weight_maps = [{b["id"]: rng.choice([-1, 0, 1, 2])
-                        for b in doc["branches"] if rng.random() < 0.8} for _ in range(3)]
-        weight_maps.append({})
-        track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
-        for bound in range(4):
-            classes, null = oracle_class_witnesses(doc, bound)
-            folding = traintrack._Folding(track, bound)
-            for weights in weight_maps:
-                got, got_null = traintrack._fold_weights(folding, weights)
-                def total(witness):
-                    return sum(weights.get(b, 0) * w for b, w in witness.items())
-                assert list(got.items()) == [(klass, total(w)) for klass, w in classes.items()]
-                assert got_null == (None if null is None else total(null))
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))

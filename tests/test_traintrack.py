@@ -998,6 +998,34 @@ class TestAgainstWitnessOracle:
     def test_random_tracks_at_small_bounds(self, seed, bound):
         _assert_matches_witness_oracle(random_track_doc(seed), bound, f"rand{seed}")
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_weighted_folds_sum_each_witness(self, seed):
+        # the witness codes keep the classes and their order, and any
+        # weighted sum read off a code's digits, the way check_law reads
+        # role sums, is that sum over the witness; a weight may be 0, 2 or
+        # negative, and a branch without one weighs 0
+        doc = random_track_doc(seed)
+        rng = random.Random(seed)
+        weight_maps = [{b["id"]: rng.choice([-1, 0, 1, 2])
+                        for b in doc["branches"] if rng.random() < 0.8} for _ in range(3)]
+        weight_maps.append({})
+        track = TrainTrack.from_json(doc, track_id=f"rand{seed}")
+        for bound in range(4):
+            classes, null = oracle_class_witnesses(doc, bound)
+            place, digit, codes, null_code = traintrack._witness_codes(
+                traintrack._Folding(track, bound))
+            assert list(codes) == list(classes)
+            assert (null_code is None) == (null is None)
+            for weights in weight_maps:
+                def read(code):
+                    return sum(wt * (code >> place[b] & digit) for b, wt in weights.items())
+
+                def total(witness):
+                    return sum(weights.get(b, 0) * w for b, w in witness.items())
+                assert [read(c) for c in codes.values()] == [total(w) for w in classes.values()]
+                if null is not None:
+                    assert read(null_code) == total(null)
+
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EDGE_TRACKS))
     def test_edge_tracks(self, name, bound):

@@ -32,11 +32,11 @@ class _Fault:
         self.node, self.value, self.path = node, value, []
 
 
-def validate(doc, schema: str, definition=None):
+def validate(doc, schema: str):
     """Return doc if it has the shape of the packaged schema `schema` ("entry" for
-    entry.schema.json) or of its $defs entry `definition`, else raise ValueError
-    naming the JSON path of the fault, the schema there and the value."""
-    fault = _packaged(schema)[definition](doc)
+    entry.schema.json), else raise ValueError naming the JSON path of the fault,
+    the schema there and the value."""
+    fault = _packaged(schema)[None](doc)
     if fault is not None:
         where = "/".join(map(str, reversed(fault.path))) or "the document"
         shape = {k: v for k, v in fault.node.items() if k not in _NOTES}

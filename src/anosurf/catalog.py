@@ -315,7 +315,8 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
     CLASS_SPAN_CAP bits, or one of whose components would have more than
     COMPONENT_SOLUTION_CAP solutions, at MAX_LAW_BOUND, so that a law
     check at some bound the CLI accepts would refuse it, raises
-    SwitchSystemError as that law check does. Each entry with no problem so far then runs its
+    SwitchSystemError as that law check does; so does a track too large
+    to solve at all. Each entry with no problem so far then runs its
     exclusion chain once at 1/2: a chain reads the slope only through its
     denominator, and denominator two checks the most premises, so a gap
     that classify would meet at some slope is reported here. A mismatch

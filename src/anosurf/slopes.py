@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from . import _schema
 from .errors import SlopeFormatError
 
 _SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
@@ -256,10 +255,6 @@ class AdmissibleSet:
         if takes_count:
             doc["count"] = self.count
         return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "AdmissibleSet":
-        return _admissible(_schema.validate(doc, "entry", "admissible"))
 
 
 def _admissible(doc: dict) -> AdmissibleSet:

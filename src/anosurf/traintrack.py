@@ -18,8 +18,10 @@ Each connected component is solved on its own, as runs: along the last
 free weight of its elimination plan the solutions move by one fixed
 step, so a run (first tuple, length) stands for that many consecutive
 solutions, and so does an arithmetic progression of packed classes. A
-component with more than COMPONENT_SOLUTION_CAP solutions raises
-SwitchSystemError.
+component with more than COMPONENT_SOLUTION_CAP solutions, or whose runs
+would store more than COMPONENT_WEIGHT_CAP weights, raises
+SwitchSystemError, and so does a solve of a track with more than
+TRACK_BRANCH_CAP branches, before its plan is built.
 
 The components' classes are folded into the track's as a sumset of
 bitmasks, a class packed into one bit. check_law decides every law from
@@ -233,15 +235,20 @@ Run = Tuple[Tuple[int, ...], int]
 # The most solutions one component may have. The shipped tracks peak at
 # 45,526, Q4's at bound 50.
 COMPONENT_SOLUTION_CAP = 1_000_000
+# The most weights one component's runs may store, a whole tuple per run.
+# The shipped tracks peak at 15,606, Q4's at bound 50.
+COMPONENT_WEIGHT_CAP = 4_000_000
+# The most branches a track may have to be solved: the walk recurses once
+# per free weight and the plan takes time quadratic in the branches. The
+# shipped tracks have at most 18, Q7's.
+TRACK_BRANCH_CAP = 256
 # The most bits the packed classes of a track may span at one bound; the
 # fold's masks are that wide. The shipped tracks peak at 161,001, Q5's and
 # Q10's at bound 50.
 CLASS_SPAN_CAP = 1_000_000
 # The largest bound of a law check that the CLI accepts, and the bound at
 # which `catalog check` checks the class span and the solution cap. The
-# check grows steeply with the bound: Q4, the slowest family, takes about
-# 0.06 s at bound 50, its first call in a fresh process (Python 3.11.7,
-# 2 cores).
+# check grows steeply with the bound; the README gives Q4's time at 50.
 MAX_LAW_BOUND = 50
 
 
@@ -305,11 +312,13 @@ def _component_solutions(n: int, levels: Levels, bound: int,
     zero tuple.
 
     Raises SwitchSystemError as soon as the runs would hold more than
-    COMPONENT_SOLUTION_CAP solutions."""
+    COMPONENT_SOLUTION_CAP solutions or store more than
+    COMPONENT_WEIGHT_CAP weights."""
     weights = [0] * n
     out: List[Run] = []
     count = 0
     last = len(levels) - 1
+    most_runs = COMPONENT_WEIGHT_CAP // n
 
     def settle(steps) -> Optional[Tuple[int, int, list]]:
         """The feasible range lo..hi of the level's choice, whose weight
@@ -358,6 +367,9 @@ def _component_solutions(n: int, levels: Levels, bound: int,
             if count > COMPONENT_SOLUTION_CAP:
                 raise SwitchSystemError(track_id, f"a component has more than "
                                                   f"{COMPONENT_SOLUTION_CAP} solutions at bound {bound}")
+            if len(out) == most_runs:
+                raise SwitchSystemError(track_id, f"a component's runs store more than "
+                                                  f"{COMPONENT_WEIGHT_CAP} weights at bound {bound}")
             weights[choice] = lo
             for i, a, b in forced:
                 weights[i] = a + b * lo
@@ -397,6 +409,9 @@ class _SolvePlan(NamedTuple):
 
     @classmethod
     def of(cls, track: TrainTrack) -> "_SolvePlan":
+        if len(track.branches) > TRACK_BRANCH_CAP:
+            raise SwitchSystemError(track.track_id, f"{len(track.branches)} branches, more "
+                                                    f"than the {TRACK_BRANCH_CAP} a solve takes")
         comps = tuple(map(tuple, track.components()))
         rows = track.switch_system()
         systems = tuple((len(comp), _local_system(rows, comp)) for comp in comps)

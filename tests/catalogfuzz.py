@@ -4,9 +4,11 @@ A case makes one edit of one shipped data file, chosen by its seed: it
 sets a value from a fixed pool, drops a key or duplicates a list item.
 Unless the edited file is the manifest, the manifest is then restamped,
 so the edit passes the checksums and reaches the builders. The case runs
-each CLI command of `commands` on the edited catalog, and each must exit
+each CLI command of `Case.commands` on the edited catalog, and each must exit
 with a code in EXIT_CODES: a fault in the data is refused with its
-documented exit code, never with a traceback.
+documented exit code, never with a traceback. The track command runs at
+each of TRACK_BOUNDS on an edit of a track file, and at bound 6 on any
+other edit, which cannot make its result depend on the bound.
 
     python tests/catalogfuzz.py [FIRST [COUNT]]
 
@@ -14,10 +16,10 @@ runs the cases of COUNT seeds from FIRST (default 0 and 100) and prints
 every case that raises or exits with another code. It also validates
 each edited file with jsonschema against its packaged schema (under
 src/anosurf/_schemas) and prints every case the schema refuses but some
-command does not refuse as unusable data (exit 5); `catalog check --laws
---law-bound 4` exits 4 on the shipped data too. Last, it prints every
+command does not refuse as unusable data (exit 5). Last, it prints every
 case that a plain `catalog check` passes (exit 0) while a classify
-command does not: a catalog that checks ok must classify.
+command does not, or some command exits 5: a catalog that checks ok must
+classify, and no command may refuse it as unusable.
 """
 
 from __future__ import annotations
@@ -66,17 +68,15 @@ def oracle(name: str) -> Draft202012Validator:
 
 CLASSIFY = (["classify", "7/2"], ["classify", "5/3"])
 CHECK = ["catalog", "check"]
+TRACK_BOUNDS = (0, 1, 6, 50)
 
 
-def commands(family: str) -> List[List[str]]:
-    return [*CLASSIFY, ["sweep", "--max", "4"], ["track", family, "--bound", "4"], CHECK,
-            ["catalog", "check", "--laws", "--law-bound", "4"], ["catalog", "list"]]
-
-
-def checked_but_unclassified(runs: List[Tuple[List[str], int]]) -> bool:
-    """Whether `catalog check` passed the case while a classify refused it."""
+def checked_but_refused(runs: List[Tuple[List[str], int]]) -> bool:
+    """Whether `catalog check` passed the case while a classify refused it
+    or some command exited 5."""
     codes = {tuple(argv): code for argv, code in runs}
-    return codes[tuple(CHECK)] == 0 and any(codes[tuple(argv)] for argv in CLASSIFY)
+    return codes[tuple(CHECK)] == 0 and (any(codes[tuple(argv)] for argv in CLASSIFY)
+                                         or 5 in codes.values())
 
 
 def data_files(root: Path) -> List[str]:
@@ -116,6 +116,12 @@ class Case(NamedTuple):
     edit: str           # what was edited
     family: str         # the family the track command checks
 
+    def commands(self) -> List[List[str]]:
+        bounds = TRACK_BOUNDS if self.relpath.startswith("tracks/") else (6,)
+        return [*CLASSIFY, ["sweep", "--max", "4"],
+                *(["track", self.family, "--bound", str(b)] for b in bounds), CHECK,
+                ["catalog", "check", "--laws"], ["catalog", "list"]]
+
 
 def make_case(root: Path, seed: int) -> Case:
     rng = random.Random(seed)
@@ -136,7 +142,7 @@ def run_case(root: Path, case: Case) -> List[Tuple[List[str], int]]:
         path.write_text(json.dumps(case.doc))
         if case.relpath != MANIFEST:
             restamp_manifest(root)
-        return [(argv, main([*argv, "--catalog", str(root)])) for argv in commands(case.family)]
+        return [(argv, main([*argv, "--catalog", str(root)])) for argv in case.commands()]
     finally:
         path.write_bytes(original)
         manifest.write_bytes(original_manifest)
@@ -165,12 +171,13 @@ def _search(first: int, count: int) -> int:
                 unseen += 1
                 print(f"seed {seed}: {case.edit}: the {schema} schema refuses it, "
                       f"not every command exits 5")
-            if checked_but_unclassified(runs):
+            if checked_but_refused(runs):
                 missed += 1
-                print(f"seed {seed}: {case.edit}: catalog check exits 0, a classify does not")
+                print(f"seed {seed}: {case.edit}: catalog check exits 0, "
+                      f"a classify does not or a command exits 5")
     print(f"{count} cases from seed {first}, {bad} faults, "
           f"{unseen} schema refusals that load, "
-          f"{missed} classify refusals that catalog check passes")
+          f"{missed} refusals that catalog check passes")
     return 1 if bad else 0
 
 

@@ -80,18 +80,25 @@ _Q1_MULTIPLICITIES = ("qcomplexes.json",
                       record_edit("Q1", "connectors",
                                   value={"ly3": 10**30, "s1": 10**30, "s4": 10**30}))
 
+
+def _hung_loops_and_circle(loops):
+    """hung_loops_doc(loops) plus a circle of two branches c1, c2: its
+    branch ids, 3 * loops in all, and its switches."""
+    hung = hung_loops_doc(loops)
+    ends = [("c1", "c2"), ("c2", "c1")]
+    switches = hung["switches"] + [
+        {"id": f"c{i}", "one_fold": [{"branch": a, "end": "head"}],
+         "two_fold": [{"branch": b, "end": "tail"}]} for i, (a, b) in enumerate(ends)]
+    return [b["id"] for b in hung["branches"]] + ["c1", "c2"], switches
+
+
 def _q7_hung_loops(doc):
     """Rewire Q7's 18 branches: 16 of them as hung_loops_doc(6), one
     component with 6 free weights, and the other two as a circle. That
     component has 7^6 solutions at bound 6, under COMPONENT_SOLUTION_CAP,
     and (bound + 1)^6 over it from bound 10 on; its stems and spine are
     listed as noncompact, which they are."""
-    hung = hung_loops_doc(6)
-    ends = [("c1", "c2"), ("c2", "c1")]
-    switches = hung["switches"] + [
-        {"id": f"c{i}", "one_fold": [{"branch": a, "end": "head"}],
-         "two_fold": [{"branch": b, "end": "tail"}]} for i, (a, b) in enumerate(ends)]
-    names = [b["id"] for b in hung["branches"]] + ["c1", "c2"]
+    names, switches = _hung_loops_and_circle(6)
     rename = dict(zip(names, (b["id"] for b in doc["track"]["branches"])))
     doc["track"]["switches"] = [
         {"id": sw["id"], **{side: [{**end, "branch": rename[end["branch"]]} for end in sw[side]]
@@ -99,7 +106,29 @@ def _q7_hung_loops(doc):
     doc["noncompact"] = sorted(rename[b] for b in names if b[0] in "yz")
 
 
+def _q2_hung_loops(loops):
+    """Q2 restamped consistently at size 3 * loops (loops even): its complex
+    with multiplicity loops / 2 on each connector, and its track
+    hung_loops_doc(loops) with zero classes plus a circle, two branches
+    per connector copy and its roles on branches of the new track."""
+    def track(doc):
+        names, switches = _hung_loops_and_circle(loops)
+        doc["track"] = {"branches": [{"id": b, "class": [0, 0], "loop": False} for b in names],
+                        "switches": switches}
+        doc["projection"] = [{"connector": ("s1", "s4", "ly3")[k % 3], "copy": k // 3 + 1,
+                              "arcs": names[2 * k:2 * k + 2]} for k in range(len(names) // 2)]
+        doc["designated"] = {"omega": ["c1"], "mu": ["x1"], "nu": ["x2"]}
+        doc["noncompact"] = sorted(b for b in names if b[0] in "yz")
+    m = loops // 2
+    multiplicities = record_edit("Q2", "connectors", value={"ly3": m, "s1": m, "s4": m})
+    return ("qcomplexes.json", multiplicities), ("tracks/Q2.json", track)
+
+
 _Q7_HUNG_LOOPS = ("tracks/Q7.json", _q7_hung_loops)
+# a track too large for a solve, 3,300 branches, whose walk recursed once
+# per free weight; and one of 60 branches whose runs at bound 1 would store
+# 2^19 tuples of 58 weights
+_Q2_DEEP, _Q2_WIDE = _q2_hung_loops(1100), _q2_hung_loops(20)
 
 # restamped edits that make a number of the data huge; each must be
 # refused in well under a second, without a traceback or a large allocation
@@ -110,6 +139,12 @@ SIZE_FAULTS = {
     "branch-class-10e6-track": (["track", "Q1", "--bound", "20"], _q1_class(10**6), 5),
     "multiplicities-10e30-classify": (["classify", "7/2"], _Q1_MULTIPLICITIES, 5),
     "multiplicities-10e30-list": (["catalog", "list"], _Q1_MULTIPLICITIES, 5),
+    # tracks that the solve refuses by their size; the first two gave a
+    # RecursionError traceback, the last took 2.2 s and a 308 MB peak RSS
+    # to exit 5
+    "branch-cap-track": (["track", "Q2", "--bound", "0"], *_Q2_DEEP, 5),
+    "branch-cap-check": (["catalog", "check"], *_Q2_DEEP, 5),
+    "weight-cap-track": (["track", "Q2", "--bound", "1"], *_Q2_WIDE, 5),
 }
 
 # edits of a restamped catalog, most of one field: the command, each edited
@@ -507,11 +542,19 @@ def test_the_law_check_refusals_hold_the_class_span_rows():
 
 @pytest.mark.parametrize("name", SIZE_FAULTS)
 def test_a_size_fault_is_refused_within_a_second(data_copy, name):
-    argv, (relpath, edit), code = SIZE_FAULTS[name]
-    rewrite(data_copy, relpath, edit)
+    argv, *edits, code = SIZE_FAULTS[name]
+    for relpath, edit in edits:
+        rewrite(data_copy, relpath, edit)
     started = time.perf_counter()
     assert main([*argv, "--catalog", str(data_copy)]) == code
     assert time.perf_counter() - started < 1
+
+
+def test_a_track_too_large_to_solve_still_classifies(data_copy):
+    # classify never solves a track
+    for relpath, edit in _Q2_DEEP:
+        rewrite(data_copy, relpath, edit)
+    assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 0
 
 
 # a JSON document nested deeper than the parser recurses
@@ -587,7 +630,7 @@ def test_the_fuzzer_runs_as_a_script_without_pythonpath(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("1 cases from seed 0, 0 faults, 0 schema refusals that load, "
-                                "0 classify refusals that catalog check passes\n")
+                                "0 refusals that catalog check passes\n")
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
@@ -599,5 +642,6 @@ def test_a_restamped_edit_exits_with_a_documented_code(fuzz_root, seed):
     # an edit that jsonschema refuses is unusable data for every command
     if not catalogfuzz.oracle(catalogfuzz.schema_of(case.relpath)).is_valid(case.doc):
         assert all(code == 5 for _, code in runs), (case.edit, runs)
-    # a catalog that `catalog check` passes classifies
-    assert not catalogfuzz.checked_but_unclassified(runs), (case.edit, runs)
+    # a catalog that `catalog check` passes classifies, and no command
+    # refuses it as unusable
+    assert not catalogfuzz.checked_but_refused(runs), (case.edit, runs)

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import admissible_edit, load_data_json
+
+from anosurf.catalog import CatalogEntry
 from anosurf.errors import SlopeFormatError
 from anosurf.slopes import (
     INFINITY,
     ZERO,
     AdmissibleSet,
     Slope,
+    _admissible,
     eval_admissible,
     intersection_number,
     _from_reduced,
@@ -244,7 +248,7 @@ class TestAdmissibleSets:
             AdmissibleSet("IntersectionWithMoreThan", slope=Slope(4, 1), count=1),
         ]
         for adm in sets:
-            assert AdmissibleSet.from_json(adm.to_json()) == adm
+            assert _admissible(adm.to_json()) == adm
 
     def test_json_key_depends_on_kind(self):
         assert AdmissibleSet("Only", slope=ZERO).to_json() == {
@@ -262,8 +266,6 @@ class TestAdmissibleSets:
             AdmissibleSet("IntersectionWithAtLeast", slope=Slope(4, 1))
         with pytest.raises(ValueError):
             AdmissibleSet("NoSuchKind")
-        with pytest.raises(ValueError):
-            AdmissibleSet.from_json({"kind": "NoSuchKind"})
         # a kind takes exactly the parameters of its row
         with pytest.raises(ValueError):
             AdmissibleSet("Only", slope=ZERO, count=1)
@@ -271,14 +273,20 @@ class TestAdmissibleSets:
             AdmissibleSet("AllRationals", slope=Slope(4, 1))
         with pytest.raises(ValueError):
             AdmissibleSet("IntegerDenominatorAtLeast2", count=0)
+
+    @pytest.mark.parametrize("entry,edit", [
+        ("B2", admissible_edit(kind="NoSuchKind")),
+        ("B1", admissible_edit(bound="5")),
+        ("B4", admissible_edit(bound=3)),
+        ("B2", admissible_edit(anchor="4")),
+        ("B1", admissible_edit(count=1)),
+    ], ids=["unknown-kind", "only-with-bound", "bound-int", "all-rationals-with-anchor",
+            "only-with-count"])
+    def test_a_malformed_record_is_refused(self, entry, edit):
+        doc = load_data_json(f"catalog/entries/{entry}.json")
+        edit(doc)
         with pytest.raises(ValueError):
-            AdmissibleSet.from_json({"kind": "Only", "slope": "0", "bound": "5"})
-        with pytest.raises(ValueError):
-            AdmissibleSet.from_json({"kind": "GreaterThan", "bound": 3})
-        with pytest.raises(ValueError):
-            AdmissibleSet.from_json({"kind": "AllRationals", "anchor": "4"})
-        with pytest.raises(ValueError):
-            AdmissibleSet.from_json({"kind": "Only", "slope": "0", "count": 1})
+            CatalogEntry.from_json(doc)
 
     @pytest.mark.parametrize("kind,slope,count", [
         ("Only", INFINITY, None),

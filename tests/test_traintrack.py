@@ -5,6 +5,7 @@ import operator
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -516,14 +517,55 @@ class TestSolutionCap:
         assert walked == []
 
     def test_every_family_stays_under_the_cap(self, catalog):
-        peak = {}
+        peak, stored = {}, {}
         for family, bundle in catalog.tracks.items():
+            assert len(bundle.track.branches) <= 18 < traintrack.TRACK_BRANCH_CAP
             for bound in range(51):
-                _, solved = traintrack._solve(bundle.track, bound)
+                plan, solved = traintrack._solve(bundle.track, bound)
                 peak[family] = max(sum(length for _, length in runs) for runs in solved)
-        # the peaks at bound 50; Q4's is the largest
+                stored[family] = max(len(runs) * len(comp)
+                                     for runs, comp in zip(solved, plan.comps))
+        # the peaks at bound 50; Q4's are the largest
         assert max(peak.values()) == peak["Q4"] == 45_526
         assert peak["Q4"] < traintrack.COMPONENT_SOLUTION_CAP
+        assert max(stored.values()) == stored["Q4"] == 15_606
+        assert stored["Q4"] < traintrack.COMPONENT_WEIGHT_CAP
+
+
+class TestSizeCaps:
+    def test_the_branch_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(traintrack, "TRACK_BRANCH_CAP", 2)
+        assert len(all_solutions(circle("c"), 3)) == 4
+        monkeypatch.setattr(traintrack, "TRACK_BRANCH_CAP", 1)
+        with pytest.raises(SwitchSystemError,
+                           match=r"^track 'circle_c': 2 branches, more than the 1 a solve "
+                                 r"takes$"):
+            dead_branches(circle("c"), 3)
+
+    def test_a_track_over_the_branch_cap_is_refused_at_bound_zero(self):
+        # one solution, but 1,100 free weights, which the walk recursed through
+        track = TrainTrack.from_json(hung_loops_doc(1100), track_id="hung")
+        started = time.perf_counter()
+        with pytest.raises(SwitchSystemError,
+                           match=r"^track 'hung': 3298 branches, more than the 256 a solve "
+                                 r"takes$"):
+            traintrack._solve(track, 0)
+        assert time.perf_counter() - started < 1
+
+    def test_runs_over_the_weight_cap_are_refused_before_they_fill_memory(self):
+        # 2^20 solutions in runs of 2, each run a tuple of 58 weights: the
+        # solution cap alone stops the walk only after 500,000 runs, 29M weights
+        track = TrainTrack.from_json(hung_loops_doc(20), track_id="hung")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SwitchSystemError,
+                               match=r"^track 'hung': a component's runs store more than "
+                                     r"4000000 weights at bound 1$"):
+                traintrack._solve(track, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
 
 class TestClassSpanCap:

@@ -50,7 +50,6 @@ DATA = ROOT / "src" / "anosurf" / "_data"
 X_SIDES = ["a1", "b1", "d1", "b2", "a2", "c1"]
 Y_SIDES = ["d2", "c2", "b3", "c3", "d3", "a3"]
 CORNER_COLORS = ["P1", "P2", "P1", "P2", "P1", "P2"]
-EDGES = ("a", "b", "c", "d")
 
 X_SHORT = ["s1", "s2", "s3", "s4", "s5", "s6"]
 X_MEDIUM = ["mb1", "md1", "mb2", "ma2", "mc1", "ma1"]   # named by the skipped side
@@ -163,7 +162,10 @@ EXPECTED_CASES = {
 
 # ---------------------------------------------------------------------------
 # Track shapes. Branch ids are "<component>.<arc>"; each component is a
-# lift of part of the complex to the orientation double cover.
+# lift of part of the complex to the orientation double cover. A shape
+# returns its branches, its switches, its arc pairs (the two branches one
+# connector copy lifts to, in the order the connectors are listed) and
+# its dead arcs (those every carried measure leaves at weight zero).
 
 
 def _br(bid, klass=(0, 0)):
@@ -190,7 +192,7 @@ def q1_shape(prefix, klass):
         _sw(f"{prefix}.swB1", [(b2, "tail")], [(b1, "head"), (x1, "head")]),
         _sw(f"{prefix}.swB2", [(b1, "tail")], [(b2, "head"), (x2, "head")]),
     ]
-    return branches, switches
+    return branches, switches, [(a1, b1), (a2, b2), (x1, x2)], [x1, x2]
 
 
 def shear_shape(prefix, sign):
@@ -206,7 +208,7 @@ def shear_shape(prefix, sign):
         _sw(f"{prefix}.sw3", [(b1, "head")], [(b2, "tail"), (x2, "tail")]),
         _sw(f"{prefix}.sw4", [(b1, "tail")], [(b2, "head"), (x1, "head")]),
     ]
-    return branches, switches
+    return branches, switches, [(a1, a2), (b1, b2), (x1, x2)], []
 
 
 def dip_shape(prefix):
@@ -222,7 +224,7 @@ def dip_shape(prefix):
         _sw(f"{prefix}.sw3", [(m2, "head")], [(f2, "tail"), (g2, "tail")]),
         _sw(f"{prefix}.sw4", [(m1, "tail")], [(f2, "head"), (g2, "head")]),
     ]
-    return branches, switches
+    return branches, switches, [(m1, m2), (f1, g1), (f2, g2)], []
 
 
 def gh_shape(prefix):
@@ -239,7 +241,7 @@ def gh_shape(prefix):
         _sw(f"{prefix}.j2", [(gb2, "head")], [(gb3, "tail")]),
         _sw(f"{prefix}.j3", [(gb3, "head")], [(gb4, "tail")]),
     ]
-    return branches, switches
+    return branches, switches, [(ga, js), (gb1, gb2), (gb3, gb4)], []
 
 
 def circle2(prefix, klass):
@@ -250,7 +252,7 @@ def circle2(prefix, klass):
         _sw(f"{prefix}.j1", [(c1, "head")], [(c2, "tail")]),
         _sw(f"{prefix}.j2", [(c2, "head")], [(c1, "tail")]),
     ]
-    return branches, switches
+    return branches, switches, [(c1, c2)], []
 
 
 def tri_shape(prefix):
@@ -263,18 +265,23 @@ def tri_shape(prefix):
         _sw(f"{prefix}.sw2", [(p3, "tail")], [(p2, "head"), (rr, "head")]),
         _sw(f"{prefix}.j", [(p3, "head")], [(p1, "tail")]),
     ]
-    return branches, switches
+    return branches, switches, [(p1, p3), (p2, rr)], []
 
 
-def _proj(connector, copy, arcs):
-    return {"connector": connector, "copy": copy, "arcs": list(arcs)}
-
-
-def _bundle(family, comps, law, designated, noncompact, projection):
-    branches, switches = [], []
-    for bs, ss in comps:
+def _bundle(family, lifts, law, designated):
+    """One track bundle from its components, each a shape and the
+    connectors its arc pairs lift, in pair order. The k-th lift of a
+    connector in the bundle is its copy k."""
+    branches, switches, noncompact, projection = [], [], [], []
+    copies = Counter()
+    for (bs, ss, pairs, dead), connectors in lifts:
         branches.extend(bs)
         switches.extend(ss)
+        noncompact.extend(dead)
+        for connector, arcs in zip(connectors, pairs, strict=True):
+            copies[connector] += 1
+            projection.append(
+                {"connector": connector, "copy": copies[connector], "arcs": list(arcs)})
     return {
         "id": family,
         "track": {"branches": branches, "switches": switches},
@@ -289,131 +296,68 @@ def build_bundles():
     bundles = {}
 
     bundles["Q1"] = _bundle(
-        "Q1", [q1_shape("u", (1, 0))],
-        {"kind": "ONLY_ZERO"}, {},
-        ["u.X1", "u.X2"],
-        [_proj("s1", 1, ["u.A1", "u.B1"]),
-         _proj("s4", 1, ["u.A2", "u.B2"]),
-         _proj("ly3", 1, ["u.X1", "u.X2"])])
+        "Q1", [(q1_shape("u", (1, 0)), ["s1", "s4", "ly3"])],
+        {"kind": "ONLY_ZERO"}, {})
 
     bundles["Q2"] = _bundle(
-        "Q2", [shear_shape("pos", 1), shear_shape("neg", -1)],
+        "Q2", [(shear_shape("pos", 1), ["s1", "s4", "ly3"]),
+               (shear_shape("neg", -1), ["s1", "s4", "ly3"])],
         {"kind": "FORMULA_MU_NU_OMEGA", "surjective_height": 6},
-        {"omega": ["pos.A2", "neg.A2"], "mu": ["pos.X1"], "nu": ["neg.X1"]},
-        [],
-        [_proj("s1", 1, ["pos.A1", "pos.A2"]),
-         _proj("s4", 1, ["pos.B1", "pos.B2"]),
-         _proj("ly3", 1, ["pos.X1", "pos.X2"]),
-         _proj("s1", 2, ["neg.A1", "neg.A2"]),
-         _proj("s4", 2, ["neg.B1", "neg.B2"]),
-         _proj("ly3", 2, ["neg.X1", "neg.X2"])])
+        {"omega": ["pos.A2", "neg.A2"], "mu": ["pos.X1"], "nu": ["neg.X1"]})
 
     bundles["Q3"] = _bundle(
-        "Q3", [q1_shape("u", (1, 4))],
-        {"kind": "ONLY_FOUR"}, {},
-        ["u.X1", "u.X2"],
-        [_proj("mc1", 1, ["u.A1", "u.B1"]),
-         _proj("md1", 1, ["u.A2", "u.B2"]),
-         _proj("ly3", 1, ["u.X1", "u.X2"])])
+        "Q3", [(q1_shape("u", (1, 4)), ["mc1", "md1", "ly3"])],
+        {"kind": "ONLY_FOUR"}, {})
 
     bundles["Q4"] = _bundle(
-        "Q4", [dip_shape("u"), dip_shape("v")],
+        "Q4", [(dip_shape("u"), ["s1", "mc1", "ly3"]),
+               (dip_shape("v"), ["s4", "md1", "ly3"])],
         {"kind": "FORMULA_THREE_PLUS"},
         {"omega": ["u.M1", "v.M1"],
          "mu": ["u.M1", "v.M1", "u.F1", "v.F1"],
-         "nu": ["u.F2", "v.F2"]},
-        [],
-        [_proj("s1", 1, ["u.M1", "u.M2"]),
-         _proj("mc1", 1, ["u.F1", "u.G1"]),
-         _proj("ly3", 1, ["u.F2", "u.G2"]),
-         _proj("s4", 1, ["v.M1", "v.M2"]),
-         _proj("md1", 1, ["v.F1", "v.G1"]),
-         _proj("ly3", 2, ["v.F2", "v.G2"])])
+         "nu": ["u.F2", "v.F2"]})
 
     bundles["Q5"] = _bundle(
-        "Q5", [q1_shape("u", (1, 4)), q1_shape("v", (1, 4))],
+        "Q5", [(q1_shape("u", (1, 4)), ["mc1", "md1", "ly3"]),
+               (q1_shape("v", (1, 4)), ["lx1", "lx2", "ly3"])],
         {"kind": "ONLY_FOUR"},
-        {"mu": ["u.X1", "v.X1"], "nu": ["u.X2", "v.X2"]},
-        ["u.X1", "u.X2", "v.X1", "v.X2"],
-        [_proj("mc1", 1, ["u.A1", "u.B1"]),
-         _proj("md1", 1, ["u.A2", "u.B2"]),
-         _proj("ly3", 1, ["u.X1", "u.X2"]),
-         _proj("lx1", 1, ["v.A1", "v.B1"]),
-         _proj("lx2", 1, ["v.A2", "v.B2"]),
-         _proj("ly3", 2, ["v.X1", "v.X2"])])
+        {"mu": ["u.X1", "v.X1"], "nu": ["u.X2", "v.X2"]})
 
     bundles["Q6"] = _bundle(
-        "Q6", [q1_shape("u", (0, 1)), q1_shape("v", (0, 1))],
-        {"kind": "ONLY_INFINITY"}, {},
-        ["u.X1", "u.X2", "v.X1", "v.X2"],
-        [_proj("s2", 1, ["u.A1", "u.B1"]),
-         _proj("s3", 1, ["u.A2", "u.B2"]),
-         _proj("md1", 1, ["u.X1", "u.X2"]),
-         _proj("mc2", 1, ["v.A1", "v.B1"]),
-         _proj("mc3", 1, ["v.A2", "v.B2"]),
-         _proj("ma3", 1, ["v.X1", "v.X2"])])
+        "Q6", [(q1_shape("u", (0, 1)), ["s2", "s3", "md1"]),
+               (q1_shape("v", (0, 1)), ["mc2", "mc3", "ma3"])],
+        {"kind": "ONLY_INFINITY"}, {})
 
     bundles["Q7"] = _bundle(
-        "Q7", [q1_shape("u", (0, 1)), q1_shape("v", (0, 1)),
-               q1_shape("w", (0, 1))],
-        {"kind": "ONLY_INFINITY"}, {},
-        ["u.X1", "u.X2", "v.X1", "v.X2", "w.X1", "w.X2"],
-        [_proj("s2", 1, ["u.A1", "u.B1"]),
-         _proj("s3", 1, ["u.A2", "u.B2"]),
-         _proj("md1", 1, ["u.X1", "u.X2"]),
-         _proj("mc2", 1, ["v.A1", "v.B1"]),
-         _proj("mc3", 1, ["v.A2", "v.B2"]),
-         _proj("md1", 2, ["v.X1", "v.X2"]),
-         _proj("mc2", 2, ["w.A1", "w.B1"]),
-         _proj("mc3", 2, ["w.A2", "w.B2"]),
-         _proj("md1", 3, ["w.X1", "w.X2"])])
+        "Q7", [(q1_shape("u", (0, 1)), ["s2", "s3", "md1"]),
+               (q1_shape("v", (0, 1)), ["mc2", "mc3", "md1"]),
+               (q1_shape("w", (0, 1)), ["mc2", "mc3", "md1"])],
+        {"kind": "ONLY_INFINITY"}, {})
 
     bundles["Q8"] = _bundle(
-        "Q8", [q1_shape("u", (0, 1)), q1_shape("v", (0, 1))],
-        {"kind": "ONLY_INFINITY"}, {},
-        ["u.X1", "u.X2", "v.X1", "v.X2"],
-        [_proj("mb1", 1, ["u.A1", "u.B1"]),
-         _proj("mb2", 1, ["u.A2", "u.B2"]),
-         _proj("md1", 1, ["u.X1", "u.X2"]),
-         _proj("mc3", 1, ["v.A1", "v.B1"]),
-         _proj("ma3", 1, ["v.A2", "v.B2"]),
-         _proj("t6", 1, ["v.X1", "v.X2"])])
+        "Q8", [(q1_shape("u", (0, 1)), ["mb1", "mb2", "md1"]),
+               (q1_shape("v", (0, 1)), ["mc3", "ma3", "t6"])],
+        {"kind": "ONLY_INFINITY"}, {})
 
     bundles["Q9"] = _bundle(
-        "Q9", [gh_shape("g"), circle2("e", (0, -1)), circle2("f", (0, -1)),
-               circle2("i", (0, -1))],
+        "Q9", [(gh_shape("g"), ["s2", "s3", "mc1"]),
+               (circle2("e", (0, -1)), ["ly3"]),
+               (circle2("f", (0, -1)), ["ma3"]),
+               (circle2("i", (0, -1)), ["ma3"])],
         {"kind": "FORMULA_B9"},
         {"g": ["g.GA"], "h": ["g.GB1"],
-         "e": ["e.C1"], "f": ["f.C1"], "i": ["i.C1"]},
-        [],
-        [_proj("s2", 1, ["g.GA", "g.JS"]),
-         _proj("s3", 1, ["g.GB1", "g.GB2"]),
-         _proj("mc1", 1, ["g.GB3", "g.GB4"]),
-         _proj("ly3", 1, ["e.C1", "e.C2"]),
-         _proj("ma3", 1, ["f.C1", "f.C2"]),
-         _proj("ma3", 2, ["i.C1", "i.C2"])])
+         "e": ["e.C1"], "f": ["f.C1"], "i": ["i.C1"]})
 
     bundles["Q10"] = _bundle(
-        "Q10", [q1_shape("u", (1, 4)), q1_shape("v", (1, 4))],
-        {"kind": "ONLY_FOUR"}, {},
-        ["u.X1", "u.X2", "v.X1", "v.X2"],
-        [_proj("s2", 1, ["u.A1", "u.B1"]),
-         _proj("mb2", 1, ["u.A2", "u.B2"]),
-         _proj("lx1", 1, ["u.X1", "u.X2"]),
-         _proj("t5", 1, ["v.A1", "v.B1"]),
-         _proj("mc2", 1, ["v.A2", "v.B2"]),
-         _proj("ma3", 1, ["v.X1", "v.X2"])])
+        "Q10", [(q1_shape("u", (1, 4)), ["s2", "mb2", "lx1"]),
+                (q1_shape("v", (1, 4)), ["t5", "mc2", "ma3"])],
+        {"kind": "ONLY_FOUR"}, {})
 
     bundles["Q11"] = _bundle(
-        "Q11", [tri_shape("u"), tri_shape("v"), tri_shape("w")],
-        {"kind": "ONLY_FOUR"}, {},
-        [],
-        [_proj("mb1", 1, ["u.P1", "u.P3"]),
-         _proj("mb2", 1, ["u.P2", "u.RR"]),
-         _proj("md1", 1, ["v.P1", "v.P3"]),
-         _proj("t5", 1, ["v.P2", "v.RR"]),
-         _proj("mc2", 1, ["w.P1", "w.P3"]),
-         _proj("ma3", 1, ["w.P2", "w.RR"])])
+        "Q11", [(tri_shape("u"), ["mb1", "mb2"]),
+                (tri_shape("v"), ["md1", "t5"]),
+                (tri_shape("w"), ["mc2", "ma3"])],
+        {"kind": "ONLY_FOUR"}, {})
 
     return bundles
 

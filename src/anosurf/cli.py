@@ -1,13 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage, 130 interrupted; a package error exits
-with its class's `AnosurfError.exit_code` (3 bad or unsupported slope,
+Exit codes: 0 success, 1 stdout closed before the output was written
+(click's broken-pipe handling), 2 usage, 130 interrupted; a package error
+exits with its class's `AnosurfError.exit_code` (3 bad or unsupported slope,
 4 a classification gap or a violated slope law, 5 unusable catalog data).
 Any other status is a bug.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -263,5 +265,18 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def run() -> None:
+    """Program entry: the `anosurf` console script and `python -m anosurf.cli`.
+
+    Once the command has returned, the heap is frozen, so the exiting
+    interpreter's cycle collections skip every object alive by then, most
+    of them made by import. `main` never freezes: tests and library
+    callers run it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

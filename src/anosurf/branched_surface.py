@@ -131,39 +131,6 @@ def _odd_walk(via: Dict[str, Tuple[Optional[str], Optional[str]]],
     return [e for e in walk if e is not None]
 
 
-def verify_orientation_certificate(graph: dict, result: OrientationResult) -> bool:
-    """Recheck a certificate or obstruction against the raw graph."""
-    flips = {e["id"]: bool(e["flip"]) for e in graph["edges"]}
-    touching = {e["id"]: (e["from"], e["to"]) for e in graph["edges"]}
-    if result.orientable:
-        if not result.coloring:
-            return False
-        for eid, (u, v) in touching.items():
-            want_flip = flips[eid]
-            if (result.coloring[u] != result.coloring[v]) != want_flip:
-                return False
-        return True
-    if not result.obstruction:
-        return False
-    # a closed walk is odd exactly when its flip count is odd; multiset
-    # of edges must glue into a closed walk, checked by degree parity
-    degree: Dict[str, int] = {}
-    flip_count = 0
-    for eid in result.obstruction:
-        if eid not in flips:
-            return False
-        u, v = touching[eid]
-        if u == v:
-            flip_count += flips[eid]
-            continue
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        flip_count += flips[eid]
-    if any(d % 2 for d in degree.values()):
-        return False
-    return flip_count % 2 == 1
-
-
 # ---------------------------------------------------------------------------
 # Sink disks.
 

@@ -1,21 +1,17 @@
-"""Command line front end.
-
-Exit codes: 0 success, 1 stdout closed before the output was written
-(click's broken-pipe handling), 2 usage, 130 interrupted; a package error
-exits with its class's `AnosurfError.exit_code` (3 bad or unsupported slope,
-4 a classification gap or a violated slope law, 5 unusable catalog data).
-Any other status is a bug.
+"""Count Anosov flows on the fillings of the figure eight knot. Every
+command that reads the catalog takes --catalog DIR, a directory that
+shadows the packaged data files one by one. Exit codes: 0 success, 1
+stdout closed before the output was written, 2 usage, 130 interrupted,
+3 bad or unsupported slope, 4 a classification gap or a violated slope
+law, 5 unusable catalog data. Any other status is a bug.
 """
 
-from __future__ import annotations
-
+import argparse
 import gc
 import json
+import os
 import sys
 import time
-from typing import Optional
-
-import click
 
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
 from .classifier import ANCHORS, classify
@@ -28,66 +24,62 @@ from .traintrack import MAX_LAW_BOUND
 MAX_SWEEP_HEIGHT = 200
 
 
-# A path that is missing or not a directory is a usage error (exit 2), not
-# a silent fall back to the packaged data.
-catalog_option = click.option(
-    "--catalog", "catalog_path", default=None,
-    type=click.Path(exists=True, file_okay=False),
-    help="Directory shadowing the packaged catalog files.")
-
-format_option = click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-                             default="table", show_default=True)
+def _bounded(top: int):
+    """Argument type: an integer from 0 to top."""
+    def integer(text: str) -> int:
+        if 0 <= int(text) <= top:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"{text} is not in the range 0<=x<={top}")
+    return integer
 
 
-@click.group()
-def cli():
-    """Count Anosov flows on the fillings of the figure eight knot."""
+def _directory(text: str) -> str:
+    """Argument type of --catalog: a path that is missing or not a directory
+    is a usage error (exit 2), not a silent fall back to the packaged data."""
+    if os.path.isdir(text):
+        return text
+    raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
 
 
-# ignore_unknown_options lets negative slopes through without a "--"
-@cli.command("classify", context_settings={"ignore_unknown_options": True})
-@click.argument("slope")
-@click.option("--traces", type=click.Choice(["none", "digest", "full"]),
-              default="digest", show_default=True,
-              help="How much of each exclusion argument to print.")
-@format_option
-@catalog_option
-def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: Optional[str]):
-    """Classify the filling at SLOPE (for example 3, -2, 7/2, 0)."""
+def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: str | None):
+    """Classify the filling at SLOPE (for example 3, -2, 7/2, 0).
+
+    --traces (default digest) sets how much of each exclusion argument to
+    print; --format defaults to table.
+    """
     s = parse_slope(slope)
     catalog = load_catalog(path=catalog_path)
     result = classify(s, catalog=catalog)
     if fmt == "json":
-        click.echo(json.dumps(result.to_json(traces=traces), indent=2))
+        print(json.dumps(result.to_json(traces=traces), indent=2))
         return
-    click.echo(f"slope {result.slope}: {result.kind}")
-    click.echo(f"  hyperbolic filling: {'yes' if is_hyperbolic(s) else 'no'}")
-    click.echo("  taut foliation: yes")
+    print(f"slope {result.slope}: {result.kind}")
+    print(f"  hyperbolic filling: {'yes' if is_hyperbolic(s) else 'no'}")
+    print("  taut foliation: yes")
     if result.argument:
-        click.echo("  argument:")
+        print("  argument:")
         for step in result.argument:
-            click.echo(f"    {step.rule}")
+            print(f"    {step.rule}")
             if traces == "full":
-                click.echo(f"        {ANCHORS[step.rule]}")
+                print(f"        {ANCHORS[step.rule]}")
     if result.traces and traces != "none":
-        click.echo(f"  excluded candidates: {len(result.traces)}")
+        print(f"  excluded candidates: {len(result.traces)}")
         for trace in result.traces:
             d = trace.digest()
-            click.echo(f"    {d['entry']}: {' -> '.join(d['rules'])}")
+            print(f"    {d['entry']}: {' -> '.join(d['rules'])}")
             if traces == "full":
                 for step in trace.steps:
-                    click.echo(f"        [{step.rule}] {ANCHORS[step.rule]}")
+                    print(f"        [{step.rule}] {ANCHORS[step.rule]}")
     elif result.traces:
-        click.echo(f"  excluded candidates: {len(result.traces)}")
+        print(f"  excluded candidates: {len(result.traces)}")
 
 
-@cli.command("sweep")
-@click.option("--max", "max_height", type=click.IntRange(min=0, max=MAX_SWEEP_HEIGHT), default=50,
-              show_default=True, help="Largest numerator and denominator to visit.")
-@format_option
-@catalog_option
-def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
-    """Classify every reduced slope q/p with p and |q| at most the bound."""
+def sweep_cmd(max_height: int, fmt: str, catalog_path: str | None):
+    """Classify every reduced slope q/p with p and |q| at most the bound.
+
+    --max is the bound, the largest numerator and denominator to visit
+    (default 50).
+    """
     catalog = load_catalog(path=catalog_path)
     started = time.monotonic()
     kinds = {}
@@ -96,7 +88,7 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
     elapsed = time.monotonic() - started
     counts = {k: len(v) for k, v in sorted(kinds.items())}
     if fmt == "json":
-        click.echo(json.dumps({
+        print(json.dumps({
             "max": max_height,
             "counts": counts,
             "seconds": round(elapsed, 3),
@@ -105,25 +97,23 @@ def sweep_cmd(max_height: int, fmt: str, catalog_path: Optional[str]):
         }, indent=2))
         return
     total = sum(counts.values())
-    click.echo(f"swept {total} slopes up to {max_height} in {elapsed:.2f}s")
+    print(f"swept {total} slopes up to {max_height} in {elapsed:.2f}s")
     for kind, count in counts.items():
-        click.echo(f"  {kind}: {count}")
+        print(f"  {kind}: {count}")
 
 
-@cli.command("track")
-@click.argument("family", type=click.Choice(list(FAMILIES)))
-@click.option("--bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=20,
-              show_default=True, help="Max weight per branch when enumerating solutions.")
-@format_option
-@catalog_option
-def track_cmd(family: str, bound: int, fmt: str, catalog_path: Optional[str]):
-    """Check the boundary slope law of a family's double cover track."""
+def track_cmd(family: str, bound: int, fmt: str, catalog_path: str | None):
+    """Check the boundary slope law of a family's double cover track.
+
+    --bound is the max weight per branch when enumerating solutions
+    (default 20).
+    """
     catalog = load_catalog(path=catalog_path)
     bundle = catalog.tracks[family]
     report = slope_law_check(catalog, family, bound=bound)
     realized = sorted_slopes(report.realized)
     if fmt == "json":
-        click.echo(json.dumps({
+        print(json.dumps({
             "family": family,
             "law": bundle.law.kind,
             "bound": bound,
@@ -133,46 +123,33 @@ def track_cmd(family: str, bound: int, fmt: str, catalog_path: Optional[str]):
             "ok": report.ok,
         }, indent=2))
     else:
-        click.echo(f"{family}: law {bundle.law.kind}, "
-                   f"{len(bundle.track.branches)} branches, bound {bound}")
-        click.echo(f"  realized slopes: {', '.join(str(s) for s in realized) or '(none)'}")
+        print(f"{family}: law {bundle.law.kind}, {len(bundle.track.branches)} branches, bound {bound}")
+        print(f"  realized slopes: {', '.join(str(s) for s in realized) or '(none)'}")
         if report.violations:
-            click.echo("  violations:")
+            print("  violations:")
             for v in report.violations:
-                click.echo(f"    {v}")
+                print(f"    {v}")
         else:
-            click.echo("  law holds")
+            print("  law holds")
     report.raise_if_violated()
 
 
-@cli.group("catalog")
-def catalog_group():
-    """Inspect the branched surface catalog."""
-
-
-@catalog_group.command("list")
-@format_option
-@catalog_option
-def catalog_list(fmt: str, catalog_path: Optional[str]):
+def catalog_list(fmt: str, catalog_path: str | None):
     """List every entry with its family and exclusion class."""
     catalog = load_catalog(path=catalog_path)
     rows = [(e.id, e.family, e.exclusion_class, e.admissible.kind)
             for e in catalog]
     if fmt == "json":
-        click.echo(json.dumps(
-            [{"id": r[0], "family": r[1], "exclusion_class": r[2],
-              "admissible": r[3]} for r in rows], indent=2))
+        print(json.dumps([{"id": r[0], "family": r[1], "exclusion_class": r[2], "admissible": r[3]}
+                          for r in rows], indent=2))
         return
     width = max(len(r[0]) for r in rows)
     for r in rows:
-        click.echo(f"{r[0]:<{width}}  {r[1]:<4} {r[2]:<12} {r[3]}")
-    click.echo(f"({len(rows)} entries)")
+        print(f"{r[0]:<{width}}  {r[1]:<4} {r[2]:<12} {r[3]}")
+    print(f"({len(rows)} entries)")
 
 
-@catalog_group.command("show")
-@click.argument("entry_id")
-@catalog_option
-def catalog_show(entry_id: str, catalog_path: Optional[str]):
+def catalog_show(entry_id: str, catalog_path: str | None):
     """Dump one entry as JSON."""
     catalog = load_catalog(path=catalog_path)
     entry = catalog.get(entry_id)
@@ -198,18 +175,15 @@ def catalog_show(entry_id: str, catalog_path: Optional[str]):
         doc["split_curves"] = list(entry.split_curves)
     if entry.notes:
         doc["notes"] = entry.notes
-    click.echo(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2))
 
 
-@catalog_group.command("check")
-@click.option("--laws/--no-laws", default=False,
-              help="Also check every family's boundary slope law (slower).")
-@click.option("--law-bound", type=click.IntRange(min=0, max=MAX_LAW_BOUND), default=6,
-              show_default=True)
-@format_option
-@catalog_option
-def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: Optional[str]):
-    """Verify checksums, counts, certificates and sector data."""
+def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: str | None):
+    """Verify checksums, counts, certificates and sector data.
+
+    --laws also checks every family's boundary slope law (slower), up to
+    the weight --law-bound (default 6).
+    """
     catalog = load_catalog(path=catalog_path)
     report = check_catalog(catalog)
     law_results = {}
@@ -221,7 +195,7 @@ def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: Optional[s
                 report.problems.append(
                     f"{family}: slope law violated ({len(law_report.violations)})")
     if fmt == "json":
-        click.echo(json.dumps({
+        print(json.dumps({
             "entry_count": report.entry_count,
             "family_counts": report.family_counts,
             "stated_total": report.stated_total,
@@ -231,49 +205,95 @@ def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: Optional[s
             "ok": report.ok,
         }, indent=2))
     else:
-        click.echo(f"entries: {report.entry_count}")
-        click.echo("per family: " + ", ".join(
-            f"{f}={n}" for f, n in report.family_counts.items()))
+        print(f"entries: {report.entry_count}")
+        print("per family: " + ", ".join(f"{f}={n}" for f, n in report.family_counts.items()))
         for w in report.warnings:
-            click.echo(f"warning: {w}")
+            print(f"warning: {w}")
         for p in report.problems:
-            click.echo(f"PROBLEM: {p}")
+            print(f"PROBLEM: {p}")
         if laws:
             for family, violations in law_results.items():
                 status = "violated" if violations else "holds"
-                click.echo(f"law {family}: {status}")
-        click.echo("catalog ok" if report.ok else "catalog NOT ok")
+                print(f"law {family}: {status}")
+        print("catalog ok" if report.ok else "catalog NOT ok")
     if not report.ok:
-        click.echo(f"error: catalog check found {len(report.problems)} problem(s)",
-                   err=True)
-        raise click.exceptions.Exit(4)
+        print(f"error: catalog check found {len(report.problems)} problem(s)", file=sys.stderr)
+        return 4
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, on the standard library's argparse: the
+    module docstring describes the program, and each command's docstring
+    the command."""
+    parser = argparse.ArgumentParser(prog="anosurf", description=__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    group = commands.add_parser("catalog", help="Inspect the branched surface catalog.")
+    group = group.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, fmt=True):
+        doc = run.__doc__ or ""  # None under python -OO
+        sub = group.add_parser(name, help=doc.partition("\n")[0], description=doc)
+        sub.set_defaults(command=run)
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
+        sub.add_argument("--catalog", dest="catalog_path", type=_directory, metavar="DIR")
+        return sub
+
+    sub = command(commands, "classify", classify_cmd)
+    sub.add_argument("slope")
+    sub.add_argument("--traces", choices=["none", "digest", "full"], default="digest")
+    sub = command(commands, "sweep", sweep_cmd)
+    sub.add_argument("--max", dest="max_height", type=_bounded(MAX_SWEEP_HEIGHT), default=50)
+    sub = command(commands, "track", track_cmd)
+    sub.add_argument("family", choices=list(FAMILIES))
+    sub.add_argument("--bound", type=_bounded(MAX_LAW_BOUND), default=20)
+    command(group, "list", catalog_list)
+    command(group, "show", catalog_show, fmt=False).add_argument("entry_id")
+    sub = command(group, "check", catalog_check)
+    sub.add_argument("--laws", action=argparse.BooleanOptionalAction, default=False)
+    sub.add_argument("--law-bound", type=_bounded(MAX_LAW_BOUND), default=6)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     """Entry point with stable exit codes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["classify"] and "--" not in argv:
+        # argparse reads "-7/2" as an unknown option; behind "--" it is the slope
+        negative = [a for a in argv if a[:1] == "-" and a[1:2].isdigit()]
+        argv = [a for a in argv if a not in negative] + ["--", *negative] if negative else argv
     try:
-        # outside standalone mode click returns the code of an Exit raised
-        # by a command, and the command's own result (None) otherwise
-        return cli.main(args=argv, standalone_mode=False) or 0
-    except click.exceptions.Abort:
+        args = vars(_parser().parse_args(argv))
+        return args.pop("command")(**args) or 0
+    except SystemExit as exc:
+        # argparse exits 2 after a usage error and 0 after --help
+        return exc.code
+    except KeyboardInterrupt:
         return 130
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except AnosurfError as exc:
-        click.echo(f"error: {exc}", err=True)
+        # each package error class carries its own exit code
+        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
 def run() -> None:
     """Program entry: the `anosurf` console script and `python -m anosurf.cli`.
 
-    Once the command has returned, the heap is frozen, so the exiting
-    interpreter's cycle collections skip every object alive by then, most
-    of them made by import. `main` never freezes: tests and library
-    callers run it in-process.
+    A stdout that nobody reads (a closed pipe) fails the command, or the
+    flush after it at the latest, with BrokenPipeError: the exit status
+    is then 1, and stdout goes to /dev/null so that the interpreter's own
+    flush at exit succeeds and stderr stays empty. Once the command has
+    returned, the heap is frozen, so the exiting interpreter's cycle
+    collections skip every object alive by then, most of them made by
+    import. `main` never freezes: tests and library callers run it
+    in-process.
     """
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

@@ -205,3 +205,41 @@ def oracle_admissible(doc: dict, q: int, p: int) -> bool:
     if kind == "IntersectionWithMoreThan":
         return crossings > doc["count"]
     raise ValueError(f"unknown admissible kind {kind!r}")
+
+
+def verify_orientation_certificate(graph: dict, orientable: bool,
+                                   coloring: Optional[Dict[str, int]],
+                                   obstruction: Optional[List[str]]) -> bool:
+    """Recheck an orientability answer against the raw orientation graph:
+    an orientable answer needs a colouring whose signs differ across
+    exactly the flipped edges, and a non-orientable one an obstruction,
+    known edges that glue into a closed walk with an odd number of flips."""
+    flips = {e["id"]: bool(e["flip"]) for e in graph["edges"]}
+    touching = {e["id"]: (e["from"], e["to"]) for e in graph["edges"]}
+    if orientable:
+        if not coloring:
+            return False
+        for eid, (u, v) in touching.items():
+            want_flip = flips[eid]
+            if (coloring[u] != coloring[v]) != want_flip:
+                return False
+        return True
+    if not obstruction:
+        return False
+    # a closed walk is odd exactly when its flip count is odd; multiset
+    # of edges must glue into a closed walk, checked by degree parity
+    degree: Dict[str, int] = {}
+    flip_count = 0
+    for eid in obstruction:
+        if eid not in flips:
+            return False
+        u, v = touching[eid]
+        if u == v:
+            flip_count += flips[eid]
+            continue
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+        flip_count += flips[eid]
+    if any(d % 2 for d in degree.values()):
+        return False
+    return flip_count % 2 == 1

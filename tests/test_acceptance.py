@@ -16,14 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_admissible, oracle_slope_pairs, oracle_solutions
+from oracles import (oracle_admissible, oracle_slope_pairs, oracle_solutions,
+                     verify_orientation_certificate)
 from trackgen import random_track_doc
 
 from anosurf.branched_surface import (
     detect_sink_disks,
     euler_characteristic,
     is_transversely_orientable,
-    verify_orientation_certificate,
 )
 from anosurf.catalog import CatalogEntry, check_catalog, slope_law_check
 from anosurf.classifier import classify, exclusion_trace
@@ -166,14 +166,16 @@ def test_orientability_certificates(catalog):
         result = is_transversely_orientable(entry.orientation_graph)
         assert result.orientable is True
         assert result.coloring and set(result.coloring.values()) <= {1, -1}
-        assert verify_orientation_certificate(entry.orientation_graph, result)
+        assert verify_orientation_certificate(entry.orientation_graph, result.orientable,
+                                              result.coloring, result.obstruction)
 
     b3 = catalog.get("B3")
     result = is_transversely_orientable(b3.orientation_graph)
     assert result.orientable is False
     known = {edge["id"] for edge in b3.orientation_graph["edges"]}
     assert result.obstruction and set(result.obstruction) <= known
-    assert verify_orientation_certificate(b3.orientation_graph, result)
+    assert verify_orientation_certificate(b3.orientation_graph, result.orientable,
+                                          result.coloring, result.obstruction)
 
 
 def test_euler_characteristics_agree(catalog):

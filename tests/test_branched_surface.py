@@ -4,15 +4,14 @@ from hypothesis import strategies as st
 
 from anosurf.branched_surface import (
     ComplementComponent,
-    OrientationResult,
     admits_coherent_ibundle,
     detect_sink_disks,
     euler_characteristic,
     is_transversely_orientable,
     meridian_vertical_intersection,
-    verify_orientation_certificate,
 )
 from anosurf.errors import ComplementShapeError
+from oracles import verify_orientation_certificate
 
 
 def torus_cw() -> dict:
@@ -91,34 +90,34 @@ class TestOrientability:
         res = is_transversely_orientable(g)
         assert res.orientable
         assert res.coloring["a"] != res.coloring["b"]
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_flip_loop_is_not(self):
         g = graph("a", [("a", "a", True)])
         res = is_transversely_orientable(g)
         assert not res.orientable
         assert res.obstruction == ["e0"]
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_two_cycle_with_one_flip(self):
         g = graph("ab", [("a", "b", True), ("a", "b", False)])
         res = is_transversely_orientable(g)
         assert not res.orientable
         assert sorted(res.obstruction) == ["e0", "e1"]
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_even_flip_cycle_is_orientable(self):
         g = graph("abc", [("a", "b", True), ("b", "c", True), ("c", "a", False)])
         res = is_transversely_orientable(g)
         assert res.orientable
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_disconnected_components(self):
         g = graph("abcd", [("a", "b", False), ("c", "d", True),
                            ("d", "c", False)])
         res = is_transversely_orientable(g)
         assert not res.orientable
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_unknown_sector_rejected(self):
         g = graph("a", [("a", "ghost", False)])
@@ -129,23 +128,19 @@ class TestOrientability:
         g = graph("abc", [("a", "b", True), ("b", "c", True), ("c", "a", False)])
         res = is_transversely_orientable(g)
         res.coloring["b"] = -res.coloring["b"]
-        assert not verify_orientation_certificate(g, res)
+        assert not verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
     def test_fake_obstruction_fails_verification(self):
         g = graph("ab", [("a", "b", True), ("a", "b", True)])
-        even = OrientationResult(orientable=False, obstruction=["e0", "e1"])
-        assert not verify_orientation_certificate(g, even)
-        unknown = OrientationResult(orientable=False, obstruction=["e9"])
-        assert not verify_orientation_certificate(g, unknown)
-        not_closed = OrientationResult(orientable=False, obstruction=["e0"])
-        assert not verify_orientation_certificate(g, not_closed)
+        # an even cycle, an unknown edge, and a walk that does not close
+        assert not verify_orientation_certificate(g, False, None, ["e0", "e1"])
+        assert not verify_orientation_certificate(g, False, None, ["e9"])
+        assert not verify_orientation_certificate(g, False, None, ["e0"])
 
     def test_missing_certificate_fails_verification(self):
         g = graph("a", [("a", "a", False)])
-        assert not verify_orientation_certificate(
-            g, OrientationResult(orientable=True, coloring=None))
-        assert not verify_orientation_certificate(
-            g, OrientationResult(orientable=False, obstruction=None))
+        assert not verify_orientation_certificate(g, True, None, None)
+        assert not verify_orientation_certificate(g, False, None, None)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=1, max_value=6),
@@ -156,7 +151,7 @@ class TestOrientability:
         edges = [(f"n{u % n}", f"n{v % n}", flip) for u, v, flip in raw_edges]
         g = graph(nodes, edges)
         res = is_transversely_orientable(g)
-        assert verify_orientation_certificate(g, res)
+        assert verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
 
 
 class TestSinkDisks:

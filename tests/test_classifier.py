@@ -8,7 +8,6 @@ import pathlib
 import pytest
 
 from anosurf import classifier
-from anosurf.branched_surface import OrientationResult, verify_orientation_certificate
 from anosurf.catalog import EXCLUSION_CLASSES, candidates_for, load_catalog
 from anosurf.classifier import (
     ANCHORS,
@@ -25,6 +24,7 @@ from anosurf.classifier import (
 )
 from anosurf.errors import ClassificationGapError, UnsupportedSlopeError
 from anosurf.slopes import INFINITY, ZERO, AdmissibleSet, Slope, parse_slope
+from oracles import verify_orientation_certificate
 
 HALF = Slope(1, 2)
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -273,8 +273,7 @@ class TestClassifyPath:
             certificate = trace.steps[-1].facts["certificate"]
             assert certificate == entry.orientation.coloring
             assert certificate is not entry.orientation.coloring
-            assert verify_orientation_certificate(
-                entry.orientation_graph, OrientationResult(orientable=True, coloring=certificate))
+            assert verify_orientation_certificate(entry.orientation_graph, True, certificate, None)
 
     def test_an_odd_graph_under_an_orientable_flag_is_a_gap(self, catalog):
         odd = dataclasses.replace(catalog.get("B6"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosurf import cli as cli_module, errors
+from anosurf._resources import DATA_FILE_CAP
+from anosurf.classifier import classify
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
+from anosurf.slopes import Slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT, TrainTrack
 import catalogfuzz
 from conftest import (
@@ -36,6 +40,11 @@ CATALOG_COMMANDS = {"classify": ["classify", "7/2"], "sweep": ["sweep"], "track"
                     "catalog-check": ["catalog", "check"]}
 BAD_CATALOG_PATHS = {DATA_DIR / "no-such-directory": "missing",
                      DATA_DIR / "catalog" / "manifest.json": "file"}
+# one usage error of each command
+USAGE_ERRORS = {"classify": ["classify"], "sweep": ["sweep", "--max", "x"], "track": ["track"],
+                "catalog-list": ["catalog", "list", "--format", "xml"],
+                "catalog-show": ["catalog", "show"],
+                "catalog-check": ["catalog", "check", "--laws", "--law-bound", "51"]}
 
 
 # the CLI exit status of every error class in anosurf.errors
@@ -275,6 +284,33 @@ MANIFEST_FAULTS = {
 }
 
 
+def _replace_by_fifo(path):
+    path.unlink()
+    os.mkfifo(path)
+
+
+def _replace_by_dev_zero(path):
+    path.unlink()
+    path.symlink_to("/dev/zero")
+
+
+def _grow_over_the_cap(path):
+    # the new bytes are a hole, which takes no disk space
+    os.truncate(path, DATA_FILE_CAP + 1)
+
+
+# data files that are no small regular file, with their test ids: the file,
+# what is put in its place, and why it is refused. A FIFO blocked the read
+# forever, /dev/zero read until memory ran out, and a file over the cap was
+# read whole.
+UNREADABLE_FILES = {
+    "fifo-manifest": (MANIFEST, _replace_by_fifo, "not a regular file"),
+    "fifo-entry": ("catalog/entries/B6.json", _replace_by_fifo, "not a regular file"),
+    "dev-zero-symlink": ("spine.json", _replace_by_dev_zero, "not a regular file"),
+    "sparse-over-cap": ("tracks/Q1.json", _grow_over_the_cap, f"over {DATA_FILE_CAP} bytes"),
+}
+
+
 def test_every_error_class_has_its_exit_code():
     classes = {name: cls for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.AnosurfError)}
@@ -305,13 +341,40 @@ class TestExitCodes:
     def test_bad_track_family(self, capsys):
         assert main(["track", "Q99"]) == 2
 
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_a_usage_error_prints_nothing_on_stdout(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: anosurf ")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["classify", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: anosurf classify ") and captured.err == ""
+
+    # a token such as -7/2 is not an option, wherever it stands
+    @pytest.mark.parametrize("argv", [["classify", "-7/2"],
+                                      ["classify", "-7/2", "--format", "json"],
+                                      ["classify", "--format", "json", "-7/2"]],
+                             ids=["table", "json-after", "json-before"])
+    def test_a_negative_slope_needs_no_separator(self, argv, capsys):
+        result = classify(Slope(-7, 2))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if "json" in argv:
+            assert out == json.dumps(result.to_json(traces="digest"), indent=2) + "\n"
+        else:
+            assert out.startswith(f"slope -7/2: {result.kind}\n")
+            assert main(["classify", "--", "-7/2"]) == 0
+            assert out == capsys.readouterr().out
+
     @pytest.mark.parametrize("argv,code", [
         (["classify", "\u0969/2"], 3),
         (["classify", "9" * 5000], 3),
         (["track", "Q2", "--bound", "-1"], 2),
         (["catalog", "check", "--law-bound", "-1"], 2),
         (["sweep", "--max", "-3"], 2),
-        # rejected by click before any enumeration runs
+        # rejected by the argument parser before any enumeration runs
         (["track", "Q1", "--bound", "51"], 2),
         (["catalog", "check", "--law-bound", "51"], 2),
         (["sweep", "--max", str(MAX_SWEEP_HEIGHT + 1)], 2),
@@ -548,6 +611,36 @@ def test_a_size_fault_is_refused_within_a_second(data_copy, name):
     started = time.perf_counter()
     assert main([*argv, "--catalog", str(data_copy)]) == code
     assert time.perf_counter() - started < 1
+
+
+SRC = Path(cli_module.__file__).resolve().parents[1]
+# the address space of a child CLI: many times what a run uses, so that an
+# unbounded read fails the test and does not fill the machine's memory
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("override", ["option", "environment"])
+@pytest.mark.parametrize("name", UNREADABLE_FILES)
+def test_a_data_file_that_is_no_small_regular_file_exits_five(data_copy, name, override):
+    # a child with bounded time and memory, in which a regression fails
+    # the test instead of hanging the suite
+    relpath, replace, detail = UNREADABLE_FILES[name]
+    replace(data_copy / relpath)
+    argv = [sys.executable, "-m", "anosurf.cli", "classify", "7/2"]
+    env = {**{k: v for k, v in os.environ.items() if k != "ANOSURF_CATALOG"},
+           "PYTHONPATH": str(SRC)}
+    if override == "option":
+        argv += ["--catalog", str(data_copy)]
+    else:
+        env["ANOSURF_CATALOG"] = str(data_copy)
+    done = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=30, preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout) == (5, "")
+    assert done.stderr == f"error: catalog at {relpath}: unusable file ({detail})\n"
 
 
 def test_a_track_too_large_to_solve_still_classifies(data_copy):

@@ -41,6 +41,22 @@ def _run_as_main(argv):
     return int(code), int(frozen)
 
 
+def test_the_cli_imports_no_click():
+    probe = "import sys, anosurf.cli; print(sorted(m for m in sys.modules if 'click' in m))"
+    done = subprocess.run([sys.executable, "-c", probe], env=ENV, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_the_cli_runs_without_docstrings():
+    # python -OO drops the docstrings that the command help is made of
+    argv = ["-OO", "-m", "anosurf.cli", "classify", "7/2"]
+    done = subprocess.run([sys.executable, *argv], env=ENV, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("slope 7/2: NoAnosov\n")
+
+
 def test_in_process_main_does_not_freeze(capsys):
     assert main(["classify", "7/2"]) == 0
     assert gc.get_freeze_count() == 0
@@ -92,8 +108,9 @@ def test_the_program_path_prints_what_main_prints(capsys):
                                   ["catalog", "list"]], ids=["table", "json", "list"])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_exits_1(argv, unbuffered):
-    # the pipe has no reader from the start, so the first write fails with
-    # EPIPE, which click turns into exit 1 with nothing on stderr
+    # the pipe has no reader from the start, so the first write or the
+    # flush after the command fails with EPIPE, which `run` turns into
+    # exit 1 with nothing on stderr
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

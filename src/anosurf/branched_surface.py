@@ -9,9 +9,9 @@ tests used by the exclusion rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import ComplementShapeError
 
 # ---------------------------------------------------------------------------
@@ -54,13 +54,15 @@ def euler_characteristic(cw: dict) -> int:
 # Transverse orientability of the carried laminations.
 
 
-@dataclass
+@record(frozen=False)
 class OrientationResult:
-    orientable: bool
-    # one sign per sector when orientable
-    coloring: Optional[Dict[str, int]] = None
-    # edge ids of a closed walk with an odd number of flips otherwise
-    obstruction: Optional[List[str]] = None
+    # coloring: one sign per sector when orientable; obstruction: edge ids
+    # of a closed walk with an odd number of flips otherwise
+    def __init__(self, orientable: bool, coloring: Optional[Dict[str, int]] = None,
+                 obstruction: Optional[List[str]] = None):
+        self.orientable = orientable
+        self.coloring = coloring
+        self.obstruction = obstruction
 
 
 def is_transversely_orientable(graph: dict) -> OrientationResult:
@@ -156,23 +158,18 @@ def detect_sink_disks(disk_sectors: Sequence[dict]) -> List[str]:
 _COMPONENT_KINDS = ("SolidTorus", "Ball", "TorusCrossInterval", "Handlebody", "Other")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComplementComponent:
-    kind: str
-    vertical_annuli: int = 0
-    annulus_wrap: Tuple[int, ...] = ()
-    meridian_hits: Optional[int] = None
-    exceptional: Optional[bool] = None
-    genus: Optional[int] = None
-    description: str = ""
-
-    def __post_init__(self):
-        if self.kind not in _COMPONENT_KINDS:
-            raise ValueError(f"unknown complement kind {self.kind!r}")
-        if self.kind in ("SolidTorus", "Ball"):
-            if len(self.annulus_wrap) != self.vertical_annuli:
-                raise ValueError(
-                    f"{self.kind} records one wrap number per vertical annulus")
+    def __init__(self, kind: str, vertical_annuli: int = 0, annulus_wrap: Tuple[int, ...] = (),
+                 meridian_hits: Optional[int] = None, exceptional: Optional[bool] = None,
+                 genus: Optional[int] = None, description: str = ""):
+        if kind not in _COMPONENT_KINDS:
+            raise ValueError(f"unknown complement kind {kind!r}")
+        if kind in ("SolidTorus", "Ball") and len(annulus_wrap) != vertical_annuli:
+            raise ValueError(f"{kind} records one wrap number per vertical annulus")
+        self.__dict__.update(kind=kind, vertical_annuli=vertical_annuli,
+                             annulus_wrap=annulus_wrap, meridian_hits=meridian_hits,
+                             exceptional=exceptional, genus=genus, description=description)
 
     @staticmethod
     def from_json(doc: dict) -> "ComplementComponent":

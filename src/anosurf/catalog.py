@@ -9,11 +9,11 @@ environment variable, shadows packaged files one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _resources, _schema
+from ._record import record
 from .branched_surface import (
     ComplementComponent,
     OrientationResult,
@@ -42,7 +42,7 @@ EXCLUSION_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     """One branched surface of the catalog. from_json checks a document
     against entry.schema.json. The constructor checks the id, the family
@@ -51,54 +51,39 @@ class CatalogEntry:
     (ValueError, KeyError or TypeError), not in a later classification or
     health check."""
 
-    id: str
-    family: str
-    summary: str
-    admissible: AdmissibleSet
-    exclusion_class: str
-    orientable: Optional[bool] = None
-    orientation_graph: Optional[dict] = None
-    disk_sectors: Tuple[dict, ...] = ()
-    complement: Tuple[dict, ...] = ()
-    euler: Optional[dict] = None
-    sector_pairs: Tuple[Tuple[str, str], ...] = ()
-    vacant_annulus: Optional[str] = None
-    split_curves: Tuple[str, ...] = ()
-    notes: Dict[str, str] = field(default_factory=dict)
-    # Slope-independent facts, built by the constructor from the records
-    # above: the complement pieces, the Euler characteristics of the surface
-    # and complement CW structures, the colouring of the orientation graph
-    # (None without a graph) and the ids of the sink disks.
-    complement_pieces: Tuple[ComplementComponent, ...] = field(init=False, compare=False, repr=False)
-    euler_characteristics: Optional[Tuple[int, int]] = field(init=False, compare=False, repr=False)
-    orientation: Optional[OrientationResult] = field(init=False, compare=False, repr=False)
-    sink_disks: Tuple[str, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if type(self.id) is not str or not self.id:
-            raise ValueError(f"entry id must be a non-empty string, not {self.id!r}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"entry {self.id} has unknown family {self.family!r}")
-        if self.exclusion_class not in EXCLUSION_CLASSES:
-            raise ValueError(
-                f"entry {self.id} has unknown exclusion class {self.exclusion_class!r}")
-        # the list records as tuples, then the facts
-        facts = {
-            "disk_sectors": tuple(self.disk_sectors),
-            "complement": tuple(self.complement),
-            "sector_pairs": tuple(map(tuple, self.sector_pairs)),
-            "split_curves": tuple(self.split_curves),
-            "complement_pieces": tuple(
-                ComplementComponent.from_json(doc) for doc in self.complement),
-            "euler_characteristics": None if self.euler is None else (
-                euler_characteristic(self.euler["surface_cw"]),
-                euler_characteristic(self.euler["complement_cw"])),
-            "orientation": None if self.orientation_graph is None
-            else is_transversely_orientable(self.orientation_graph),
-            "sink_disks": tuple(detect_sink_disks(self.disk_sectors)),
-        }
-        for name, value in facts.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, id: str, family: str, summary: str, admissible: AdmissibleSet,
+                 exclusion_class: str, orientable: Optional[bool] = None,
+                 orientation_graph: Optional[dict] = None, disk_sectors: Tuple[dict, ...] = (),
+                 complement: Tuple[dict, ...] = (), euler: Optional[dict] = None,
+                 sector_pairs: Tuple[Tuple[str, str], ...] = (),
+                 vacant_annulus: Optional[str] = None, split_curves: Tuple[str, ...] = (),
+                 notes: Optional[Dict[str, str]] = None):
+        if type(id) is not str or not id:
+            raise ValueError(f"entry id must be a non-empty string, not {id!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"entry {id} has unknown family {family!r}")
+        if exclusion_class not in EXCLUSION_CLASSES:
+            raise ValueError(f"entry {id} has unknown exclusion class {exclusion_class!r}")
+        # The records, the list ones as tuples, then the slope-independent
+        # facts built from them, which are neither compared nor shown: the
+        # complement pieces, the Euler characteristics of the surface and
+        # complement CW structures, the colouring of the orientation graph
+        # (None without a graph) and the ids of the sink disks.
+        self.__dict__.update(
+            id=id, family=family, summary=summary, admissible=admissible,
+            exclusion_class=exclusion_class, orientable=orientable,
+            orientation_graph=orientation_graph, disk_sectors=tuple(disk_sectors),
+            complement=tuple(complement), euler=euler,
+            sector_pairs=tuple(map(tuple, sector_pairs)), vacant_annulus=vacant_annulus,
+            split_curves=tuple(split_curves), notes={} if notes is None else notes)
+        self.__dict__.update(
+            complement_pieces=tuple(ComplementComponent.from_json(doc) for doc in complement),
+            euler_characteristics=None if euler is None else (
+                euler_characteristic(euler["surface_cw"]),
+                euler_characteristic(euler["complement_cw"])),
+            orientation=None if orientation_graph is None
+            else is_transversely_orientable(orientation_graph),
+            sink_disks=tuple(detect_sink_disks(disk_sectors)))
 
     @staticmethod
     def from_json(doc: dict) -> "CatalogEntry":
@@ -107,23 +92,23 @@ class CatalogEntry:
                                "admissible": _admissible(doc["admissible"])})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrackBundle:
-    """A family's boundary track with its slope law and annotations."""
+    """A family's boundary track with its slope law and annotations;
+    noncompact lists the branches dead in every solution."""
 
-    track: TrainTrack
-    law: SlopeLaw
-    designated: Mapping[str, Tuple[str, ...]]
-    noncompact: Tuple[str, ...]    # branches dead in every solution
+    def __init__(self, track: TrainTrack, law: SlopeLaw,
+                 designated: Mapping[str, Tuple[str, ...]], noncompact: Tuple[str, ...]):
+        self.__dict__.update(track=track, law=law, designated=designated,
+                             noncompact=noncompact)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Catalog:
-    entries: Dict[str, CatalogEntry]
-    manifest: dict
-    spine: Spine
-    complexes: Dict[str, Dict[str, int]]
-    tracks: Dict[str, TrackBundle]
+    def __init__(self, entries: Dict[str, CatalogEntry], manifest: dict, spine: Spine,
+                 complexes: Dict[str, Dict[str, int]], tracks: Dict[str, TrackBundle]):
+        self.__dict__.update(entries=entries, manifest=manifest, spine=spine,
+                             complexes=complexes, tracks=tracks)
 
     def get(self, entry_id: str) -> CatalogEntry:
         try:
@@ -291,13 +276,15 @@ def slope_law_check(catalog: Catalog, family: str, bound: int = 6) -> LawReport:
                      bound=bound, family=family)
 
 
-@dataclass
+@record(frozen=False)
 class CatalogReport:
-    entry_count: int
-    family_counts: Dict[str, int]
-    stated_total: Optional[int]
-    warnings: List[str]
-    problems: List[str]
+    def __init__(self, entry_count: int, family_counts: Dict[str, int],
+                 stated_total: Optional[int], warnings: List[str], problems: List[str]):
+        self.entry_count = entry_count
+        self.family_counts = family_counts
+        self.stated_total = stated_total
+        self.warnings = warnings
+        self.problems = problems
 
     @property
     def ok(self) -> bool:

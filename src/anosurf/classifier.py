@@ -11,9 +11,9 @@ from a fixed registry of the underlying facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ._record import record
 from .branched_surface import (
     ComplementComponent,
     admits_coherent_ibundle,
@@ -147,10 +147,13 @@ def fenley_power_admissible(k: int) -> bool:
     return 1 <= abs(k) <= 2
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class TraceStep:
-    rule: str
-    facts: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("rule", "facts")
+
+    def __init__(self, rule: str, facts: Optional[Dict[str, object]] = None):
+        _set_rule(self, rule)
+        _set_facts(self, {} if facts is None else facts)
 
     def to_json(self) -> dict:
         return {"rule": self.rule,
@@ -158,11 +161,14 @@ class TraceStep:
                 "facts": dict(self.facts)}
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ExclusionTrace:
-    entry: str
-    slope: Slope
-    steps: tuple
+    __slots__ = ("entry", "slope", "steps")
+
+    def __init__(self, entry: str, slope: Slope, steps: tuple):
+        _set_entry(self, entry)
+        _set_slope(self, slope)
+        _set_steps(self, steps)
 
     @property
     def conclusion(self) -> str:
@@ -184,10 +190,16 @@ class ExclusionTrace:
                 "conclusion": self.conclusion}
 
 
+# the slots' own setters, which the records' frozen __setattr__ refuses
+_set_rule, _set_facts = (TraceStep.__dict__[name].__set__ for name in TraceStep.__slots__)
+_set_entry, _set_slope, _set_steps = (
+    ExclusionTrace.__dict__[name].__set__ for name in ExclusionTrace.__slots__)
+
+
 def _step(rule_id: str, **facts) -> TraceStep:
     if rule_id not in ANCHORS:
         raise KeyError(f"unknown rule {rule_id!r}")
-    # positional: keywords cost a frozen dataclass's __init__ half again
+    # positional: keywords cost the constructor a third again
     return TraceStep(rule_id, facts)
 
 
@@ -394,13 +406,18 @@ SUSPENSION_ANOSOV = "SuspensionAnosov"
 NO_ANOSOV = "NoAnosov"
 
 
-@dataclass(slots=True)
+@record(frozen=False)
 class ClassificationResult:
-    slope: Slope
-    kind: str
-    taut_foliation: bool
-    argument: List[TraceStep] = field(default_factory=list)
-    traces: List[ExclusionTrace] = field(default_factory=list)
+    __slots__ = ("slope", "kind", "taut_foliation", "argument", "traces")
+
+    def __init__(self, slope: Slope, kind: str, taut_foliation: bool,
+                 argument: Optional[List[TraceStep]] = None,
+                 traces: Optional[List[ExclusionTrace]] = None):
+        self.slope = slope
+        self.kind = kind
+        self.taut_foliation = taut_foliation
+        self.argument = [] if argument is None else argument
+        self.traces = [] if traces is None else traces
 
     def to_json(self, traces: str = "digest") -> dict:
         doc = {

@@ -12,29 +12,28 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
 
+from ._record import record
 from .errors import SlopeFormatError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _SLOPE_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$", re.ASCII)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Slope:
     """A reduced filling slope. q is the meridian coefficient, p the
     longitude coefficient; q/p is the usual rational name. Slopes have no
     order of their own: sorted_slopes gives the order of q/p."""
 
-    # _hash, a slot and not a field, keeps hash((q, p)), the hash that a
-    # frozen dataclass computes on every call
+    # _hash, a slot and not a field, keeps hash((q, p)), computed once
     __slots__ = ("q", "p", "_hash")
-    q: int
-    p: int
 
-    def __post_init__(self):
-        q, p = self.q, self.p
+    def __init__(self, q: int, p: int):
         _check_integers(q, p)
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
@@ -44,15 +43,17 @@ class Slope:
             raise SlopeFormatError(f"{q}/{p}", "coefficients must be coprime")
         if p == 0 and q != 1:
             raise SlopeFormatError(f"{q}/{p}", "the infinite slope is stored as 1/0")
-        object.__setattr__(self, "_hash", hash((q, p)))
+        _set_q(self, q)
+        _set_p(self, p)
+        _set_hash(self, hash((q, p)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.p == other.p
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the checks; a frozen object's
-        # slots refuse the setattr of the default protocol
-        return Slope, (self.q, self.p)
 
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":
@@ -75,6 +76,7 @@ class Slope:
     def as_fraction(self) -> Fraction:
         if self.is_infinity:
             raise SlopeFormatError("inf", "the infinite slope has no rational value")
+        from fractions import Fraction
         return Fraction(self.q, self.p)
 
     def __str__(self) -> str:
@@ -102,7 +104,7 @@ def _reduced(p: int, q: int) -> Tuple[int, int]:
 
 
 def _from_reduced(q: int, p: int) -> Slope:
-    """The Slope (q, p) without the checks of __post_init__, for a pair
+    """The Slope (q, p) without the checks of its constructor, for a pair
     known to be reduced: both are ints, not bools, p >= 0, gcd(p, q) == 1
     (so not both 0), and the meridian is (1, 0). Any other pair goes
     through Slope or Slope.of."""
@@ -113,9 +115,9 @@ def _from_reduced(q: int, p: int) -> Slope:
     return slope
 
 
-# bound once for _from_reduced, which check_law calls once per realized
-# slope: object.__new__ and the slots' own setters, which a frozen Slope's
-# __setattr__ refuses
+# bound once for the constructor and for _from_reduced, which check_law
+# calls once per realized slope: object.__new__ and the slots' own setters,
+# which a frozen Slope's __setattr__ refuses
 _new_slope = object.__new__
 _set_q, _set_p, _set_hash = (Slope.__dict__[name].__set__ for name in Slope.__slots__)
 
@@ -134,7 +136,9 @@ def parse_slope(text: Union[str, int, Fraction, "Slope"]) -> Slope:
         return text
     if isinstance(text, int):
         return Slope.of(text, 1)
-    if isinstance(text, Fraction):
+    # no Fraction exists before the fractions module is imported
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(text, fractions.Fraction):
         return Slope.of(text.numerator, text.denominator)
     if not isinstance(text, str):
         raise SlopeFormatError(repr(text), "unsupported type")
@@ -213,7 +217,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdmissibleSet:
     """A predicate on slopes, serialized by kind plus parameters.
 
@@ -226,25 +230,20 @@ class AdmissibleSet:
     IntersectionWithMoreThan     anchor, count
     """
 
-    kind: str
-    slope: Optional[Slope] = None
-    count: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown admissible kind {self.kind!r}")
-        key, takes_count, contains = _KINDS[self.kind]
-        if (self.slope is None) != (key is None):
-            raise ValueError(f"{self.kind} requires a {key}" if key
-                             else f"{self.kind} takes no slope")
-        if self.kind == "GreaterThan" and self.slope.is_infinity:
+    def __init__(self, kind: str, slope: Optional[Slope] = None, count: Optional[int] = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown admissible kind {kind!r}")
+        key, takes_count, contains = _KINDS[kind]
+        if (slope is None) != (key is None):
+            raise ValueError(f"{kind} requires a {key}" if key else f"{kind} takes no slope")
+        if kind == "GreaterThan" and slope.is_infinity:
             raise ValueError("GreaterThan requires a finite bound")
-        if not ((type(self.count) is int and self.count >= 0) if takes_count
-                else self.count is None):
-            raise ValueError(f"{self.kind} takes {'a nonnegative integer' if takes_count else 'no'}"
-                             f" count, not {self.count!r}")
-        if self.kind != "AllRationals" and contains(self, INFINITY):
-            raise ValueError(f"{self.kind} set contains the infinite slope, "
+        if not ((type(count) is int and count >= 0) if takes_count else count is None):
+            raise ValueError(f"{kind} takes {'a nonnegative integer' if takes_count else 'no'}"
+                             f" count, not {count!r}")
+        self.__dict__.update(kind=kind, slope=slope, count=count)
+        if kind != "AllRationals" and contains(self, INFINITY):
+            raise ValueError(f"{kind} set contains the infinite slope, "
                              f"which only AllRationals sets do")
 
     def to_json(self) -> dict:

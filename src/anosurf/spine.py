@@ -17,11 +17,11 @@ map from it on load, and refuses a side map that induces none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Tuple
 
 from . import _schema
+from ._record import record
 from .errors import SpineCaseError
 
 EDGES = ("a", "b", "c", "d")
@@ -36,11 +36,11 @@ class SpineCase(Enum):
     ALL_POSITIVE = "ALL_POSITIVE"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Connector:
-    id: str
-    hexagon: str            # "X" or "Y"
-    positions: Tuple[int, int]
+    # hexagon is "X" or "Y"
+    def __init__(self, id: str, hexagon: str, positions: Tuple[int, int]):
+        self.__dict__.update(id=id, hexagon=hexagon, positions=positions)
 
     @property
     def kind(self) -> str:
@@ -53,15 +53,15 @@ class Connector:
         return (word[self.positions[0]], word[self.positions[1]])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Symmetry:
     """An automorphism of the spine: a side permutation with the edge
     permutation and vertex map it induces."""
 
-    name: str
-    side_map: Mapping[str, str]
-    edge_map: Mapping[str, str]
-    vertex_map: Mapping[str, str]
+    def __init__(self, name: str, side_map: Mapping[str, str], edge_map: Mapping[str, str],
+                 vertex_map: Mapping[str, str]):
+        self.__dict__.update(name=name, side_map=side_map, edge_map=edge_map,
+                             vertex_map=vertex_map)
 
 
 class Spine:

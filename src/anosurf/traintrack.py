@@ -44,10 +44,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
+from ._record import record
 from .errors import MonogonError, SlopeLawError, SwitchSystemError
 from .slopes import INFINITY, ZERO, Slope, _from_reduced, up_to_height
 
@@ -56,18 +56,17 @@ End = Tuple[str, str]  # (branch id, "head" | "tail")
 _END_NAMES = ("head", "tail")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Branch:
-    id: str
-    klass: Tuple[int, int] = (0, 0)
-    loop: bool = False
+    def __init__(self, id: str, klass: Tuple[int, int] = (0, 0), loop: bool = False):
+        self.__dict__.update(id=id, klass=klass, loop=loop)
 
     @staticmethod
     def from_json(doc: dict) -> "Branch":
         return Branch(id=doc["id"], klass=tuple(doc["class"]), loop=doc["loop"])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Switch:
     """one_fold holds exactly one end; two_fold holds one or two.
 
@@ -76,9 +75,8 @@ class Switch:
     crossing point rather than over a genuine branching.
     """
 
-    id: str
-    one_fold: Tuple[End, ...]
-    two_fold: Tuple[End, ...]
+    def __init__(self, id: str, one_fold: Tuple[End, ...], two_fold: Tuple[End, ...]):
+        self.__dict__.update(id=id, one_fold=one_fold, two_fold=two_fold)
 
     def ends(self) -> Tuple[End, ...]:
         return self.one_fold + self.two_fold
@@ -448,13 +446,15 @@ def _slopes(classes) -> Set[Slope]:
     return {_from_reduced(q, p) for q, p in pairs}
 
 
-@dataclass
+@record(frozen=False)
 class CarriedClasses:
     """Nonzero realized classes with one witness each, plus one witness
     of a nonzero solution whose class vanishes, when such exist."""
 
-    classes: Dict[Tuple[int, int], Dict[str, int]] = field(default_factory=dict)
-    null_witness: Optional[Dict[str, int]] = None
+    def __init__(self, classes: Optional[Dict[Tuple[int, int], Dict[str, int]]] = None,
+                 null_witness: Optional[Dict[str, int]] = None):
+        self.classes = {} if classes is None else classes
+        self.null_witness = null_witness
 
     def slopes(self) -> Set[Slope]:
         return _slopes(self.classes)
@@ -742,31 +742,30 @@ HEIGHT_KINDS = ("ANY_SLOPE", "FORMULA_MU_NU_OMEGA")
 MAX_SURJECTIVE_HEIGHT = 50
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SlopeLaw:
-    kind: str
-    surjective_height: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in LAW_KINDS:
-            raise ValueError(f"unknown slope law {self.kind!r}")
-        h = self.surjective_height
-        if h is None:
-            return
-        if self.kind not in HEIGHT_KINDS:
-            raise ValueError(f"{self.kind} takes no surjective_height, not {h!r}")
-        if type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT:
-            raise ValueError(f"surjective_height must be an integer from 1 to "
-                             f"{MAX_SURJECTIVE_HEIGHT}, not {h!r}")
+    def __init__(self, kind: str, surjective_height: Optional[int] = None):
+        if kind not in LAW_KINDS:
+            raise ValueError(f"unknown slope law {kind!r}")
+        h = surjective_height
+        if h is not None:
+            if kind not in HEIGHT_KINDS:
+                raise ValueError(f"{kind} takes no surjective_height, not {h!r}")
+            if type(h) is not int or not 1 <= h <= MAX_SURJECTIVE_HEIGHT:
+                raise ValueError(f"surjective_height must be an integer from 1 to "
+                                 f"{MAX_SURJECTIVE_HEIGHT}, not {h!r}")
+        self.__dict__.update(kind=kind, surjective_height=h)
 
 
-@dataclass
+@record(frozen=False)
 class LawReport:
-    family: str
-    law: SlopeLaw
-    bound: int
-    realized: Set[Slope]
-    violations: List[str]
+    def __init__(self, family: str, law: SlopeLaw, bound: int, realized: Set[Slope],
+                 violations: List[str]):
+        self.family = family
+        self.law = law
+        self.bound = bound
+        self.realized = realized
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import pathlib
@@ -15,6 +16,15 @@ DATA_DIR = pathlib.Path(_resources.resolve("spine.json")).parent
 # balanced, uses every edge, and puts three shorts around P1 corners; it is
 # none of the canonical complexes
 ALL_POSITIVE_COMPLEX = {"s1": 1, "s3": 1, "s5": 1, "t4": 1, "mc2": 1, "md3": 1}
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed. It is rebuilt through
+    the constructor, so every check of the constructor runs again, and a
+    name that is no parameter of the constructor raises TypeError."""
+    fields = {name: getattr(record, name)
+              for name in inspect.signature(type(record)).parameters}
+    return type(record)(**{**fields, **changes})
 
 
 def admissible_edit(**fields):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import shutil
 
@@ -28,6 +27,7 @@ from conftest import (
     admissible_edit,
     q2_as_q1,
     record_edit,
+    replace,
     restamp_manifest,
     rewrite,
 )
@@ -263,12 +263,12 @@ class TestEntryFacts:
         ("family", "Q99"), ("exclusion_class", "KleinBottle"), ("id", 5)])
     def test_a_replaced_copy_is_checked(self, catalog, field, value):
         with pytest.raises(ValueError):
-            dataclasses.replace(catalog.get("B6"), **{field: value})
+            replace(catalog.get("B6"), **{field: value})
 
     def test_a_replaced_graph_is_coloured_again(self, catalog):
         b6, b3 = catalog.get("B6"), catalog.get("B3")
         assert b6.orientation.orientable and not b3.orientation.orientable
-        copy = dataclasses.replace(b6, orientation_graph=b3.orientation_graph)
+        copy = replace(b6, orientation_graph=b3.orientation_graph)
         assert copy.orientation == b3.orientation
 
 
@@ -351,32 +351,32 @@ class TestHealthCheck:
         assert check_catalog(catalog).problems == []
 
     def test_orientable_flag_must_match_graph(self, catalog):
-        bad = dataclasses.replace(catalog.get("B6"), orientable=False)
+        bad = replace(catalog.get("B6"), orientable=False)
         entries = dict(catalog.entries)
         entries["B6"] = bad
-        report = check_catalog(dataclasses.replace(catalog, entries=entries))
+        report = check_catalog(replace(catalog, entries=entries))
         assert any("B6" in p and "orientable" in p for p in report.problems)
         assert not report.ok
 
     def test_uncertified_flag_is_a_problem(self, catalog):
-        bad = dataclasses.replace(catalog.get("B6"), orientation_graph=None)
+        bad = replace(catalog.get("B6"), orientation_graph=None)
         entries = dict(catalog.entries)
         entries["B6"] = bad
-        report = check_catalog(dataclasses.replace(catalog, entries=entries))
+        report = check_catalog(replace(catalog, entries=entries))
         assert any("B6" in p and "sector graph" in p for p in report.problems)
 
     def test_family_count_drift_is_a_problem(self, catalog):
         entries = dict(catalog.entries)
         del entries["B7_star"]
-        report = check_catalog(dataclasses.replace(catalog, entries=entries))
+        report = check_catalog(replace(catalog, entries=entries))
         assert any("family counts" in p for p in report.problems)
 
     def test_sink_disk_is_a_problem(self, catalog):
         entry = catalog.get("B1")
         sectors = tuple(entry.disk_sectors) + (
             {"id": "Dsink", "boundary": [{"curve": "c", "direction": "in"}]},)
-        bad = dataclasses.replace(entry, disk_sectors=sectors)
+        bad = replace(entry, disk_sectors=sectors)
         entries = dict(catalog.entries)
         entries["B1"] = bad
-        report = check_catalog(dataclasses.replace(catalog, entries=entries))
+        report = check_catalog(replace(catalog, entries=entries))
         assert any("Dsink" in p for p in report.problems)

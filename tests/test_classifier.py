@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +23,7 @@ from anosurf.classifier import (
 )
 from anosurf.errors import ClassificationGapError, UnsupportedSlopeError
 from anosurf.slopes import INFINITY, ZERO, AdmissibleSet, Slope, parse_slope
+from conftest import replace
 from oracles import verify_orientation_certificate
 
 HALF = Slope(1, 2)
@@ -149,7 +149,7 @@ class TestExclusionChains:
         entry_id, admissible, text = INADMISSIBLE[klass]
         entry = catalog.get(entry_id)
         if admissible is not None:
-            entry = dataclasses.replace(entry, admissible=admissible)
+            entry = replace(entry, admissible=admissible)
         assert entry.exclusion_class == klass
         with pytest.raises(ValueError, match="not admissible"):
             exclusion_trace(entry, parse_slope(text))
@@ -161,7 +161,7 @@ class TestExclusionChains:
             trace.conclusion
 
     def test_denominator_two_without_certificate_is_a_gap(self, catalog):
-        stripped = dataclasses.replace(catalog.get("B6"), orientable=None,
+        stripped = replace(catalog.get("B6"), orientable=None,
                                        orientation_graph=None)
         with pytest.raises(ClassificationGapError):
             exclusion_trace(stripped, HALF)
@@ -177,7 +177,7 @@ def _tampered_type_i(entry):
     bad_piece = dict(entry.complement[0])
     bad_piece["annulus_wrap"] = [1]
     bad_piece["meridian_hits"] = 1
-    return dataclasses.replace(entry, complement=(bad_piece,))
+    return replace(entry, complement=(bad_piece,))
 
 
 def _deface(value):
@@ -204,7 +204,7 @@ class TestSlopeIndependentFacts:
         # an unparsable record is refused by the constructor, every time
         for _ in range(2):
             with pytest.raises(ValueError, match="KleinBottle"):
-                dataclasses.replace(catalog.get("B5"), complement=({"kind": "KleinBottle"},))
+                replace(catalog.get("B5"), complement=({"kind": "KleinBottle"},))
 
     def test_a_replaced_copy_starts_with_nothing_cached(self):
         fresh = load_catalog()
@@ -217,7 +217,7 @@ class TestSlopeIndependentFacts:
         assert exclusion_trace(disk, HALF).steps[1].facts["surface_euler"] == -1
         euler = copy.deepcopy(disk.euler)
         euler["surface_cw"]["vertices"] += 1
-        trace = exclusion_trace(dataclasses.replace(disk, euler=euler), HALF)
+        trace = exclusion_trace(replace(disk, euler=euler), HALF)
         assert trace.steps[1].facts["surface_euler"] == 0
 
     def test_results_share_no_mutable_facts(self, catalog):
@@ -276,7 +276,7 @@ class TestClassifyPath:
             assert verify_orientation_certificate(entry.orientation_graph, True, certificate, None)
 
     def test_an_odd_graph_under_an_orientable_flag_is_a_gap(self, catalog):
-        odd = dataclasses.replace(catalog.get("B6"),
+        odd = replace(catalog.get("B6"),
                                   orientation_graph=catalog.get("B3").orientation_graph)
         assert odd.orientable is True and not odd.orientation.orientable
         with pytest.raises(ClassificationGapError, match="failed to verify"):
@@ -288,11 +288,11 @@ class TestClassifyPath:
         step = trace.steps[0]
         for record in (result, trace, step):
             assert not hasattr(record, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             step.rule = "type-ii/core-power"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             trace.entry = "B1"
-        assert dataclasses.replace(step, facts={}) == TraceStep(step.rule)
+        assert replace(step, facts={}) == TraceStep(step.rule)
 
 
 class TestExistenceSide:
@@ -345,9 +345,9 @@ class TestClassify:
 
     def test_broken_catalog_surfaces_as_a_gap(self, catalog):
         entries = dict(catalog.entries)
-        entries["B6"] = dataclasses.replace(catalog.get("B6"), orientable=None,
+        entries["B6"] = replace(catalog.get("B6"), orientable=None,
                                             orientation_graph=None)
-        broken = dataclasses.replace(catalog, entries=entries)
+        broken = replace(catalog, entries=entries)
         with pytest.raises(ClassificationGapError):
             classify(HALF, broken)
         # a denominator three filling never consults the certificate

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import resource
@@ -28,6 +27,7 @@ from conftest import (
     DATA_DIR,
     q2_as_q1,
     record_edit,
+    replace,
     restamp_manifest,
     rewrite,
 )
@@ -693,8 +693,8 @@ def test_a_component_over_the_solution_cap_exits_five(argv, bound, catalog, monk
     # for Q7, so this 22-branch track with 8 free weights is swapped into
     # a loaded catalog instead. At bound 20 it has 21^8 solutions.
     track = TrainTrack.from_json(hung_loops_doc(8), track_id="Q7")
-    bundle = dataclasses.replace(catalog.tracks["Q7"], track=track)
-    swapped = dataclasses.replace(catalog, tracks={**catalog.tracks, "Q7": bundle})
+    bundle = replace(catalog.tracks["Q7"], track=track)
+    swapped = replace(catalog, tracks={**catalog.tracks, "Q7": bundle})
     monkeypatch.setattr(cli_module, "load_catalog", lambda path=None: swapped)
     started = time.perf_counter()
     assert main(argv) == 5

@@ -1,6 +1,6 @@
 """The package runs on the standard library alone: no module of
-src/anosurf imports a third-party module, and pyproject.toml declares no
-runtime dependency."""
+src/anosurf imports a third-party module or dataclasses, and
+pyproject.toml declares no runtime dependency."""
 
 import ast
 import sys
@@ -33,6 +33,13 @@ def test_the_walk_sees_every_kind_of_import():
 def test_a_module_imports_only_the_standard_library_and_anosurf(path):
     names = set(absolute_imports(path.read_text(encoding="utf-8")))
     assert names <= set(sys.stdlib_module_names) | {"anosurf"}, names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_a_module_imports_no_dataclasses(path):
+    # the records are plain classes: dataclasses costs every import its
+    # generated methods and the inspect module
+    assert "dataclasses" not in set(absolute_imports(path.read_text(encoding="utf-8")))
 
 
 def test_pyproject_declares_no_runtime_dependency():

@@ -48,6 +48,32 @@ def test_the_cli_imports_no_click():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+# modules that no part of the package needs: dataclasses loads inspect, and
+# fractions loads decimal
+UNNEEDED = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_a_classification_imports_no_record_or_fraction_machinery():
+    probe = ("import contextlib, io, sys\n"
+             "from anosurf.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    code = main(['classify', '7/2', '--format', 'json', '--traces', 'full'])\n"
+             "print(code, len(out.getvalue()) > 0, [m for m in %r if m in sys.modules])\n"
+             % (UNNEEDED,))
+    done = subprocess.run([sys.executable, "-c", probe], env=ENV, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 True []\n", "")
+
+
+def test_a_fraction_made_after_the_import_parses():
+    probe = ("from anosurf.slopes import Slope, parse_slope\n"
+             "from fractions import Fraction\n"
+             "print(parse_slope(Fraction(-14, 4)) == Slope(-7, 2), Slope(7, 2).as_fraction())\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=ENV, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True 7/2\n", "")
+
+
 def test_the_cli_runs_without_docstrings():
     # python -OO drops the docstrings that the command help is made of
     argv = ["-OO", "-m", "anosurf.cli", "classify", "7/2"]

@@ -9,6 +9,7 @@ import pickle
 from types import SimpleNamespace
 
 import pytest
+from conftest import replace
 
 from anosurf.branched_surface import ComplementComponent, OrientationResult
 from anosurf.catalog import Catalog, CatalogEntry, CatalogReport, TrackBundle
@@ -312,3 +313,25 @@ def test_copy_and_pickle_round_trips(record):
         assert shallow.facts is record.facts and deep.facts is not record.facts
     else:
         assert shallow.steps is record.steps and deep.steps[0] is not record.steps[0]
+
+
+@pytest.mark.parametrize("c", [c for c in CASES if c.values[0].frozen])
+def test_a_frozen_record_takes_no_new_attribute(c):
+    record = sample(c)
+    with pytest.raises(AttributeError, match="cannot assign to field 'no_such_field'"):
+        record.no_such_field = 1
+    assert not hasattr(record, "no_such_field")
+
+
+def test_replace_rebuilds_through_the_constructor():
+    slope = Slope(7, 2)
+    assert replace(slope, q=9) == Slope(9, 2)
+    with pytest.raises(ValueError):
+        replace(slope, p=7)
+    with pytest.raises(TypeError):
+        replace(slope, r=1)
+    entry = CatalogEntry("B0", "Q1", "s", ALL, "DiskLeaf")
+    changed = replace(entry, disk_sectors=[{"id": "D", "boundary": [{"direction": "in"}]}])
+    assert changed.sink_disks == ("D",) and entry.sink_disks == ()
+    with pytest.raises(TypeError):
+        replace(entry, sink_disks=())

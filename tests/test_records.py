@@ -268,29 +268,6 @@ def test_a_catalog_entry_compares_and_shows_only_its_records():
             setattr(entry, name, None)
 
 
-@pytest.mark.parametrize("cls, kwargs, error", [
-    (ComplementComponent, {"kind": "Torus"}, ValueError),
-    (ComplementComponent, {"kind": "Ball", "vertical_annuli": 1}, ValueError),
-    (CatalogEntry, {"id": "", "family": "Q1", "summary": "s", "admissible": ALL,
-                    "exclusion_class": "DiskLeaf"}, ValueError),
-    (CatalogEntry, {"id": "B0", "family": "Q0", "summary": "s", "admissible": ALL,
-                    "exclusion_class": "DiskLeaf"}, ValueError),
-    (CatalogEntry, {"id": "B0", "family": "Q1", "summary": "s", "admissible": ALL,
-                    "exclusion_class": "Other"}, ValueError),
-    (CatalogEntry, {"id": "B0", "family": "Q1", "summary": "s", "admissible": ALL,
-                    "exclusion_class": "DiskLeaf", "disk_sectors": ({"id": "D"},)}, ValueError),
-    (Slope, {"q": 2, "p": 4}, ValueError),
-    (Slope, {"q": True, "p": 1}, ValueError),
-    (AdmissibleSet, {"kind": "Only"}, ValueError),
-    (AdmissibleSet, {"kind": "AllRationals", "count": 1}, ValueError),
-    (SlopeLaw, {"kind": "ONLY_ZERO", "surjective_height": 2}, ValueError),
-    (SlopeLaw, {"kind": "NO_SUCH_LAW"}, ValueError),
-])
-def test_the_constructor_checks_its_fields(cls, kwargs, error):
-    with pytest.raises(error):
-        cls(**kwargs)
-
-
 COPIED = [
     TraceStep("fenley/power-bound", {"power": 2, "slopes": [Slope(7, 2)]}),
     ExclusionTrace("B0", Slope(7, 2), (STEP, TraceStep("type-ii/core-power"))),
@@ -315,7 +292,7 @@ def test_copy_and_pickle_round_trips(record):
         assert shallow.steps is record.steps and deep.steps[0] is not record.steps[0]
 
 
-@pytest.mark.parametrize("c", [c for c in CASES if c.values[0].frozen])
+@pytest.mark.parametrize("c", [pytest.param(c, id=c.cls.__name__) for c in RECORDS if c.frozen])
 def test_a_frozen_record_takes_no_new_attribute(c):
     record = sample(c)
     with pytest.raises(AttributeError, match="cannot assign to field 'no_such_field'"):

@@ -47,6 +47,7 @@ class Slope:
         _set_p(self, p)
         _set_hash(self, hash((q, p)))
 
+    # field by field, with no tuples: slopes meet in sets and dicts
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.q == other.q and self.p == other.p

@@ -8,7 +8,13 @@ surface that could have carried one. All fillings carry taut
 foliations, so the noninteger ones separate the two notions.
 """
 
+from ._track import (
+    Branch,
+    Switch,
+    TrainTrack,
+)
 from .catalog import (
+    _SOLVER_NAMES,
     Catalog,
     CatalogEntry,
     candidates_for,
@@ -56,16 +62,17 @@ from .spine import (
     adjacent_short_pairs,
     case_of,
 )
-from .traintrack import (
-    Branch,
-    Switch,
-    TrainTrack,
-    carried_classes,
-    check_law,
-    dead_branches,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the solver's names, resolved on use as in catalog
+    if name in _SOLVER_NAMES:
+        from . import traintrack
+        return getattr(traintrack, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnosurfError",

@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _resources, _schema
 from ._record import record
+from ._track import _FORMULAS, SlopeLaw, TrainTrack, check_roles
 from .branched_surface import (
     ComplementComponent,
     OrientationResult,
@@ -25,8 +26,6 @@ from .errors import (ClassificationGapError, CatalogIntegrityError, CatalogKeyEr
                      UnsupportedComplexError)
 from .slopes import AdmissibleSet, Slope, _admissible, eval_admissible
 from .spine import Spine, adjacent_short_pairs
-from .traintrack import (_FORMULAS, LawReport, SlopeLaw, TrainTrack, check_law,
-                         check_law_bounds, check_roles, dead_branches)
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
@@ -269,11 +268,27 @@ def complement_components(entry: CatalogEntry, slope: Slope) -> List[ComplementC
 
 def slope_law_check(catalog: Catalog, family: str, bound: int = 6) -> LawReport:
     """Check the boundary slope law of a family's double cover track."""
+    from . import traintrack  # the solver, compiled on the first law check
+
     if family not in FAMILIES:
         raise CatalogKeyError(family)
     bundle = catalog.tracks[family]
-    return check_law(bundle.track, bundle.law, bundle.designated,
-                     bound=bound, family=family)
+    return traintrack.check_law(bundle.track, bundle.law, bundle.designated,
+                                bound=bound, family=family)
+
+
+# The solver's names, resolved on first use so that loading the catalog
+# does not compile the solver; `from anosurf.catalog import check_law` and
+# the like still work.
+_SOLVER_NAMES = ("LawReport", "carried_classes", "check_law", "check_law_bounds",
+                 "dead_branches")
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import traintrack
+        return getattr(traintrack, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @record(frozen=False)
@@ -311,6 +326,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
     underlying tabulation is reported as a warning, not a failure; the
     discrepancy is known and documented.
     """
+    from . import traintrack
     from .classifier import _trace  # here, since classifier imports this module
 
     warnings: List[str] = []
@@ -364,11 +380,11 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         if pairs:
             problems.append(f"{family}: adjacent short connectors {pairs}")
         bundle = catalog.tracks[family]
-        dead = sorted(dead_branches(bundle.track, NONCOMPACT_BOUND))
+        dead = sorted(traintrack.dead_branches(bundle.track, NONCOMPACT_BOUND))
         if sorted(bundle.noncompact) != dead:
             problems.append(f"{family}: noncompact {list(bundle.noncompact)} "
                             f"is not the dead branches {dead}")
-        check_law_bounds(bundle.track)
+        traintrack.check_law_bounds(bundle.track)
 
     return CatalogReport(
         entry_count=len(catalog),

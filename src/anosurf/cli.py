@@ -13,11 +13,11 @@ import os
 import sys
 import time
 
+from ._track import MAX_LAW_BOUND
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
 from .classifier import ANCHORS, classify
 from .errors import AnosurfError
 from .slopes import is_hyperbolic, parse_slope, sorted_slopes, up_to_height
-from .traintrack import MAX_LAW_BOUND
 
 # Ceiling on `sweep --max`: the sweep visits about 1.2 * max^2 slopes, and
 # 200 (48,927 slopes) is the largest documented sweep.

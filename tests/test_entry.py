@@ -65,6 +65,33 @@ def test_a_classification_imports_no_record_or_fraction_machinery():
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 True []\n", "")
 
 
+def test_a_classification_imports_no_solver():
+    # the track records live in anosurf._track; anosurf.traintrack waits for a law check
+    probe = ("import contextlib, io, sys\n"
+             "import anosurf\n"
+             "imported = 'anosurf.traintrack' in sys.modules\n"
+             "from anosurf.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    code = main(['classify', '7/2', '--format', 'json', '--traces', 'full'])\n"
+             "print(code, imported, 'anosurf.traintrack' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=ENV, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 False False\n", "")
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["track", "Q4", "--bound", "4"], "  law holds"),
+    (["catalog", "check", "--laws", "--law-bound", "6"], "catalog ok"),
+], ids=["track", "catalog-check"])
+def test_a_law_check_imports_the_solver_in_a_fresh_process(argv, last):
+    # conftest imports traintrack first, so only a fresh process shows an
+    # import cycle between _track and traintrack
+    done = subprocess.run([sys.executable, "-m", "anosurf.cli", *argv], env=ENV,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == last
+
+
 def test_a_fraction_made_after_the_import_parses():
     probe = ("from anosurf.slopes import Slope, parse_slope\n"
              "from fractions import Fraction\n"

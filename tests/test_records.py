@@ -273,6 +273,9 @@ COPIED = [
     ExclusionTrace("B0", Slope(7, 2), (STEP, TraceStep("type-ii/core-power"))),
     Slope(7, 2),
     Slope(1, 0),
+    Branch("b1", (1, 0), True),
+    Switch("s1", (("b1", "head"),), (("b2", "tail"), ("b3", "tail"))),
+    SlopeLaw("ANY_SLOPE", 3),
 ]
 
 
@@ -288,8 +291,33 @@ def test_copy_and_pickle_round_trips(record):
         assert hash(deep) == hash(loaded[-1]) == hash((record.q, record.p))
     elif isinstance(record, TraceStep):
         assert shallow.facts is record.facts and deep.facts is not record.facts
-    else:
+    elif isinstance(record, ExclusionTrace):
         assert shallow.steps is record.steps and deep.steps[0] is not record.steps[0]
+    else:
+        assert hash(deep) == hash(loaded[-1]) == hash(record)
+
+
+# Protocol 0 pickles written when the track records lived in
+# anosurf.traintrack; that module still resolves the names they hold.
+OLD_PICKLES = [
+    (b"ccopy_reg\n_reconstructor\np0\n(canosurf.traintrack\nBranch\np1\nc__builtin__\n"
+     b"object\np2\nNtp3\nRp4\n(dp5\nVid\np6\nVb1\np7\nsVklass\np8\n(I1\nI0\ntp9\n"
+     b"sVloop\np10\nI01\nsb.", Branch("b1", (1, 0), True)),
+    (b"ccopy_reg\n_reconstructor\np0\n(canosurf.traintrack\nSwitch\np1\nc__builtin__\n"
+     b"object\np2\nNtp3\nRp4\n(dp5\nVid\np6\nVs1\np7\nsVone_fold\np8\n((Vb1\np9\n"
+     b"Vhead\np10\ntp11\ntp12\nsVtwo_fold\np13\n((Vb2\np14\nVtail\np15\ntp16\ntp17\nsb.",
+     Switch("s1", (("b1", "head"),), (("b2", "tail"),))),
+    (b"ccopy_reg\n_reconstructor\np0\n(canosurf.traintrack\nSlopeLaw\np1\nc__builtin__\n"
+     b"object\np2\nNtp3\nRp4\n(dp5\nVkind\np6\nVANY_SLOPE\np7\nsVsurjective_height\np8\n"
+     b"I3\nsb.", SlopeLaw("ANY_SLOPE", 3)),
+]
+
+
+@pytest.mark.parametrize("data, record", OLD_PICKLES,
+                         ids=[type(record).__name__ for _, record in OLD_PICKLES])
+def test_a_pickle_naming_traintrack_still_loads(data, record):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(record) and loaded == record
 
 
 @pytest.mark.parametrize("c", [pytest.param(c, id=c.cls.__name__) for c in RECORDS if c.frozen])

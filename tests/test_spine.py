@@ -5,7 +5,8 @@ import pathlib
 import pytest
 
 import anosurf
-from anosurf import classifier
+from anosurf import _track, classifier
+from anosurf import catalog as catalog_module
 from anosurf import spine as spine_module
 from anosurf import traintrack
 from anosurf.catalog import FAMILIES, default_catalog
@@ -239,7 +240,7 @@ def test_spine_imports_no_track_or_catalog_module():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     for name in imported:
-        assert name.rpartition(".")[2] not in ("traintrack", "catalog"), name
+        assert name.rpartition(".")[2] not in ("traintrack", "_track", "catalog"), name
 
 
 def test_load_track_bundle_is_the_default_catalogs_bundle(monkeypatch):
@@ -271,3 +272,26 @@ def test_public_names_resolve():
     for cls in (traintrack.TrainTrack, traintrack.Branch, traintrack.Switch):
         for name in ("branch_order", "to_json"):
             assert not hasattr(cls, name), (cls.__name__, name)
+
+
+# the solver's names that anosurf and anosurf.catalog resolve on first use,
+# and what anosurf.traintrack re-exports from anosurf._track
+LAZY_NAMES = ("LawReport", "carried_classes", "check_law", "check_law_bounds", "dead_branches")
+MOVED_NAMES = ("End", "Branch", "Switch", "TrainTrack", "_CONSTANT_LAWS", "_FORMULAS",
+               "LAW_KINDS", "HEIGHT_KINDS", "MAX_SURJECTIVE_HEIGHT", "SlopeLaw", "check_roles",
+               "MAX_LAW_BOUND")
+
+
+def test_the_solver_names_are_the_solvers_objects():
+    for name in LAZY_NAMES:
+        solver = getattr(traintrack, name)
+        assert getattr(anosurf, name) is getattr(catalog_module, name) is solver, name
+    for name in MOVED_NAMES:
+        assert getattr(traintrack, name) is getattr(_track, name), name
+    for module in (anosurf, catalog_module):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
+    namespace = {}
+    exec("from anosurf import *", namespace)
+    for name in anosurf.__all__:
+        assert namespace[name] is getattr(anosurf, name), name

@@ -5,9 +5,10 @@ dataclass would generate. Its fields are the parameters of that
 `__init__`, in order, two or more of them. `__eq__` and `__repr__` read
 them. A frozen record hashes their tuple, and its `__setattr__` and
 `__delattr__` raise AttributeError, so its `__init__` stores the fields
-through the instance `__dict__` or the slot descriptors; a frozen slotted
-record is copied and pickled through its constructor. A mutable record
-has no hash. An `__eq__` or `__hash__` of the class's own is kept.
+through the instance `__dict__` or the slot descriptors. A frozen record
+is copied and pickled through its constructor, so a copy or an unpickled
+record is checked as a new one is. A mutable record has no hash. An
+`__eq__` or `__hash__` of the class's own is kept.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ def record(*, frozen: bool):
         if "__hash__" not in vars(cls):
             cls.__hash__ = lambda self: hash(values(self))
         cls.__setattr__, cls.__delattr__ = refuse_set, refuse_delete
-        if "__slots__" in vars(cls):
-            cls.__reduce__ = lambda self: (self.__class__, values(self))
+        cls.__reduce__ = lambda self: (self.__class__, values(self))
         return cls
     return build

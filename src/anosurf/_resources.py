@@ -4,7 +4,9 @@ Data lives under anosurf/_data. One override directory shadows it file
 by file: the one a caller passes, else the one named by the environment
 variable ANOSURF_CATALOG, never both. An override that is missing or not
 a directory raises CatalogIntegrityError instead of falling back to the
-packaged data. Integrity checking hashes whatever copy was actually resolved.
+packaged data, and so does a name in it that cannot be read, a dangling
+symlink included. Every data file is read through one bounded reader,
+and integrity checking hashes whatever copy was actually resolved.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
         # a missing override must fail, never fall back to the packaged data
         if not root.is_dir():
             raise CatalogIntegrityError(str(root), "the override is not a directory")
+        # a name that is there but cannot be read, a dangling symlink say,
+        # is the override's copy and fails to read
         candidate = root / relpath
-        if candidate.exists():
+        if os.path.lexists(candidate):
             return candidate
     return PACKAGE_DATA / relpath
 
@@ -88,9 +92,6 @@ def load_json(relpath: str, override: Optional[PathLike] = None,
 
 
 def sha256_of(relpath: str, override: Optional[PathLike] = None) -> str:
-    path = resolve(relpath, override=override)
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    """The SHA-256 of one bounded read of a data file, refused as
+    _read_bounded refuses it. The package itself does not call it."""
+    return hashlib.sha256(_read_bounded(resolve(relpath, override=override), relpath)).hexdigest()

@@ -183,6 +183,11 @@ class TrainTrack:
 
     # -- serialization -----------------------------------------------------
 
+    def __reduce__(self):
+        # copies and pickles are built, and so checked, as a new track is
+        return TrainTrack, (tuple(self.branches.values()), tuple(self.switches.values()),
+                            self.track_id)
+
     @staticmethod
     def from_json(doc: dict, track_id: str = "track") -> "TrainTrack":
         return TrainTrack(

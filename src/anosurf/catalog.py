@@ -1,10 +1,11 @@
 """The branched surface catalog, with its spine, complexes and tracks.
 
 All of it lives in packaged JSON, guarded by a manifest of SHA-256
-checksums. Loading hashes and parses the same bytes of each file, so a
-corrupted data file is caught before any classification runs. One
-directory, passed explicitly or else named by the ANOSURF_CATALOG
-environment variable, shadows packaged files one by one.
+checksums. Loading reads each file once, when it is built, and hashes
+and parses the same bytes, so a corrupted data file is caught before any
+classification runs. One directory, passed explicitly or else named by
+the ANOSURF_CATALOG environment variable, shadows packaged files one by
+one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from ._record import record
 from ._track import _FORMULAS, SlopeLaw, TrainTrack, check_roles
 from .branched_surface import (
     ComplementComponent,
-    OrientationResult,
     detect_sink_disks,
     euler_characteristic,
     is_transversely_orientable,
@@ -192,28 +192,32 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
 
     One directory, `path` or else ANOSURF_CATALOG (never both), shadows
     the packaged data file by file. Each file, the manifest included, is
-    read once, and every file the manifest lists is checked against it
-    before anything is built. Only listed files are used: under either
-    `verify`, an unlisted file or a malformed manifest raises. Each file
-    must have the shape of its schema, and each track's projection must
-    lift its family's complex; the facts that need an enumeration are left
-    to check_catalog.
+    read once, when it is built, and checked against the manifest just
+    before it is built from. The manifest must list exactly the files the
+    catalog is built from: under either `verify`, an unlisted file, a
+    listed path that nothing is built from or a malformed manifest raises.
+    Each file must have the shape of its schema, and each track's
+    projection must lift its family's complex; the facts that need an
+    enumeration are left to check_catalog.
     """
-    docs = {MANIFEST: _resources.load_json(MANIFEST, override=path)}
+    # each path the manifest lists, with its checksum, and those not yet built
+    listed, unbuilt = {MANIFEST: None}, set()
 
     def build(relpath, make):
-        if relpath not in docs:
+        if relpath not in listed:
             raise CatalogIntegrityError(relpath, "the manifest does not list this file")
+        unbuilt.discard(relpath)
+        doc = _resources.load_json(relpath, override=path,
+                                   sha256=listed[relpath] if verify else None)
         try:
-            return make(docs[relpath])
+            return make(doc)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CatalogIntegrityError(
                 relpath, f"unusable data ({type(exc).__name__}: {exc})") from exc
 
     manifest = build(MANIFEST, lambda doc: _schema.validate(doc, "manifest"))
-    for relpath, sha in sorted(manifest["files"].items()):
-        docs[relpath] = _resources.load_json(relpath, override=path,
-                                             sha256=sha if verify else None)
+    listed.update(manifest["files"])
+    unbuilt.update(manifest["files"])
     entries: Dict[str, CatalogEntry] = {}
     for relpath in manifest["entry_files"]:
         entry = build(relpath, CatalogEntry.from_json)
@@ -226,16 +230,16 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
             MANIFEST, f"{len(entries)} entries but the manifest promises {manifest['entry_count']}")
     spine = build("spine.json", Spine)
     complexes = build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine))
-    return Catalog(
-        entries=entries,
-        manifest=manifest,
-        spine=spine,
-        complexes=complexes,
-        tracks={family: build(f"tracks/{family}.json",
-                              lambda doc, family=family: _loaded_track(
-                                  doc, family, complexes[family]))
-                for family in FAMILIES},
-    )
+    tracks = {family: build(f"tracks/{family}.json",
+                            lambda doc, family=family: _loaded_track(
+                                doc, family, complexes[family]))
+              for family in FAMILIES}
+    # last, so that a listed file that fails to build is named first
+    if unbuilt:
+        raise CatalogIntegrityError(min(unbuilt), "the manifest lists this file, "
+                                                  "but nothing is built from it")
+    return Catalog(entries=entries, manifest=manifest, spine=spine, complexes=complexes,
+                   tracks=tracks)
 
 
 def default_catalog() -> Catalog:

@@ -124,6 +124,13 @@ class TestOrientability:
         with pytest.raises(ValueError):
             is_transversely_orientable(g)
 
+    @pytest.mark.parametrize("flip", [1, 0, "true", None])
+    def test_a_flip_is_a_bool(self, flip):
+        g = graph("ab", [("a", "b", flip)])
+        with pytest.raises(ValueError, match=f"orientation edge 'e0': flip must be a bool, "
+                                             f"not {flip!r}"):
+            is_transversely_orientable(g)
+
     def test_tampered_coloring_fails_verification(self):
         g = graph("abc", [("a", "b", True), ("b", "c", True), ("c", "a", False)])
         res = is_transversely_orientable(g)

@@ -1,6 +1,11 @@
 import collections
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,7 @@ from conftest import (
 )
 
 HALF = Slope(1, 2)
+SRC = Path(catalog_module.__file__).resolve().parents[1]
 
 ALL_IDS = {
     "B1", "B2", "B3", "B4", "B5",
@@ -217,6 +223,76 @@ class TestLoading:
         catalog = load_catalog()
         expected = set(catalog.manifest["files"]) | {"catalog/manifest.json"}
         assert reads == dict.fromkeys(expected, 1)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_a_listed_path_nothing_is_built_from_is_refused_unread(self, data_copy,
+                                                                    monkeypatch, verify):
+        # a valid file and a missing one, both listed with a checksum
+        shutil.copy(data_copy / "spine.json", data_copy / "spare.json")
+        manifest_path = data_copy / "catalog" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"].update({"spare.json": manifest["files"]["spine.json"],
+                                  "tracks/Q12.json": "0" * 64})
+        manifest_path.write_text(json.dumps(manifest))
+        reads = collections.Counter()
+        real = _resources._read_bounded
+
+        def counting(path, relpath):
+            reads[relpath] += 1
+            return real(path, relpath)
+
+        monkeypatch.setattr(_resources, "_read_bounded", counting)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=verify)
+        assert (info.value.path, info.value.detail) == (
+            "spare.json", "the manifest lists this file, but nothing is built from it")
+        expected = set(manifest["files"]) - {"spare.json", "tracks/Q12.json"}
+        assert reads == dict.fromkeys(expected | {"catalog/manifest.json"}, 1)
+
+    def test_a_manifest_that_lists_itself_is_refused(self, data_copy):
+        manifest_path = data_copy / "catalog" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["catalog/manifest.json"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=False)
+        assert info.value.path == "catalog/manifest.json"
+
+    def test_a_file_that_fails_to_build_is_named_before_an_extra_listed_path(self, data_copy):
+        rewrite(data_copy, "tracks/Q11.json", _unknown_law)
+        manifest_path = data_copy / "catalog" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["a.json"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy))
+        assert info.value.path == "tracks/Q11.json"
+
+    def test_sha256_of_hashes_the_resolved_copy(self, data_copy):
+        (data_copy / "spine.json").write_text("{}")
+        assert _resources.sha256_of("spine.json") == hashlib.sha256(
+            (DATA_DIR / "spine.json").read_bytes()).hexdigest()
+        assert _resources.sha256_of("spine.json", override=data_copy) == hashlib.sha256(
+            b"{}").hexdigest()
+
+    def test_sha256_of_refuses_a_fifo_at_once(self, data_copy):
+        # in a child with a timeout, since an unbounded open of a FIFO
+        # waits for a writer forever
+        os.mkfifo(data_copy / "fifo.json")
+        code = ("import sys, time\n"
+                "from anosurf import _resources\n"
+                "from anosurf.errors import CatalogIntegrityError\n"
+                "started = time.perf_counter()\n"
+                "try:\n"
+                "    _resources.sha256_of('fifo.json', override=sys.argv[1])\n"
+                "except CatalogIntegrityError as exc:\n"
+                "    print(exc, time.perf_counter() - started < 1)\n")
+        done = subprocess.run([sys.executable, "-c", code, str(data_copy)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              timeout=10)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "catalog at fifo.json: unusable file (not a regular file) True\n"
 
     def test_default_follows_the_environment(self, data_copy, monkeypatch):
         assert default_catalog().tracks["Q1"].law.kind == "ONLY_ZERO"

@@ -366,3 +366,68 @@ class TestClassify:
             t.entry for t in result.traces)
         integer = classify(Slope(4, 1)).to_json()
         assert "argument" in integer and "exclusions" not in integer
+
+
+# complement records of each shape the refusals below need
+COHERENT_TORUS = {"kind": "SolidTorus", "vertical_annuli": 2, "annulus_wrap": [1, 1]}
+THREE_CUSP_TORUS = {"kind": "SolidTorus", "vertical_annuli": 3, "annulus_wrap": [1, 1, 1]}
+BALL = {"kind": "Ball", "vertical_annuli": 1, "annulus_wrap": [1]}
+
+
+class TestChainRefusals:
+    """Each refusal of the chains and of classify, on an entry or a
+    catalog edited so that the refused premise fails."""
+
+    def test_an_unknown_rule_is_refused(self):
+        with pytest.raises(KeyError, match="unknown rule 'no/such-rule'"):
+            classifier._step("no/such-rule")
+
+    def test_a_coherent_disk_leaf_piece_is_a_gap(self, catalog):
+        entry = replace(catalog.get("B1"), complement=(COHERENT_TORUS,),
+                        admissible=AdmissibleSet("AllRationals"))
+        with pytest.raises(ClassificationGapError,
+                           match="complement unexpectedly admits a coherent interval bundle"):
+            exclusion_trace(entry, HALF)
+
+    @pytest.mark.parametrize("piece", [COHERENT_TORUS, BALL], ids=["two-cusps", "no-torus"])
+    def test_an_r7_entry_needs_a_three_cusp_torus(self, catalog, piece):
+        entry = replace(catalog.get("R7"), complement=(piece,))
+        with pytest.raises(ClassificationGapError,
+                           match="expected a solid torus piece with three cusps"):
+            exclusion_trace(entry, HALF)
+
+    def test_a_coherent_three_cusp_piece_is_a_gap(self, catalog, monkeypatch):
+        # no three annulus torus is coherent, so only a patched test reaches this
+        monkeypatch.setattr(classifier, "admits_coherent_ibundle", lambda piece: True)
+        with pytest.raises(ClassificationGapError, match="three cusp piece unexpectedly coherent"):
+            exclusion_trace(catalog.get("R7"), HALF)
+
+    @pytest.mark.parametrize("piece", [THREE_CUSP_TORUS, BALL], ids=["three-cusps", "no-torus"])
+    def test_a_split_entry_needs_a_two_annulus_torus(self, catalog, piece):
+        entry = replace(catalog.get("B7_II_fg"), complement=(piece,))
+        with pytest.raises(ClassificationGapError,
+                           match="split entry lacks its two annulus solid torus"):
+            exclusion_trace(entry, HALF)
+
+    def test_a_straight_split_piece_is_a_gap(self, catalog):
+        piece = {**COHERENT_TORUS, "meridian_hits": 2}
+        entry = replace(catalog.get("B7_II_fg"), complement=(piece,))
+        with pytest.raises(ClassificationGapError, match="split piece unexpectedly coherent"):
+            exclusion_trace(entry, HALF)
+
+    def test_a_candidate_that_is_not_excluded_is_a_gap(self, catalog, monkeypatch):
+        # no shipped chain concludes otherwise at a noninteger slope
+        monkeypatch.setitem(classifier._CHAINS, "DiskLeaf", lambda entry, slope, pieces: [
+            classifier._step("core-orbit/isotopic", slope=str(slope))])
+        with pytest.raises(ClassificationGapError) as info:
+            classify(Slope(7, 2), catalog)
+        assert info.value.detail == "candidate not excluded: chain concludes ForcesIntegerSlope"
+        assert catalog.get(info.value.entry_id).exclusion_class == "DiskLeaf"
+
+    def test_a_slope_no_entry_covers_is_a_gap(self, catalog):
+        # B1 covers the slope 0 only
+        only_b1 = replace(catalog, entries={"B1": catalog.get("B1")})
+        with pytest.raises(ClassificationGapError) as info:
+            classify(HALF, only_b1)
+        assert (info.value.entry_id, info.value.slope, info.value.detail) == (
+            "<none>", HALF, "no catalog entry covers this slope")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from anosurf import cli as cli_module, errors
 from anosurf._resources import DATA_FILE_CAP
-from anosurf.classifier import classify
+from anosurf.classifier import ANCHORS, classify
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
-from anosurf.slopes import Slope
+from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT, TrainTrack
 import catalogfuzz
 from conftest import (
@@ -424,6 +425,34 @@ class TestClassifyOutput:
         assert "hyperbolic filling: no" in out
 
 
+    @pytest.mark.parametrize("text", ["3", "0"])
+    def test_table_integer_with_full_traces(self, text, capsys):
+        result = classify(parse_slope(text))
+        assert main(["classify", text, "--traces", "full"]) == 0
+        steps = "".join(f"    {step.rule}\n        {ANCHORS[step.rule]}\n"
+                        for step in result.argument)
+        assert capsys.readouterr().out == (
+            f"slope {text}: {result.kind}\n  hyperbolic filling: no\n  taut foliation: yes\n"
+            f"  argument:\n{steps}")
+
+    def test_table_with_full_traces(self, capsys):
+        result = classify(Slope(7, 2))
+        assert main(["classify", "7/2", "--traces", "full"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == ["slope 7/2: NoAnosov", "  hyperbolic filling: yes",
+                           "  taut foliation: yes", "  excluded candidates: 33"]
+        expected = []
+        for trace in result.traces:
+            expected.append(f"    {trace.entry}: {' -> '.join(s.rule for s in trace.steps)}")
+            expected.extend(f"        [{s.rule}] {ANCHORS[s.rule]}" for s in trace.steps)
+        assert out[4:] == expected
+
+    def test_table_without_traces(self, capsys):
+        assert main(["classify", "7/2", "--traces", "none"]) == 0
+        assert capsys.readouterr().out == ("slope 7/2: NoAnosov\n  hyperbolic filling: yes\n"
+                                           "  taut foliation: yes\n  excluded candidates: 33\n")
+
+
 class TestSweep:
     def test_small_sweep_counts(self, capsys):
         assert main(["sweep", "--max", "3", "--format", "json"]) == 0
@@ -463,6 +492,15 @@ class TestCatalogCommands:
         assert main(["catalog", "show", "B1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["family"] == "Q1" and "euler" in doc
+
+    # the optional keys of each: a graph and sector pairs, a vacant
+    # annulus, split curves, and notes in all three
+    @pytest.mark.parametrize("entry", ["B6", "B5", "B7_II_fg"])
+    def test_show_prints_the_entry_file(self, entry, capsys):
+        assert main(["catalog", "show", entry]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        stored = json.loads((DATA_DIR / "catalog" / "entries" / f"{entry}.json").read_text())
+        assert shown == {"orientable": None, **stored}
 
     def test_check_reports_the_count_discrepancy(self, capsys):
         assert main(["catalog", "check"]) == 0
@@ -641,6 +679,67 @@ def test_a_data_file_that_is_no_small_regular_file_exits_five(data_copy, name, o
                           text=True, timeout=30, preexec_fn=_limit_address_space)
     assert (done.returncode, done.stdout) == (5, "")
     assert done.stderr == f"error: catalog at {relpath}: unusable file ({detail})\n"
+
+
+# override names that are there but lead nowhere: each used to fall back
+# to the packaged file
+DANGLING_NAMES = [MANIFEST, "spine.json", "catalog/entries/B6.json"]
+
+
+@pytest.mark.parametrize("override", ["option", "environment"])
+@pytest.mark.parametrize("relpath", DANGLING_NAMES)
+def test_a_dangling_symlink_in_an_override_exits_five(data_copy, relpath, override,
+                                                      monkeypatch, capsys):
+    path = data_copy / relpath
+    path.unlink()
+    path.symlink_to(data_copy / "no-such-file.json")
+    argv = ["classify", "7/2"]
+    if override == "option":
+        argv += ["--catalog", str(data_copy)]
+    else:
+        monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: catalog at {relpath}: unusable file "
+                                   f"(FileNotFoundError: ")
+
+
+ALIASES = 200
+
+
+def _list_under_aliases(root):
+    """List one valid JSON file of nearly DATA_FILE_CAP bytes under ALIASES
+    spellings of its name, with its true checksum; return the spellings."""
+    big = root / "big.json"
+    big.write_text(json.dumps(["x" * 1000] * (DATA_FILE_CAP // 1004)))
+    sha = hashlib.sha256(big.read_bytes()).hexdigest()
+    spellings = ["./" * count + "big.json" for count in range(1, ALIASES + 1)]
+    _manifest_edit(lambda doc: {**doc, "files": {**doc["files"],
+                                                 **dict.fromkeys(spellings, sha)}})(root)
+    return spellings
+
+
+@pytest.mark.parametrize("override", ["option", "environment"])
+def test_a_file_listed_under_many_names_is_refused_unread(data_copy, override):
+    # each spelling used to be read and kept, about a megabyte each
+    spellings = _list_under_aliases(data_copy)
+    assert DATA_FILE_CAP - 4000 < (data_copy / "big.json").stat().st_size <= DATA_FILE_CAP
+    argv = [sys.executable, "-m", "anosurf.cli", "classify", "7/2"]
+    env = {**{k: v for k, v in os.environ.items() if k != "ANOSURF_CATALOG"},
+           "PYTHONPATH": str(SRC)}
+    if override == "option":
+        argv += ["--catalog", str(data_copy)]
+    else:
+        env["ANOSURF_CATALOG"] = str(data_copy)
+    started = time.perf_counter()
+    done = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=30, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - started < 1
+    assert (done.returncode, done.stdout) == (5, "")
+    prefix = "error: catalog at "
+    assert done.stderr.startswith(prefix)
+    assert done.stderr[len(prefix):].partition(": ")[0] in spellings
 
 
 def test_a_track_too_large_to_solve_still_classifies(data_copy):

@@ -1,7 +1,8 @@
 """The package runs on the standard library alone: no module of
 src/anosurf imports a third-party module or dataclasses, and
 pyproject.toml declares no runtime dependency. No module but the solver
-itself imports the solver, anosurf.traintrack, when it is imported."""
+itself imports the solver, anosurf.traintrack, when it is imported, and
+every name a module-level import binds is used."""
 
 import ast
 import sys
@@ -81,6 +82,45 @@ def test_a_module_imports_the_solver_only_inside_a_function(path):
     # __getattr__ hooks of anosurf and anosurf.catalog import it on first use
     for node in load_time_imports(path.read_text(encoding="utf-8")):
         assert "traintrack" not in imported_parts(node), (path.name, node.lineno)
+
+
+NOQA = "# noqa: F401"
+
+
+def unused_imports(source: str):
+    """Each name that a module-level import binds and that the module
+    neither reads nor lists in __all__, with its line. A name is kept
+    when its import statement's first line, or the name's own line,
+    carries the NOQA comment; a __future__ import binds nothing."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {element.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                for element in node.value.elts}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name in read or name in exported or NOQA in lines[node.lineno - 1] \
+                    or NOQA in lines[alias.lineno - 1]:
+                continue
+            yield name, alias.lineno
+
+
+def test_the_unused_import_walk():
+    source = ("from __future__ import annotations\nimport a.b, c\nfrom d import (\n"
+              f"    e,  {NOQA}\n    f,\n)\nfrom g import (  {NOQA}\n    h)\n"
+              "from i import j as k, l\n__all__ = ['l']\nprint(a, k)\n"
+              "def m():\n    import n\n    c = 1\n")
+    assert list(unused_imports(source)) == [("c", 2), ("f", 5)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_a_module_uses_every_name_it_imports(path):
+    assert list(unused_imports(path.read_text(encoding="utf-8"))) == []
 
 
 def test_pyproject_declares_no_runtime_dependency():

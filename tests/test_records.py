@@ -1,6 +1,7 @@
 """The record classes of the package, pinned one by one: repr text,
 equality, hashing, frozenness, instance layout, construction with
-defaults, and copy and pickle of the slotted frozen records. The pins
+defaults, and copy and pickle of the frozen records and of a loaded
+catalog, each rebuilt through its constructor. The pins
 read only the behaviour of the classes, so they hold whatever builds
 their methods."""
 
@@ -12,11 +13,13 @@ import pytest
 from conftest import replace
 
 from anosurf.branched_surface import ComplementComponent, OrientationResult
-from anosurf.catalog import Catalog, CatalogEntry, CatalogReport, TrackBundle
-from anosurf.classifier import ClassificationResult, ExclusionTrace, TraceStep
+from anosurf.catalog import (Catalog, CatalogEntry, CatalogReport, TrackBundle, load_catalog,
+                             slope_law_check)
+from anosurf.classifier import ClassificationResult, ExclusionTrace, TraceStep, classify
+from anosurf.errors import SwitchSystemError
 from anosurf.slopes import AdmissibleSet, Slope
 from anosurf.spine import Connector, Symmetry
-from anosurf.traintrack import Branch, CarriedClasses, LawReport, SlopeLaw, Switch
+from anosurf.traintrack import Branch, CarriedClasses, LawReport, SlopeLaw, Switch, TrainTrack
 
 ALL = AdmissibleSet("AllRationals")
 STEP = TraceStep("fenley/power-bound", {"power": 2})
@@ -295,6 +298,62 @@ def test_copy_and_pickle_round_trips(record):
         assert shallow.steps is record.steps and deep.steps[0] is not record.steps[0]
     else:
         assert hash(deep) == hash(loaded[-1]) == hash(record)
+
+
+FROZEN = [pytest.param(c, id=c.cls.__name__) for c in RECORDS if c.frozen]
+
+
+@pytest.mark.parametrize("c", FROZEN)
+def test_a_frozen_record_is_copied_and_pickled_through_its_constructor(c, monkeypatch):
+    record, built = sample(c), []
+    init = c.cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(c.cls, "__init__", counting)
+    clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    assert all(type(clone) is c.cls and clone == record for clone in clones)
+    assert built == [tuple(c.fields.values())] * 3
+
+
+# SlopeLaw("ANY_SLOPE", 3) at protocol 0, which names the constructor
+SLOPE_LAW_PICKLE = b"canosurf._track\nSlopeLaw\np0\n(VANY_SLOPE\np1\nI3\ntp2\nRp3\n."
+
+
+def test_an_edited_pickle_is_checked_by_the_constructor():
+    assert pickle.dumps(SlopeLaw("ANY_SLOPE", 3), 0) == SLOPE_LAW_PICKLE
+    with pytest.raises(ValueError, match="unknown slope law 'BOGUS'"):
+        pickle.loads(SLOPE_LAW_PICKLE.replace(b"ANY_SLOPE", b"BOGUS"))
+
+
+def test_a_train_track_is_copied_and_pickled_through_its_constructor():
+    track = TrainTrack([Branch("a", (1, 0)), Branch("b"), Branch("c", (0, 1), True)],
+                       [Switch("s1", (("a", "head"),), (("b", "tail"),)),
+                        Switch("s2", (("b", "head"),), (("a", "tail"),))], track_id="t")
+    for clone in (copy.copy(track), copy.deepcopy(track), pickle.loads(pickle.dumps(track))):
+        assert type(clone) is TrainTrack and clone is not track
+        assert (clone.track_id, dict(clone.branches), dict(clone.switches)) == (
+            "t", dict(track.branches), dict(track.switches))
+        assert clone.switch_system() == track.switch_system()
+    # a pickle whose second switch is renamed to the first one's id
+    data = pickle.dumps(track, 0).replace(b"Vs2\n", b"Vs1\n")
+    with pytest.raises(SwitchSystemError, match="duplicate switch id 's1'"):
+        pickle.loads(data)
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_loaded_catalog_is_copied_and_pickled(clone):
+    catalog = load_catalog()
+    other = clone(catalog)
+    assert other.entries == catalog.entries and other.entries["B1"] is not catalog.entries["B1"]
+    assert other.tracks["Q4"].track is not catalog.tracks["Q4"].track
+    assert (classify(Slope(7, 2), other).to_json(traces="full")
+            == classify(Slope(7, 2), catalog).to_json(traces="full"))
+    assert (slope_law_check(other, "Q4", bound=20).realized
+            == slope_law_check(catalog, "Q4", bound=20).realized)
 
 
 # Protocol 0 pickles written when the track records lived in

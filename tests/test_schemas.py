@@ -196,6 +196,17 @@ def test_a_schema_with_an_unknown_keyword_does_not_compile(schema):
         _schema.compile_schema(schema)
 
 
+@pytest.mark.parametrize("node", [
+    {"$ref": "#/$defs/missing"},
+    {"$ref": "other.schema.json#/$defs/pair"},
+    {"$ref": "#/$defs/pair", "type": "array"},
+], ids=["unknown-name", "other-document", "with-a-sibling"])
+def test_an_unsupported_ref_does_not_compile(node):
+    schema = {"$defs": {"pair": {"type": "array"}}, "properties": {"x": node}}
+    with pytest.raises(NotImplementedError, match=r"^unsupported \$ref in "):
+        _schema.compile_schema(schema)
+
+
 def test_an_integer_is_an_int():
     check = _schema.compile_schema(load_schema("track.schema.json"))["law"]
     law = {"kind": "ANY_SLOPE", "surjective_height": 2}

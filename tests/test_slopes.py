@@ -95,6 +95,11 @@ class TestSlopeConstruction:
         assert str(Slope(-3, 1)) == "-3"
         assert str(INFINITY) == "inf"
 
+    def test_the_infinite_slope_has_one_sign(self):
+        # -1/0 is coprime, so only the infinity check refuses it
+        with pytest.raises(SlopeFormatError, match="the infinite slope is stored as 1/0"):
+            Slope(-1, 0)
+
 
 class TestParse:
     @pytest.mark.parametrize("text,expected", [

@@ -69,6 +69,18 @@ class TestStructure:
         with pytest.raises(ValueError, match=message):
             spine.symmetry("broken", side_map)
 
+    @pytest.mark.parametrize("change", ["collapse", "drop", "rename"])
+    def test_a_side_map_that_is_no_permutation_is_refused(self, spine, change):
+        side_map = {side: side for side in spine.edge_of}
+        if change == "collapse":
+            side_map["a1"] = "a2"
+        elif change == "drop":
+            del side_map["a1"]
+        else:
+            side_map["x9"] = side_map.pop("a1")
+        with pytest.raises(ValueError, match="symmetry bad: side map is not a permutation"):
+            spine.symmetry("bad", side_map)
+
     def test_connector_kind_must_match_gap(self):
         # two ends on one side are no short, medium or long connector
         doc = copy.deepcopy(load_data_json("spine.json"))
@@ -114,6 +126,17 @@ class TestCaseSplit:
 
     def test_all_positive(self, spine):
         assert case_of(spine, ALL_POSITIVE_COMPLEX) == SpineCase.ALL_POSITIVE
+
+    def test_a_pattern_no_symmetry_image_covers_is_refused(self, spine):
+        # a and b vanish; on the shipped spine a symmetry maps that to c and d
+        q = {"lx3": 1, "ly1": 1, "ly2": 1}
+        assert case_of(spine, q) == SpineCase.CD_ZERO
+        doc = copy.deepcopy(load_data_json("spine.json"))
+        doc["symmetries"] = [s for s in doc["symmetries"] if s["name"] == "identity"]
+        with pytest.raises(SpineCaseError) as info:
+            case_of(Spine(doc), q)
+        assert (info.value.weights, info.value.zero_edges) == (
+            {"a": 0, "b": 0, "c": 1, "d": 1}, ("a", "b"))
 
     def test_symmetry_images_share_the_case(self, catalog, spine):
         """Mapping a complex through any spine symmetry lands on another

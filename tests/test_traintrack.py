@@ -24,6 +24,7 @@ from anosurf.traintrack import (
     HEIGHT_KINDS,
     LAW_KINDS,
     MAX_LAW_BOUND,
+    MAX_SURJECTIVE_HEIGHT,
     SlopeLaw,
     Switch,
     TrainTrack,
@@ -117,6 +118,20 @@ class TestValidation:
             TrainTrack([Branch("a"), Branch("b")],
                        [Switch("s", (("a", "top"),), (("b", "tail"),)),
                         Switch("s2", (("b", "head"),), (("a", "tail"),))])
+
+    def test_duplicate_switch(self):
+        with pytest.raises(SwitchSystemError, match="duplicate switch id 's1'"):
+            TrainTrack([Branch("a"), Branch("b")],
+                       [Switch("s1", (("a", "head"),), (("b", "tail"),)),
+                        Switch("s1", (("b", "head"),), (("a", "tail"),))])
+
+    @pytest.mark.parametrize("two_fold", [(), (("b", "tail"), ("c", "tail"), ("d", "tail"))],
+                             ids=["no-end", "three-ends"])
+    def test_two_fold_arity(self, two_fold):
+        with pytest.raises(SwitchSystemError,
+                           match="switch 's' needs one or two ends on its two-fold side"):
+            TrainTrack([Branch("a"), Branch("b"), Branch("c"), Branch("d")],
+                       [Switch("s", (("a", "head"),), two_fold)])
 
 
 class TestEnumeration:
@@ -289,6 +304,12 @@ class TestSlopeLaws:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SlopeLaw("ONLY_FIVE")
+
+    @pytest.mark.parametrize("height", [0, MAX_SURJECTIVE_HEIGHT + 1, True, "3"])
+    def test_a_height_is_an_integer_from_1_to_the_cap(self, height):
+        with pytest.raises(ValueError, match=f"surjective_height must be an integer from 1 to "
+                                             f"{MAX_SURJECTIVE_HEIGHT}, not {height!r}"):
+            SlopeLaw("ANY_SLOPE", height)
 
     def test_only_four_holds(self):
         report = check_law(pinched_pair((1, 4)), SlopeLaw("ONLY_FOUR"), {}, 3)

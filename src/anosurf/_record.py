@@ -2,13 +2,13 @@
 
 `record` gives a class with a hand-written `__init__` the methods that a
 dataclass would generate. Its fields are the parameters of that
-`__init__`, in order, two or more of them. `__eq__` and `__repr__` read
+`__init__`, in order, one or more of them. `__eq__` and `__repr__` read
 them. A frozen record hashes their tuple, and its `__setattr__` and
 `__delattr__` raise AttributeError, so its `__init__` stores the fields
 through the instance `__dict__` or the slot descriptors. A frozen record
 is copied and pickled through its constructor, so a copy or an unpickled
 record is checked as a new one is. A mutable record has no hash. An
-`__eq__` or `__hash__` of the class's own is kept.
+`__eq__`, `__hash__` or `__reduce__` of the class's own is kept.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ def record(*, frozen: bool):
     def build(cls):
         code = cls.__init__.__code__
         names = code.co_varnames[1:code.co_argcount]
-        values = attrgetter(*names)
+        get = attrgetter(*names)
+        # attrgetter of one name returns the bare value
+        values = get if len(names) > 1 else lambda self: (get(self),)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -50,6 +52,7 @@ def record(*, frozen: bool):
         if "__hash__" not in vars(cls):
             cls.__hash__ = lambda self: hash(values(self))
         cls.__setattr__, cls.__delattr__ = refuse_set, refuse_delete
-        cls.__reduce__ = lambda self: (self.__class__, values(self))
+        if "__reduce__" not in vars(cls):
+            cls.__reduce__ = lambda self: (self.__class__, values(self))
         return cls
     return build

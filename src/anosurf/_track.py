@@ -61,26 +61,27 @@ class Switch:
                       two_fold=side("two_fold"))
 
 
+@record(frozen=True)
 class TrainTrack:
-    """A validated track. It is immutable after construction: `branches`
-    and `switches` are read-only mappings, so the solve plan built on the
-    first solve stays the plan of this track."""
+    """A validated track, a frozen record whose `branches` and `switches`
+    are read-only mappings by id, so the solve plan built on the first
+    solve stays the plan of this track. Mappings do not hash, and so
+    neither does a track."""
 
     def __init__(self, branches: Sequence[Branch], switches: Sequence[Switch],
                  track_id: str = "track"):
-        self.track_id = track_id
         by_id: Dict[str, Branch] = {}
         for b in branches:
             if b.id in by_id:
                 raise SwitchSystemError(track_id, f"duplicate branch id {b.id!r}")
             by_id[b.id] = b
-        self.branches: Mapping[str, Branch] = MappingProxyType(by_id)
         by_sid: Dict[str, Switch] = {}
         for s in switches:
             if s.id in by_sid:
                 raise SwitchSystemError(track_id, f"duplicate switch id {s.id!r}")
             by_sid[s.id] = s
-        self.switches: Mapping[str, Switch] = MappingProxyType(by_sid)
+        self.__dict__.update(branches=MappingProxyType(by_id),
+                             switches=MappingProxyType(by_sid), track_id=track_id)
         self.validate()
 
     # -- structure ---------------------------------------------------------
@@ -184,6 +185,7 @@ class TrainTrack:
     # -- serialization -----------------------------------------------------
 
     def __reduce__(self):
+        # the fields are mappings by id, and the constructor takes the values;
         # copies and pickles are built, and so checked, as a new track is
         return TrainTrack, (tuple(self.branches.values()), tuple(self.switches.values()),
                             self.track_id)

@@ -26,7 +26,7 @@ def euler_characteristic(cw: dict) -> int:
     edges make the structure inconsistent and are rejected.
     """
     n = cw.get("vertices")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("a CW structure needs a positive vertex count")
     edge_ids = set()
     for edge in cw.get("edges", ()):
@@ -34,7 +34,7 @@ def euler_characteristic(cw: dict) -> int:
             raise ValueError(f"duplicate edge id {edge['id']!r}")
         edge_ids.add(edge["id"])
         ends = edge.get("ends", ())
-        if len(ends) != 2 or any(not (0 <= v < n) for v in ends):
+        if len(ends) != 2 or any(type(v) is not int or not 0 <= v < n for v in ends):
             raise ValueError(f"edge {edge['id']!r} has bad endpoints {ends!r}")
     face_ids = set()
     for face in cw.get("faces", ()):

@@ -62,16 +62,15 @@ def classify_cmd(slope: str, traces: str, fmt: str, catalog_path: str | None):
             print(f"    {step.rule}")
             if traces == "full":
                 print(f"        {ANCHORS[step.rule]}")
-    if result.traces and traces != "none":
+    if result.traces:
         print(f"  excluded candidates: {len(result.traces)}")
+    if traces != "none":
         for trace in result.traces:
             d = trace.digest()
             print(f"    {d['entry']}: {' -> '.join(d['rules'])}")
             if traces == "full":
                 for step in trace.steps:
                     print(f"        [{step.rule}] {ANCHORS[step.rule]}")
-    elif result.traces:
-        print(f"  excluded candidates: {len(result.traces)}")
 
 
 def sweep_cmd(max_height: int, fmt: str, catalog_path: str | None):
@@ -250,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
     command(group, "list", catalog_list)
     command(group, "show", catalog_show, fmt=False).add_argument("entry_id")
     sub = command(group, "check", catalog_check)
-    sub.add_argument("--laws", action=argparse.BooleanOptionalAction, default=False)
+    sub.add_argument("--laws", action="store_true")
     sub.add_argument("--law-bound", type=_bounded(MAX_LAW_BOUND), default=6)
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Set, Union
 
 from ._record import record
 from .errors import SlopeFormatError
@@ -64,7 +64,8 @@ class Slope:
         _check_integers(q, p)
         if p == 0 and q == 0:
             raise SlopeFormatError("0/0", "both coefficients vanish")
-        return Slope(*_reduced(p, q))
+        slope, = _slopes(((p, q),))
+        return slope
 
     @property
     def is_infinity(self) -> bool:
@@ -94,16 +95,6 @@ def _check_integers(q, p) -> None:
         raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
 
 
-def _reduced(p: int, q: int) -> Tuple[int, int]:
-    """The slope of the nonzero class (p, q) as a reduced pair (q, p), with
-    p >= 0 and the meridian as (1, 0). The slope law checks reduce their
-    classes the same way in one loop of their own."""
-    g = math.gcd(p, q)
-    if (p, q) < (0, 0):  # p < 0, or the meridian written with q < 0
-        g = -g
-    return q // g, p // g
-
-
 def _from_reduced(q: int, p: int) -> Slope:
     """The Slope (q, p) without the checks of its constructor, for a pair
     known to be reduced: both are ints, not bools, p >= 0, gcd(p, q) == 1
@@ -121,6 +112,20 @@ def _from_reduced(q: int, p: int) -> Slope:
 # which a frozen Slope's __setattr__ refuses
 _new_slope = object.__new__
 _set_q, _set_p, _set_hash = (Slope.__dict__[name].__set__ for name in Slope.__slots__)
+
+
+def _slopes(classes) -> Set[Slope]:
+    """The slopes of the nonzero integer classes (p, q): each class reduced
+    to its pair (q, p) with p >= 0 and the meridian as (1, 0), in one loop,
+    and one Slope built per distinct slope, straight from its reduced pair.
+    Slope.of reduces its one class here, and the slope law checks theirs."""
+    gcd, pairs = math.gcd, set()
+    for p, q in classes:
+        g = gcd(p, q)
+        if p < 0 or not p and q < 0:  # the meridian is (1, 0)
+            g = -g
+        pairs.add((q // g, p // g))
+    return {_from_reduced(q, p) for q, p in pairs}
 
 
 INFINITY = Slope(1, 0)

@@ -64,24 +64,30 @@ class Symmetry:
                              vertex_map=vertex_map)
 
 
+@record(frozen=True)
 class Spine:
+    """The spine of a document with the shape of spine.schema.json. The
+    document is its one field; what is read off it is kept beside it."""
+
     def __init__(self, doc: dict):
         _schema.validate(doc, "spine")
-        self.hexagons: Dict[str, List[str]] = {
-            h: list(doc["hexagons"][h]["sides"]) for h in ("X", "Y")}
-        self.edge_of: Dict[str, str] = {}
-        for h in ("X", "Y"):
-            for side, edge in doc["hexagons"][h]["edges"].items():
-                self.edge_of[side] = edge
-        self.corner_vertices: Dict[str, List[str]] = {
-            h: list(doc["corner_vertices"][h]) for h in ("X", "Y")}
-        self.connectors: Dict[str, Connector] = {}
-        for c in doc["connectors"]:
-            conn = Connector(id=c["id"], hexagon=c["hexagon"], positions=tuple(c["positions"]))
-            self.connectors[conn.id] = conn
+        hexagons = doc["hexagons"]
+        self.__dict__.update(
+            doc=doc,
+            hexagons={h: list(hexagons[h]["sides"]) for h in ("X", "Y")},
+            edge_of={side: edge for h in ("X", "Y") for side, edge in hexagons[h]["edges"].items()},
+            corner_vertices={h: list(doc["corner_vertices"][h]) for h in ("X", "Y")},
+            connectors={c["id"]: Connector(id=c["id"], hexagon=c["hexagon"],
+                                           positions=tuple(c["positions"]))
+                        for c in doc["connectors"]})
         self._validate()
-        self.symmetries: List[Symmetry] = [self.symmetry(s["name"], s["side_map"])
-                                           for s in doc["symmetries"]]
+        self.__dict__["symmetries"] = [self.symmetry(s["name"], s["side_map"])
+                                       for s in doc["symmetries"]]
+
+    def __setstate__(self, state):
+        # what a pickle written before the spine was a record holds: its
+        # attributes, which no check has read, and no document
+        raise TypeError("a Spine is unpickled from its document, not from its attributes")
 
     # -- structure ---------------------------------------------------------
 
@@ -138,7 +144,10 @@ class Spine:
 
     # -- complexes ---------------------------------------------------------
 
-    def validate_complex(self, q: Mapping[str, int]) -> None:
+    def validate_complex(self, q: Mapping[str, int]) -> Dict[str, int]:
+        """The edge weights of the Q-complex q, a nonempty map of connector
+        ids to positive multiplicities whose ends reach each side of an
+        edge equally often; anything else raises ValueError."""
         if not q:
             raise ValueError("a Q-complex must contain at least one connector")
         for cid, mult in q.items():
@@ -147,11 +156,14 @@ class Spine:
             if type(mult) is not int or mult < 1:
                 raise ValueError(f"connector {cid!r} needs a positive integer multiplicity")
         counts = self.side_end_counts(q)
+        weights = {}
         for edge in EDGES:
             hits = {counts[s] for s in counts if self.edge_of[s] == edge}
             if len(hits) != 1:
                 raise ValueError(
                     f"sides of edge {edge} receive unequal endpoint counts: {sorted(hits)}")
+            weights[edge] = hits.pop()
+        return weights
 
     def side_end_counts(self, q: Mapping[str, int]) -> Dict[str, int]:
         counts = {s: 0 for s in self.edge_of}
@@ -162,12 +174,7 @@ class Spine:
         return counts
 
     def edge_weights(self, q: Mapping[str, int]) -> Dict[str, int]:
-        self.validate_complex(q)
-        counts = self.side_end_counts(q)
-        weights = {}
-        for edge in EDGES:
-            weights[edge] = next(counts[s] for s in counts if self.edge_of[s] == edge)
-        return weights
+        return self.validate_complex(q)
 
 
 def case_of(spine: Spine, q: Mapping[str, int]) -> SpineCase:

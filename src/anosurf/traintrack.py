@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
@@ -53,7 +52,7 @@ from ._track import (  # noqa: F401  the loaded half, re-exported
     _CONSTANT_LAWS, _FORMULAS, HEIGHT_KINDS, LAW_KINDS, MAX_LAW_BOUND, MAX_SURJECTIVE_HEIGHT,
     Branch, End, SlopeLaw, Switch, TrainTrack, check_roles)
 from .errors import SlopeLawError, SwitchSystemError
-from .slopes import INFINITY, Slope, _from_reduced, up_to_height
+from .slopes import INFINITY, Slope, _slopes, up_to_height
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +263,6 @@ def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:
     solved = {key: _component_solutions(key[0], levels, bound, track.track_id)
               for key, levels in plan.levels.items()}
     return plan, [solved[key] for key in plan.systems]
-
-
-def _slopes(classes) -> Set[Slope]:
-    """The slopes of the nonzero classes (p, q). Each class is reduced on
-    integers as slopes._reduced reduces it, in one loop, and one Slope is
-    built per distinct slope, straight from its reduced pair."""
-    gcd, pairs = math.gcd, set()
-    for p, q in classes:
-        g = gcd(p, q)
-        if p < 0 or not p and q < 0:  # the meridian is (1, 0)
-            g = -g
-        pairs.add((q // g, p // g))
-    return {_from_reduced(q, p) for q, p in pairs}
 
 
 @record(frozen=False)

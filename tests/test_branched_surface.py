@@ -58,6 +58,16 @@ class TestEuler:
         with pytest.raises(ValueError):
             euler_characteristic(cw)
 
+    def test_a_bool_vertex_count_is_refused(self):
+        with pytest.raises(ValueError, match="positive vertex count"):
+            euler_characteristic({"vertices": True, "edges": [], "faces": []})
+
+    @pytest.mark.parametrize("ends", [[0.5, 1], [True, 0]], ids=["float", "bool"])
+    def test_an_endpoint_that_is_no_int_is_refused(self, ends):
+        cw = {"vertices": 2, "edges": [{"id": "e", "ends": ends}], "faces": []}
+        with pytest.raises(ValueError, match="bad endpoints"):
+            euler_characteristic(cw)
+
     def test_empty_face_boundary(self):
         cw = torus_cw()
         cw["faces"][0]["boundary"] = []

@@ -249,6 +249,24 @@ class TestLoading:
         expected = set(manifest["files"]) - {"spare.json", "tracks/Q12.json"}
         assert reads == dict.fromkeys(expected | {"catalog/manifest.json"}, 1)
 
+    def test_a_file_that_grows_past_the_cap_after_its_size_check_is_refused(
+            self, data_copy, monkeypatch):
+        # a sparse file one byte over the cap, whose fstat reports a size
+        # under it, as if the file grew between the size check and the read
+        os.truncate(data_copy / "tracks" / "Q1.json", _resources.DATA_FILE_CAP + 1)
+        real = os.fstat
+
+        def shrunk(fd):
+            info = real(fd)
+            return os.stat_result((*info[:6], min(info.st_size, _resources.DATA_FILE_CAP),
+                                   *info[7:10]))
+
+        monkeypatch.setattr(_resources.os, "fstat", shrunk)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy))
+        assert (info.value.path, info.value.detail) == (
+            "tracks/Q1.json", "unusable file (over 1048576 bytes)")
+
     def test_a_manifest_that_lists_itself_is_refused(self, data_copy):
         manifest_path = data_copy / "catalog" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

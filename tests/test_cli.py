@@ -335,6 +335,10 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["defenestrate"]) == 2
 
+    def test_laws_has_no_negative_spelling(self, capsys):
+        assert main(["catalog", "check", "--no-laws"]) == 2
+        assert "unrecognized arguments: --no-laws" in capsys.readouterr().err
+
     def test_unknown_entry(self, capsys):
         assert main(["catalog", "show", "B99"]) == 5
         assert capsys.readouterr().err == "error: no catalog entry or family named 'B99'\n"

@@ -6,19 +6,22 @@ read only the behaviour of the classes, so they hold whatever builds
 their methods."""
 
 import copy
+import copyreg
+import operator
 import pickle
 from types import SimpleNamespace
 
 import pytest
 from conftest import replace
 
+from anosurf._record import record
 from anosurf.branched_surface import ComplementComponent, OrientationResult
 from anosurf.catalog import (Catalog, CatalogEntry, CatalogReport, TrackBundle, load_catalog,
                              slope_law_check)
 from anosurf.classifier import ClassificationResult, ExclusionTrace, TraceStep, classify
 from anosurf.errors import SwitchSystemError
 from anosurf.slopes import AdmissibleSet, Slope
-from anosurf.spine import Connector, Symmetry
+from anosurf.spine import Connector, Spine, Symmetry
 from anosurf.traintrack import Branch, CarriedClasses, LawReport, SlopeLaw, Switch, TrainTrack
 
 ALL = AdmissibleSet("AllRationals")
@@ -399,3 +402,80 @@ def test_replace_rebuilds_through_the_constructor():
     assert changed.sink_disks == ("D",) and entry.sink_disks == ()
     with pytest.raises(TypeError):
         replace(entry, sink_disks=())
+
+
+# The spine and a track, the records whose fields are a document or
+# mappings by id: each, with its fields, built from the shipped catalog.
+LOADED = {"Spine": (lambda c: c.spine, ("doc",)),
+          "TrainTrack": (lambda c: c.tracks["Q4"].track, ("branches", "switches", "track_id"))}
+
+
+@pytest.mark.parametrize("name", LOADED)
+def test_the_spine_and_a_track_are_frozen_and_do_not_hash(catalog, name):
+    pick, fields = LOADED[name]
+    record = pick(catalog)
+    for field in fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(record)
+    assert repr(record).startswith(f"{name}({fields[0]}=")
+
+
+@pytest.mark.parametrize("name", LOADED)
+def test_the_spine_and_a_track_are_copied_and_pickled_through_their_constructors(
+        catalog, name, monkeypatch):
+    record = LOADED[name][0](catalog)
+    cls, built = type(record), []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    assert len(built) == 3 and all(map(operator.is_, built, clones))
+    assert all(type(clone) is cls and clone == record for clone in clones)
+
+
+@pytest.mark.parametrize("protocol", [0, 2, pickle.HIGHEST_PROTOCOL])
+def test_a_spine_pickle_of_attributes_is_refused(catalog, protocol):
+    # A pickle written when the spine was a plain class: at protocol 0 these
+    # are the bytes it wrote, an object built without its __init__ and then
+    # given the attributes that __init__ had read off the document.
+    state = {k: v for k, v in vars(catalog.spine).items() if k != "doc"}
+
+    class Written:
+        def __reduce__(self):
+            return copyreg._reconstructor, (Spine, object, None), state
+
+    data = pickle.dumps(Written(), protocol)
+    with pytest.raises(TypeError, match="unpickled from its document"):
+        pickle.loads(data)
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_loaded_catalog_equals_its_copies(catalog, clone):
+    other = clone(catalog)
+    assert other == catalog and not other != catalog
+    assert other.spine is not catalog.spine and other.spine == catalog.spine
+    assert other.tracks == catalog.tracks
+
+
+def test_a_record_of_one_field():
+    @record(frozen=True)
+    class Single:
+        def __init__(self, value):
+            self.__dict__.update(value=value)
+
+    single = Single(3)
+    assert repr(single) == "test_a_record_of_one_field.<locals>.Single(value=3)"
+    assert single == Single(3) and single != Single(4)
+    assert hash(single) == hash((3,))
+    assert single.__reduce__() == (Single, (3,))

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import math
 import pickle
 from fractions import Fraction
 
@@ -76,6 +77,27 @@ class TestSlopeConstruction:
         for bad in ((True, p), (q, False), (1.5, p), ("3", p), (q, None)):
             with pytest.raises(SlopeFormatError):
                 Slope.of(*bad)
+
+    # small values, zero among them, and values of up to 100 digits
+    COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-10**100, 10**100))
+
+    @settings(max_examples=300)
+    @given(COEFFICIENTS, COEFFICIENTS)
+    @example(7, 0)
+    @example(-7, 0)
+    @example(0, -7)
+    @example(-(10**99 + 1) * 6, (10**99 + 1) * 4)
+    @example(10**100, -(10**99))
+    def test_of_is_the_reduction_by_gcd_and_sign(self, q, p):
+        if p == q == 0:
+            return
+        g = math.gcd(q, p)
+        rq, rp = q // g, p // g
+        if rp < 0 or rp == 0 and rq < 0:  # the denominator nonnegative, the meridian 1/0
+            rq, rp = -rq, -rp
+        slope = Slope.of(q, p)
+        assert slope == Slope(rq, rp) and (slope.q, slope.p) == (rq, rp)
+        assert hash(slope) == hash((rq, rp))
 
     def test_properties(self):
         s = Slope(7, 2)
@@ -354,3 +376,9 @@ class TestAdmissibleSets:
         morethan1 = AdmissibleSet("IntersectionWithMoreThan", slope=Slope(4, 1), count=1)
         assert not eval_admissible(morethan1, Slope(7, 2))
         assert eval_admissible(morethan1, Slope(1, 2))      # |8-1| = 7
+
+
+def test_one_reduction_serves_slope_of_and_the_law_checks():
+    from anosurf import slopes, traintrack
+    assert traintrack._slopes is slopes._slopes
+    assert not hasattr(slopes, "_reduced") and not hasattr(traintrack, "math")

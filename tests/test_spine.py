@@ -318,3 +318,16 @@ def test_the_solver_names_are_the_solvers_objects():
     exec("from anosurf import *", namespace)
     for name in anosurf.__all__:
         assert namespace[name] is getattr(anosurf, name), name
+
+
+def test_edge_weights_are_the_weights_validate_complex_checked(catalog, monkeypatch):
+    spine, counted = catalog.spine, []
+    real = Spine.side_end_counts
+    monkeypatch.setattr(Spine, "side_end_counts",
+                        lambda self, q: counted.append(q) or real(self, q))
+    assert len(catalog.complexes) == 11
+    for family, q in catalog.complexes.items():
+        counted.clear()
+        weights = spine.edge_weights(q)
+        assert counted == [q], family
+        assert weights == spine.validate_complex(q), family

@@ -90,6 +90,25 @@ class CatalogEntry:
         return CatalogEntry(**{**_schema.validate(doc, "entry"),
                                "admissible": _admissible(doc["admissible"])})
 
+    def to_json(self) -> dict:
+        """The document that `anosurf catalog show` prints, which from_json
+        reads back to an equal entry: the fields in order, tuples as
+        lists, orientable always (null when absent) and every later
+        optional field only when it is not empty. The document is new on
+        every call, so editing it leaves the entry as it was."""
+        from copy import deepcopy  # here, since a classification never needs it
+
+        optional = {"orientation_graph": self.orientation_graph, "euler": self.euler,
+                    "sector_pairs": [list(p) for p in self.sector_pairs],
+                    "vacant_annulus": self.vacant_annulus,
+                    "split_curves": list(self.split_curves), "notes": self.notes}
+        return deepcopy({
+            "id": self.id, "family": self.family, "summary": self.summary,
+            "admissible": self.admissible.to_json(), "exclusion_class": self.exclusion_class,
+            "orientable": self.orientable, "disk_sectors": list(self.disk_sectors),
+            "complement": list(self.complement),
+            **{key: value for key, value in optional.items() if value}})
+
 
 @record(frozen=True)
 class TrackBundle:

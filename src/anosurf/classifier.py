@@ -291,6 +291,9 @@ def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> L
 
 
 def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> List[TraceStep]:
+    if not entry.sector_pairs:
+        raise ClassificationGapError(
+            entry.id, slope, "basic type II entry must name a sector pair")
     power = slope.p
     steps = [
         _step("type-ii/slope-infinity-annulus",

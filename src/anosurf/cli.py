@@ -150,31 +150,8 @@ def catalog_list(fmt: str, catalog_path: str | None):
 
 def catalog_show(entry_id: str, catalog_path: str | None):
     """Dump one entry as JSON."""
-    catalog = load_catalog(path=catalog_path)
-    entry = catalog.get(entry_id)
-    doc = {
-        "id": entry.id,
-        "family": entry.family,
-        "summary": entry.summary,
-        "admissible": entry.admissible.to_json(),
-        "exclusion_class": entry.exclusion_class,
-        "orientable": entry.orientable,
-        "disk_sectors": list(entry.disk_sectors),
-        "complement": list(entry.complement),
-    }
-    if entry.orientation_graph is not None:
-        doc["orientation_graph"] = entry.orientation_graph
-    if entry.euler is not None:
-        doc["euler"] = entry.euler
-    if entry.sector_pairs:
-        doc["sector_pairs"] = [list(p) for p in entry.sector_pairs]
-    if entry.vacant_annulus:
-        doc["vacant_annulus"] = entry.vacant_annulus
-    if entry.split_curves:
-        doc["split_curves"] = list(entry.split_curves)
-    if entry.notes:
-        doc["notes"] = entry.notes
-    print(json.dumps(doc, indent=2))
+    entry = load_catalog(path=catalog_path).get(entry_id)
+    print(json.dumps(entry.to_json(), indent=2))
 
 
 def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: str | None):
@@ -194,15 +171,7 @@ def catalog_check(laws: bool, law_bound: int, fmt: str, catalog_path: str | None
                 report.problems.append(
                     f"{family}: slope law violated ({len(law_report.violations)})")
     if fmt == "json":
-        print(json.dumps({
-            "entry_count": report.entry_count,
-            "family_counts": report.family_counts,
-            "stated_total": report.stated_total,
-            "warnings": report.warnings,
-            "problems": report.problems,
-            "laws": law_results,
-            "ok": report.ok,
-        }, indent=2))
+        print(json.dumps({**vars(report), "laws": law_results, "ok": report.ok}, indent=2))
     else:
         print(f"entries: {report.entry_count}")
         print("per family: " + ", ".join(f"{f}={n}" for f, n in report.family_counts.items()))

@@ -99,6 +99,10 @@ class Spine:
             hits = [s for s in sides if self.edge_of[s] == edge]
             if len(hits) != 3:
                 raise ValueError(f"edge {edge} must appear on exactly three sides")
+        if len(self.connectors) != len(self.doc["connectors"]):
+            ids = [c["id"] for c in self.doc["connectors"]]
+            twice = next(cid for cid in ids if ids.count(cid) > 1)
+            raise ValueError(f"connector {twice} is listed twice")
         for conn in self.connectors.values():
             # two ends in one side make no kind
             if conn.positions[0] == conn.positions[1]:

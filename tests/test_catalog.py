@@ -12,6 +12,7 @@ import pytest
 from anosurf import _resources
 from anosurf import catalog as catalog_module
 from anosurf.catalog import (
+    CatalogEntry,
     candidates_for,
     check_catalog,
     complement_components,
@@ -144,6 +145,22 @@ class TestLoading:
         assert sum(1 for _ in catalog) == 38
         with pytest.raises(CatalogKeyError):
             catalog.get("B99")
+
+    @pytest.mark.parametrize("entry_id", sorted(ALL_IDS))
+    def test_an_entry_is_its_file_and_reads_back(self, catalog, entry_id):
+        entry = catalog.get(entry_id)
+        stored = json.loads((DATA_DIR / "catalog" / "entries" / f"{entry_id}.json").read_text())
+        assert entry.to_json() == {"orientable": None, **stored}
+        assert CatalogEntry.from_json(entry.to_json()) == entry
+
+    def test_an_entry_document_shares_nothing_with_its_entry(self, catalog):
+        entry = catalog.get("B6")
+        doc = entry.to_json()
+        doc["orientation_graph"]["edges"].clear()
+        doc["complement"][0]["kind"] = "Ball"
+        doc["notes"].clear()
+        assert entry.orientation_graph["edges"] and entry.notes
+        assert entry.complement[0]["kind"] == "SolidTorus"
 
     def test_override_directory(self, data_copy):
         assert len(load_catalog(path=str(data_copy))) == 38

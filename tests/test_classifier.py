@@ -431,3 +431,10 @@ class TestChainRefusals:
             classify(HALF, only_b1)
         assert (info.value.entry_id, info.value.slope, info.value.detail) == (
             "<none>", HALF, "no catalog entry covers this slope")
+
+    def test_a_basic_type_ii_entry_needs_a_sector_pair(self, catalog):
+        # the chain's first step cites the sector pairs as its fact
+        entry = replace(catalog.get("B6"), sector_pairs=())
+        with pytest.raises(ClassificationGapError,
+                           match="basic type II entry must name a sector pair"):
+            exclusion_trace(entry, Slope(7, 2))

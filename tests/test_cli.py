@@ -157,6 +157,13 @@ SIZE_FAULTS = {
     "weight-cap-track": (["track", "Q2", "--bound", "1"], *_Q2_WIDE, 5),
 }
 
+_SECTOR_PAIRS_DROPPED = ("catalog/entries/B6.json", record_edit("sector_pairs", drop=True))
+
+
+def _lx3_twice(doc):
+    doc["connectors"].append({"id": "lx3", "hexagon": "X", "positions": [2, 3]})
+
+
 # edits of a restamped catalog, most of one field: the command, each edited
 # file with its edit, and the exit code the command must give
 RESTAMPED_FAULTS = {
@@ -187,6 +194,8 @@ RESTAMPED_FAULTS = {
     "track-id-of-another-family": (["track", "Q4", "--bound", "4"],
                                    ("tracks/Q4.json", record_edit("id", value="Q5")), 5),
     "complexes-shared": (["catalog", "check"], ("qcomplexes.json", q2_as_q1), 5),
+    # the spine keys connectors by id: a second lx3, short, replaced the long one
+    "connector-listed-twice": (["catalog", "check"], ("spine.json", _lx3_twice), 5),
     "entry-id-int": (["catalog", "list"],
                      ("catalog/entries/B6_I_h.json", record_edit("id", value=7)), 5),
     "entry-id-list": (["classify", "7/2"],
@@ -232,6 +241,8 @@ RESTAMPED_FAULTS = {
                              ("catalog/entries/B7_II_fg.json",
                               record_edit("split_curves", drop=True)), 4),
     "type-i-meridian-three-check": (["catalog", "check"], _meridian_hits("B5", 3), 4),
+    "sector-pairs-dropped": (["classify", "7/2"], _SECTOR_PAIRS_DROPPED, 4),
+    "sector-pairs-dropped-check": (["catalog", "check"], _SECTOR_PAIRS_DROPPED, 4),
     **SIZE_FAULTS,
     # a class whose span stays under the cap breaks the law as before; its
     # span at the top law bound is over the cap, which `catalog check` refuses
@@ -331,6 +342,13 @@ class TestExitCodes:
     def test_malformed_slope(self, capsys):
         assert main(["classify", "abc"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_an_interrupt_exits_130(self, monkeypatch, capsys):
+        def interrupted(path=None):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli_module, "load_catalog", interrupted)
+        assert main(["catalog", "list"]) == 130
+        assert capsys.readouterr().out == ""
 
     def test_unknown_command(self, capsys):
         assert main(["defenestrate"]) == 2

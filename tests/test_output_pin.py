@@ -4,11 +4,13 @@ tests/golden/output_pin.sha256 holds one line per command: its
 arguments joined by spaces, its exit code, and the sha256 of its stdout.
 The commands are `track Qn --bound b --format json` for every family at
 the bounds in TRACK_BOUNDS, `catalog check --laws --law-bound 20 --format
-json`, and `sweep --max 50 --format json`, whose stdout is pinned with its
-`seconds` field dropped, since that field varies from run to run. The
-lines pin the realized slopes in their printed order, so a change to how
-slopes are collected or sorted shows here. A change that alters an output
-on purpose regenerates the file:
+json`, `sweep --max 50 --format json`, whose stdout is pinned with its
+`seconds` field dropped, since that field varies from run to run,
+`catalog show` of every shipped entry, and `catalog list` in both
+formats. The lines pin the realized slopes in their printed order, so a
+change to how slopes are collected or sorted shows here, and each entry
+as shown, key order included. A change that alters an output on purpose
+regenerates the file:
 
     PYTHONPATH=src python tests/test_output_pin.py > tests/golden/output_pin.sha256
 """
@@ -21,7 +23,7 @@ import pathlib
 
 import pytest
 
-from anosurf.catalog import FAMILIES
+from anosurf.catalog import FAMILIES, load_catalog
 from anosurf.cli import main
 
 PIN = pathlib.Path(__file__).resolve().parent / "golden" / "output_pin.sha256"
@@ -31,6 +33,9 @@ COMMANDS = [
       for family in FAMILIES for bound in TRACK_BOUNDS),
     ["catalog", "check", "--laws", "--law-bound", "20", "--format", "json"],
     ["sweep", "--max", "50", "--format", "json"],
+    *(["catalog", "show", entry.id] for entry in load_catalog()),
+    ["catalog", "list"],
+    ["catalog", "list", "--format", "json"],
 ]
 
 

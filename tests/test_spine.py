@@ -88,6 +88,13 @@ class TestStructure:
         with pytest.raises(ValueError, match="both ends on one side"):
             Spine(doc)
 
+    def test_a_connector_listed_twice_is_refused(self):
+        # keyed by id, the later record would replace the earlier: lx3 long, then short
+        doc = copy.deepcopy(load_data_json("spine.json"))
+        doc["connectors"].append({"id": "lx3", "hexagon": "X", "positions": [2, 3]})
+        with pytest.raises(ValueError, match="connector lx3 is listed twice"):
+            Spine(doc)
+
 
 class TestComplexes:
     def test_canonical_families_validate(self, catalog, spine):

@@ -73,12 +73,25 @@ def _read_bounded(path: Path, relpath: str) -> bytes:
         os.close(fd)
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """The JSON object of these pairs, refused if a key repeats: the parser
+    would keep its last value, and the bytes of the others would be
+    checksummed but never used."""
+    seen: set = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"the key {key!r} is repeated in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_json(relpath: str, override: Optional[PathLike] = None,
               sha256: Optional[str] = None) -> dict:
     """Parse one read of a data file, whose bytes must hash to `sha256`;
     a file that cannot be read, checked or parsed, nested too deeply for
-    the parser included, is a CatalogIntegrityError, and so is one that
-    is not a regular file or is over DATA_FILE_CAP bytes."""
+    the parser included or with a key repeated in one object, is a
+    CatalogIntegrityError, and so is one that is not a regular file or is
+    over DATA_FILE_CAP bytes."""
     try:
         data = _read_bounded(resolve(relpath, override=override), relpath)
         if sha256 is not None:
@@ -86,7 +99,7 @@ def load_json(relpath: str, override: Optional[PathLike] = None,
             if have != sha256:
                 raise CatalogIntegrityError(
                     relpath, f"checksum {have[:12]}... does not match the manifest")
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_distinct_keys)
     except (OSError, RecursionError, ValueError) as exc:
         raise CatalogIntegrityError(relpath, f"unusable file ({type(exc).__name__}: {exc})") from exc
 

@@ -173,16 +173,10 @@ class ComplementComponent:
 
     @staticmethod
     def from_json(doc: dict) -> "ComplementComponent":
-        """A complement record of a catalog entry, shaped as entry.schema.json says."""
-        return ComplementComponent(
-            kind=doc["kind"],
-            vertical_annuli=doc.get("vertical_annuli", 0),
-            annulus_wrap=tuple(doc.get("annulus_wrap", ())),
-            meridian_hits=doc.get("meridian_hits"),
-            exceptional=doc.get("exceptional"),
-            genus=doc.get("genus"),
-            description=doc.get("description", ""),
-        )
+        """A complement record of a catalog entry, shaped as entry.schema.json
+        says: its keys are the constructor's parameters, so the constructor
+        supplies each default and refuses an unknown key (TypeError)."""
+        return ComplementComponent(**{**doc, "annulus_wrap": tuple(doc.get("annulus_wrap", ()))})
 
 
 def admits_coherent_ibundle(component: ComplementComponent) -> bool:

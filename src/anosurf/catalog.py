@@ -11,7 +11,7 @@ one.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _resources, _schema
 from ._record import record
@@ -113,12 +113,21 @@ class CatalogEntry:
 @record(frozen=True)
 class TrackBundle:
     """A family's boundary track with its slope law and annotations;
-    noncompact lists the branches dead in every solution."""
+    noncompact lists the branches dead in every solution. The constructor
+    checks that each designated role lists branches of the track and that
+    a formula law designates only its formula's roles (one it does not
+    read, a misspelled mu say, would leave mu summing to 0), and stores
+    the lists as tuples."""
 
     def __init__(self, track: TrainTrack, law: SlopeLaw,
-                 designated: Mapping[str, Tuple[str, ...]], noncompact: Tuple[str, ...]):
-        self.__dict__.update(track=track, law=law, designated=designated,
-                             noncompact=noncompact)
+                 designated: Mapping[str, Sequence[str]], noncompact: Sequence[str]):
+        check_roles(track, designated)
+        if law.kind in _FORMULAS:
+            stray = sorted(set(designated) - set(_FORMULAS[law.kind][1]))
+            if stray:
+                raise ValueError(f"the {law.kind} law of {track.track_id} has no role {stray[0]!r}")
+        self.__dict__.update(track=track, law=law, noncompact=tuple(noncompact),
+                             designated={k: tuple(v) for k, v in designated.items()})
 
 
 @record(frozen=True)
@@ -174,21 +183,15 @@ def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
 
 def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
     """The family's track file, the one reader of its keys. After its
-    schema, the switch system, the designated roles and the law, a formula
-    law may designate only its formula's roles (one it does not read, a
-    misspelled mu say, would leave mu summing to 0), the file's id must be
-    the family, and its projection must lift the complex q: one record for
-    each copy 1 to m of each connector of multiplicity m, and arcs that
-    partition the branches, so the track has two branches per copy. The
-    projection is checked here and not kept."""
+    schema and the bundle, which checks the switch system, the law and
+    the designated roles, the file's id must be the family, and its
+    projection must lift the complex q: one record for each copy 1 to m
+    of each connector of multiplicity m, and arcs that partition the
+    branches, so the track has two branches per copy. The projection is
+    checked here and not kept."""
     _schema.validate(doc, "track")
-    track = TrainTrack.from_json(doc["track"], track_id=doc["id"])
-    check_roles(track, doc["designated"])
-    law = SlopeLaw(**doc["law"])
-    if law.kind in _FORMULAS:
-        stray = sorted(set(doc["designated"]) - set(_FORMULAS[law.kind][1]))
-        if stray:
-            raise ValueError(f"the {law.kind} law of {family} has no role {stray[0]!r}")
+    bundle = TrackBundle(TrainTrack.from_json(doc["track"], track_id=doc["id"]),
+                         SlopeLaw(**doc["law"]), doc["designated"], doc["noncompact"])
     if doc["id"] != family:
         raise ValueError(f"the track of {family} has id {doc['id']!r}")
     projection = doc["projection"]
@@ -199,11 +202,9 @@ def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
         raise ValueError(f"the projection of {family} does not list copies 1 to m of "
                          f"each connector of its complex {dict(q)}")
     arcs = sorted(arc for rec in projection for arc in rec["arcs"])
-    if arcs != sorted(track.branches):
+    if arcs != sorted(bundle.track.branches):
         raise ValueError(f"the projection arcs of {family} do not partition its branches")
-    return TrackBundle(track=track, law=law,
-                       designated={k: tuple(v) for k, v in doc["designated"].items()},
-                       noncompact=tuple(doc["noncompact"]))
+    return bundle
 
 
 def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
@@ -212,9 +213,11 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     One directory, `path` or else ANOSURF_CATALOG (never both), shadows
     the packaged data file by file. Each file, the manifest included, is
     read once, when it is built, and checked against the manifest just
-    before it is built from. The manifest must list exactly the files the
-    catalog is built from: under either `verify`, an unlisted file, a
-    listed path that nothing is built from or a malformed manifest raises.
+    before it is built from; `verify=False` skips only that checksum. The
+    manifest must list exactly the files the catalog is built from: under
+    either `verify`, an unlisted file, a listed path that nothing is built
+    from, an entry count other than the manifest's or a malformed
+    manifest raises.
     Each file must have the shape of its schema, and each track's
     projection must lift its family's complex; the facts that need an
     enumeration are left to check_catalog.
@@ -244,7 +247,7 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry
-    if verify and len(entries) != manifest["entry_count"]:
+    if len(entries) != manifest["entry_count"]:
         raise CatalogIntegrityError(
             MANIFEST, f"{len(entries)} entries but the manifest promises {manifest['entry_count']}")
     spine = build("spine.json", Spine)

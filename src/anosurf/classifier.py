@@ -271,7 +271,7 @@ def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[Tra
 
 
 def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
-    if len(entry.split_curves) != 2:
+    if len(set(entry.split_curves)) != 2:
         raise ClassificationGapError(
             entry.id, slope, "split entry must name two split curves")
     torus = _solid_torus(comps)

@@ -35,8 +35,6 @@ class Slope:
 
     def __init__(self, q: int, p: int):
         _check_integers(q, p)
-        if p == 0 and q == 0:
-            raise SlopeFormatError("0/0", "both coefficients vanish")
         if p < 0:
             raise SlopeFormatError(f"{q}/{p}", "denominator must be normalized to p >= 0")
         if math.gcd(p, q) != 1:
@@ -59,11 +57,9 @@ class Slope:
     @staticmethod
     def of(q: int, p: int = 1) -> "Slope":
         """Build a slope from an arbitrary integer pair, reducing it."""
-        # before the reduction, which would turn True into 1 and refuse a
-        # float with math.gcd's TypeError
+        # before the reduction, which would turn True into 1, refuse a
+        # float with math.gcd's TypeError and divide by zero at 0/0
         _check_integers(q, p)
-        if p == 0 and q == 0:
-            raise SlopeFormatError("0/0", "both coefficients vanish")
         slope, = _slopes(((p, q),))
         return slope
 
@@ -90,9 +86,12 @@ class Slope:
 
 
 def _check_integers(q, p) -> None:
-    """The one integer test of a slope's coefficients: ints, not bools."""
+    """The test of a slope's coefficients that Slope and Slope.of share:
+    ints, not bools, and not both 0."""
     if not (isinstance(q, int) and isinstance(p, int)) or type(q) is bool or type(p) is bool:
         raise SlopeFormatError(f"({q}, {p})", "coefficients must be integers")
+    if p == 0 and q == 0:
+        raise SlopeFormatError("0/0", "both coefficients vanish")
 
 
 def _from_reduced(q: int, p: int) -> Slope:

@@ -83,6 +83,12 @@ class Spine:
         self._validate()
         self.__dict__["symmetries"] = [self.symmetry(s["name"], s["side_map"])
                                        for s in doc["symmetries"]]
+        # a group lists each element once, under one name
+        seen: set = set()
+        for sym in self.symmetries:
+            if not seen.isdisjoint(keys := {sym.name, frozenset(sym.side_map.items())}):
+                raise ValueError(f"symmetry {sym.name} repeats an earlier name or side map")
+            seen |= keys
 
     def __setstate__(self, state):
         # what a pickle written before the spine was a record holds: its

@@ -1,4 +1,7 @@
+import inspect
+
 import pytest
+from conftest import load_schema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +13,9 @@ from anosurf.branched_surface import (
     is_transversely_orientable,
     meridian_vertical_intersection,
 )
+from anosurf.catalog import CatalogEntry
 from anosurf.errors import ComplementShapeError
+from anosurf.slopes import AdmissibleSet
 from oracles import verify_orientation_certificate
 
 
@@ -224,6 +229,19 @@ class TestComplementComponents:
             ComplementComponent(kind="TorusCrossInterval"))
         assert not admits_coherent_ibundle(
             ComplementComponent(kind="Handlebody", genus=2))
+
+    def test_the_schema_keys_are_the_constructor_parameters(self):
+        schema = load_schema("entry.schema.json")["$defs"]["complementComponent"]
+        assert list(schema["properties"]) == list(
+            inspect.signature(ComplementComponent).parameters)
+
+    def test_an_unknown_key_is_refused(self):
+        # a key the schema does not allow, in an entry built without from_json
+        with pytest.raises(TypeError, match="core_power"):
+            ComplementComponent.from_json({"kind": "Other", "core_power": 2})
+        with pytest.raises(TypeError, match="core_power"):
+            CatalogEntry("B0", "Q1", "s", AdmissibleSet("AllRationals"), "DiskLeaf",
+                         complement=({"kind": "Other", "core_power": 2},))
 
     def test_meridian_intersection(self):
         piece = ComplementComponent(kind="SolidTorus", vertical_annuli=1,

@@ -219,6 +219,34 @@ class TestLoading:
         with pytest.raises(CatalogIntegrityError):
             load_catalog(path=str(data_copy))
 
+    def test_a_wrong_entry_count_is_refused_unverified(self, data_copy):
+        # verify=False skips the checksums, and no other check of the manifest
+        manifest_path = data_copy / "catalog" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["entry_count"] = 40
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=False)
+        assert (info.value.path, info.value.detail) == (
+            "catalog/manifest.json", "38 entries but the manifest promises 40")
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("relpath,text,key", [
+        ("catalog/entries/B6.json", '"summary": ', "summary"),
+        ("tracks/Q4.json", '"kind": ', "kind"),
+    ], ids=["top-level", "nested"])
+    def test_a_key_repeated_in_one_object_is_refused(self, data_copy, relpath, text, key,
+                                                     verify):
+        # written as text, since a parsed document holds each key once
+        path = data_copy / relpath
+        assert path.read_text().count(text) == 1
+        path.write_text(path.read_text().replace(text, f'{text}"other", {text}'))
+        restamp_manifest(data_copy)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=verify)
+        assert (info.value.path, info.value.detail) == (
+            relpath, f"unusable file (ValueError: the key {key!r} is repeated in one object)")
+
     def test_duplicate_entry_detected(self, data_copy):
         entries_dir = data_copy / "catalog" / "entries"
         # two files now carry the same entry id

@@ -409,6 +409,12 @@ class TestChainRefusals:
                            match="split entry lacks its two annulus solid torus"):
             exclusion_trace(entry, HALF)
 
+    def test_a_split_entry_needs_two_distinct_curves(self, catalog):
+        entry = replace(catalog.get("B6_II_gh"), split_curves=("g", "g"))
+        with pytest.raises(ClassificationGapError,
+                           match="split entry must name two split curves"):
+            exclusion_trace(entry, HALF)
+
     def test_a_straight_split_piece_is_a_gap(self, catalog):
         piece = {**COHERENT_TORUS, "meridian_hits": 2}
         entry = replace(catalog.get("B7_II_fg"), complement=(piece,))

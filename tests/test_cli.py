@@ -164,6 +164,14 @@ def _lx3_twice(doc):
     doc["connectors"].append({"id": "lx3", "hexagon": "X", "positions": [2, 3]})
 
 
+_SPLIT_CURVES_REPEATED = ("catalog/entries/B6_II_gh.json",
+                         record_edit("split_curves", value=["g", "g"]))
+
+
+def _symmetry_twice(doc):
+    doc["symmetries"].append(doc["symmetries"][-1])
+
+
 # edits of a restamped catalog, most of one field: the command, each edited
 # file with its edit, and the exit code the command must give
 RESTAMPED_FAULTS = {
@@ -196,6 +204,7 @@ RESTAMPED_FAULTS = {
     "complexes-shared": (["catalog", "check"], ("qcomplexes.json", q2_as_q1), 5),
     # the spine keys connectors by id: a second lx3, short, replaced the long one
     "connector-listed-twice": (["catalog", "check"], ("spine.json", _lx3_twice), 5),
+    "symmetry-listed-twice": (["catalog", "check"], ("spine.json", _symmetry_twice), 5),
     "entry-id-int": (["catalog", "list"],
                      ("catalog/entries/B6_I_h.json", record_edit("id", value=7)), 5),
     "entry-id-list": (["classify", "7/2"],
@@ -240,6 +249,8 @@ RESTAMPED_FAULTS = {
     "split-curves-dropped": (["classify", "7/2"],
                              ("catalog/entries/B7_II_fg.json",
                               record_edit("split_curves", drop=True)), 4),
+    "split-curves-repeated": (["classify", "7/2"], _SPLIT_CURVES_REPEATED, 4),
+    "split-curves-repeated-check": (["catalog", "check"], _SPLIT_CURVES_REPEATED, 4),
     "type-i-meridian-three-check": (["catalog", "check"], _meridian_hits("B5", 3), 4),
     "sector-pairs-dropped": (["classify", "7/2"], _SECTOR_PAIRS_DROPPED, 4),
     "sector-pairs-dropped-check": (["catalog", "check"], _SECTOR_PAIRS_DROPPED, 4),
@@ -801,6 +812,27 @@ def test_manifest_fault_exits_five(data_copy, name, capsys):
     assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: catalog at {relpath}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["catalog", "check"], ["catalog", "show", "B6"]],
+                         ids=["check", "show"])
+def test_a_repeated_key_exits_five_naming_its_file(data_copy, argv, capsys):
+    # the text is written as it is: a parsed document holds each key once
+    path = data_copy / "catalog" / "entries" / "B6.json"
+    path.write_text(path.read_text().replace('"summary": ', '"summary": "other", "summary": '))
+    restamp_manifest(data_copy)
+    assert main([*argv, "--catalog", str(data_copy)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: catalog at catalog/entries/B6.json: unusable file "
+                            "(ValueError: the key 'summary' is repeated in one object)\n")
+
+
+def test_a_repeated_symmetry_exits_five_naming_the_spine(data_copy, capsys):
+    rewrite(data_copy, "spine.json", _symmetry_twice)
+    assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
+    assert capsys.readouterr().err.startswith("error: catalog at spine.json: unusable data "
+                                              "(ValueError: symmetry keep_r3_r3 repeats")
 
 
 # `catalog check` solves every track at bound 6 for its noncompact check

@@ -9,6 +9,7 @@ import copy
 import copyreg
 import operator
 import pickle
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,8 @@ from anosurf.traintrack import Branch, CarriedClasses, LawReport, SlopeLaw, Swit
 
 ALL = AdmissibleSet("AllRationals")
 STEP = TraceStep("fenley/power-bound", {"power": 2})
+# a track of one branch, a loop, which a TrackBundle's roles can name
+LOOP = TrainTrack([Branch("b", (1, 0), True)], [], track_id="T")
 
 
 def case(cls, fields, text, *, hashing, frozen, slotted, minimal=None, factories=(),
@@ -76,14 +79,17 @@ RECORDS = [
                   "euler": {"surface_cw": {"vertices": 1}, "complement_cw": {"vertices": 2}},
                   "sector_pairs": (("a", "b"),), "vacant_annulus": "A",
                   "split_curves": ("c",), "notes": {"k": "v"}}),
-    case(TrackBundle, {"track": "T", "law": SlopeLaw("ONLY_ZERO"), "designated": {},
+    case(TrackBundle, {"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {},
                        "noncompact": ()},
-         "TrackBundle(track='T', law=SlopeLaw(kind='ONLY_ZERO', surjective_height=None), "
-         "designated={}, noncompact=())",
+         "TrackBundle(track=TrainTrack(branches=mappingproxy({'b': Branch(id='b', "
+         "klass=(1, 0), loop=True)}), switches=mappingproxy({}), track_id='T'), "
+         "law=SlopeLaw(kind='ONLY_ZERO', surjective_height=None), designated={}, "
+         "noncompact=())",
          hashing="error", frozen=True, slotted=False,
-         minimal={"track": "T", "law": SlopeLaw("ONLY_ZERO"), "designated": {},
+         minimal={"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {},
                   "noncompact": ()},
-         changes={"track": "U", "law": SlopeLaw("ANY_SLOPE"), "designated": {"mu": ("b",)},
+         changes={"track": TrainTrack([Branch("b", (0, 1), True)], [], track_id="T"),
+                  "law": SlopeLaw("ANY_SLOPE"), "designated": {"mu": ("b",)},
                   "noncompact": ("b",)}),
     case(Catalog, {"entries": {}, "manifest": {}, "spine": "S", "complexes": {}, "tracks": {}},
          "Catalog(entries={}, manifest={}, spine='S', complexes={}, tracks={})",
@@ -466,6 +472,38 @@ def test_a_loaded_catalog_equals_its_copies(catalog, clone):
     assert other == catalog and not other != catalog
     assert other.spine is not catalog.spine and other.spine == catalog.spine
     assert other.tracks == catalog.tracks
+
+
+# designated roles that a bundle of the Q4 track refuses: the error and
+# the start of its message
+BAD_ROLES = {
+    "misspelled-formula-role": ({"mu_": ["u.M1"], "nu": ["u.F2"], "omega": ["u.M1"]},
+                                ValueError, "the FORMULA_THREE_PLUS law of Q4 has no role 'mu_'"),
+    "unknown-branch": ({"mu": ["u.Z9"]}, SwitchSystemError,
+                       "track 'Q4': designated role 'mu' must list branches"),
+    "bool-branch": ({"nu": [False]}, SwitchSystemError,
+                    "track 'Q4': designated role 'nu' must list branches"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROLES)
+def test_a_track_bundle_checks_its_roles_when_built_and_copied(catalog, name):
+    designated, error, message = BAD_ROLES[name]
+    q4 = catalog.tracks["Q4"]
+    with pytest.raises(error, match=re.escape(message)):
+        TrackBundle(q4.track, q4.law, designated, ())
+    # a bundle given its fields without the constructor, as a pickle
+    # written before the bundle checked its roles would give them
+    forged = object.__new__(TrackBundle)
+    vars(forged).update(track=q4.track, law=q4.law, designated=designated, noncompact=())
+    for clone in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))):
+        with pytest.raises(error, match=re.escape(message)):
+            clone(forged)
+
+
+def test_a_track_bundle_stores_its_lists_as_tuples():
+    bundle = TrackBundle(LOOP, SlopeLaw("ONLY_ZERO"), {"mu": ["b"]}, ["b"])
+    assert (bundle.designated, bundle.noncompact) == ({"mu": ("b",)}, ("b",))
 
 
 def test_a_record_of_one_field():

@@ -59,6 +59,14 @@ class TestSlopeConstruction:
         with pytest.raises(SlopeFormatError):
             Slope.of(3, False)
 
+    @pytest.mark.parametrize("build", [Slope, Slope.of], ids=["init", "of"])
+    def test_the_zero_pair_is_refused_after_the_integer_test(self, build):
+        with pytest.raises(SlopeFormatError) as info:
+            build(0, 0)
+        assert (info.value.text, info.value.reason) == ("0/0", "both coefficients vanish")
+        with pytest.raises(SlopeFormatError, match="coefficients must be integers"):
+            build(0, False)
+
     @settings(max_examples=300)
     @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
     @example(5, 0)

@@ -55,6 +55,19 @@ class TestStructure:
         with pytest.raises(ValueError, match="adjacency broken"):
             Spine(doc)
 
+    @pytest.mark.parametrize("repeat,named", [
+        (lambda syms: syms.append(copy.deepcopy(syms[-1])), "keep_r3_r3"),
+        (lambda syms: syms.append({**syms[-1], "name": "another"}), "another"),
+        (lambda syms: syms[1].update(name=syms[0]["name"]), "identity"),
+    ], ids=["same-record", "same-side-map", "same-name"])
+    def test_a_repeated_symmetry_is_refused(self, repeat, named):
+        # a group lists each element once, under one name
+        doc = copy.deepcopy(load_data_json("spine.json"))
+        repeat(doc["symmetries"])
+        with pytest.raises(ValueError,
+                           match=f"symmetry {named} repeats an earlier name or side map"):
+            Spine(doc)
+
     def test_shipped_symmetries_are_derived_from_their_side_maps(self, spine):
         for sym in spine.symmetries:
             assert spine.symmetry(sym.name, sym.side_map) == sym

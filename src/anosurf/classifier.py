@@ -152,6 +152,8 @@ class TraceStep:
     __slots__ = ("rule", "facts")
 
     def __init__(self, rule: str, facts: Optional[Dict[str, object]] = None):
+        if rule not in ANCHORS:
+            raise KeyError(f"unknown rule {rule!r}")
         _set_rule(self, rule)
         _set_facts(self, {} if facts is None else facts)
 
@@ -172,7 +174,7 @@ class ExclusionTrace:
 
     @property
     def conclusion(self) -> str:
-        conclusion = _CONCLUSIONS.get(self.steps[-1].rule)
+        conclusion = _CONCLUSIONS.get(self.steps[-1].rule) if self.steps else None
         if conclusion is None:
             raise ClassificationGapError(
                 self.entry, self.slope, "trace ends on a premise step")
@@ -196,13 +198,6 @@ _set_entry, _set_slope, _set_steps = (
     ExclusionTrace.__dict__[name].__set__ for name in ExclusionTrace.__slots__)
 
 
-def _step(rule_id: str, **facts) -> TraceStep:
-    if rule_id not in ANCHORS:
-        raise KeyError(f"unknown rule {rule_id!r}")
-    # positional: keywords cost the constructor a third again
-    return TraceStep(rule_id, facts)
-
-
 # ---------------------------------------------------------------------------
 # Exclusion chains, one per exclusion class. Each takes the entry, a
 # finite slope and the entry's complement pieces, which it only reads.
@@ -224,14 +219,13 @@ def _disk_leaf_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[
         raise ClassificationGapError(
             entry.id, slope,
             "complement unexpectedly admits a coherent interval bundle")
-    steps = [_step("complement-shape/three-types",
-                   components=[c.kind for c in comps],
-                   coherent=coherent)]
+    steps = [TraceStep("complement-shape/three-types",
+                       {"components": [c.kind for c in comps], "coherent": coherent})]
     facts: Dict[str, object] = {}
     euler = entry.euler_characteristics
     if euler is not None:
         facts["surface_euler"], facts["complement_euler"] = euler
-    steps.append(_step("disk-leaves/no-legal-shape", **facts))
+    steps.append(TraceStep("disk-leaves/no-legal-shape", facts))
     return steps
 
 
@@ -243,9 +237,8 @@ def _r7_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceSt
     if admits_coherent_ibundle(torus):
         raise ClassificationGapError(
             entry.id, slope, "three cusp piece unexpectedly coherent")
-    return [_step("complement/three-vertical-cusps",
-                  vertical_annuli=torus.vertical_annuli,
-                  coherent=False)]
+    return [TraceStep("complement/three-vertical-cusps",
+                      {"vertical_annuli": torus.vertical_annuli, "coherent": False})]
 
 
 def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
@@ -261,12 +254,11 @@ def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[Tra
         raise ClassificationGapError(
             entry.id, slope, f"expected a doubly wrapped piece, meridian hits {hits}")
     return [
-        _step("type-i/vacant-annulus",
-              vacant_sector=entry.vacant_annulus,
-              meridian_hits=hits),
-        _step("type-i/exceptional-core", exceptional=bool(torus.exceptional)),
-        _step("attractor/one-boundary-orbit", boundary_orbits=1),
-        _step("attractor/uniqueness-two-orbits", expected_boundary_orbits=2),
+        TraceStep("type-i/vacant-annulus",
+                  {"vacant_sector": entry.vacant_annulus, "meridian_hits": hits}),
+        TraceStep("type-i/exceptional-core", {"exceptional": bool(torus.exceptional)}),
+        TraceStep("attractor/one-boundary-orbit", {"boundary_orbits": 1}),
+        TraceStep("attractor/uniqueness-two-orbits", {"expected_boundary_orbits": 2}),
     ]
 
 
@@ -283,10 +275,10 @@ def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> L
         raise ClassificationGapError(
             entry.id, slope, "split piece unexpectedly coherent")
     return [
-        _step("split/two-annuli-one-torus",
-              split_curves=list(entry.split_curves),
-              vertical_annuli=torus.vertical_annuli),
-        _step("split/meridian-twice", meridian_hits=hits, coherent=False),
+        TraceStep("split/two-annuli-one-torus",
+                  {"split_curves": list(entry.split_curves),
+                   "vertical_annuli": torus.vertical_annuli}),
+        TraceStep("split/meridian-twice", {"meridian_hits": hits, "coherent": False}),
     ]
 
 
@@ -296,23 +288,22 @@ def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> 
             entry.id, slope, "basic type II entry must name a sector pair")
     power = slope.p
     steps = [
-        _step("type-ii/slope-infinity-annulus",
-              sector_pairs=[list(p) for p in entry.sector_pairs]),
-        _step("type-ii/core-power", core_power=power),
+        TraceStep("type-ii/slope-infinity-annulus",
+                  {"sector_pairs": [list(p) for p in entry.sector_pairs]}),
+        TraceStep("type-ii/core-power", {"core_power": power}),
     ]
     if power == 1:
-        steps.append(_step("core-orbit/isotopic", slope=str(slope)))
+        steps.append(TraceStep("core-orbit/isotopic", {"slope": str(slope)}))
         return steps
     if not fenley_power_admissible(power):
         # any denominator of three or more dies here, unconditionally
-        steps.append(_step("fenley/power-bound",
-                           core_power=power, admissible_powers=[1, 2]))
+        steps.append(TraceStep("fenley/power-bound",
+                               {"core_power": power, "admissible_powers": [1, 2]}))
         return steps
     # the denominator is exactly two: the power bound alone does not
     # exclude, and the chain must continue through orientability
-    steps.append(_step("fenley/power-bound",
-                       core_power=power, admissible_powers=[1, 2],
-                       within_bound=True))
+    steps.append(TraceStep("fenley/power-bound", {"core_power": power, "admissible_powers": [1, 2],
+                                                  "within_bound": True}))
     # the entry's constructor coloured its orientation graph once
     cert = entry.orientation
     if entry.orientable is not True or cert is None:
@@ -324,10 +315,9 @@ def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> 
         raise ClassificationGapError(
             entry.id, slope, "orientability certificate failed to verify")
     steps.extend([
-        _step("fenley/square-non-coorientable", core_power=power),
-        _step("non-coorientable/infinitely-many",
-              requires="transitivity of the flow"),
-        _step("carried/orientable-contradiction", certificate=dict(cert.coloring)),
+        TraceStep("fenley/square-non-coorientable", {"core_power": power}),
+        TraceStep("non-coorientable/infinitely-many", {"requires": "transitivity of the flow"}),
+        TraceStep("carried/orientable-contradiction", {"certificate": dict(cert.coloring)}),
     ])
     return steps
 
@@ -391,13 +381,13 @@ def unique_flow_argument(slope: Slope) -> List[TraceStep]:
     if slope.p != 1:
         raise ValueError("only integer fillings carry flows")
     if slope.q == 0:
-        return [_step("plante/suspension-rigidity", slope="0")]
+        return [TraceStep("plante/suspension-rigidity", {"slope": "0"})]
     return [
-        _step("type-ii/core-orbit", slope=str(slope)),
-        _step("core-orbit/da-surgery"),
-        _step("attractor/unique-model", boundary_orbits=2),
-        _step("plante/suspension-rigidity"),
-        _step("surgery/equivalence-transfer", framing=slope.q),
+        TraceStep("type-ii/core-orbit", {"slope": str(slope)}),
+        TraceStep("core-orbit/da-surgery"),
+        TraceStep("attractor/unique-model", {"boundary_orbits": 2}),
+        TraceStep("plante/suspension-rigidity"),
+        TraceStep("surgery/equivalence-transfer", {"framing": slope.q}),
     ]
 
 
@@ -407,6 +397,10 @@ def unique_flow_argument(slope: Slope) -> List[TraceStep]:
 UNIQUE_ANOSOV = "UniqueAnosov"
 SUSPENSION_ANOSOV = "SuspensionAnosov"
 NO_ANOSOV = "NoAnosov"
+
+# how much of each exclusion trace a result's JSON holds: the excluded
+# entries' ids, each trace's rules and conclusion, or every step in full
+TRACE_FORMATS = ("none", "digest", "full")
 
 
 @record(frozen=False)
@@ -423,6 +417,8 @@ class ClassificationResult:
         self.traces = [] if traces is None else traces
 
     def to_json(self, traces: str = "digest") -> dict:
+        if traces not in TRACE_FORMATS:
+            raise ValueError(f"traces must be one of {', '.join(TRACE_FORMATS)}, not {traces!r}")
         doc = {
             "slope": str(self.slope),
             "kind": self.kind,

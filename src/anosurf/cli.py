@@ -15,7 +15,7 @@ import time
 
 from ._track import MAX_LAW_BOUND
 from .catalog import check_catalog, load_catalog, slope_law_check, FAMILIES
-from .classifier import ANCHORS, classify
+from .classifier import ANCHORS, TRACE_FORMATS, classify
 from .errors import AnosurfError
 from .slopes import is_hyperbolic, parse_slope, sorted_slopes, up_to_height
 
@@ -209,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command(commands, "classify", classify_cmd)
     sub.add_argument("slope")
-    sub.add_argument("--traces", choices=["none", "digest", "full"], default="digest")
+    sub.add_argument("--traces", choices=TRACE_FORMATS, default="digest")
     sub = command(commands, "sweep", sweep_cmd)
     sub.add_argument("--max", dest="max_height", type=_bounded(MAX_SWEEP_HEIGHT), default=50)
     sub = command(commands, "track", track_cmd)

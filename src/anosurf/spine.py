@@ -18,6 +18,7 @@ map from it on load, and refuses a side map that induces none.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from . import _schema
@@ -40,6 +41,9 @@ class SpineCase(Enum):
 class Connector:
     # hexagon is "X" or "Y"
     def __init__(self, id: str, hexagon: str, positions: Tuple[int, int]):
+        # two ends in one side make no kind
+        if positions[0] == positions[1]:
+            raise ValueError(f"connector {id} has both ends on one side")
         self.__dict__.update(id=id, hexagon=hexagon, positions=positions)
 
     @property
@@ -72,17 +76,21 @@ class Spine:
     def __init__(self, doc: dict):
         _schema.validate(doc, "spine")
         hexagons = doc["hexagons"]
+        # read-only views, so that no edit can part them from the document
         self.__dict__.update(
             doc=doc,
-            hexagons={h: list(hexagons[h]["sides"]) for h in ("X", "Y")},
-            edge_of={side: edge for h in ("X", "Y") for side, edge in hexagons[h]["edges"].items()},
-            corner_vertices={h: list(doc["corner_vertices"][h]) for h in ("X", "Y")},
-            connectors={c["id"]: Connector(id=c["id"], hexagon=c["hexagon"],
-                                           positions=tuple(c["positions"]))
-                        for c in doc["connectors"]})
+            hexagons=MappingProxyType({h: tuple(hexagons[h]["sides"]) for h in ("X", "Y")}),
+            edge_of=MappingProxyType({side: edge for h in ("X", "Y")
+                                      for side, edge in hexagons[h]["edges"].items()}),
+            corner_vertices=MappingProxyType(
+                {h: tuple(doc["corner_vertices"][h]) for h in ("X", "Y")}),
+            connectors=MappingProxyType(
+                {c["id"]: Connector(id=c["id"], hexagon=c["hexagon"],
+                                    positions=tuple(c["positions"]))
+                 for c in doc["connectors"]}))
         self._validate()
-        self.__dict__["symmetries"] = [self.symmetry(s["name"], s["side_map"])
-                                       for s in doc["symmetries"]]
+        self.__dict__["symmetries"] = tuple(self.symmetry(s["name"], s["side_map"])
+                                            for s in doc["symmetries"])
         # a group lists each element once, under one name
         seen: set = set()
         for sym in self.symmetries:
@@ -109,10 +117,6 @@ class Spine:
             ids = [c["id"] for c in self.doc["connectors"]]
             twice = next(cid for cid in ids if ids.count(cid) > 1)
             raise ValueError(f"connector {twice} is listed twice")
-        for conn in self.connectors.values():
-            # two ends in one side make no kind
-            if conn.positions[0] == conn.positions[1]:
-                raise ValueError(f"connector {conn.id} has both ends on one side")
 
     def symmetry(self, name: str, side_map: Mapping[str, str]) -> Symmetry:
         """The symmetry with this side permutation, with the edge permutation

@@ -380,7 +380,7 @@ class TestChainRefusals:
 
     def test_an_unknown_rule_is_refused(self):
         with pytest.raises(KeyError, match="unknown rule 'no/such-rule'"):
-            classifier._step("no/such-rule")
+            TraceStep("no/such-rule")
 
     def test_a_coherent_disk_leaf_piece_is_a_gap(self, catalog):
         entry = replace(catalog.get("B1"), complement=(COHERENT_TORUS,),
@@ -424,7 +424,7 @@ class TestChainRefusals:
     def test_a_candidate_that_is_not_excluded_is_a_gap(self, catalog, monkeypatch):
         # no shipped chain concludes otherwise at a noninteger slope
         monkeypatch.setitem(classifier._CHAINS, "DiskLeaf", lambda entry, slope, pieces: [
-            classifier._step("core-orbit/isotopic", slope=str(slope))])
+            TraceStep("core-orbit/isotopic", {"slope": str(slope)})])
         with pytest.raises(ClassificationGapError) as info:
             classify(Slope(7, 2), catalog)
         assert info.value.detail == "candidate not excluded: chain concludes ForcesIntegerSlope"
@@ -444,3 +444,22 @@ class TestChainRefusals:
         with pytest.raises(ClassificationGapError,
                            match="basic type II entry must name a sector pair"):
             exclusion_trace(entry, Slope(7, 2))
+
+
+class TestTraceRecords:
+    """The rules the trace records keep themselves, whoever builds them."""
+
+    @pytest.mark.parametrize("read", [lambda trace: trace.conclusion,
+                                      ExclusionTrace.to_json, ExclusionTrace.digest],
+                             ids=["conclusion", "to_json", "digest"])
+    def test_an_empty_trace_concludes_nothing(self, read):
+        with pytest.raises(ClassificationGapError, match="trace ends on a premise step"):
+            read(ExclusionTrace("B0", Slope(7, 2), ()))
+
+    @pytest.mark.parametrize("slope", [Slope(7, 2), Slope(3, 1)], ids=str)
+    def test_a_result_refuses_an_unknown_trace_format(self, slope):
+        result = classify(slope)
+        with pytest.raises(ValueError, match="traces must be one of none, digest, full, "
+                                             "not 'bogus'"):
+            result.to_json(traces="bogus")
+

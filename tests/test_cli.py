@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from anosurf import cli as cli_module, errors
 from anosurf._resources import DATA_FILE_CAP
-from anosurf.classifier import ANCHORS, classify
+from anosurf.classifier import ANCHORS, TRACE_FORMATS, classify
 from anosurf.cli import MAX_SWEEP_HEIGHT, main
 from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT, TrainTrack
@@ -479,6 +479,11 @@ class TestClassifyOutput:
             expected.append(f"    {trace.entry}: {' -> '.join(s.rule for s in trace.steps)}")
             expected.extend(f"        [{s.rule}] {ANCHORS[s.rule]}" for s in trace.steps)
         assert out[4:] == expected
+
+    def test_the_trace_choices_are_the_classifiers_formats(self):
+        classify_parser = cli_module._parser()._subparsers._group_actions[0].choices["classify"]
+        traces = next(a for a in classify_parser._actions if a.dest == "traces")
+        assert traces.choices is TRACE_FORMATS
 
     def test_table_without_traces(self, capsys):
         assert main(["classify", "7/2", "--traces", "none"]) == 0

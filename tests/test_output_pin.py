@@ -6,11 +6,13 @@ The commands are `track Qn --bound b --format json` for every family at
 the bounds in TRACK_BOUNDS, `catalog check --laws --law-bound 20 --format
 json`, `sweep --max 50 --format json`, whose stdout is pinned with its
 `seconds` field dropped, since that field varies from run to run,
-`catalog show` of every shipped entry, and `catalog list` in both
-formats. The lines pin the realized slopes in their printed order, so a
-change to how slopes are collected or sorted shows here, and each entry
-as shown, key order included. A change that alters an output on purpose
-regenerates the file:
+`catalog show` of every shipped entry, `catalog list` in both formats,
+and `-h` of each of the eight parsers. The lines pin the realized slopes
+in their printed order, so a change to how slopes are collected or
+sorted shows here, each entry as shown, key order included, and every
+option, choice and default as help prints it. argparse wraps help to
+the terminal width, so every line is made with COLUMNS=80. A change that
+alters an output on purpose regenerates the file:
 
     PYTHONPATH=src python tests/test_output_pin.py > tests/golden/output_pin.sha256
 """
@@ -19,7 +21,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -36,15 +40,19 @@ COMMANDS = [
     *(["catalog", "show", entry.id] for entry in load_catalog()),
     ["catalog", "list"],
     ["catalog", "list", "--format", "json"],
+    *([*command, "-h"] for command in (
+        [], ["classify"], ["sweep"], ["track"],
+        ["catalog"], ["catalog", "list"], ["catalog", "show"], ["catalog", "check"])),
 ]
 
 
 def pin_line(argv) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         code = main(argv)
     text = out.getvalue()
-    if argv[0] == "sweep":
+    if argv[:2] == ["sweep", "--max"]:
         doc = json.loads(text)
         del doc["seconds"]
         text = json.dumps(doc, indent=2)

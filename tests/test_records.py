@@ -337,6 +337,23 @@ def test_an_edited_pickle_is_checked_by_the_constructor():
         pickle.loads(SLOPE_LAW_PICKLE.replace(b"ANY_SLOPE", b"BOGUS"))
 
 
+# TraceStep("core-orbit/da-surgery") at protocol 0, which names the constructor
+TRACE_STEP_PICKLE = b"canosurf.classifier\nTraceStep\np0\n(Vcore-orbit/da-surgery\np1\n(dp2\ntp3\nRp4\n."
+
+
+def test_an_edited_trace_step_pickle_is_checked_by_the_constructor():
+    assert pickle.dumps(TraceStep("core-orbit/da-surgery"), 0) == TRACE_STEP_PICKLE
+    with pytest.raises(KeyError, match="unknown rule 'core-orbit/no-surgery'"):
+        pickle.loads(TRACE_STEP_PICKLE.replace(b"da-surgery", b"no-surgery"))
+    # a step given a rule without the constructor is refused by its copies
+    forged = object.__new__(TraceStep)
+    for name, value in (("rule", "no/such-rule"), ("facts", {})):
+        TraceStep.__dict__[name].__set__(forged, value)
+    for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        with pytest.raises(KeyError, match="unknown rule 'no/such-rule'"):
+            clone(forged)
+
+
 def test_a_train_track_is_copied_and_pickled_through_its_constructor():
     track = TrainTrack([Branch("a", (1, 0)), Branch("b"), Branch("c", (0, 1), True)],
                        [Switch("s1", (("a", "head"),), (("b", "tail"),)),
@@ -453,8 +470,14 @@ def test_the_spine_and_a_track_are_copied_and_pickled_through_their_constructors
 def test_a_spine_pickle_of_attributes_is_refused(catalog, protocol):
     # A pickle written when the spine was a plain class: at protocol 0 these
     # are the bytes it wrote, an object built without its __init__ and then
-    # given the attributes that __init__ had read off the document.
-    state = {k: v for k, v in vars(catalog.spine).items() if k != "doc"}
+    # given the attributes that __init__ had read off the document, in the
+    # plain class's types: dicts and lists.
+    spine = catalog.spine
+    state = {"hexagons": {h: list(word) for h, word in spine.hexagons.items()},
+             "edge_of": dict(spine.edge_of),
+             "corner_vertices": {h: list(corners) for h, corners in spine.corner_vertices.items()},
+             "connectors": dict(spine.connectors),
+             "symmetries": list(spine.symmetries)}
 
     class Written:
         def __reduce__(self):

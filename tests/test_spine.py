@@ -1,6 +1,7 @@
 import ast
 import copy
 import pathlib
+from operator import delitem, setitem
 
 import pytest
 
@@ -11,7 +12,7 @@ from anosurf import spine as spine_module
 from anosurf import traintrack
 from anosurf.catalog import FAMILIES, default_catalog
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
-from anosurf.spine import SpineCase, Spine, adjacent_short_pairs, case_of
+from anosurf.spine import Connector, SpineCase, Spine, adjacent_short_pairs, case_of
 from anosurf.traintrack import dead_branches
 from conftest import ALL_POSITIVE_COMPLEX, load_data_json
 
@@ -107,6 +108,39 @@ class TestStructure:
         doc["connectors"].append({"id": "lx3", "hexagon": "X", "positions": [2, 3]})
         with pytest.raises(ValueError, match="connector lx3 is listed twice"):
             Spine(doc)
+
+
+    def test_a_connector_refuses_two_ends_on_one_side(self):
+        with pytest.raises(ValueError, match="connector x has both ends on one side"):
+            Connector("x", "X", (1, 1))
+
+
+# an edit of each read-only view of the spine, and what it raises: a
+# mapping or a tuple refuses an item edit, and a tuple has no append
+VIEW_EDITS = {
+    "set-hexagon": (lambda s: setitem(s.hexagons, "X", s.hexagons["Y"]), TypeError),
+    "delete-hexagon": (lambda s: delitem(s.hexagons, "X"), TypeError),
+    "set-side": (lambda s: setitem(s.hexagons["X"], 0, "a2"), TypeError),
+    "append-side": (lambda s: s.hexagons["X"].append("a1"), AttributeError),
+    "set-edge": (lambda s: setitem(s.edge_of, "a1", "b"), TypeError),
+    "delete-edge": (lambda s: delitem(s.edge_of, "a1"), TypeError),
+    "set-corners": (lambda s: setitem(s.corner_vertices, "X", ()), TypeError),
+    "delete-corners": (lambda s: delitem(s.corner_vertices, "X"), TypeError),
+    "set-corner": (lambda s: setitem(s.corner_vertices["X"], 0, "P2"), TypeError),
+    "set-connector": (lambda s: setitem(s.connectors, "lx3", s.connectors["s1"]), TypeError),
+    "delete-connector": (lambda s: delitem(s.connectors, "lx3"), TypeError),
+    "set-symmetry": (lambda s: setitem(s.symmetries, 0, s.symmetries[1]), TypeError),
+    "append-symmetry": (lambda s: s.symmetries.append(s.symmetries[0]), AttributeError),
+}
+
+
+@pytest.mark.parametrize("edit, error", VIEW_EDITS.values(), ids=VIEW_EDITS)
+def test_the_spine_views_are_read_only(catalog, edit, error):
+    fresh = catalog_module.load_catalog()
+    weights = fresh.spine.edge_weights(ALL_POSITIVE_COMPLEX)
+    with pytest.raises(error):
+        edit(fresh.spine)
+    assert fresh == catalog and fresh.spine.edge_weights(ALL_POSITIVE_COMPLEX) == weights
 
 
 class TestComplexes:

@@ -9,6 +9,13 @@ through the instance `__dict__` or the slot descriptors. A frozen record
 is copied and pickled through its constructor, so a copy or an unpickled
 record is checked as a new one is. A mutable record has no hash. An
 `__eq__`, `__hash__` or `__reduce__` of the class's own is kept.
+
+`frozen` is the one rule that makes a container read-only: a record that
+keeps a document or a map stores `frozen(value)`, in which every dict
+and list is a `ReadOnlyDict` or a `ReadOnlyList`. A twin equals, shows
+and serializes as its plain container and refuses every edit with
+TypeError; a copy or a pickle of it is the plain container, which the
+constructor that stores it freezes again.
 """
 
 from __future__ import annotations
@@ -56,3 +63,39 @@ def record(*, frozen: bool):
             cls.__reduce__ = lambda self: (self.__class__, values(self))
         return cls
     return build
+
+
+def refuse_edit(self, *args, **kwargs):
+    raise TypeError(f"a {self.__class__.__name__} cannot be edited; edit a copy")
+
+
+class ReadOnlyDict(dict):
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = refuse_edit
+    clear = pop = popitem = setdefault = update = refuse_edit
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class ReadOnlyList(list):
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = refuse_edit
+    append = extend = insert = pop = remove = clear = sort = reverse = refuse_edit
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def frozen(value):
+    """value with every dict and list in it, at any depth, a read-only
+    twin; a tuple stays a tuple of frozen items, and any other value, a
+    record say, is returned as it is."""
+    kind = type(value)
+    if kind is dict or kind is ReadOnlyDict:
+        return ReadOnlyDict(zip(value, map(frozen, value.values())))
+    if kind is list or kind is ReadOnlyList:
+        return ReadOnlyList(map(frozen, value))
+    if kind is tuple:
+        return tuple(map(frozen, value))
+    return value

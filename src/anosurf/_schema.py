@@ -11,10 +11,14 @@ import reprlib
 from functools import lru_cache
 from pathlib import Path
 
+from ._record import ReadOnlyDict, ReadOnlyList
+
 SCHEMA_DIR = Path(__file__).resolve().parent / "_schemas"
 _TYPES = {"string": str, "integer": int, "boolean": bool, "null": type(None), "object": dict,
           "array": list}
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# a frozen document has the shape of its plain twin
+_PLAIN = {ReadOnlyDict: dict, ReadOnlyList: list}
 _NOTES = {"$schema", "$id", "$defs", "title", "description"}
 _LEAF = {"type", "enum", "const", "minLength", "pattern", "minimum", "maximum"}
 _CONTAINER = {"type", "properties", "required", "additionalProperties", "patternProperties",
@@ -80,7 +84,7 @@ def compile_schema(root: dict) -> dict:
             low, high = node.get("minimum", -math.inf), node.get("maximum", math.inf)
 
             def check_leaf(value):
-                kind = type(value)
+                kind = _PLAIN.get(type(value), type(value))
                 if types and kind not in types or members is not None and (
                         kind not in _SCALARS or (kind is bool, value) not in members) or (
                         kind is str and (len(value) < shortest or search and not search(value))
@@ -100,7 +104,7 @@ def compile_schema(root: dict) -> dict:
         branches = [build(branch) for branch in node.get("oneOf", ())]
 
         def check(value):
-            kind = type(value)
+            kind = _PLAIN.get(type(value), type(value))
             if types and kind not in types:
                 return _Fault(node, value)
             if kind is dict:

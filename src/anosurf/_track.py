@@ -16,10 +16,9 @@ that only loads the catalog and classifies never compiles it.
 from __future__ import annotations
 
 import functools
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._record import record
+from ._record import frozen, record
 from .errors import MonogonError, SwitchSystemError
 from .slopes import INFINITY, ZERO, Slope
 
@@ -64,9 +63,9 @@ class Switch:
 @record(frozen=True)
 class TrainTrack:
     """A validated track, a frozen record whose `branches` and `switches`
-    are read-only mappings by id, so the solve plan built on the first
-    solve stays the plan of this track. Mappings do not hash, and so
-    neither does a track."""
+    are read-only maps by id, so the solve plan built on the first solve
+    stays the plan of this track. Maps do not hash, and so neither does a
+    track."""
 
     def __init__(self, branches: Sequence[Branch], switches: Sequence[Switch],
                  track_id: str = "track"):
@@ -80,8 +79,7 @@ class TrainTrack:
             if s.id in by_sid:
                 raise SwitchSystemError(track_id, f"duplicate switch id {s.id!r}")
             by_sid[s.id] = s
-        self.__dict__.update(branches=MappingProxyType(by_id),
-                             switches=MappingProxyType(by_sid), track_id=track_id)
+        self.__dict__.update(branches=frozen(by_id), switches=frozen(by_sid), track_id=track_id)
         self.validate()
 
     # -- structure ---------------------------------------------------------
@@ -185,7 +183,7 @@ class TrainTrack:
     # -- serialization -----------------------------------------------------
 
     def __reduce__(self):
-        # the fields are mappings by id, and the constructor takes the values;
+        # the fields are maps by id, and the constructor takes the values;
         # copies and pickles are built, and so checked, as a new track is
         return TrainTrack, (tuple(self.branches.values()), tuple(self.switches.values()),
                             self.track_id)

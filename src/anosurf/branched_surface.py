@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._record import record
+from ._record import frozen, record
 from .errors import ComplementShapeError
 
 # ---------------------------------------------------------------------------
@@ -54,15 +54,14 @@ def euler_characteristic(cw: dict) -> int:
 # Transverse orientability of the carried laminations.
 
 
-@record(frozen=False)
+@record(frozen=True)
 class OrientationResult:
     # coloring: one sign per sector when orientable; obstruction: edge ids
-    # of a closed walk with an odd number of flips otherwise
+    # of a closed walk with an odd number of flips otherwise; both read-only
     def __init__(self, orientable: bool, coloring: Optional[Dict[str, int]] = None,
                  obstruction: Optional[List[str]] = None):
-        self.orientable = orientable
-        self.coloring = coloring
-        self.obstruction = obstruction
+        self.__dict__.update(orientable=orientable, coloring=frozen(coloring),
+                             obstruction=frozen(obstruction))
 
 
 def is_transversely_orientable(graph: dict) -> OrientationResult:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _resources, _schema
-from ._record import record
+from ._record import frozen, record
 from ._track import _FORMULAS, SlopeLaw, TrainTrack, check_roles
 from .branched_surface import (
     ComplementComponent,
@@ -48,7 +48,7 @@ class CatalogEntry:
     and the exclusion class, stores the list records as tuples, and builds
     every slope-independent fact, so a malformed record raises here
     (ValueError, KeyError or TypeError), not in a later classification or
-    health check."""
+    health check. Its documents and maps are read-only at every depth."""
 
     def __init__(self, id: str, family: str, summary: str, admissible: AdmissibleSet,
                  exclusion_class: str, orientable: Optional[bool] = None,
@@ -68,13 +68,13 @@ class CatalogEntry:
         # complement pieces, the Euler characteristics of the surface and
         # complement CW structures, the colouring of the orientation graph
         # (None without a graph) and the ids of the sink disks.
-        self.__dict__.update(
+        self.__dict__.update(frozen(dict(
             id=id, family=family, summary=summary, admissible=admissible,
             exclusion_class=exclusion_class, orientable=orientable,
             orientation_graph=orientation_graph, disk_sectors=tuple(disk_sectors),
             complement=tuple(complement), euler=euler,
             sector_pairs=tuple(map(tuple, sector_pairs)), vacant_annulus=vacant_annulus,
-            split_curves=tuple(split_curves), notes={} if notes is None else notes)
+            split_curves=tuple(split_curves), notes={} if notes is None else notes)))
         self.__dict__.update(
             complement_pieces=tuple(ComplementComponent.from_json(doc) for doc in complement),
             euler_characteristics=None if euler is None else (
@@ -127,15 +127,18 @@ class TrackBundle:
             if stray:
                 raise ValueError(f"the {law.kind} law of {track.track_id} has no role {stray[0]!r}")
         self.__dict__.update(track=track, law=law, noncompact=tuple(noncompact),
-                             designated={k: tuple(v) for k, v in designated.items()})
+                             designated=frozen({k: tuple(v) for k, v in designated.items()}))
 
 
 @record(frozen=True)
 class Catalog:
+    """The loaded catalog. Its maps and manifest are read-only at every
+    depth, and the records they hold are frozen."""
+
     def __init__(self, entries: Dict[str, CatalogEntry], manifest: dict, spine: Spine,
                  complexes: Dict[str, Dict[str, int]], tracks: Dict[str, TrackBundle]):
-        self.__dict__.update(entries=entries, manifest=manifest, spine=spine,
-                             complexes=complexes, tracks=tracks)
+        self.__dict__.update(frozen(dict(entries=entries, manifest=manifest, spine=spine,
+                                         complexes=complexes, tracks=tracks)))
 
     def get(self, entry_id: str) -> CatalogEntry:
         try:

@@ -18,11 +18,10 @@ map from it on load, and refuses a side map that induces none.
 from __future__ import annotations
 
 from enum import Enum
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from . import _schema
-from ._record import record
+from ._record import frozen, record
 from .errors import SpineCaseError
 
 EDGES = ("a", "b", "c", "d")
@@ -64,8 +63,8 @@ class Symmetry:
 
     def __init__(self, name: str, side_map: Mapping[str, str], edge_map: Mapping[str, str],
                  vertex_map: Mapping[str, str]):
-        self.__dict__.update(name=name, side_map=side_map, edge_map=edge_map,
-                             vertex_map=vertex_map)
+        self.__dict__.update(name=name, **frozen(dict(side_map=side_map, edge_map=edge_map,
+                                                      vertex_map=vertex_map)))
 
 
 @record(frozen=True)
@@ -76,18 +75,16 @@ class Spine:
     def __init__(self, doc: dict):
         _schema.validate(doc, "spine")
         hexagons = doc["hexagons"]
-        # read-only views, so that no edit can part them from the document
-        self.__dict__.update(
+        # the document and its views, read-only, so that no edit parts them
+        self.__dict__.update(frozen(dict(
             doc=doc,
-            hexagons=MappingProxyType({h: tuple(hexagons[h]["sides"]) for h in ("X", "Y")}),
-            edge_of=MappingProxyType({side: edge for h in ("X", "Y")
-                                      for side, edge in hexagons[h]["edges"].items()}),
-            corner_vertices=MappingProxyType(
-                {h: tuple(doc["corner_vertices"][h]) for h in ("X", "Y")}),
-            connectors=MappingProxyType(
-                {c["id"]: Connector(id=c["id"], hexagon=c["hexagon"],
-                                    positions=tuple(c["positions"]))
-                 for c in doc["connectors"]}))
+            hexagons={h: tuple(hexagons[h]["sides"]) for h in ("X", "Y")},
+            edge_of={side: edge for h in ("X", "Y")
+                     for side, edge in hexagons[h]["edges"].items()},
+            corner_vertices={h: tuple(doc["corner_vertices"][h]) for h in ("X", "Y")},
+            connectors={c["id"]: Connector(id=c["id"], hexagon=c["hexagon"],
+                                           positions=tuple(c["positions"]))
+                        for c in doc["connectors"]})))
         self._validate()
         self.__dict__["symmetries"] = tuple(self.symmetry(s["name"], s["side_map"])
                                             for s in doc["symmetries"])
@@ -187,9 +184,6 @@ class Spine:
             counts[s2] += mult
         return counts
 
-    def edge_weights(self, q: Mapping[str, int]) -> Dict[str, int]:
-        return self.validate_complex(q)
-
 
 def case_of(spine: Spine, q: Mapping[str, int]) -> SpineCase:
     """Zero-pattern case of a Q-complex, up to spine symmetries.
@@ -198,7 +192,7 @@ def case_of(spine: Spine, q: Mapping[str, int]) -> SpineCase:
     every symmetry image of the weight vector. Patterns that no image
     matches raise SpineCaseError.
     """
-    w = spine.edge_weights(q)
+    w = spine.validate_complex(q)
     images = []
     for sym in spine.symmetries:
         images.append({e: w[sym.edge_map[e]] for e in EDGES})

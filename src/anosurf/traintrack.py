@@ -44,10 +44,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ._record import record
+from ._record import frozen, record
 from ._track import (  # noqa: F401  the loaded half, re-exported
     _CONSTANT_LAWS, _FORMULAS, HEIGHT_KINDS, LAW_KINDS, MAX_LAW_BOUND, MAX_SURJECTIVE_HEIGHT,
     Branch, End, SlopeLaw, Switch, TrainTrack, check_roles)
@@ -248,7 +247,7 @@ class _SolvePlan(NamedTuple):
         levels = {key: _elimination_plan(*key) for key in dict.fromkeys(systems)}
         steps = {key: _run_step(key[0], plan) for key, plan in levels.items()}
         klasses = tuple(tuple(track.branches[b].klass for b in comp) for comp in comps)
-        return cls(comps, systems, MappingProxyType(levels), MappingProxyType(steps), klasses)
+        return cls(comps, systems, frozen(levels), frozen(steps), klasses)
 
 
 def _solve(track: TrainTrack, bound: int) -> Tuple[_SolvePlan, List[List[Run]]]:

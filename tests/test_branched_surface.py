@@ -149,8 +149,9 @@ class TestOrientability:
     def test_tampered_coloring_fails_verification(self):
         g = graph("abc", [("a", "b", True), ("b", "c", True), ("c", "a", False)])
         res = is_transversely_orientable(g)
-        res.coloring["b"] = -res.coloring["b"]
-        assert not verify_orientation_certificate(g, res.orientable, res.coloring, res.obstruction)
+        coloring = dict(res.coloring)
+        coloring["b"] = -coloring["b"]
+        assert not verify_orientation_certificate(g, res.orientable, coloring, res.obstruction)
 
     def test_fake_obstruction_fails_verification(self):
         g = graph("ab", [("a", "b", True), ("a", "b", True)])

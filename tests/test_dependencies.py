@@ -44,6 +44,16 @@ def test_a_module_imports_no_dataclasses(path):
     assert "dataclasses" not in set(absolute_imports(path.read_text(encoding="utf-8")))
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_a_module_imports_no_mapping_proxy(path):
+    # anosurf._record.frozen is the one rule that makes a container read-only
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}.union(
+        *(imported_parts(node) for node in ast.walk(tree)
+          if isinstance(node, (ast.Import, ast.ImportFrom))))
+    assert "MappingProxyType" not in named
+
+
 def load_time_imports(source: str):
     """The import statements that run when a module is imported: each one
     outside a function body, those in class bodies and module-level

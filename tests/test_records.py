@@ -47,7 +47,7 @@ def case(cls, fields, text, *, hashing, frozen, slotted, minimal=None, factories
 RECORDS = [
     case(OrientationResult, {"orientable": True, "coloring": {"a": 1}, "obstruction": None},
          "OrientationResult(orientable=True, coloring={'a': 1}, obstruction=None)",
-         hashing=None, frozen=False, slotted=False,
+         hashing="error", frozen=True, slotted=False,
          changes={"orientable": False, "coloring": {"a": -1}, "obstruction": ["e1"]}),
     case(ComplementComponent,
          {"kind": "Other", "vertical_annuli": 1, "annulus_wrap": (2,), "meridian_hits": 3,
@@ -81,8 +81,8 @@ RECORDS = [
                   "split_curves": ("c",), "notes": {"k": "v"}}),
     case(TrackBundle, {"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {},
                        "noncompact": ()},
-         "TrackBundle(track=TrainTrack(branches=mappingproxy({'b': Branch(id='b', "
-         "klass=(1, 0), loop=True)}), switches=mappingproxy({}), track_id='T'), "
+         "TrackBundle(track=TrainTrack(branches={'b': Branch(id='b', "
+         "klass=(1, 0), loop=True)}, switches={}, track_id='T'), "
          "law=SlopeLaw(kind='ONLY_ZERO', surjective_height=None), designated={}, "
          "noncompact=())",
          hashing="error", frozen=True, slotted=False,

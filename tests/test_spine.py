@@ -115,8 +115,9 @@ class TestStructure:
             Connector("x", "X", (1, 1))
 
 
-# an edit of each read-only view of the spine, and what it raises: a
-# mapping or a tuple refuses an item edit, and a tuple has no append
+# an edit of each read-only view of the spine, of its document and of a
+# symmetry's maps, and what it raises: a frozen map or list or a tuple
+# refuses an item edit, and a tuple has no append
 VIEW_EDITS = {
     "set-hexagon": (lambda s: setitem(s.hexagons, "X", s.hexagons["Y"]), TypeError),
     "delete-hexagon": (lambda s: delitem(s.hexagons, "X"), TypeError),
@@ -131,16 +132,19 @@ VIEW_EDITS = {
     "delete-connector": (lambda s: delitem(s.connectors, "lx3"), TypeError),
     "set-symmetry": (lambda s: setitem(s.symmetries, 0, s.symmetries[1]), TypeError),
     "append-symmetry": (lambda s: s.symmetries.append(s.symmetries[0]), AttributeError),
+    "update-symmetry-map": (lambda s: s.symmetries[1].edge_map.update(a="b"), TypeError),
+    "clear-document-hexagons": (lambda s: s.doc["hexagons"].clear(), TypeError),
+    "append-document-connector": (lambda s: s.doc["connectors"].append({}), TypeError),
 }
 
 
 @pytest.mark.parametrize("edit, error", VIEW_EDITS.values(), ids=VIEW_EDITS)
 def test_the_spine_views_are_read_only(catalog, edit, error):
     fresh = catalog_module.load_catalog()
-    weights = fresh.spine.edge_weights(ALL_POSITIVE_COMPLEX)
+    weights = fresh.spine.validate_complex(ALL_POSITIVE_COMPLEX)
     with pytest.raises(error):
         edit(fresh.spine)
-    assert fresh == catalog and fresh.spine.edge_weights(ALL_POSITIVE_COMPLEX) == weights
+    assert fresh == catalog and fresh.spine.validate_complex(ALL_POSITIVE_COMPLEX) == weights
 
 
 class TestComplexes:
@@ -167,10 +171,9 @@ class TestComplexes:
 
     def test_edge_weights(self, catalog, spine):
         q = catalog.complexes["Q6"]
-        assert spine.edge_weights(q) == {"a": 0, "b": 2, "c": 0, "d": 2}
-        total = sum(q.values())
-        weights = spine.edge_weights(q)
-        assert 2 * total == 3 * sum(weights.values())
+        weights = spine.validate_complex(q)
+        assert weights == {"a": 0, "b": 2, "c": 0, "d": 2}
+        assert 2 * sum(q.values()) == 3 * sum(weights.values())
 
 
 class TestCaseSplit:
@@ -208,9 +211,8 @@ class TestCaseSplit:
                     s1, s2 = spine.connectors[cid].sides(spine)
                     target = frozenset((sym.side_map[s1], sym.side_map[s2]))
                     image[by_sides[target]] = mult
-                spine.validate_complex(image)
+                w = spine.validate_complex(image)
                 assert case_of(spine, image) == base_case, (family, sym.name)
-                w = spine.edge_weights(image)
                 seen_weight_zero_sets.add(
                     frozenset(e for e, v in w.items() if v == 0))
         # the orbit really visits ac-type patterns in other positions
@@ -374,14 +376,14 @@ def test_the_solver_names_are_the_solvers_objects():
         assert namespace[name] is getattr(anosurf, name), name
 
 
-def test_edge_weights_are_the_weights_validate_complex_checked(catalog, monkeypatch):
+def test_validate_complex_and_case_of_count_side_ends_once(catalog, monkeypatch):
     spine, counted = catalog.spine, []
     real = Spine.side_end_counts
     monkeypatch.setattr(Spine, "side_end_counts",
                         lambda self, q: counted.append(q) or real(self, q))
     assert len(catalog.complexes) == 11
     for family, q in catalog.complexes.items():
-        counted.clear()
-        weights = spine.edge_weights(q)
-        assert counted == [q], family
-        assert weights == spine.validate_complex(q), family
+        for weigh in (spine.validate_complex, lambda q: case_of(spine, q)):
+            counted.clear()
+            weigh(q)
+            assert counted == [q], family

@@ -14,8 +14,8 @@ record is checked as a new one is. A mutable record has no hash. An
 keeps a document or a map stores `frozen(value)`, in which every dict
 and list is a `ReadOnlyDict` or a `ReadOnlyList`. A twin equals, shows
 and serializes as its plain container and refuses every edit with
-TypeError; a copy or a pickle of it is the plain container, which the
-constructor that stores it freezes again.
+TypeError, a second `__init__` included; a copy or a pickle of it is the
+plain container, which the constructor that stores it freezes again.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def refuse_edit(self, *args, **kwargs):
 
 class ReadOnlyDict(dict):
     __slots__ = ()
-    __setitem__ = __delitem__ = __ior__ = refuse_edit
+    __init__ = __setitem__ = __delitem__ = __ior__ = refuse_edit
     clear = pop = popitem = setdefault = update = refuse_edit
 
     def __reduce__(self):
@@ -80,7 +80,7 @@ class ReadOnlyDict(dict):
 
 class ReadOnlyList(list):
     __slots__ = ()
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = refuse_edit
+    __init__ = __setitem__ = __delitem__ = __iadd__ = __imul__ = refuse_edit
     append = extend = insert = pop = remove = clear = sort = reverse = refuse_edit
 
     def __reduce__(self):
@@ -90,12 +90,17 @@ class ReadOnlyList(list):
 def frozen(value):
     """value with every dict and list in it, at any depth, a read-only
     twin; a tuple stays a tuple of frozen items, and any other value, a
-    record say, is returned as it is."""
+    record say, is returned as it is. A twin's own `__init__` refuses, as
+    every edit does, so the plain one fills it here, once."""
     kind = type(value)
     if kind is dict or kind is ReadOnlyDict:
-        return ReadOnlyDict(zip(value, map(frozen, value.values())))
+        twin = dict.__new__(ReadOnlyDict)
+        dict.__init__(twin, zip(value, map(frozen, value.values())))
+        return twin
     if kind is list or kind is ReadOnlyList:
-        return ReadOnlyList(map(frozen, value))
+        twin = list.__new__(ReadOnlyList)
+        list.__init__(twin, map(frozen, value))
+        return twin
     if kind is tuple:
         return tuple(map(frozen, value))
     return value

@@ -29,8 +29,6 @@ from .spine import Spine, adjacent_short_pairs
 
 FAMILIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10", "Q11")
 MANIFEST = "catalog/manifest.json"
-# the enumeration bound at which a track's noncompact branches are dead
-NONCOMPACT_BOUND = 6
 
 EXCLUSION_CLASSES = (
     "DiskLeaf",       # some leaf is a disk or the surface is too small
@@ -112,21 +110,20 @@ class CatalogEntry:
 
 @record(frozen=True)
 class TrackBundle:
-    """A family's boundary track with its slope law and annotations;
-    noncompact lists the branches dead in every solution. The constructor
-    checks that each designated role lists branches of the track and that
-    a formula law designates only its formula's roles (one it does not
-    read, a misspelled mu say, would leave mu summing to 0), and stores
-    the lists as tuples."""
+    """A family's boundary track with its slope law and designated roles.
+    The constructor checks that each designated role lists branches of
+    the track and that a formula law designates only its formula's roles
+    (one it does not read, a misspelled mu say, would leave mu summing to
+    0), and stores the lists as tuples."""
 
     def __init__(self, track: TrainTrack, law: SlopeLaw,
-                 designated: Mapping[str, Sequence[str]], noncompact: Sequence[str]):
+                 designated: Mapping[str, Sequence[str]]):
         check_roles(track, designated)
         if law.kind in _FORMULAS:
             stray = sorted(set(designated) - set(_FORMULAS[law.kind][1]))
             if stray:
                 raise ValueError(f"the {law.kind} law of {track.track_id} has no role {stray[0]!r}")
-        self.__dict__.update(track=track, law=law, noncompact=tuple(noncompact),
+        self.__dict__.update(track=track, law=law,
                              designated=frozen({k: tuple(v) for k, v in designated.items()}))
 
 
@@ -194,7 +191,7 @@ def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
     checked here and not kept."""
     _schema.validate(doc, "track")
     bundle = TrackBundle(TrainTrack.from_json(doc["track"], track_id=doc["id"]),
-                         SlopeLaw(**doc["law"]), doc["designated"], doc["noncompact"])
+                         SlopeLaw(**doc["law"]), doc["designated"])
     if doc["id"] != family:
         raise ValueError(f"the track of {family} has id {doc['id']!r}")
     projection = doc["projection"]
@@ -340,20 +337,18 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
 
     Verifies sink disk emptiness, orientation certificates, Euler
     characteristic records, the per family counts against the manifest,
-    that no complex has adjacent short connectors, and that each track's
-    noncompact branches are the ones dead in every solution at bound
-    NONCOMPACT_BOUND. A track whose classes would span more than
-    CLASS_SPAN_CAP bits, or one of whose components would have more than
-    COMPONENT_SOLUTION_CAP solutions, at MAX_LAW_BOUND, so that a law
-    check at some bound the CLI accepts would refuse it, raises
-    SwitchSystemError as that law check does; so does a track too large
-    to solve at all. Each entry with no problem so far then runs its
-    exclusion chain once at 1/2: a chain reads the slope only through its
-    denominator, and denominator two checks the most premises, so a gap
-    that classify would meet at some slope is reported here. A mismatch
-    between the shipped entry count and the total stated by the
-    underlying tabulation is reported as a warning, not a failure; the
-    discrepancy is known and documented.
+    and that no complex has adjacent short connectors. A track whose
+    classes would span more than CLASS_SPAN_CAP bits, or one of whose
+    components would have more than COMPONENT_SOLUTION_CAP solutions, at
+    MAX_LAW_BOUND, so that a law check at some bound the CLI accepts
+    would refuse it, raises SwitchSystemError as that law check does; so
+    does a track too large to solve at all. Each entry with no problem so
+    far then runs its exclusion chain once at 1/2: a chain reads the
+    slope only through its denominator, and denominator two checks the
+    most premises, so a gap that classify would meet at some slope is
+    reported here. A mismatch between the shipped entry count and the
+    total stated by the underlying tabulation is reported as a warning,
+    not a failure; the discrepancy is known and documented.
     """
     from . import traintrack
     from .classifier import _trace  # here, since classifier imports this module
@@ -408,12 +403,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         pairs = adjacent_short_pairs(catalog.spine, catalog.complexes[family])
         if pairs:
             problems.append(f"{family}: adjacent short connectors {pairs}")
-        bundle = catalog.tracks[family]
-        dead = sorted(traintrack.dead_branches(bundle.track, NONCOMPACT_BOUND))
-        if sorted(bundle.noncompact) != dead:
-            problems.append(f"{family}: noncompact {list(bundle.noncompact)} "
-                            f"is not the dead branches {dead}")
-        traintrack.check_law_bounds(bundle.track)
+        traintrack.check_law_bounds(catalog.tracks[family].track)
 
     return CatalogReport(
         entry_count=len(catalog),

@@ -1,10 +1,13 @@
-"""How tools/build_data.py states each track: shapes with their arc pairs
-and dead arcs, and _bundle, which lifts the pairs to connector copies."""
+"""How tools/build_data.py states each track: shapes with their arc pairs,
+whose dead arcs follow from their switches, and _bundle, which lifts the
+pairs to connector copies."""
 
 import importlib.util
 import pathlib
 
 import pytest
+
+from anosurf.traintrack import TrainTrack, dead_branches
 
 BUILDER = pathlib.Path(__file__).resolve().parent.parent / "tools" / "build_data.py"
 
@@ -24,10 +27,17 @@ def _shapes(builder):
 
 
 def test_each_shapes_pairs_partition_its_branches(builder):
-    for name, (branches, _, pairs, dead) in _shapes(builder).items():
+    for name, (branches, _, pairs) in _shapes(builder).items():
         arcs = [arc for pair in pairs for arc in pair]
         assert sorted(arcs) == sorted(b["id"] for b in branches), name
-        assert set(dead) <= set(arcs), name
+
+
+def test_each_shape_has_the_dead_arcs_its_docstring_names(builder):
+    dead = {name: dead_branches(TrainTrack.from_json(
+        {"branches": branches, "switches": switches}), 3)
+        for name, (branches, switches, _) in _shapes(builder).items()}
+    assert dead == {"q1": {"u.X1", "u.X2"}, "shear": set(), "dip": set(), "gh": set(),
+                    "circle2": set(), "tri": set()}
 
 
 def test_copies_are_numbered_per_connector_in_lift_order(builder):
@@ -41,8 +51,8 @@ def test_copies_are_numbered_per_connector_in_lift_order(builder):
         ("md1", 1, ["u.X1", "u.X2"]), ("md1", 2, ["e.C1", "e.C2"]),
         ("s2", 2, ["w.A1", "w.B1"]), ("md1", 3, ["w.A2", "w.B2"]),
         ("s3", 2, ["w.X1", "w.X2"])]
-    # the shapes' dead arcs, in component order
-    assert bundle["noncompact"] == ["u.X1", "u.X2", "w.X1", "w.X2"]
+    # the keys the track schema requires, and no list of dead arcs
+    assert sorted(bundle) == ["designated", "id", "law", "projection", "track"]
 
 
 @pytest.mark.parametrize("connectors", [["s1", "s4"], ["s1", "s4", "ly3", "s1"]],

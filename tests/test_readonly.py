@@ -156,3 +156,33 @@ def test_a_twin_refuses_each_edit():
     # what builds a new container leaves the twin as it is
     assert twin_dict | {"b": 2} == {"a": 1, "b": 2} and twin_list + [3] == [2, 1, 3]
     assert type(twin_dict.copy()) is dict and type(twin_list[:1]) is list
+
+
+
+# a second __init__ of a twin, which refilled it: the twin and the call
+REINITS = {
+    "dict": (lambda: frozen({"a": 1}), lambda twin: twin.__init__(b=2)),
+    "dict-empty": (lambda: frozen({}), lambda twin: twin.__init__(x=1)),
+    "dict-no-arguments": (lambda: frozen({"a": 1}), lambda twin: twin.__init__()),
+    "list": (lambda: frozen([1, 2]), lambda twin: twin.__init__([])),
+    "list-empty": (lambda: frozen([]), lambda twin: twin.__init__([3])),
+    "catalog-manifest": (lambda: load_catalog().manifest["files"],
+                         lambda twin: twin.__init__(x=1)),
+    "catalog-disk-boundary": (lambda: load_catalog().get("B2").disk_sectors[0]["boundary"],
+                              lambda twin: twin.__init__([])),
+}
+
+
+@pytest.mark.parametrize("name", REINITS)
+def test_a_twin_refuses_a_second_init(name):
+    make, reinit = REINITS[name]
+    twin = make()
+    plain = copy.deepcopy(twin)
+    assert type(twin) is {dict: ReadOnlyDict, list: ReadOnlyList}[type(plain)]
+    with pytest.raises(TypeError, match="cannot be edited; edit a copy"):
+        reinit(twin)
+    assert twin == plain
+    # its copies are plain containers, which a second __init__ refills
+    for clone in (copy.copy(twin), copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
+        assert type(clone) is type(plain) and clone == plain
+        reinit(clone)

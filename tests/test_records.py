@@ -79,18 +79,14 @@ RECORDS = [
                   "euler": {"surface_cw": {"vertices": 1}, "complement_cw": {"vertices": 2}},
                   "sector_pairs": (("a", "b"),), "vacant_annulus": "A",
                   "split_curves": ("c",), "notes": {"k": "v"}}),
-    case(TrackBundle, {"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {},
-                       "noncompact": ()},
+    case(TrackBundle, {"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {}},
          "TrackBundle(track=TrainTrack(branches={'b': Branch(id='b', "
          "klass=(1, 0), loop=True)}, switches={}, track_id='T'), "
-         "law=SlopeLaw(kind='ONLY_ZERO', surjective_height=None), designated={}, "
-         "noncompact=())",
+         "law=SlopeLaw(kind='ONLY_ZERO', surjective_height=None), designated={})",
          hashing="error", frozen=True, slotted=False,
-         minimal={"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {},
-                  "noncompact": ()},
+         minimal={"track": LOOP, "law": SlopeLaw("ONLY_ZERO"), "designated": {}},
          changes={"track": TrainTrack([Branch("b", (0, 1), True)], [], track_id="T"),
-                  "law": SlopeLaw("ANY_SLOPE"), "designated": {"mu": ("b",)},
-                  "noncompact": ("b",)}),
+                  "law": SlopeLaw("ANY_SLOPE"), "designated": {"mu": ("b",)}}),
     case(Catalog, {"entries": {}, "manifest": {}, "spine": "S", "complexes": {}, "tracks": {}},
          "Catalog(entries={}, manifest={}, spine='S', complexes={}, tracks={})",
          hashing="error", frozen=True, slotted=False,
@@ -514,19 +510,19 @@ def test_a_track_bundle_checks_its_roles_when_built_and_copied(catalog, name):
     designated, error, message = BAD_ROLES[name]
     q4 = catalog.tracks["Q4"]
     with pytest.raises(error, match=re.escape(message)):
-        TrackBundle(q4.track, q4.law, designated, ())
+        TrackBundle(q4.track, q4.law, designated)
     # a bundle given its fields without the constructor, as a pickle
     # written before the bundle checked its roles would give them
     forged = object.__new__(TrackBundle)
-    vars(forged).update(track=q4.track, law=q4.law, designated=designated, noncompact=())
+    vars(forged).update(track=q4.track, law=q4.law, designated=designated)
     for clone in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))):
         with pytest.raises(error, match=re.escape(message)):
             clone(forged)
 
 
 def test_a_track_bundle_stores_its_lists_as_tuples():
-    bundle = TrackBundle(LOOP, SlopeLaw("ONLY_ZERO"), {"mu": ["b"]}, ["b"])
-    assert (bundle.designated, bundle.noncompact) == ({"mu": ("b",)}, ("b",))
+    bundle = TrackBundle(LOOP, SlopeLaw("ONLY_ZERO"), {"mu": ["b"]})
+    assert bundle.designated == {"mu": ("b",)}
 
 
 def test_a_record_of_one_field():

@@ -13,8 +13,9 @@ from anosurf import traintrack
 from anosurf.catalog import FAMILIES, default_catalog
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
 from anosurf.spine import Connector, SpineCase, Spine, adjacent_short_pairs, case_of
-from anosurf.traintrack import dead_branches
+from anosurf.traintrack import MAX_LAW_BOUND, dead_branches
 from conftest import ALL_POSITIVE_COMPLEX, load_data_json
+from oracles import oracle_dead_branches
 
 EXPECTED_CASES = {
     "Q1": SpineCase.CD_ZERO, "Q2": SpineCase.CD_ZERO, "Q3": SpineCase.CD_ZERO,
@@ -290,9 +291,17 @@ class TestDoubleCovers:
                     copies.get(rec["connector"], 0), rec["copy"])
             assert copies == dict(q)
 
-    def test_noncompact_annotation_is_exact(self, catalog):
+    def test_dead_branches_are_the_same_at_every_law_bound(self, catalog):
+        # the track files do not list the dead branches: they follow from
+        # the switch system, and the same ones at every bound the CLI
+        # accepts, as the independent oracle finds on the raw file
         for family, bundle in catalog.tracks.items():
-            assert set(bundle.noncompact) == dead_branches(bundle.track, 5), family
+            dead = dead_branches(bundle.track, 1)
+            for bound in range(2, MAX_LAW_BOUND + 1):
+                assert dead_branches(bundle.track, bound) == dead, (family, bound)
+            doc = load_data_json(f"tracks/{family}.json")["track"]
+            for bound in (1, 2, 3):
+                assert oracle_dead_branches(doc, bound) == dead, (family, bound)
 
     def test_unknown_complex_rejected(self, catalog):
         with pytest.raises(UnsupportedComplexError):

@@ -164,9 +164,10 @@ EXPECTED_CASES = {
 # ---------------------------------------------------------------------------
 # Track shapes. Branch ids are "<component>.<arc>"; each component is a
 # lift of part of the complex to the orientation double cover. A shape
-# returns its branches, its switches, its arc pairs (the two branches one
-# connector copy lifts to, in the order the connectors are listed) and
-# its dead arcs (those every carried measure leaves at weight zero).
+# returns its branches, its switches and its arc pairs (the two branches
+# one connector copy lifts to, in the order the connectors are listed).
+# Its docstring names its dead arcs, those every carried measure leaves
+# at weight zero; the package derives them with dead_branches.
 
 
 def _br(bid, klass=(0, 0)):
@@ -193,12 +194,12 @@ def q1_shape(prefix, klass):
         _sw(f"{prefix}.swB1", [(b2, "tail")], [(b1, "head"), (x1, "head")]),
         _sw(f"{prefix}.swB2", [(b1, "tail")], [(b2, "head"), (x2, "head")]),
     ]
-    return branches, switches, [(a1, b1), (a2, b2), (x1, x2)], [x1, x2]
+    return branches, switches, [(a1, b1), (a2, b2), (x1, x2)]
 
 
 def shear_shape(prefix, sign):
     """Two circles joined by two live arcs carrying a shear weight s:
-    a1 = a2 + s and b1 = b2 + s, class (a2, sign * s)."""
+    a1 = a2 + s and b1 = b2 + s, class (a2, sign * s). No arc is dead."""
     a1, a2, b1, b2, x1, x2 = (f"{prefix}.{n}"
                               for n in ("A1", "A2", "B1", "B2", "X1", "X2"))
     branches = [_br(a1), _br(a2, (1, 0)), _br(b1), _br(b2),
@@ -209,12 +210,12 @@ def shear_shape(prefix, sign):
         _sw(f"{prefix}.sw3", [(b1, "head")], [(b2, "tail"), (x2, "tail")]),
         _sw(f"{prefix}.sw4", [(b1, "tail")], [(b2, "head"), (x1, "head")]),
     ]
-    return branches, switches, [(a1, a2), (b1, b2), (x1, x2)], []
+    return branches, switches, [(a1, a2), (b1, b2), (x1, x2)]
 
 
 def dip_shape(prefix):
     """A (1,4) circle M that splits twice into parallel strands F or G;
-    m = f1 + g1 = f2 + g2, class (m, 4m + f1 + f2)."""
+    m = f1 + g1 = f2 + g2, class (m, 4m + f1 + f2). No arc is dead."""
     m1, m2, f1, g1, f2, g2 = (f"{prefix}.{n}"
                               for n in ("M1", "M2", "F1", "G1", "F2", "G2"))
     branches = [_br(m1, (1, 4)), _br(m2), _br(f1, (0, 1)), _br(g1),
@@ -225,12 +226,13 @@ def dip_shape(prefix):
         _sw(f"{prefix}.sw3", [(m2, "head")], [(f2, "tail"), (g2, "tail")]),
         _sw(f"{prefix}.sw4", [(m1, "tail")], [(f2, "head"), (g2, "head")]),
     ]
-    return branches, switches, [(m1, m2), (f1, g1), (f2, g2)], []
+    return branches, switches, [(m1, m2), (f1, g1), (f2, g2)]
 
 
 def gh_shape(prefix):
     """A (1,1) arc GA and a junk strand JS feeding a chain of four
-    (0,1)-headed arcs GB1..GB4; gb = ga + js, class (ga, ga + gb)."""
+    (0,1)-headed arcs GB1..GB4; gb = ga + js, class (ga, ga + gb). No
+    arc is dead."""
     ga, js, gb1, gb2, gb3, gb4 = (f"{prefix}.{n}"
                                   for n in ("GA", "JS", "GB1", "GB2", "GB3", "GB4"))
     branches = [_br(ga, (1, 1)), _br(js), _br(gb1, (0, 1)),
@@ -242,23 +244,23 @@ def gh_shape(prefix):
         _sw(f"{prefix}.j2", [(gb2, "head")], [(gb3, "tail")]),
         _sw(f"{prefix}.j3", [(gb3, "head")], [(gb4, "tail")]),
     ]
-    return branches, switches, [(ga, js), (gb1, gb2), (gb3, gb4)], []
+    return branches, switches, [(ga, js), (gb1, gb2), (gb3, gb4)]
 
 
 def circle2(prefix, klass):
-    """A circle made of two arcs with equal weight."""
+    """A circle made of two arcs with equal weight; neither is dead."""
     c1, c2 = f"{prefix}.C1", f"{prefix}.C2"
     branches = [_br(c1, klass), _br(c2)]
     switches = [
         _sw(f"{prefix}.j1", [(c1, "head")], [(c2, "tail")]),
         _sw(f"{prefix}.j2", [(c2, "head")], [(c1, "tail")]),
     ]
-    return branches, switches, [(c1, c2)], []
+    return branches, switches, [(c1, c2)]
 
 
 def tri_shape(prefix):
     """A (1,4) circle P1-P3 with a parallel pair P2, RR between the
-    same two switches; p1 = p3 = p2 + rr."""
+    same two switches; p1 = p3 = p2 + rr. No arc is dead."""
     p1, p2, p3, rr = (f"{prefix}.{n}" for n in ("P1", "P2", "P3", "RR"))
     branches = [_br(p1, (1, 4)), _br(p2), _br(p3), _br(rr)]
     switches = [
@@ -266,19 +268,18 @@ def tri_shape(prefix):
         _sw(f"{prefix}.sw2", [(p3, "tail")], [(p2, "head"), (rr, "head")]),
         _sw(f"{prefix}.j", [(p3, "head")], [(p1, "tail")]),
     ]
-    return branches, switches, [(p1, p3), (p2, rr)], []
+    return branches, switches, [(p1, p3), (p2, rr)]
 
 
 def _bundle(family, lifts, law, designated):
     """One track bundle from its components, each a shape and the
     connectors its arc pairs lift, in pair order. The k-th lift of a
     connector in the bundle is its copy k."""
-    branches, switches, noncompact, projection = [], [], [], []
+    branches, switches, projection = [], [], []
     copies = Counter()
-    for (bs, ss, pairs, dead), connectors in lifts:
+    for (bs, ss, pairs), connectors in lifts:
         branches.extend(bs)
         switches.extend(ss)
-        noncompact.extend(dead)
         for connector, arcs in zip(connectors, pairs, strict=True):
             copies[connector] += 1
             projection.append(
@@ -288,7 +289,6 @@ def _bundle(family, lifts, law, designated):
         "track": {"branches": branches, "switches": switches},
         "law": law,
         "designated": designated,
-        "noncompact": noncompact,
         "projection": projection,
     }
 

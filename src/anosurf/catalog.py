@@ -49,8 +49,8 @@ class CatalogEntry:
     health check. Its documents and maps are read-only at every depth."""
 
     def __init__(self, id: str, family: str, summary: str, admissible: AdmissibleSet,
-                 exclusion_class: str, orientable: Optional[bool] = None,
-                 orientation_graph: Optional[dict] = None, disk_sectors: Tuple[dict, ...] = (),
+                 exclusion_class: str, orientation_graph: Optional[dict] = None,
+                 disk_sectors: Tuple[dict, ...] = (),
                  complement: Tuple[dict, ...] = (), euler: Optional[dict] = None,
                  sector_pairs: Tuple[Tuple[str, str], ...] = (),
                  vacant_annulus: Optional[str] = None, split_curves: Tuple[str, ...] = (),
@@ -68,8 +68,8 @@ class CatalogEntry:
         # (None without a graph) and the ids of the sink disks.
         self.__dict__.update(frozen(dict(
             id=id, family=family, summary=summary, admissible=admissible,
-            exclusion_class=exclusion_class, orientable=orientable,
-            orientation_graph=orientation_graph, disk_sectors=tuple(disk_sectors),
+            exclusion_class=exclusion_class, orientation_graph=orientation_graph,
+            disk_sectors=tuple(disk_sectors),
             complement=tuple(complement), euler=euler,
             sector_pairs=tuple(map(tuple, sector_pairs)), vacant_annulus=vacant_annulus,
             split_curves=tuple(split_curves), notes={} if notes is None else notes)))
@@ -89,11 +89,11 @@ class CatalogEntry:
                                "admissible": _admissible(doc["admissible"])})
 
     def to_json(self) -> dict:
-        """The document that `anosurf catalog show` prints, which from_json
-        reads back to an equal entry: the fields in order, tuples as
-        lists, orientable always (null when absent) and every later
-        optional field only when it is not empty. The document is new on
-        every call, so editing it leaves the entry as it was."""
+        """The entry file's own document, which `anosurf catalog show`
+        prints and from_json reads back to an equal entry: the fields in
+        order, tuples as lists, and each optional field only when it is
+        not empty. The document is new on every call, so editing it
+        leaves the entry as it was."""
         from copy import deepcopy  # here, since a classification never needs it
 
         optional = {"orientation_graph": self.orientation_graph, "euler": self.euler,
@@ -103,8 +103,7 @@ class CatalogEntry:
         return deepcopy({
             "id": self.id, "family": self.family, "summary": self.summary,
             "admissible": self.admissible.to_json(), "exclusion_class": self.exclusion_class,
-            "orientable": self.orientable, "disk_sectors": list(self.disk_sectors),
-            "complement": list(self.complement),
+            "disk_sectors": list(self.disk_sectors), "complement": list(self.complement),
             **{key: value for key, value in optional.items() if value}})
 
 
@@ -216,8 +215,7 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     before it is built from; `verify=False` skips only that checksum. The
     manifest must list exactly the files the catalog is built from: under
     either `verify`, an unlisted file, a listed path that nothing is built
-    from, an entry count other than the manifest's or a malformed
-    manifest raises.
+    from or a malformed manifest raises.
     Each file must have the shape of its schema, and each track's
     projection must lift its family's complex; the facts that need an
     enumeration are left to check_catalog.
@@ -247,9 +245,6 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry
-    if len(entries) != manifest["entry_count"]:
-        raise CatalogIntegrityError(
-            MANIFEST, f"{len(entries)} entries but the manifest promises {manifest['entry_count']}")
     spine = build("spine.json", Spine)
     complexes = build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine))
     tracks = {family: build(f"tracks/{family}.json",
@@ -335,32 +330,26 @@ class CatalogReport:
 def check_catalog(catalog: Catalog) -> CatalogReport:
     """Structural health check of every entry, complex and track.
 
-    Verifies sink disk emptiness, orientation certificates, Euler
-    characteristic records, the per family counts against the manifest,
-    and that no complex has adjacent short connectors. A track whose
-    classes would span more than CLASS_SPAN_CAP bits, or one of whose
-    components would have more than COMPONENT_SOLUTION_CAP solutions, at
-    MAX_LAW_BOUND, so that a law check at some bound the CLI accepts
-    would refuse it, raises SwitchSystemError as that law check does; so
-    does a track too large to solve at all. Each entry with no problem so
-    far then runs its exclusion chain once at 1/2: a chain reads the
-    slope only through its denominator, and denominator two checks the
-    most premises, so a gap that classify would meet at some slope is
-    reported here. A mismatch between the shipped entry count and the
-    total stated by the underlying tabulation is reported as a warning,
-    not a failure; the discrepancy is known and documented.
+    Verifies sink disk emptiness, Euler characteristic records and that
+    no complex has adjacent short connectors. A track whose classes would
+    span more than CLASS_SPAN_CAP bits, or one of whose components would
+    have more than COMPONENT_SOLUTION_CAP solutions, at MAX_LAW_BOUND, so
+    that a law check at some bound the CLI accepts would refuse it, raises
+    SwitchSystemError as that law check does; so does a track too large
+    to solve at all. Each entry with no problem so far then runs its
+    exclusion chain once at 1/2: a chain reads the slope only through its
+    denominator, and denominator two checks the most premises, the
+    orientation certificate of a BasicTypeII entry among them, so a gap
+    that classify would meet at some slope is reported here. A mismatch
+    between the shipped entry count and the total stated by the
+    underlying tabulation is reported as a warning, not a failure; the
+    discrepancy is known and documented.
     """
     from . import traintrack
     from .classifier import _trace  # here, since classifier imports this module
 
     warnings: List[str] = []
     problems: List[str] = []
-
-    counts = catalog.family_counts()
-    manifest_counts = catalog.manifest["families"]
-    if manifest_counts != counts:
-        problems.append(
-            f"family counts {counts} disagree with the manifest {manifest_counts}")
 
     stated = catalog.manifest.get("stated_total_in_source")
     if stated is not None and stated != len(catalog):
@@ -374,15 +363,6 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         # no entry may contain a sink disk
         if entry.sink_disks:
             problems.append(f"{entry.id}: sink disks {list(entry.sink_disks)}")
-
-        # orientability flags must be certified
-        if entry.orientable is not None:
-            if entry.orientation is None:
-                problems.append(f"{entry.id}: orientable flag without a sector graph")
-            elif entry.orientation.orientable != entry.orientable:
-                problems.append(
-                    f"{entry.id}: sector graph says orientable={entry.orientation.orientable}, "
-                    f"entry says {entry.orientable}")
 
         # stored CW structures must be consistent and agree
         if entry.euler_characteristics is not None:
@@ -407,7 +387,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
 
     return CatalogReport(
         entry_count=len(catalog),
-        family_counts=counts,
+        family_counts=catalog.family_counts(),
         stated_total=stated,
         warnings=warnings,
         problems=problems,

@@ -306,7 +306,7 @@ def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> 
                                                   "within_bound": True}))
     # the entry's constructor coloured its orientation graph once
     cert = entry.orientation
-    if entry.orientable is not True or cert is None:
+    if cert is None:
         raise ClassificationGapError(
             entry.id, slope,
             "denominator two needs a transverse orientability certificate "

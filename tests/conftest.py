@@ -73,7 +73,6 @@ BAD_ENTRY_RECORDS = {
     "id-empty": ("B1", record_edit("id", value="")),
     # records of the wrong JSON type; each used to load
     "summary-int": ("B1", record_edit("summary", value=7)),
-    "orientable-number": ("B6", record_edit("orientable", value=1)),
     "vacant-annulus-object": ("B7_I_g", record_edit("vacant_annulus", value={"x": 1})),
     "notes-number": ("B6", record_edit("notes", "geometry", value=7)),
     "split-curves-text": ("B7_II_fg", record_edit("split_curves", value="fg")),
@@ -85,6 +84,8 @@ BAD_ENTRY_RECORDS = {
     "flip-number": ("B3", record_edit("orientation_graph", "edges", 0, "flip", value=1)),
     # a complement record that nothing reads, once shipped as null
     "core-power-null": ("B6", record_edit("complement", 0, "core_power", value=None)),
+    # a copy of what the orientation graph certifies, once shipped
+    "orientable-present": ("B6", record_edit("orientable", value=True)),
 }
 
 
@@ -134,8 +135,10 @@ BAD_MANIFESTS = {
     "entry-files-string": lambda doc: {**doc, "entry_files": doc["entry_files"][0]},
     "entry-files-empty": lambda doc: {**doc, "entry_files": []},
     "entry-file-number": lambda doc: {**doc, "entry_files": [*doc["entry_files"], 7]},
-    "families-list": lambda doc: {**doc, "families": []},
-    "families-empty": lambda doc: {**doc, "families": {}},
+    # copies of what the entries give, once shipped; right or wrong, each is
+    # an unknown key
+    "entry-count-present": lambda doc: {**doc, "entry_count": len(doc["entry_files"])},
+    "families-present": lambda doc: {**doc, "families": {"Q1": 1}},
 }
 
 

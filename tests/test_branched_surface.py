@@ -63,6 +63,13 @@ class TestEuler:
         with pytest.raises(ValueError):
             euler_characteristic(cw)
 
+    def test_an_edge_may_end_at_the_last_vertex_and_no_further(self):
+        cw = {"vertices": 2, "edges": [{"id": "e", "ends": [1, 1]}], "faces": []}
+        assert euler_characteristic(cw) == 1
+        cw["edges"][0]["ends"] = [0, 2]
+        with pytest.raises(ValueError, match="bad endpoints"):
+            euler_characteristic(cw)
+
     def test_a_bool_vertex_count_is_refused(self):
         with pytest.raises(ValueError, match="positive vertex count"):
             euler_characteristic({"vertices": True, "edges": [], "faces": []})

@@ -150,7 +150,7 @@ class TestLoading:
     def test_an_entry_is_its_file_and_reads_back(self, catalog, entry_id):
         entry = catalog.get(entry_id)
         stored = json.loads((DATA_DIR / "catalog" / "entries" / f"{entry_id}.json").read_text())
-        assert entry.to_json() == {"orientable": None, **stored}
+        assert entry.to_json() == stored
         assert CatalogEntry.from_json(entry.to_json()) == entry
 
     def test_an_entry_document_shares_nothing_with_its_entry(self, catalog):
@@ -210,25 +210,6 @@ class TestLoading:
         # without verification the tampered copy still parses
         cat = load_catalog(path=str(data_copy), verify=False)
         assert len(cat) == 38
-
-    def test_wrong_entry_count_detected(self, data_copy):
-        manifest_path = data_copy / "catalog" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["entry_count"] = 40
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CatalogIntegrityError):
-            load_catalog(path=str(data_copy))
-
-    def test_a_wrong_entry_count_is_refused_unverified(self, data_copy):
-        # verify=False skips the checksums, and no other check of the manifest
-        manifest_path = data_copy / "catalog" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["entry_count"] = 40
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CatalogIntegrityError) as info:
-            load_catalog(path=str(data_copy), verify=False)
-        assert (info.value.path, info.value.detail) == (
-            "catalog/manifest.json", "38 entries but the manifest promises 40")
 
     @pytest.mark.parametrize("verify", [True, False])
     @pytest.mark.parametrize("relpath,text,key", [
@@ -293,6 +274,18 @@ class TestLoading:
             "spare.json", "the manifest lists this file, but nothing is built from it")
         expected = set(manifest["files"]) - {"spare.json", "tracks/Q12.json"}
         assert reads == dict.fromkeys(expected | {"catalog/manifest.json"}, 1)
+
+    def test_a_file_of_exactly_the_cap_is_read_and_one_byte_more_is_not(self, tmp_path):
+        # sparse files, whose bytes are a hole that takes no disk space
+        path = tmp_path / "data.json"
+        path.touch()
+        os.truncate(path, _resources.DATA_FILE_CAP)
+        assert _resources._read_bounded(path, "data.json") == bytes(_resources.DATA_FILE_CAP)
+        os.truncate(path, _resources.DATA_FILE_CAP + 1)
+        with pytest.raises(CatalogIntegrityError) as info:
+            _resources._read_bounded(path, "data.json")
+        assert (info.value.path, info.value.detail) == (
+            "data.json", f"unusable file (over {_resources.DATA_FILE_CAP} bytes)")
 
     def test_a_file_that_grows_past_the_cap_after_its_size_check_is_refused(
             self, data_copy, monkeypatch):
@@ -489,26 +482,14 @@ class TestHealthCheck:
         monkeypatch.setattr(catalog_module, "detect_sink_disks", recompute)
         assert check_catalog(catalog).problems == []
 
-    def test_orientable_flag_must_match_graph(self, catalog):
-        bad = replace(catalog.get("B6"), orientable=False)
+    def test_a_missing_certificate_is_a_problem(self, catalog):
+        # B6's chain meets it at denominator two
         entries = dict(catalog.entries)
-        entries["B6"] = bad
+        entries["B6"] = replace(catalog.get("B6"), orientation_graph=None)
         report = check_catalog(replace(catalog, entries=entries))
-        assert any("B6" in p and "orientable" in p for p in report.problems)
-        assert not report.ok
-
-    def test_uncertified_flag_is_a_problem(self, catalog):
-        bad = replace(catalog.get("B6"), orientation_graph=None)
-        entries = dict(catalog.entries)
-        entries["B6"] = bad
-        report = check_catalog(replace(catalog, entries=entries))
-        assert any("B6" in p and "sector graph" in p for p in report.problems)
-
-    def test_family_count_drift_is_a_problem(self, catalog):
-        entries = dict(catalog.entries)
-        del entries["B7_star"]
-        report = check_catalog(replace(catalog, entries=entries))
-        assert any("family counts" in p for p in report.problems)
+        assert report.problems == [
+            "B6: denominator two needs a transverse orientability certificate "
+            "and this entry carries none"]
 
     def test_sink_disk_is_a_problem(self, catalog):
         entry = catalog.get("B1")

@@ -161,8 +161,7 @@ class TestExclusionChains:
             trace.conclusion
 
     def test_denominator_two_without_certificate_is_a_gap(self, catalog):
-        stripped = replace(catalog.get("B6"), orientable=None,
-                                       orientation_graph=None)
+        stripped = replace(catalog.get("B6"), orientation_graph=None)
         with pytest.raises(ClassificationGapError):
             exclusion_trace(stripped, HALF)
         # at denominator three the chain never needs the certificate
@@ -275,10 +274,10 @@ class TestClassifyPath:
             assert certificate is not entry.orientation.coloring
             assert verify_orientation_certificate(entry.orientation_graph, True, certificate, None)
 
-    def test_an_odd_graph_under_an_orientable_flag_is_a_gap(self, catalog):
+    def test_an_odd_orientation_graph_is_a_gap(self, catalog):
         odd = replace(catalog.get("B6"),
-                                  orientation_graph=catalog.get("B3").orientation_graph)
-        assert odd.orientable is True and not odd.orientation.orientable
+                      orientation_graph=catalog.get("B3").orientation_graph)
+        assert odd.exclusion_class == "BasicTypeII" and not odd.orientation.orientable
         with pytest.raises(ClassificationGapError, match="failed to verify"):
             exclusion_trace(odd, HALF)
 
@@ -345,8 +344,7 @@ class TestClassify:
 
     def test_broken_catalog_surfaces_as_a_gap(self, catalog):
         entries = dict(catalog.entries)
-        entries["B6"] = replace(catalog.get("B6"), orientable=None,
-                                            orientation_graph=None)
+        entries["B6"] = replace(catalog.get("B6"), orientation_graph=None)
         broken = replace(catalog, entries=entries)
         with pytest.raises(ClassificationGapError):
             classify(HALF, broken)

@@ -536,7 +536,7 @@ class TestCatalogCommands:
         assert main(["catalog", "show", entry]) == 0
         shown = json.loads(capsys.readouterr().out)
         stored = json.loads((DATA_DIR / "catalog" / "entries" / f"{entry}.json").read_text())
-        assert shown == {"orientable": None, **stored}
+        assert shown == stored
 
     def test_check_reports_the_count_discrepancy(self, capsys):
         assert main(["catalog", "check"]) == 0
@@ -557,14 +557,20 @@ class TestCatalogCommands:
 
 class TestTamperedCatalog:
     def test_semantic_tamper_exits_four(self, data_copy, capsys):
-        rewrite(data_copy, "catalog/entries/B6.json", record_edit("orientable", value=False))
+        # a flip edge from a sector to itself: an odd cycle, so B6's graph
+        # no longer certifies an orientable lamination
+        loop = {"id": "k", "from": "sig1", "to": "sig1", "flip": True}
+        rewrite(data_copy, "catalog/entries/B6.json",
+                lambda doc: doc["orientation_graph"]["edges"].append(loop))
 
         assert main(["catalog", "check", "--catalog", str(data_copy)]) == 4
         captured = capsys.readouterr()
-        assert "PROBLEM" in captured.out
+        assert "PROBLEM: B6: orientability certificate failed to verify" in captured.out
         assert captured.err == "error: catalog check found 1 problem(s)\n"
         # the classifier refuses to paper over the broken certificate
         assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 4
+        # a denominator three filling never consults it
+        assert main(["classify", "7/3", "--catalog", str(data_copy)]) == 0
 
     def test_bitrot_exits_five(self, data_copy, capsys):
         entry_path = data_copy / "catalog" / "entries" / "B1.json"

@@ -59,12 +59,12 @@ RECORDS = [
                   "meridian_hits": 4, "exceptional": True, "genus": 2, "description": "e"}),
     case(CatalogEntry,
          {"id": "B0", "family": "Q1", "summary": "s", "admissible": ALL,
-          "exclusion_class": "DiskLeaf", "orientable": None, "orientation_graph": None,
+          "exclusion_class": "DiskLeaf", "orientation_graph": None,
           "disk_sectors": (), "complement": (), "euler": None, "sector_pairs": (),
           "vacant_annulus": None, "split_curves": (), "notes": {}},
          "CatalogEntry(id='B0', family='Q1', summary='s', admissible=AdmissibleSet("
          "kind='AllRationals', slope=None, count=None), exclusion_class='DiskLeaf', "
-         "orientable=None, orientation_graph=None, disk_sectors=(), complement=(), "
+         "orientation_graph=None, disk_sectors=(), complement=(), "
          "euler=None, sector_pairs=(), vacant_annulus=None, split_curves=(), notes={})",
          hashing="error", frozen=True, slotted=False,
          minimal={"id": "B0", "family": "Q1", "summary": "s", "admissible": ALL,
@@ -72,7 +72,7 @@ RECORDS = [
          factories=("notes",),
          changes={"id": "B1", "family": "Q2", "summary": "t",
                   "admissible": AdmissibleSet("IntegerDenominatorAtLeast2"),
-                  "exclusion_class": "TypeI", "orientable": True,
+                  "exclusion_class": "TypeI",
                   "orientation_graph": {"nodes": ["a"], "edges": []},
                   "disk_sectors": ({"id": "D", "boundary": [{"direction": "in"}]},),
                   "complement": ({"kind": "Other"},),

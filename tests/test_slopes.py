@@ -390,3 +390,12 @@ def test_one_reduction_serves_slope_of_and_the_law_checks():
     from anosurf import slopes, traintrack
     assert traintrack._slopes is slopes._slopes
     assert not hasattr(slopes, "_reduced") and not hasattr(traintrack, "math")
+
+
+@pytest.mark.parametrize("klass", [(0, 1), (0, -1)])
+def test_both_meridian_classes_reduce_to_the_infinite_slope(klass):
+    # a class with p = 0 takes the sign of q, and neither sign of the
+    # unreduced pair (-1, 0) may reach _from_reduced, which trusts its pair
+    from anosurf.slopes import _slopes
+    (slope,) = _slopes((klass,))
+    assert slope == INFINITY and (slope.q, slope.p) == (1, 0)

@@ -305,6 +305,10 @@ class TestSlopeLaws:
         with pytest.raises(ValueError):
             SlopeLaw("ONLY_FIVE")
 
+    @pytest.mark.parametrize("height", [1, MAX_SURJECTIVE_HEIGHT])
+    def test_both_ends_of_the_height_range_build(self, height):
+        assert SlopeLaw("ANY_SLOPE", height).surjective_height == height
+
     @pytest.mark.parametrize("height", [0, MAX_SURJECTIVE_HEIGHT + 1, True, "3"])
     def test_a_height_is_an_integer_from_1_to_the_cap(self, height):
         with pytest.raises(ValueError, match=f"surjective_height must be an integer from 1 to "

@@ -10,11 +10,14 @@ The script writes every file into a temporary directory and loads it
 there through the package loader, which checks each file's shape and
 each track against its complex; then it runs the catalog health check
 and every family's slope law. What it asserts itself is that each
-entry loads back to the document it wrote (`CatalogEntry.to_json()`,
-with `orientable` given), and the paper's tables: 38 entries, the Euler
-values, the size of each exclusion class, the case of each complex and
-the order-eight symmetry group. Only when all of that passes are the
-files copied to OUT, so a failed run leaves OUT as it was.
+entry loads back to the document it wrote (`CatalogEntry.to_json()`),
+and the paper's tables: 38 entries, the entries of each family, the
+Euler values, the size of each exclusion class, the entries whose
+orientation graph certifies a transversely orientable lamination (B6 to
+B9) and the one whose graph is an obstruction (B3), the case of each
+complex and the order-eight symmetry group. Only when all of that
+passes are the files copied to OUT, so a failed run leaves OUT as it
+was.
 
 Run from the repository root:  python tools/build_data.py [OUT]
 
@@ -465,7 +468,7 @@ def build_entries():
         "coherent interval bundle and the carried lamination cannot be "
         "transversely oriented.",
         _adm("Only", slope="4"), "DiskLeaf",
-        orientable=False, orientation_graph=GRAPHS["B3"],
+        orientation_graph=GRAPHS["B3"],
         disk_sectors=[],
         complement=[{"kind": "Other",
                      "description": "twisted interval bundle exterior with a "
@@ -512,7 +515,7 @@ def build_entries():
             "Branched surface with an annulus sector whose boundary "
             "circles are both meridians of the filled torus.",
             ALL, "BasicTypeII",
-            orientable=True, orientation_graph=GRAPHS[eid],
+            orientation_graph=GRAPHS[eid],
             sector_pairs=pairs, disk_sectors=disks,
             complement=[dict(PRODUCT_PIECE)],
             notes={"geometry": "nonzero integer fillings carry skew, R "
@@ -595,6 +598,10 @@ EXPECTED_FAMILY_COUNTS = {
 
 EXPECTED_EULER = {"B1": 0, "B2": -1, "B3": 0, "B4": -1, "B9_M": -3}
 
+# the orientation certificates: B6 to B9 carry transversely orientable
+# laminations, and B3's one sided Klein bottle an obstruction
+EXPECTED_ORIENTABLE = {"B3": False, "B6": True, "B7": True, "B8": True, "B9": True}
+
 EXCLUSION_CLASS_SIZES = {"DiskLeaf": 5, "BasicTypeII": 4, "R7Cusps": 1,
                          "SplitTypeII": 9, "TypeI": 19}
 
@@ -614,6 +621,9 @@ def check_tables(catalog):
     for family, q in catalog.complexes.items():
         assert case_of(spine, q) == EXPECTED_CASES[family], family
     assert len(catalog) == 38, len(catalog)
+    assert catalog.family_counts() == EXPECTED_FAMILY_COUNTS, catalog.family_counts()
+    orientable = {e.id: e.orientation.orientable for e in catalog if e.orientation}
+    assert orientable == EXPECTED_ORIENTABLE, orientable
     euler = {e.id: e.euler_characteristics for e in catalog if e.euler is not None}
     assert euler == {eid: (chi, chi) for eid, chi in EXPECTED_EULER.items()}, euler
     sizes = Counter(e.exclusion_class for e in catalog)
@@ -654,8 +664,6 @@ def write_data(root: Path, spine_doc, bundles, entries) -> list:
     hashed += entry_files
     manifest = {
         "schema_version": 1,
-        "entry_count": len(entries),
-        "families": EXPECTED_FAMILY_COUNTS,
         "stated_total_in_source": 39,
         "entry_files": entry_files,
         "files": {rel: sha256_file(root / rel) for rel in sorted(hashed)},
@@ -683,7 +691,7 @@ def main(argv=None) -> int:
         for family in FAMILIES:
             slope_law_check(catalog, family, 6).raise_if_violated()
         for entry in entries:
-            assert catalog.get(entry["id"]).to_json() == {"orientable": None, **entry}, entry["id"]
+            assert catalog.get(entry["id"]).to_json() == entry, entry["id"]
         check_tables(catalog)
 
         # only now touch OUT: drop stale entry files, then copy the staged files over

@@ -7,6 +7,13 @@ a directory raises CatalogIntegrityError instead of falling back to the
 packaged data, and so does a name in it that cannot be read, a dangling
 symlink included. Every data file is read through one bounded reader,
 and integrity checking hashes whatever copy was actually resolved.
+
+SHIPPED_MANIFEST_SHA256 is the digest of the packaged manifest's bytes.
+A manifest read with this digest is the shipped one, so every file that
+matches a checksum it lists is byte-identical to a shipped file, which
+the test suite validates against its schema: catalog.load_catalog skips
+the schema walk for those files. Rebuilding the data changes the digest,
+and a test prints the new one.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 import os
 import stat
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import CatalogIntegrityError
 
@@ -27,6 +34,9 @@ PACKAGE_DATA = Path(__file__).resolve().parent / "_data"
 # Ceiling on the size of one data file. The largest shipped file holds
 # 7,511 bytes, and all of them together 123,659.
 DATA_FILE_CAP = 1 << 20
+
+# sha256 of the bytes of _data/catalog/manifest.json
+SHIPPED_MANIFEST_SHA256 = "e0dee33d860b82c8c1764c85f57a246cfbaf88bfa640acd1cc9fdca8ad6820c1"
 
 PathLike = Union[str, Path]
 
@@ -56,8 +66,9 @@ def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
 def _read_bounded(path: Path, relpath: str) -> bytes:
     """The bytes of the data file at path, refused unless it is a regular
     file of at most DATA_FILE_CAP bytes. The open does not wait for a
-    FIFO's writer, and the read stops after DATA_FILE_CAP + 1 bytes, in
-    case the file grew after the check."""
+    FIFO's writer. The read asks for one byte more than the size the
+    check saw, and only if that byte comes, the file having grown since,
+    reads on until DATA_FILE_CAP + 1 bytes."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         info = os.fstat(fd)
@@ -65,7 +76,9 @@ def _read_bounded(path: Path, relpath: str) -> bytes:
             raise CatalogIntegrityError(relpath, "unusable file (not a regular file)")
         if info.st_size <= DATA_FILE_CAP:
             with open(fd, "rb", closefd=False) as fh:
-                data = fh.read(DATA_FILE_CAP + 1)
+                data = fh.read(info.st_size + 1)
+                if len(data) > info.st_size:
+                    data += fh.read(DATA_FILE_CAP + 1 - len(data))
             if len(data) <= DATA_FILE_CAP:
                 return data
         raise CatalogIntegrityError(relpath, f"unusable file (over {DATA_FILE_CAP} bytes)")
@@ -86,20 +99,21 @@ def _distinct_keys(pairs: list) -> dict:
 
 
 def load_json(relpath: str, override: Optional[PathLike] = None,
-              sha256: Optional[str] = None) -> dict:
-    """Parse one read of a data file, whose bytes must hash to `sha256`;
-    a file that cannot be read, checked or parsed, nested too deeply for
-    the parser included or with a key repeated in one object, is a
+              sha256: Optional[str] = None) -> Tuple[dict, str]:
+    """The parse of one read of a data file, whose bytes must hash to
+    `sha256` when it is given, and the sha256 of those bytes; a file that
+    cannot be read, checked or parsed, nested too deeply for the parser
+    included or with a key repeated in one object, is a
     CatalogIntegrityError, and so is one that is not a regular file or is
     over DATA_FILE_CAP bytes."""
     try:
         data = _read_bounded(resolve(relpath, override=override), relpath)
-        if sha256 is not None:
-            have = hashlib.sha256(data).hexdigest()
-            if have != sha256:
-                raise CatalogIntegrityError(
-                    relpath, f"checksum {have[:12]}... does not match the manifest")
-        return json.loads(data.decode("utf-8"), object_pairs_hook=_distinct_keys)
+        have = hashlib.sha256(data).hexdigest()
+        if sha256 is not None and have != sha256:
+            raise CatalogIntegrityError(
+                relpath, f"checksum {have[:12]}... does not match the manifest")
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_distinct_keys)
+        return doc, have
     except (OSError, RecursionError, ValueError) as exc:
         raise CatalogIntegrityError(relpath, f"unusable file ({type(exc).__name__}: {exc})") from exc
 

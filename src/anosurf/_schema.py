@@ -77,8 +77,11 @@ def compile_schema(root: dict) -> dict:
             raise NotImplementedError(f"unsupported keywords in {node}")
         types = frozenset(map(_TYPES.get, names))
         if keys <= _LEAF:
-            options = node.get("enum", [node["const"]] if "const" in node else None)
-            members = None if options is None else {(type(o) is bool, o) for o in options}
+            # a value must be a member of the enum and equal the const, of those given
+            options = [{(type(o) is bool, o) for o in values} for values in (
+                node.get("enum"), [node["const"]] if "const" in node else None)
+                if values is not None]
+            members = set.intersection(*options) if options else None
             shortest, pattern = node.get("minLength", 0), node.get("pattern")
             search = pattern and re.compile(pattern).search
             low, high = node.get("minimum", -math.inf), node.get("maximum", math.inf)

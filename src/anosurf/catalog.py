@@ -5,7 +5,9 @@ checksums. Loading reads each file once, when it is built, and hashes
 and parses the same bytes, so a corrupted data file is caught before any
 classification runs. One directory, passed explicitly or else named by
 the ANOSURF_CATALOG environment variable, shadows packaged files one by
-one.
+one. A verified load of the shipped bytes skips the schema walk, which
+the test suite has already made over those bytes, and so never imports
+the validator.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import _resources, _schema
+from . import _resources
 from ._record import frozen, record
 from ._track import _FORMULAS, SlopeLaw, TrainTrack, check_roles
 from .branched_surface import (
@@ -84,9 +86,9 @@ class CatalogEntry:
 
     @staticmethod
     def from_json(doc: dict) -> "CatalogEntry":
-        # entry.schema.json allows exactly the keys the constructor takes
-        return CatalogEntry(**{**_schema.validate(doc, "entry"),
-                               "admissible": _admissible(doc["admissible"])})
+        from . import _schema  # here, since a load of the shipped data never needs it
+
+        return _entry(_schema.validate(doc, "entry"))
 
     def to_json(self) -> dict:
         """The entry file's own document, which `anosurf catalog show`
@@ -166,10 +168,15 @@ class Catalog:
             "only the eleven cataloged families are supported")
 
 
+def _entry(doc: dict) -> CatalogEntry:
+    """The entry of a document with the shape of entry.schema.json, which
+    allows exactly the keys the constructor takes."""
+    return CatalogEntry(**{**doc, "admissible": _admissible(doc["admissible"])})
+
+
 def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
     """One valid complex on the spine for each family, and no other; no
     two families share one."""
-    _schema.validate(doc, "qcomplexes")
     complexes = {family: dict(body["connectors"]) for family, body in doc.items()}
     owners: Dict[frozenset, str] = {}
     for family, q in complexes.items():
@@ -181,14 +188,13 @@ def _loaded_complexes(doc: dict, spine: Spine) -> Dict[str, Dict[str, int]]:
 
 
 def _loaded_track(doc: dict, family: str, q: Mapping[str, int]) -> TrackBundle:
-    """The family's track file, the one reader of its keys. After its
-    schema and the bundle, which checks the switch system, the law and
-    the designated roles, the file's id must be the family, and its
+    """The family's track file, the one reader of its keys. After the
+    bundle, which checks the switch system, the law and the designated
+    roles, the file's id must be the family, and its
     projection must lift the complex q: one record for each copy 1 to m
     of each connector of multiplicity m, and arcs that partition the
     branches, so the track has two branches per copy. The projection is
     checked here and not kept."""
-    _schema.validate(doc, "track")
     bundle = TrackBundle(TrainTrack.from_json(doc["track"], track_id=doc["id"]),
                          SlopeLaw(**doc["law"]), doc["designated"])
     if doc["id"] != family:
@@ -218,36 +224,49 @@ def load_catalog(path: Optional[str] = None, verify: bool = True) -> Catalog:
     from or a malformed manifest raises.
     Each file must have the shape of its schema, and each track's
     projection must lift its family's complex; the facts that need an
-    enumeration are left to check_catalog.
+    enumeration are left to check_catalog. The shape is known, and not
+    walked, when `verify` is on and the manifest's bytes hash to
+    `_resources.SHIPPED_MANIFEST_SHA256`: every file then matches a
+    checksum of the shipped manifest, so it holds the bytes of a shipped
+    file, which the test suite validates. Every other load walks each file.
     """
     # each path the manifest lists, with its checksum, and those not yet built
     listed, unbuilt = {MANIFEST: None}, set()
+    # whether this load reads the shipped manifest; decided by its digest, once
+    shipped = False
 
-    def build(relpath, make):
+    def build(relpath, schema, make):
+        nonlocal shipped
         if relpath not in listed:
             raise CatalogIntegrityError(relpath, "the manifest does not list this file")
         unbuilt.discard(relpath)
-        doc = _resources.load_json(relpath, override=path,
-                                   sha256=listed[relpath] if verify else None)
+        doc, digest = _resources.load_json(relpath, override=path,
+                                           sha256=listed[relpath] if verify else None)
+        if relpath == MANIFEST:
+            shipped = verify and digest == _resources.SHIPPED_MANIFEST_SHA256
         try:
+            if not shipped:
+                from . import _schema  # here, since a load of the shipped data never needs it
+                _schema.validate(doc, schema)
             return make(doc)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CatalogIntegrityError(
                 relpath, f"unusable data ({type(exc).__name__}: {exc})") from exc
 
-    manifest = build(MANIFEST, lambda doc: _schema.validate(doc, "manifest"))
+    manifest = build(MANIFEST, "manifest", lambda doc: doc)
     listed.update(manifest["files"])
     unbuilt.update(manifest["files"])
     entries: Dict[str, CatalogEntry] = {}
     for relpath in manifest["entry_files"]:
-        entry = build(relpath, CatalogEntry.from_json)
+        entry = build(relpath, "entry", _entry)
         if entry.id in entries:
             raise CatalogIntegrityError(relpath,
                                         f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry
-    spine = build("spine.json", Spine)
-    complexes = build("qcomplexes.json", lambda doc: _loaded_complexes(doc, spine))
-    tracks = {family: build(f"tracks/{family}.json",
+    spine = build("spine.json", "spine", Spine._of_valid)
+    complexes = build("qcomplexes.json", "qcomplexes",
+                      lambda doc: _loaded_complexes(doc, spine))
+    tracks = {family: build(f"tracks/{family}.json", "track",
                             lambda doc, family=family: _loaded_track(
                                 doc, family, complexes[family]))
               for family in FAMILIES}

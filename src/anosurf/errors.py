@@ -19,15 +19,23 @@ class AnosurfError(Exception):
     exit_code = 5
 
 
+# the most characters of a slope text that an error message echoes
+SHOWN_TEXT = 100
+
+
 class SlopeFormatError(AnosurfError, ValueError):
-    """A surgery coefficient string or pair could not be interpreted."""
+    """A surgery coefficient string or pair could not be interpreted.
+    `text` is the whole text; the message echoes a text of more than
+    SHOWN_TEXT characters by its first SHOWN_TEXT and its length."""
 
     exit_code = 3
 
     def __init__(self, text: str, reason: str):
         self.text = text
         self.reason = reason
-        super().__init__(f"bad slope {text!r}: {reason}")
+        shown = repr(text) if len(text) <= SHOWN_TEXT else (
+            f"{text[:SHOWN_TEXT]!r}... ({len(text)} characters)")
+        super().__init__(f"bad slope {shown}: {reason}")
 
 
 class UnsupportedSlopeError(AnosurfError, ValueError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, List, Mapping, Tuple
 
-from . import _schema
 from ._record import frozen, record
 from .errors import SpineCaseError
 
@@ -73,7 +72,20 @@ class Spine:
     document is its one field; what is read off it is kept beside it."""
 
     def __init__(self, doc: dict):
+        from . import _schema  # here, since a load of the shipped data never needs it
+
         _schema.validate(doc, "spine")
+        self._read(doc)
+
+    @classmethod
+    def _of_valid(cls, doc: dict) -> "Spine":
+        """The spine of a document whose shape is already checked or known:
+        the constructor without its schema walk, for the catalog loader."""
+        spine = cls.__new__(cls)
+        spine._read(doc)
+        return spine
+
+    def _read(self, doc: dict) -> None:
         hexagons = doc["hexagons"]
         # the document and its views, read-only, so that no edit parts them
         self.__dict__.update(frozen(dict(

@@ -141,6 +141,12 @@ BAD_MANIFESTS = {
     "families-present": lambda doc: {**doc, "families": {"Q1": 1}},
 }
 
+# a schema fault that only the schema walk finds, and the message the
+# loader refuses its file with
+SCHEMA_FAULT = ("catalog/entries/B6_I_g.json", BAD_ENTRY_RECORDS["meridian-null"][1],
+                "catalog at catalog/entries/B6_I_g.json: unusable data (ValueError: "
+                "complement/0/meridian_hits: expected {'type': 'integer'}, not None)")
+
 
 @pytest.fixture
 def data_copy(tmp_path):
@@ -179,7 +185,7 @@ def spine(catalog):
 
 
 def load_data_json(relpath: str) -> dict:
-    return _resources.load_json(relpath)
+    return _resources.load_json(relpath)[0]
 
 
 def load_schema(name: str) -> dict:

@@ -30,6 +30,7 @@ from conftest import (
     BAD_ENTRY_RECORDS,
     BAD_LAWS,
     DATA_DIR,
+    SCHEMA_FAULT,
     admissible_edit,
     q2_as_q1,
     record_edit,
@@ -305,6 +306,22 @@ class TestLoading:
         assert (info.value.path, info.value.detail) == (
             "tracks/Q1.json", "unusable file (over 1048576 bytes)")
 
+    @pytest.mark.parametrize("seen", [0, 1, 4999, 5000], ids=lambda n: f"seen-{n}")
+    def test_a_file_that_grows_within_the_cap_after_its_size_check_is_read_whole(
+            self, tmp_path, monkeypatch, seen):
+        # fstat reports `seen` bytes of a 5,001-byte file, as if the file
+        # grew between the size check and the read
+        path = tmp_path / "data.json"
+        data = b"[" + b"0," * 2499 + b"0]"
+        path.write_bytes(data)
+        real = os.fstat
+
+        def shrunk(fd):
+            return os.stat_result((*real(fd)[:6], seen, *real(fd)[7:10]))
+
+        monkeypatch.setattr(_resources.os, "fstat", shrunk)
+        assert _resources._read_bounded(path, "data.json") == data
+
     def test_a_manifest_that_lists_itself_is_refused(self, data_copy):
         manifest_path = data_copy / "catalog" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -388,6 +405,83 @@ class TestLoading:
         rewrite(data_copy, "catalog/entries/B1.json", record_edit("family", value="Q99"))
         with pytest.raises(CatalogIntegrityError):
             load_catalog(path=str(data_copy))
+
+
+# the schema of each file the loader builds, with the count of such files
+WALKED = {"manifest": 1, "entry": 38, "spine": 1, "qcomplexes": 1, "track": 11}
+
+
+def _count_walks(monkeypatch) -> collections.Counter:
+    """Count the schema walks of each schema from here on."""
+    from anosurf import _schema
+
+    walks = collections.Counter()
+    real = _schema.validate
+
+    def counting(doc, schema):
+        walks[schema] += 1
+        return real(doc, schema)
+
+    monkeypatch.setattr(_schema, "validate", counting)
+    return walks
+
+
+class TestShippedManifest:
+    """A verified load under the shipped manifest skips the schema walk;
+    every other load walks each file."""
+
+    def test_the_trusted_digest_is_the_shipped_manifests(self):
+        have = hashlib.sha256((DATA_DIR / "catalog" / "manifest.json").read_bytes()).hexdigest()
+        assert have == _resources.SHIPPED_MANIFEST_SHA256, (
+            f"the shipped manifest has changed; set SHIPPED_MANIFEST_SHA256 in "
+            f"src/anosurf/_resources.py to {have!r}")
+
+    def test_a_shipped_load_walks_no_schema(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        load_catalog()
+        assert walks == {}
+
+    def test_the_shipped_bytes_in_an_override_walk_no_schema(self, data_copy, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        assert load_catalog(path=str(data_copy)) == load_catalog()
+        assert walks == {}
+
+    def test_an_unverified_load_walks_every_file(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        assert load_catalog(verify=False) == load_catalog()
+        assert walks == WALKED
+
+    def test_a_restamped_manifest_walks_every_file(self, data_copy, monkeypatch):
+        restamp_manifest(data_copy)
+        walks = _count_walks(monkeypatch)
+        assert load_catalog(path=str(data_copy)) == load_catalog()
+        assert walks == WALKED
+
+    def test_an_unverified_load_refuses_a_schema_fault_under_the_shipped_manifest(
+            self, data_copy):
+        relpath, edit, message = SCHEMA_FAULT
+        doc = json.loads((data_copy / relpath).read_text())
+        edit(doc)
+        (data_copy / relpath).write_text(json.dumps(doc))
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy), verify=False)
+        assert str(info.value) == message
+
+    def test_a_shipped_load_that_raises_leaves_the_next_load_walking(
+            self, data_copy, monkeypatch):
+        # the shipped manifest over a last track that fails its checksum
+        shipped_track = (data_copy / "tracks" / "Q11.json").read_bytes()
+        (data_copy / "tracks" / "Q11.json").write_bytes(shipped_track + b" ")
+        walks = _count_walks(monkeypatch)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy))
+        assert info.value.path == "tracks/Q11.json" and walks == {}
+        (data_copy / "tracks" / "Q11.json").write_bytes(shipped_track)
+        relpath, edit, message = SCHEMA_FAULT
+        rewrite(data_copy, relpath, edit)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path=str(data_copy))
+        assert str(info.value) == message and walks["entry"] > 0
 
 
 class TestEntryFacts:

@@ -26,6 +26,7 @@ from conftest import (
     BAD_LAWS,
     BAD_MANIFESTS,
     DATA_DIR,
+    SCHEMA_FAULT,
     q2_as_q1,
     record_edit,
     replace,
@@ -420,6 +421,15 @@ class TestExitCodes:
     def test_bad_input_exit_codes(self, argv, code, capsys):
         assert main(argv) == code
 
+    @pytest.mark.parametrize("text, reason", [
+        ("9" * 5000, "too many digits"),
+        ("x" * 10**6, "expected q, q/p, or inf"),
+    ], ids=["5000-digits", "1MB-text"])
+    def test_a_long_slope_text_is_echoed_abbreviated(self, text, reason, capsys):
+        assert main(["classify", text]) == 3
+        shown = f"{text[:errors.SHOWN_TEXT]!r}... ({len(text)} characters)"
+        assert capsys.readouterr() == ("", f"error: bad slope {shown}: {reason}\n")
+
     # slope-shaped text, with any Unicode digits the regex engine picks
     @settings(max_examples=50, deadline=None)
     @given(st.one_of(st.text(), st.from_regex(r"-?\d{1,30}(/-?\d{1,30})?", fullmatch=True)))
@@ -660,6 +670,26 @@ def test_restamped_fault_exits_with_its_code(data_copy, name, capsys):
     assert main([*argv, "--catalog", str(data_copy)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override", ["option", "environment"])
+def test_a_schema_fault_under_a_restamped_manifest_exits_five(tmp_path, data_copy, override,
+                                                              monkeypatch, capsys):
+    # --catalog holds only the restamped manifest and the faulty entry;
+    # ANOSURF_CATALOG names a restamped copy of all the data
+    relpath, edit, message = SCHEMA_FAULT
+    rewrite(data_copy, relpath, edit)
+    if override == "option":
+        root = tmp_path / "partial"
+        for name in (relpath, "catalog/manifest.json"):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(data_copy / name, root / name)
+        argv = ["classify", "7/2", "--catalog", str(root)]
+    else:
+        monkeypatch.setenv("ANOSURF_CATALOG", str(data_copy))
+        argv = ["classify", "7/2"]
+    assert main(argv) == 5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # the rows whose command checks a slope law and exits 5

@@ -49,8 +49,9 @@ def test_the_cli_imports_no_click():
 
 
 # modules that no part of the package needs: dataclasses loads inspect, and
-# fractions loads decimal
-UNNEEDED = ("dataclasses", "inspect", "fractions", "decimal")
+# fractions loads decimal; and the schema validator, which a load of the
+# shipped data does not run
+UNNEEDED = ("dataclasses", "inspect", "fractions", "decimal", "anosurf._schema")
 
 
 def test_a_classification_imports_no_record_or_fraction_machinery():

@@ -174,6 +174,20 @@ EDGE_CASES = [
      [[True, "ab"], ["a"], [1], [False, None]]),
     ({"oneOf": [{"type": "array", "items": {"type": "string"}},
                 {"type": "array", "items": {"type": "integer"}}]}, [[], ["a"], [1], ["a", 1]]),
+    # the edges of the compiler's checks: every leaf keyword in one node (an
+    # enum member that is not the const is refused), every container
+    # keyword in one node, a type list of every type, and one pattern
+    ({"type": "string", "enum": ["ab", "ax", 1], "const": "ab", "minLength": 2,
+      "pattern": "^a", "minimum": 0, "maximum": 1}, ["ab", "ax", "a", "ba", 1, None]),
+    ({"type": "object", "properties": {"a": {"type": "integer"}}, "required": ["a"],
+      "additionalProperties": False, "patternProperties": {}, "minProperties": 1,
+      "items": {"type": "string"}, "minItems": 0, "maxItems": 1,
+      "if": {"properties": {"a": {"minimum": 5}}}, "then": {"properties": {"a": {"const": 7}}},
+      "oneOf": [{"properties": {"a": {"minimum": 0}}}, {"properties": {"a": {"maximum": 0}}}]},
+     [{"a": 1}, {"a": 0}, {"a": 6}, {"a": 7}, {}, {"a": 1, "b": 2}, {"a": "x"}, [1], "x"]),
+    ({"type": ["string", "integer", "boolean", "null", "object", "array"]},
+     ["x", 1, True, None, {}, [], 1.5]),
+    ({"patternProperties": {"^x": {"type": "integer"}}}, [{"xa": 1}, {"xa": "s"}, {"b": "s"}]),
 ]
 
 
@@ -193,6 +207,16 @@ def test_the_package_validator_agrees_with_jsonschema_on_edge_cases(schema, valu
 ], ids=["top-level", "in-defs"])
 def test_a_schema_with_an_unknown_keyword_does_not_compile(schema):
     with pytest.raises(NotImplementedError, match="uniqueItems"):
+        _schema.compile_schema(schema)
+
+
+@pytest.mark.parametrize("schema", [
+    {"properties": {"a": {}}, "patternProperties": {"^x": {}}},
+    {"patternProperties": {"^x": {}, "^y": {}}},
+    {"type": ["string", "number"]},
+], ids=["pattern-beside-properties", "two-patterns", "unknown-type"])
+def test_an_unsupported_container_or_type_does_not_compile(schema):
+    with pytest.raises(NotImplementedError, match="^unsupported keywords in "):
         _schema.compile_schema(schema)
 
 

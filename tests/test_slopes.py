@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import admissible_edit, load_data_json
 
 from anosurf.catalog import CatalogEntry
-from anosurf.errors import SlopeFormatError
+from anosurf.errors import SHOWN_TEXT, SlopeFormatError
 from anosurf.slopes import (
     INFINITY,
     ZERO,
@@ -169,6 +169,24 @@ class TestParse:
     def test_rejected(self, text):
         with pytest.raises(SlopeFormatError):
             parse_slope(text)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("9" * 5000, "too many digits"),
+        ("x" * 10**6, "expected q, q/p, or inf"),
+    ], ids=["5000-digits", "1MB-text"])
+    def test_a_long_text_is_echoed_abbreviated(self, text, reason):
+        with pytest.raises(SlopeFormatError) as info:
+            parse_slope(text)
+        assert info.value.text == text and info.value.reason == reason
+        assert str(info.value) == (
+            f"bad slope {text[:SHOWN_TEXT]!r}... ({len(text)} characters): {reason}")
+
+    def test_a_text_of_up_to_the_shown_length_is_echoed_whole(self):
+        assert str(SlopeFormatError("1.5", "r")) == "bad slope '1.5': r"
+        text = "1" * SHOWN_TEXT
+        assert str(SlopeFormatError(text, "r")) == f"bad slope {text!r}: r"
+        assert str(SlopeFormatError(text + "2", "r")) == (
+            f"bad slope {text!r}... ({SHOWN_TEXT + 1} characters): r")
 
 
 # slope-shaped text, with any Unicode digits the regex engine picks

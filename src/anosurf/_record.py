@@ -16,6 +16,7 @@ and list is a `ReadOnlyDict` or a `ReadOnlyList`. A twin equals, shows
 and serializes as its plain container and refuses every edit with
 TypeError, a second `__init__` included; a copy or a pickle of it is the
 plain container, which the constructor that stores it freezes again.
+`plain` is the inverse of `frozen`: a deep copy in plain containers.
 """
 
 from __future__ import annotations
@@ -103,4 +104,18 @@ def frozen(value):
         return twin
     if kind is tuple:
         return tuple(map(frozen, value))
+    return value
+
+
+def plain(value):
+    """The inverse of frozen: value with every dict and list in it, at any
+    depth, a new plain one; a tuple becomes a tuple of plain items, and any
+    other value is returned as it is."""
+    kind = type(value)
+    if kind is dict or kind is ReadOnlyDict:
+        return {key: plain(item) for key, item in value.items()}
+    if kind is list or kind is ReadOnlyList:
+        return list(map(plain, value))
+    if kind is tuple:
+        return tuple(map(plain, value))
     return value

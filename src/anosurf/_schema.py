@@ -1,8 +1,9 @@
 """The packaged JSON Schemas, the one statement of each data file's shape, and a
 validator for the part of JSON Schema 2020-12 they use: type, $ref into $defs
-(alone), and either the leaf keywords of _LEAF or the container keywords of
-_CONTAINER (patternProperties with one pattern and no properties). Any other
-schema does not compile. An integer is an int, never a bool or a float."""
+(alone), and either the leaf keywords of _LEAF (an enum or const of scalars) or the
+container keywords of _CONTAINER (patternProperties with one pattern and no
+properties). Any other schema does not compile. An integer is an int, never a bool
+or a float."""
 
 import json
 import math
@@ -77,10 +78,14 @@ def compile_schema(root: dict) -> dict:
             raise NotImplementedError(f"unsupported keywords in {node}")
         types = frozenset(map(_TYPES.get, names))
         if keys <= _LEAF:
-            # a value must be a member of the enum and equal the const, of those given
-            options = [{(type(o) is bool, o) for o in values} for values in (
+            # a value must be a member of the enum and equal the const, of those
+            # given, which must be scalars
+            options = [values for values in (
                 node.get("enum"), [node["const"]] if "const" in node else None)
                 if values is not None]
+            if any(type(o) not in _SCALARS for values in options for o in values):
+                raise NotImplementedError(f"unsupported enum or const in {node}")
+            options = [{(type(o) is bool, o) for o in values} for values in options]
             members = set.intersection(*options) if options else None
             shortest, pattern = node.get("minLength", 0), node.get("pattern")
             search = pattern and re.compile(pattern).search

@@ -48,7 +48,10 @@ class CatalogEntry:
     and the exclusion class, stores the list records as tuples, and builds
     every slope-independent fact, so a malformed record raises here
     (ValueError, KeyError or TypeError), not in a later classification or
-    health check. Its documents and maps are read-only at every depth."""
+    health check. Its documents and maps are read-only at every depth. On
+    first use the classifier keeps the steps of its chain that read no
+    slope in the instance dict, frozen too, where equality, copies and
+    pickles do not look."""
 
     def __init__(self, id: str, family: str, summary: str, admissible: AdmissibleSet,
                  exclusion_class: str, orientation_graph: Optional[dict] = None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ._record import record
+from ._record import ReadOnlyDict, ReadOnlyList, frozen, plain, record
 from .branched_surface import (
     ComplementComponent,
     admits_coherent_ibundle,
@@ -147,20 +147,38 @@ def fenley_power_admissible(k: int) -> bool:
     return 1 <= abs(k) <= 2
 
 
+# the kinds of frozen fact that hold a container
+_CONTAINERS = frozenset({ReadOnlyDict, ReadOnlyList, tuple})
+
+
 @record(frozen=True)
 class TraceStep:
-    __slots__ = ("rule", "facts")
+    """One step of an argument: a rule and its facts, read-only at every
+    depth, so that results can share a step."""
+
+    __slots__ = ("rule", "facts", "_nested")
 
     def __init__(self, rule: str, facts: Optional[Dict[str, object]] = None):
         if rule not in ANCHORS:
             raise KeyError(f"unknown rule {rule!r}")
+        facts = frozen({} if facts is None else facts)
         _set_rule(self, rule)
-        _set_facts(self, {} if facts is None else facts)
+        _set_facts(self, facts)
+        # the facts that hold a container, the only ones to_json copies deeply
+        _set_nested(self, tuple(key for key, value in facts.items()
+                                if type(value) in _CONTAINERS))
+
+    def __reduce__(self):
+        # plain facts, which the constructor freezes again
+        return TraceStep, (self.rule, plain(self.facts))
 
     def to_json(self) -> dict:
+        facts = self.facts.copy()  # a plain dict
+        for key in self._nested:
+            facts[key] = plain(facts[key])
         return {"rule": self.rule,
                 "anchor": ANCHORS[self.rule],
-                "facts": dict(self.facts)}
+                "facts": facts}
 
 
 @record(frozen=True)
@@ -193,7 +211,8 @@ class ExclusionTrace:
 
 
 # the slots' own setters, which the records' frozen __setattr__ refuses
-_set_rule, _set_facts = (TraceStep.__dict__[name].__set__ for name in TraceStep.__slots__)
+_set_rule, _set_facts, _set_nested = (
+    TraceStep.__dict__[name].__set__ for name in TraceStep.__slots__)
 _set_entry, _set_slope, _set_steps = (
     ExclusionTrace.__dict__[name].__set__ for name in ExclusionTrace.__slots__)
 
@@ -282,16 +301,20 @@ def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> L
     ]
 
 
-def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> List[TraceStep]:
+def _sector_step(entry: CatalogEntry, slope: Slope) -> TraceStep:
+    """The first step of the BasicTypeII chain, the one that reads no slope."""
     if not entry.sector_pairs:
         raise ClassificationGapError(
             entry.id, slope, "basic type II entry must name a sector pair")
+    return TraceStep("type-ii/slope-infinity-annulus",
+                     {"sector_pairs": [list(p) for p in entry.sector_pairs]})
+
+
+def _core_power_steps(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
+    """The rest of the BasicTypeII chain, from the core power, the
+    filling's denominator, on."""
     power = slope.p
-    steps = [
-        TraceStep("type-ii/slope-infinity-annulus",
-                  {"sector_pairs": [list(p) for p in entry.sector_pairs]}),
-        TraceStep("type-ii/core-power", {"core_power": power}),
-    ]
+    steps = [TraceStep("type-ii/core-power", {"core_power": power})]
     if power == 1:
         steps.append(TraceStep("core-orbit/isotopic", {"slope": str(slope)}))
         return steps
@@ -322,6 +345,10 @@ def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> 
     return steps
 
 
+def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> List[TraceStep]:
+    return [_sector_step(entry, slope), *_core_power_steps(entry, slope)]
+
+
 _CHAINS = {
     "DiskLeaf": _disk_leaf_chain,
     "R7Cusps": _r7_chain,
@@ -341,9 +368,25 @@ def _require_finite(slope: Slope) -> None:
 def _trace(entry: CatalogEntry, slope: Slope, pieces: _Pieces) -> ExclusionTrace:
     """The entry's chain on its complement pieces, at a slope already
     checked to be finite. Admissibility is the caller's: classify passes
-    only candidates, and exclusion_trace checks it."""
-    return ExclusionTrace(entry.id, slope,
-                          tuple(_CHAINS[entry.exclusion_class](entry, slope, pieces)))
+    only candidates, and exclusion_trace checks it.
+
+    The steps that read no slope are built once per entry, on first use,
+    and kept in its instance dict, which its equality, copies and pickles
+    ignore: the whole chain, but for a BasicTypeII entry only the chain
+    at p = 2 and, for every other p, its first step. A chain that raises
+    keeps nothing, so it raises again, with the slope of the call. Two
+    threads may both build the steps; setdefault keeps the first."""
+    memo = vars(entry)
+    if entry.exclusion_class == "BasicTypeII" and slope.p != 2:
+        head = memo.get("_sector_step")
+        if head is None:
+            head = memo.setdefault("_sector_step", _sector_step(entry, slope))
+        return ExclusionTrace(entry.id, slope, (head, *_core_power_steps(entry, slope)))
+    steps = memo.get("_chain_steps")
+    if steps is None:
+        steps = memo.setdefault("_chain_steps", tuple(
+            _CHAINS[entry.exclusion_class](entry, slope, pieces)))
+    return ExclusionTrace(entry.id, slope, steps)
 
 
 def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:

@@ -27,6 +27,17 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
+def edits(container):
+    """An item assignment, a deletion and a clear of a dict or a list, and
+    an append of a list."""
+    key = 0 if isinstance(container, list) else "no-such-key"
+    yield lambda: container.__setitem__(key, None)
+    yield lambda: container.__delitem__(key)
+    yield container.clear
+    if isinstance(container, list):
+        yield lambda: container.append(None)
+
+
 def admissible_edit(**fields):
     def edit(doc):
         doc["admissible"].update(fields)

@@ -1,8 +1,10 @@
 import copy
+import gc
 import hashlib
 import json
 import math
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -23,7 +25,7 @@ from anosurf.classifier import (
 )
 from anosurf.errors import ClassificationGapError, UnsupportedSlopeError
 from anosurf.slopes import INFINITY, ZERO, AdmissibleSet, Slope, parse_slope
-from conftest import replace
+from conftest import edits, replace
 from oracles import verify_orientation_certificate
 
 HALF = Slope(1, 2)
@@ -179,6 +181,16 @@ def _tampered_type_i(entry):
     return replace(entry, complement=(bad_piece,))
 
 
+def _containers(value):
+    """Every dict and list reachable from value, value included."""
+    if isinstance(value, (dict, list)):
+        yield value
+    items = value.values() if isinstance(value, dict) else value if isinstance(
+        value, (list, tuple)) else ()
+    for item in items:
+        yield from _containers(item)
+
+
 def _deface(value):
     """Mutate every list and dict reachable from value, in place."""
     if isinstance(value, list):
@@ -222,11 +234,27 @@ class TestSlopeIndependentFacts:
     def test_results_share_no_mutable_facts(self, catalog):
         for text in ("1/2", "7/2", "-5/3", "3"):
             slope = parse_slope(text)
-            want = json.dumps(classify(slope, catalog).to_json("full"))
             result = classify(slope, catalog)
+            want = json.dumps(result.to_json("full"))
             for step in result.argument + [s for t in result.traces for s in t.steps]:
-                _deface(step.facts)
+                for container in _containers(step.facts):
+                    for edit in edits(container):
+                        with pytest.raises(TypeError, match="cannot be edited"):
+                            edit()
+            # a document is plain at every depth, and editing it touches no result
+            doc = result.to_json("full")
+            assert {type(c) for c in _containers(doc)} == {dict, list}
+            _deface(doc)
+            assert json.dumps(result.to_json("full")) == want
             assert json.dumps(classify(slope, catalog).to_json("full")) == want
+
+    def test_a_chain_that_raises_keeps_nothing(self):
+        stripped = replace(load_catalog().get("B6"), orientation_graph=None)
+        for text in ("1/2", "5/2"):
+            with pytest.raises(ClassificationGapError) as info:
+                exclusion_trace(stripped, parse_slope(text))
+            assert info.value.slope == parse_slope(text)
+            assert str(info.value).startswith(f"entry B6, slope {text}: ")
 
     def test_a_second_pass_over_the_grid_is_identical(self):
         fresh = load_catalog()
@@ -238,6 +266,58 @@ class TestSlopeIndependentFacts:
                                    .encode("utf-8")).hexdigest() for s in grid]
 
         assert digests() == digests()
+
+
+def _tracked(root):
+    """Every GC-tracked object reachable from root through
+    gc.get_referents, by id, past no class."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type) or not gc.is_tracked(obj):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
+class TestKeptResults:
+    """A result shares every step that reads no slope with the other
+    results of its catalog: what it owns is its own records and the
+    core-power steps of its BasicTypeII traces at p >= 3."""
+
+    @pytest.mark.parametrize("text", ["7/2", "13/5"])
+    def test_a_result_owns_only_its_per_call_objects(self, catalog, text):
+        slope = parse_slope(text)
+        result = classify(slope, catalog)
+        gc.collect()  # which tuples are tracked is settled by a collection
+        shared = _tracked((catalog, slope))
+        owned = Counter(type(obj).__name__ for key, obj in _tracked(result).items()
+                        if key not in shared)
+        traces = len(result.traces)
+        basic = sum(catalog.get(t.entry).exclusion_class == "BasicTypeII"
+                    for t in result.traces) if slope.p > 2 else 0
+        # per BasicTypeII trace at p >= 3: its steps tuple, the core-power
+        # and power-bound steps, their facts and the admissible powers
+        want = {"ClassificationResult": 1, "list": 2, "ExclusionTrace": traces,
+                "tuple": basic, "TraceStep": 2 * basic, "ReadOnlyDict": 2 * basic,
+                "ReadOnlyList": basic}
+        assert owned == Counter({name: n for name, n in want.items() if n})
+        assert (slope.p > 2) == (basic > 0)
+
+    @pytest.mark.parametrize("texts", [("1/2", "7/2"), ("13/5", "-4/3")], ids=str)
+    def test_results_of_one_p_case_share_their_steps(self, catalog, texts):
+        first, second = (classify(parse_slope(text), catalog) for text in texts)
+        other = {t.entry: t for t in second.traces}
+        common = [t for t in first.traces if t.entry in other]
+        assert len(common) > 20
+        for trace in common:
+            twin = other[trace.entry]
+            if trace.slope.p > 2 and catalog.get(trace.entry).exclusion_class == "BasicTypeII":
+                assert trace.steps[0] is twin.steps[0]
+                assert not set(map(id, trace.steps[1:])) & set(map(id, twin.steps))
+            else:
+                assert trace.steps is twin.steps
 
 
 class TestClassifyPath:
@@ -394,11 +474,12 @@ class TestChainRefusals:
                            match="expected a solid torus piece with three cusps"):
             exclusion_trace(entry, HALF)
 
-    def test_a_coherent_three_cusp_piece_is_a_gap(self, catalog, monkeypatch):
-        # no three annulus torus is coherent, so only a patched test reaches this
+    def test_a_coherent_three_cusp_piece_is_a_gap(self, monkeypatch):
+        # no three annulus torus is coherent, so only a patched test reaches
+        # this; a fresh catalog, since an entry keeps the steps of its chain
         monkeypatch.setattr(classifier, "admits_coherent_ibundle", lambda piece: True)
         with pytest.raises(ClassificationGapError, match="three cusp piece unexpectedly coherent"):
-            exclusion_trace(catalog.get("R7"), HALF)
+            exclusion_trace(load_catalog().get("R7"), HALF)
 
     @pytest.mark.parametrize("piece", [THREE_CUSP_TORUS, BALL], ids=["three-cusps", "no-torus"])
     def test_a_split_entry_needs_a_two_annulus_torus(self, catalog, piece):
@@ -419,8 +500,10 @@ class TestChainRefusals:
         with pytest.raises(ClassificationGapError, match="split piece unexpectedly coherent"):
             exclusion_trace(entry, HALF)
 
-    def test_a_candidate_that_is_not_excluded_is_a_gap(self, catalog, monkeypatch):
-        # no shipped chain concludes otherwise at a noninteger slope
+    def test_a_candidate_that_is_not_excluded_is_a_gap(self, monkeypatch):
+        # no shipped chain concludes otherwise at a noninteger slope; a fresh
+        # catalog, since an entry keeps the steps of its chain
+        catalog = load_catalog()
         monkeypatch.setitem(classifier._CHAINS, "DiskLeaf", lambda entry, slope, pieces: [
             TraceStep("core-orbit/isotopic", {"slope": str(slope)})])
         with pytest.raises(ClassificationGapError) as info:

@@ -9,9 +9,10 @@ import pickle
 from collections.abc import Mapping
 
 import pytest
+from conftest import edits
 
 from anosurf import catalog as catalog_module
-from anosurf._record import ReadOnlyDict, ReadOnlyList, frozen
+from anosurf._record import ReadOnlyDict, ReadOnlyList, frozen, plain
 from anosurf.catalog import default_catalog, load_catalog, slope_law_check
 from anosurf.classifier import classify
 from anosurf.slopes import Slope
@@ -38,17 +39,6 @@ def reachable(root):
             todo.extend(getattr(obj, name) for cls in type(obj).__mro__
                         for name in getattr(cls, "__slots__", ()) if hasattr(obj, name))
         yield obj
-
-
-def edits(container):
-    """An item assignment, a deletion and a clear of a dict or a list, and
-    an append of a list."""
-    key = 0 if isinstance(container, list) else "no-such-key"
-    yield lambda: container.__setitem__(key, None)
-    yield lambda: container.__delitem__(key)
-    yield container.clear
-    if isinstance(container, list):
-        yield lambda: container.append(None)
 
 
 def test_nothing_reachable_from_a_loaded_catalog_can_be_edited():
@@ -129,6 +119,18 @@ def test_copies_and_pickles_of_a_twin_are_plain(name):
         assert not any(isinstance(x, (ReadOnlyDict, ReadOnlyList)) for x in reachable(clone))
         clone.clear()
         assert twin == plain
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_plain_undoes_frozen_at_every_depth(name):
+    value = TWINS[name]
+    for source in (value, frozen(value)):
+        copied = plain(source)
+        assert copied == value and type(copied) is type(value)
+        kept = {id(x) for x in reachable(source)}
+        for x in reachable(copied):
+            assert not isinstance(x, (ReadOnlyDict, ReadOnlyList))
+            assert not isinstance(x, (dict, list)) or id(x) not in kept
 
 
 def test_frozen_reaches_into_tuples_and_keeps_other_values():

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import replace
 
-from anosurf._record import record
+from anosurf._record import ReadOnlyDict, ReadOnlyList, record
 from anosurf.branched_surface import ComplementComponent, OrientationResult
 from anosurf.catalog import (Catalog, CatalogEntry, CatalogReport, TrackBundle, load_catalog,
                              slope_law_check)
@@ -298,7 +298,10 @@ def test_copy_and_pickle_round_trips(record):
     if isinstance(record, Slope):
         assert hash(deep) == hash(loaded[-1]) == hash((record.q, record.p))
     elif isinstance(record, TraceStep):
-        assert shallow.facts is record.facts and deep.facts is not record.facts
+        # every copy is built from plain facts, which the constructor freezes again
+        for other in (shallow, deep, *loaded):
+            assert type(other.facts) is ReadOnlyDict and other.facts is not record.facts
+            assert type(other.facts["slopes"]) is ReadOnlyList
     elif isinstance(record, ExclusionTrace):
         assert shallow.steps is record.steps and deep.steps[0] is not record.steps[0]
     else:

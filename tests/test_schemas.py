@@ -231,6 +231,18 @@ def test_an_unsupported_ref_does_not_compile(node):
         _schema.compile_schema(schema)
 
 
+@pytest.mark.parametrize("schema", [
+    {"enum": [[1], "a"]},
+    {"enum": ["a", {"b": 1}]},
+    {"const": [1]},
+    {"const": {"a": 1}},
+    {"type": "string", "enum": ["a"], "const": ["a"]},
+], ids=["enum-list", "enum-object", "const-list", "const-object", "const-beside-enum"])
+def test_a_container_in_an_enum_or_const_does_not_compile(schema):
+    with pytest.raises(NotImplementedError, match="^unsupported enum or const in "):
+        _schema.compile_schema(schema)
+
+
 def test_an_integer_is_an_int():
     check = _schema.compile_schema(load_schema("track.schema.json"))["law"]
     law = {"kind": "ANY_SLOPE", "surjective_height": 2}

@@ -2,10 +2,11 @@
 
 Data lives under anosurf/_data. One override directory shadows it file
 by file: the one a caller passes, else the one named by the environment
-variable ANOSURF_CATALOG, never both. An override that is missing or not
-a directory raises CatalogIntegrityError instead of falling back to the
-packaged data, and so does a name in it that cannot be read, a dangling
-symlink included. Every data file is read through one bounded reader,
+variable ANOSURF_CATALOG, never both; an empty variable names none. An
+override that is missing or not a directory, the empty path included,
+raises CatalogIntegrityError instead of falling back to the packaged
+data, and so does a name in it that cannot be read, a dangling symlink
+included. Every data file is read through one bounded reader,
 and integrity checking hashes whatever copy was actually resolved.
 
 SHIPPED_MANIFEST_SHA256 is the digest of the packaged manifest's bytes.
@@ -32,11 +33,11 @@ ENV_OVERRIDE = "ANOSURF_CATALOG"
 PACKAGE_DATA = Path(__file__).resolve().parent / "_data"
 
 # Ceiling on the size of one data file. The largest shipped file holds
-# 7,511 bytes, and all of them together 123,659.
+# 7,417 bytes, and all of them together 104,611.
 DATA_FILE_CAP = 1 << 20
 
 # sha256 of the bytes of _data/catalog/manifest.json
-SHIPPED_MANIFEST_SHA256 = "e0dee33d860b82c8c1764c85f57a246cfbaf88bfa640acd1cc9fdca8ad6820c1"
+SHIPPED_MANIFEST_SHA256 = "169f429b4a5ff22cb00370cf84eacec1f196a98511bff06a48e1845f6fd0392b"
 
 PathLike = Union[str, Path]
 
@@ -50,6 +51,9 @@ def override_dir() -> Optional[Path]:
 
 def resolve(relpath: str, override: Optional[PathLike] = None) -> Path:
     """Path of the active copy of a data file."""
+    if override == "":
+        # Path("") is the current directory, which an empty path does not name
+        raise CatalogIntegrityError("", "the override is not a directory")
     root = Path(override) if override is not None else override_dir()
     if root is not None:
         # a missing override must fail, never fall back to the packaged data

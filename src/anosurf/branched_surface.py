@@ -159,16 +159,18 @@ _COMPONENT_KINDS = ("SolidTorus", "Ball", "TorusCrossInterval", "Handlebody", "O
 
 @record(frozen=True)
 class ComplementComponent:
-    def __init__(self, kind: str, vertical_annuli: int = 0, annulus_wrap: Tuple[int, ...] = (),
-                 meridian_hits: Optional[int] = None, exceptional: Optional[bool] = None,
-                 genus: Optional[int] = None, description: str = ""):
+    def __init__(self, kind: str, annulus_wrap: Tuple[int, ...] = (),
+                 meridian_hits: Optional[int] = None, genus: Optional[int] = None,
+                 description: str = ""):
         if kind not in _COMPONENT_KINDS:
             raise ValueError(f"unknown complement kind {kind!r}")
-        if kind in ("SolidTorus", "Ball") and len(annulus_wrap) != vertical_annuli:
-            raise ValueError(f"{kind} records one wrap number per vertical annulus")
-        self.__dict__.update(kind=kind, vertical_annuli=vertical_annuli,
-                             annulus_wrap=annulus_wrap, meridian_hits=meridian_hits,
-                             exceptional=exceptional, genus=genus, description=description)
+        self.__dict__.update(kind=kind, annulus_wrap=annulus_wrap, meridian_hits=meridian_hits,
+                             genus=genus, description=description)
+
+    @property
+    def vertical_annuli(self) -> int:
+        """The count of vertical annuli, each of which has one wrap number."""
+        return len(self.annulus_wrap)
 
     @staticmethod
     def from_json(doc: dict) -> "ComplementComponent":
@@ -185,13 +187,9 @@ def admits_coherent_ibundle(component: ComplementComponent) -> bool:
     vertical annulus wraps the core twice, and the ball with one
     vertical annulus."""
     if component.kind == "SolidTorus":
-        if component.vertical_annuli == 2 and component.annulus_wrap == (1, 1):
-            return True
-        if component.vertical_annuli == 1 and component.annulus_wrap == (2,):
-            return True
-        return False
+        return component.annulus_wrap in ((1, 1), (2,))
     if component.kind == "Ball":
-        return component.vertical_annuli == 1
+        return len(component.annulus_wrap) == 1
     return False
 
 

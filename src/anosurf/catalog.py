@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _resources
-from ._record import frozen, record
+from ._record import frozen, plain, record
 from ._track import _FORMULAS, SlopeLaw, TrainTrack, check_roles
 from .branched_surface import (
     ComplementComponent,
@@ -99,13 +99,11 @@ class CatalogEntry:
         order, tuples as lists, and each optional field only when it is
         not empty. The document is new on every call, so editing it
         leaves the entry as it was."""
-        from copy import deepcopy  # here, since a classification never needs it
-
         optional = {"orientation_graph": self.orientation_graph, "euler": self.euler,
                     "sector_pairs": [list(p) for p in self.sector_pairs],
                     "vacant_annulus": self.vacant_annulus,
                     "split_curves": list(self.split_curves), "notes": self.notes}
-        return deepcopy({
+        return plain({
             "id": self.id, "family": self.family, "summary": self.summary,
             "admissible": self.admissible.to_json(), "exclusion_class": self.exclusion_class,
             "disk_sectors": list(self.disk_sectors), "complement": list(self.complement),
@@ -301,8 +299,9 @@ def complement_components(entry: CatalogEntry, slope: Slope) -> List[ComplementC
     """The complement pieces of an entry at a slope, the checked accessor
     that exclusion_trace and library callers use: a slope outside the
     entry's admissible set raises ValueError. The pieces do not depend on
-    the slope; the list is new on every call. classify skips the check and
-    reads entry.complement_pieces, since its candidates are admissible.
+    the slope; the list is new on every call. classify skips the check,
+    since its candidates are admissible, and the chains read
+    entry.complement_pieces.
     """
     if not eval_admissible(entry.admissible, slope):
         raise ValueError(f"slope {slope} is not admissible for {entry.id}")
@@ -397,7 +396,7 @@ def check_catalog(catalog: Catalog) -> CatalogReport:
         # the premises of the entry's chain, unless a check above reported it
         if len(problems) == reported:
             try:
-                _trace(entry, Slope(1, 2), entry.complement_pieces)
+                _trace(entry, Slope(1, 2))
             except ClassificationGapError as exc:
                 problems.append(f"{entry.id}: {exc.detail}")
 

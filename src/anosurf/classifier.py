@@ -11,7 +11,7 @@ from a fixed registry of the underlying facts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ._record import ReadOnlyDict, ReadOnlyList, frozen, plain, record
 from .branched_surface import (
@@ -218,21 +218,20 @@ _set_entry, _set_slope, _set_steps = (
 
 
 # ---------------------------------------------------------------------------
-# Exclusion chains, one per exclusion class. Each takes the entry, a
-# finite slope and the entry's complement pieces, which it only reads.
-
-_Pieces = Sequence[ComplementComponent]
+# Exclusion chains, one per exclusion class. Each takes the entry and a
+# finite slope, and reads the entry's complement pieces itself.
 
 
-def _solid_torus(comps: _Pieces) -> Optional[ComplementComponent]:
+def _solid_torus(entry: CatalogEntry) -> Optional[ComplementComponent]:
     # a loop: next() over a generator expression takes about five times as long
-    for c in comps:
+    for c in entry.complement_pieces:
         if c.kind == "SolidTorus":
             return c
     return None
 
 
-def _disk_leaf_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
+def _disk_leaf_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
+    comps = entry.complement_pieces
     coherent = [admits_coherent_ibundle(c) for c in comps]
     if any(coherent):
         raise ClassificationGapError(
@@ -248,8 +247,8 @@ def _disk_leaf_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[
     return steps
 
 
-def _r7_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
-    torus = _solid_torus(comps)
+def _r7_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
+    torus = _solid_torus(entry)
     if torus is None or torus.vertical_annuli != 3:
         raise ClassificationGapError(
             entry.id, slope, "expected a solid torus piece with three cusps")
@@ -260,11 +259,11 @@ def _r7_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceSt
                       {"vertical_annuli": torus.vertical_annuli, "coherent": False})]
 
 
-def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
+def _type_i_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     if not entry.vacant_annulus:
         raise ClassificationGapError(
             entry.id, slope, "type I entry without a vacant annulus")
-    torus = _solid_torus(comps)
+    torus = _solid_torus(entry)
     if torus is None:
         raise ClassificationGapError(
             entry.id, slope, "type I entry lacks its solid torus piece")
@@ -275,17 +274,18 @@ def _type_i_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[Tra
     return [
         TraceStep("type-i/vacant-annulus",
                   {"vacant_sector": entry.vacant_annulus, "meridian_hits": hits}),
-        TraceStep("type-i/exceptional-core", {"exceptional": bool(torus.exceptional)}),
+        # the rule's conclusion from the two meridian hits checked above
+        TraceStep("type-i/exceptional-core", {"exceptional": True}),
         TraceStep("attractor/one-boundary-orbit", {"boundary_orbits": 1}),
         TraceStep("attractor/uniqueness-two-orbits", {"expected_boundary_orbits": 2}),
     ]
 
 
-def _split_type_ii_chain(entry: CatalogEntry, slope: Slope, comps: _Pieces) -> List[TraceStep]:
+def _split_type_ii_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     if len(set(entry.split_curves)) != 2:
         raise ClassificationGapError(
             entry.id, slope, "split entry must name two split curves")
-    torus = _solid_torus(comps)
+    torus = _solid_torus(entry)
     if torus is None or torus.vertical_annuli != 2:
         raise ClassificationGapError(
             entry.id, slope, "split entry lacks its two annulus solid torus")
@@ -345,7 +345,7 @@ def _core_power_steps(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     return steps
 
 
-def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope, _comps: _Pieces) -> List[TraceStep]:
+def _basic_type_ii_chain(entry: CatalogEntry, slope: Slope) -> List[TraceStep]:
     return [_sector_step(entry, slope), *_core_power_steps(entry, slope)]
 
 
@@ -365,10 +365,10 @@ def _require_finite(slope: Slope) -> None:
                    "covers finite slopes only")
 
 
-def _trace(entry: CatalogEntry, slope: Slope, pieces: _Pieces) -> ExclusionTrace:
-    """The entry's chain on its complement pieces, at a slope already
-    checked to be finite. Admissibility is the caller's: classify passes
-    only candidates, and exclusion_trace checks it.
+def _trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
+    """The entry's chain at a slope already checked to be finite.
+    Admissibility is the caller's: classify passes only candidates, and
+    exclusion_trace checks it.
 
     The steps that read no slope are built once per entry, on first use,
     and kept in its instance dict, which its equality, copies and pickles
@@ -385,7 +385,7 @@ def _trace(entry: CatalogEntry, slope: Slope, pieces: _Pieces) -> ExclusionTrace
     steps = memo.get("_chain_steps")
     if steps is None:
         steps = memo.setdefault("_chain_steps", tuple(
-            _CHAINS[entry.exclusion_class](entry, slope, pieces)))
+            _CHAINS[entry.exclusion_class](entry, slope)))
     return ExclusionTrace(entry.id, slope, steps)
 
 
@@ -395,7 +395,8 @@ def exclusion_trace(entry: CatalogEntry, slope: Slope) -> ExclusionTrace:
     slope outside the entry's admissible set raises ValueError, for every
     exclusion class."""
     _require_finite(slope)
-    return _trace(entry, slope, complement_components(entry, slope))
+    complement_components(entry, slope)  # the admissibility check
+    return _trace(entry, slope)
 
 
 def exclusion_reason(catalog: Catalog, entry_id: str, slope: Slope) -> ExclusionTrace:
@@ -499,7 +500,7 @@ def classify(slope: Slope, catalog: Optional[Catalog] = None) -> ClassificationR
         catalog = default_catalog()
     traces = []
     for entry in candidates_for(catalog, slope):
-        trace = _trace(entry, slope, entry.complement_pieces)
+        trace = _trace(entry, slope)
         if trace.conclusion != _EXCLUDES:
             raise ClassificationGapError(
                 entry.id, slope,

@@ -88,15 +88,19 @@ BAD_ENTRY_RECORDS = {
     "notes-number": ("B6", record_edit("notes", "geometry", value=7)),
     "split-curves-text": ("B7_II_fg", record_edit("split_curves", value="fg")),
     "sector-pairs-text": ("B6", record_edit("sector_pairs", value=["gh"])),
-    "vertical-annuli-bool": ("B6_I_g", record_edit("complement", 0, "vertical_annuli",
-                                                   value=True)),
+    "annulus-wrap-bool": ("B6_I_g", record_edit("complement", 0, "annulus_wrap", 0,
+                                                value=True)),
     "annulus-wrap-text": ("B6_I_g", record_edit("complement", 0, "annulus_wrap", value="2")),
-    "exceptional-object": ("B7_I_g", record_edit("complement", 0, "exceptional", value={})),
+    "meridian-object": ("B7_I_g", record_edit("complement", 0, "meridian_hits", value={})),
     "flip-number": ("B3", record_edit("orientation_graph", "edges", 0, "flip", value=1)),
     # a complement record that nothing reads, once shipped as null
     "core-power-null": ("B6", record_edit("complement", 0, "core_power", value=None)),
     # a copy of what the orientation graph certifies, once shipped
     "orientable-present": ("B6", record_edit("orientable", value=True)),
+    # copies of what the wrap numbers count and the meridian hits decide, once shipped
+    "vertical-annuli-present": ("B6_I_g", record_edit("complement", 0, "vertical_annuli",
+                                                      value=1)),
+    "exceptional-present": ("B7_I_g", record_edit("complement", 0, "exceptional", value=True)),
 }
 
 

@@ -258,13 +258,9 @@ def test_fuzzed_exclusion_chains():
         assert trace.conclusion not in forbidden
 
     pieces = {
-        "TypeI": {"kind": "SolidTorus", "vertical_annuli": 1,
-                  "annulus_wrap": [2], "meridian_hits": 2, "exceptional": True},
-        "SplitTypeII": {"kind": "SolidTorus", "vertical_annuli": 2,
-                        "annulus_wrap": [2, 2], "meridian_hits": 2,
-                        "exceptional": True},
-        "R7Cusps": {"kind": "SolidTorus", "vertical_annuli": 3,
-                    "annulus_wrap": [1, 1, 1], "meridian_hits": 3},
+        "TypeI": {"kind": "SolidTorus", "annulus_wrap": [2], "meridian_hits": 2},
+        "SplitTypeII": {"kind": "SolidTorus", "annulus_wrap": [2, 2], "meridian_hits": 2},
+        "R7Cusps": {"kind": "SolidTorus", "annulus_wrap": [1, 1, 1], "meridian_hits": 3},
         "DiskLeaf": {"kind": "TorusCrossInterval"},
     }
     for _ in range(100):

@@ -213,26 +213,18 @@ class TestComplementComponents:
         with pytest.raises(ValueError):
             ComplementComponent(kind="KleinBottle")
 
-    def test_wrap_numbers_must_match_annuli(self):
-        with pytest.raises(ValueError):
-            ComplementComponent(kind="SolidTorus", vertical_annuli=2,
-                                annulus_wrap=(1,))
-        with pytest.raises(ValueError):
-            ComplementComponent(kind="Ball", vertical_annuli=1, annulus_wrap=())
-
     def test_coherent_ibundle_table(self):
-        def st_piece(annuli, wrap):
-            return ComplementComponent(kind="SolidTorus", vertical_annuli=annuli,
-                                       annulus_wrap=wrap)
-        assert admits_coherent_ibundle(st_piece(2, (1, 1)))
-        assert admits_coherent_ibundle(st_piece(1, (2,)))
-        assert not admits_coherent_ibundle(st_piece(2, (2, 2)))
-        assert not admits_coherent_ibundle(st_piece(1, (1,)))
-        assert not admits_coherent_ibundle(st_piece(3, (1, 1, 1)))
-        assert admits_coherent_ibundle(
-            ComplementComponent(kind="Ball", vertical_annuli=1, annulus_wrap=(1,)))
-        assert not admits_coherent_ibundle(
-            ComplementComponent(kind="Ball", vertical_annuli=0))
+        def st_piece(wrap):
+            return ComplementComponent(kind="SolidTorus", annulus_wrap=wrap)
+        assert admits_coherent_ibundle(st_piece((1, 1)))
+        assert admits_coherent_ibundle(st_piece((2,)))
+        assert not admits_coherent_ibundle(st_piece((2, 2)))
+        assert not admits_coherent_ibundle(st_piece((1,)))
+        assert not admits_coherent_ibundle(st_piece((1, 1, 1)))
+        assert not admits_coherent_ibundle(st_piece(()))
+        assert admits_coherent_ibundle(ComplementComponent(kind="Ball", annulus_wrap=(1,)))
+        assert not admits_coherent_ibundle(ComplementComponent(kind="Ball"))
+        assert not admits_coherent_ibundle(ComplementComponent(kind="Ball", annulus_wrap=(1, 1)))
         assert not admits_coherent_ibundle(
             ComplementComponent(kind="TorusCrossInterval"))
         assert not admits_coherent_ibundle(
@@ -251,15 +243,23 @@ class TestComplementComponents:
             CatalogEntry("B0", "Q1", "s", AdmissibleSet("AllRationals"), "DiskLeaf",
                          complement=({"kind": "Other", "core_power": 2},))
 
+    def test_vertical_annuli_count_the_wrap_numbers(self):
+        piece = ComplementComponent(kind="SolidTorus", annulus_wrap=(2, 2))
+        assert piece.vertical_annuli == 2
+        assert ComplementComponent(kind="Handlebody", genus=2).vertical_annuli == 0
+        # a property, not a field: the constructor takes no count, and a
+        # piece shows, compares and copies by its fields only
+        with pytest.raises(TypeError, match="vertical_annuli"):
+            ComplementComponent(kind="Ball", vertical_annuli=1)
+        with pytest.raises(AttributeError):
+            piece.vertical_annuli = 3
+        assert "vertical_annuli" not in repr(piece) and "vertical_annuli" not in vars(piece)
+
     def test_meridian_intersection(self):
-        piece = ComplementComponent(kind="SolidTorus", vertical_annuli=1,
-                                    annulus_wrap=(2,), meridian_hits=2)
+        piece = ComplementComponent(kind="SolidTorus", annulus_wrap=(2,), meridian_hits=2)
         assert meridian_vertical_intersection(piece) == 2
         with pytest.raises(ComplementShapeError):
-            meridian_vertical_intersection(
-                ComplementComponent(kind="Ball", vertical_annuli=1,
-                                    annulus_wrap=(1,)))
+            meridian_vertical_intersection(ComplementComponent(kind="Ball", annulus_wrap=(1,)))
         with pytest.raises(ComplementShapeError):
             meridian_vertical_intersection(
-                ComplementComponent(kind="SolidTorus", vertical_annuli=2,
-                                    annulus_wrap=(1, 1)))
+                ComplementComponent(kind="SolidTorus", annulus_wrap=(1, 1)))

@@ -11,6 +11,7 @@ import pytest
 
 from anosurf import _resources
 from anosurf import catalog as catalog_module
+from anosurf.branched_surface import ComplementComponent
 from anosurf.catalog import (
     CatalogEntry,
     candidates_for,
@@ -20,6 +21,7 @@ from anosurf.catalog import (
     load_catalog,
     slope_law_check,
 )
+from anosurf.classifier import exclusion_trace
 from anosurf.errors import CatalogIntegrityError, CatalogKeyError, UnsupportedComplexError
 from anosurf.slopes import Slope, parse_slope
 from anosurf.traintrack import MAX_SURJECTIVE_HEIGHT
@@ -165,6 +167,26 @@ class TestLoading:
 
     def test_override_directory(self, data_copy):
         assert len(load_catalog(path=str(data_copy))) == 38
+
+    def test_the_empty_path_is_no_directory(self, data_copy, monkeypatch):
+        # Path("") is the current directory; an empty override must not read it
+        (data_copy / "spine.json").write_text("not json")
+        monkeypatch.chdir(data_copy)
+        with pytest.raises(CatalogIntegrityError) as info:
+            load_catalog(path="")
+        assert (info.value.path, info.value.detail) == ("", "the override is not a directory")
+        # an empty environment variable names no override
+        monkeypatch.setenv("ANOSURF_CATALOG", "")
+        assert len(load_catalog()) == 38
+
+    @pytest.mark.parametrize("key", ["vertical_annuli", "exceptional"])
+    def test_a_deleted_piece_key_is_refused(self, catalog, key):
+        doc = catalog.get("B6_I_g").to_json()
+        doc["complement"][0][key] = 1 if key == "vertical_annuli" else True
+        with pytest.raises(ValueError, match=f"complement/0/{key}"):
+            CatalogEntry.from_json(doc)
+        with pytest.raises(TypeError, match=key):
+            ComplementComponent.from_json(doc["complement"][0])
 
     @pytest.mark.parametrize("how", ["argument", "environment"])
     @pytest.mark.parametrize("kind", ["missing", "file"])
@@ -520,8 +542,13 @@ class TestCandidates:
 
 class TestComplements:
     def test_exceptional_piece(self, catalog):
-        comps = complement_components(catalog.get("B5"), parse_slope("1/2"))
-        assert comps[0].exceptional is True
+        # the piece ships its meridian hits, and the TypeI chain concludes
+        # from them that it is exceptional
+        entry = catalog.get("B5")
+        assert entry.exclusion_class == "TypeI"
+        assert not hasattr(complement_components(entry, HALF)[0], "exceptional")
+        step = exclusion_trace(entry, HALF).steps[1]
+        assert (step.rule, step.facts) == ("type-i/exceptional-core", {"exceptional": True})
 
     def test_requires_admissible_slope(self, catalog):
         with pytest.raises(ValueError):

@@ -447,9 +447,9 @@ class TestClassify:
 
 
 # complement records of each shape the refusals below need
-COHERENT_TORUS = {"kind": "SolidTorus", "vertical_annuli": 2, "annulus_wrap": [1, 1]}
-THREE_CUSP_TORUS = {"kind": "SolidTorus", "vertical_annuli": 3, "annulus_wrap": [1, 1, 1]}
-BALL = {"kind": "Ball", "vertical_annuli": 1, "annulus_wrap": [1]}
+COHERENT_TORUS = {"kind": "SolidTorus", "annulus_wrap": [1, 1]}
+THREE_CUSP_TORUS = {"kind": "SolidTorus", "annulus_wrap": [1, 1, 1]}
+BALL = {"kind": "Ball", "annulus_wrap": [1]}
 
 
 class TestChainRefusals:
@@ -504,7 +504,7 @@ class TestChainRefusals:
         # no shipped chain concludes otherwise at a noninteger slope; a fresh
         # catalog, since an entry keeps the steps of its chain
         catalog = load_catalog()
-        monkeypatch.setitem(classifier._CHAINS, "DiskLeaf", lambda entry, slope, pieces: [
+        monkeypatch.setitem(classifier._CHAINS, "DiskLeaf", lambda entry, slope: [
             TraceStep("core-orbit/isotopic", {"slope": str(slope)})])
         with pytest.raises(ClassificationGapError) as info:
             classify(Slope(7, 2), catalog)

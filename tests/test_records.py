@@ -50,13 +50,13 @@ RECORDS = [
          hashing="error", frozen=True, slotted=False,
          changes={"orientable": False, "coloring": {"a": -1}, "obstruction": ["e1"]}),
     case(ComplementComponent,
-         {"kind": "Other", "vertical_annuli": 1, "annulus_wrap": (2,), "meridian_hits": 3,
-          "exceptional": False, "genus": None, "description": "d"},
-         "ComplementComponent(kind='Other', vertical_annuli=1, annulus_wrap=(2,), "
-         "meridian_hits=3, exceptional=False, genus=None, description='d')",
+         {"kind": "Other", "annulus_wrap": (2,), "meridian_hits": 3, "genus": None,
+          "description": "d"},
+         "ComplementComponent(kind='Other', annulus_wrap=(2,), meridian_hits=3, genus=None, "
+         "description='d')",
          hashing="value", frozen=True, slotted=False,
-         changes={"kind": "Handlebody", "vertical_annuli": 2, "annulus_wrap": (1,),
-                  "meridian_hits": 4, "exceptional": True, "genus": 2, "description": "e"}),
+         changes={"kind": "Handlebody", "annulus_wrap": (1,), "meridian_hits": 4, "genus": 2,
+                  "description": "e"}),
     case(CatalogEntry,
          {"id": "B0", "family": "Q1", "summary": "s", "admissible": ALL,
           "exclusion_class": "DiskLeaf", "orientation_graph": None,

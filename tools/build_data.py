@@ -413,23 +413,15 @@ def _loop_cw(edge_count, with_face):
 
 
 # complement records per exclusion class
-PRODUCT_PIECE = {"kind": "SolidTorus", "vertical_annuli": 2,
-                 "annulus_wrap": [1, 1], "meridian_hits": 0,
-                 "exceptional": False,
+PRODUCT_PIECE = {"kind": "SolidTorus", "annulus_wrap": [1, 1], "meridian_hits": 0,
                  "description": "product piece behind the annulus sector; "
                                 "the core power is set by the filling denominator"}
-TYPE_I_PIECE = {"kind": "SolidTorus", "vertical_annuli": 1,
-                "annulus_wrap": [2], "meridian_hits": 2,
-                "exceptional": True,
+TYPE_I_PIECE = {"kind": "SolidTorus", "annulus_wrap": [2], "meridian_hits": 2,
                 "description": "filled torus behind the vacant annulus; a "
                                "meridian crosses the annulus core twice"}
-SPLIT_PIECE = {"kind": "SolidTorus", "vertical_annuli": 2,
-               "annulus_wrap": [2, 2], "meridian_hits": 2,
-               "exceptional": True,
+SPLIT_PIECE = {"kind": "SolidTorus", "annulus_wrap": [2, 2], "meridian_hits": 2,
                "description": "filled torus between the two split halves"}
-R7_PIECE = {"kind": "SolidTorus", "vertical_annuli": 3,
-            "annulus_wrap": [1, 1, 1], "meridian_hits": 3,
-            "exceptional": False,
+R7_PIECE = {"kind": "SolidTorus", "annulus_wrap": [1, 1, 1], "meridian_hits": 3,
             "description": "single solid torus with three vertical cusps"}
 
 

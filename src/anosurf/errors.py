@@ -78,10 +78,13 @@ class MonogonError(SwitchSystemError):
 class SpineCaseError(AnosurfError, ValueError):
     """A weight vector matches none of the supported zero patterns.
 
-    The case split is stated up to the symmetries of the spine, whose
-    edge action moves every zero pattern a balanced complex can realize
-    onto a supported one, so this is defensive: it can only fire on
-    weight data that did not come from a validated complex.
+    The case split is stated up to the symmetries of the spine, and
+    case_of tries the image of the pattern under each element of the
+    spine's own group. The error fires only when no element moves the
+    pattern onto a supported one. On the shipped layout that never
+    happens: the group's edge action moves every zero pattern a balanced
+    complex can realize onto a supported one. A layout with a smaller
+    group can leave a pattern uncovered.
     """
 
     def __init__(self, weights: dict, zero_edges: tuple):

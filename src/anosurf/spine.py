@@ -10,13 +10,17 @@ that all three sides of each edge receive the same number of endpoints;
 that common number is the edge weight w_e.
 
 The case split on zero patterns of (w_a, w_b, w_c, w_d) is taken up to
-the spine's symmetries. The data ships each symmetry as its side
-permutation only; Spine.symmetry derives the edge permutation and vertex
-map from it on load, and refuses a side map that induces none.
+the spine's symmetries. The data ships none of them: Spine.symmetries
+finds the group on first use, by trying every side map that moves each
+hexagon's sides by a rotation or a reflection, onto itself or onto the
+other hexagon, and keeping those from which Spine.symmetry derives an
+edge permutation and a vertex map.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from enum import Enum
 from typing import Dict, List, Mapping, Tuple
 
@@ -98,14 +102,6 @@ class Spine:
                                            positions=tuple(c["positions"]))
                         for c in doc["connectors"]})))
         self._validate()
-        self.__dict__["symmetries"] = tuple(self.symmetry(s["name"], s["side_map"])
-                                            for s in doc["symmetries"])
-        # a group lists each element once, under one name
-        seen: set = set()
-        for sym in self.symmetries:
-            if not seen.isdisjoint(keys := {sym.name, frozenset(sym.side_map.items())}):
-                raise ValueError(f"symmetry {sym.name} repeats an earlier name or side map")
-            seen |= keys
 
     def __setstate__(self, state):
         # what a pickle written before the spine was a record holds: its
@@ -118,6 +114,9 @@ class Spine:
         sides = [s for h in ("X", "Y") for s in self.hexagons[h]]
         if len(set(sides)) != 12:
             raise ValueError("spine data must name twelve distinct sides")
+        for h in ("X", "Y"):
+            if set(self.doc["hexagons"][h]["edges"]) != set(self.hexagons[h]):
+                raise ValueError(f"hexagon {h}: the edges map must name exactly its six sides")
         for edge in EDGES:
             hits = [s for s in sides if self.edge_of[s] == edge]
             if len(hits) != 3:
@@ -126,6 +125,32 @@ class Spine:
             ids = [c["id"] for c in self.doc["connectors"]]
             twice = next(cid for cid in ids if ids.count(cid) > 1)
             raise ValueError(f"connector {twice} is listed twice")
+
+    @functools.cached_property
+    def symmetries(self) -> Tuple[Symmetry, ...]:
+        """The spine's symmetry group, the identity first and the rest by
+        name, found on first use and kept on the spine. A candidate moves
+        the sides of X and of Y each by a rotation r or a reflection f of
+        positions, onto the same hexagon (keep) or the other (exchange),
+        and is kept when Spine.symmetry accepts it."""
+        words = self.hexagons
+        moves = [(kind, shift) for kind in "rf" for shift in range(6)]
+        found = []
+        for swap, targets in (("keep", "XY"), ("exchange", "YX")):
+            for gx, gy in itertools.product(moves, repeat=2):
+                side_map = {}
+                for h, target, (kind, shift) in zip("XY", targets, (gx, gy)):
+                    step = 1 if kind == "r" else -1
+                    for i, side in enumerate(words[h]):
+                        side_map[side] = words[target][(shift + step * i) % 6]
+                name = f"{swap}_{gx[0]}{gx[1]}_{gy[0]}{gy[1]}"
+                try:
+                    found.append(self.symmetry("identity" if name == "keep_r0_r0" else name,
+                                               side_map))
+                except ValueError:
+                    continue
+        found.sort(key=lambda sym: (sym.name != "identity", sym.name))
+        return tuple(found)
 
     def symmetry(self, name: str, side_map: Mapping[str, str]) -> Symmetry:
         """The symmetry with this side permutation, with the edge permutation

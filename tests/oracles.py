@@ -243,3 +243,59 @@ def verify_orientation_certificate(graph: dict, orientable: bool,
     if any(d % 2 for d in degree.values()):
         return False
     return flip_count % 2 == 1
+
+
+def oracle_spine_group(spine_doc: dict) -> List[Dict[str, str]]:
+    """Every side permutation of a spine document that keeps the edge
+    classes, the cyclic order of each hexagon's sides and the corner
+    vertices, as side maps: a backtracking search over all permutations
+    of the twelve sides, one side at a time, with no shortcut through
+    the dihedral maps of a hexagon."""
+    hexagons = spine_doc["hexagons"]
+    words = {h: hexagons[h]["sides"] for h in ("X", "Y")}
+    edge = {side: e for h in words for side, e in hexagons[h]["edges"].items()}
+    where = {side: (h, i) for h, word in words.items() for i, side in enumerate(word)}
+    vertices = spine_doc["corner_vertices"]
+    # each corner: the two sides it sits between, and its vertex
+    corners = [(word[i], word[(i + 1) % 6], vertices[h][i])
+               for h, word in words.items() for i in range(6)]
+    sides = [side for h in ("X", "Y") for side in words[h]]
+
+    def vertex_between(s: str, t: str) -> Optional[str]:
+        (h, i), (g, j) = where[s], where[t]
+        if h == g and (j - i) % 6 == 1:
+            return vertices[h][i]
+        if h == g and (i - j) % 6 == 1:
+            return vertices[h][j]
+        return None
+
+    def one_to_one(pairs) -> bool:
+        forward: Dict[str, str] = {}
+        for key, value in pairs:
+            if forward.setdefault(key, value) != value:
+                return False
+        return len(set(forward.values())) == len(forward)
+
+    def consistent(image: Dict[str, str]) -> bool:
+        corner_images = [(v, vertex_between(image[s], image[t]))
+                         for s, t, v in corners if s in image and t in image]
+        return (None not in (w for _, w in corner_images)
+                and one_to_one((edge[s], edge[t]) for s, t in image.items())
+                and one_to_one(corner_images))
+
+    group: List[Dict[str, str]] = []
+
+    def extend(image: Dict[str, str]) -> None:
+        if len(image) == len(sides):
+            group.append(dict(image))
+            return
+        side = sides[len(image)]
+        for target in sides:
+            if target not in image.values():
+                image[side] = target
+                if consistent(image):
+                    extend(image)
+                del image[side]
+
+    extend({})
+    return group

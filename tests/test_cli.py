@@ -166,8 +166,9 @@ _SPLIT_CURVES_REPEATED = ("catalog/entries/B6_II_gh.json",
                          record_edit("split_curves", value=["g", "g"]))
 
 
-def _symmetry_twice(doc):
-    doc["symmetries"].append(doc["symmetries"][-1])
+def _symmetries_present(doc):
+    sides = [s for h in ("X", "Y") for s in doc["hexagons"][h]["sides"]]
+    doc["symmetries"] = [{"name": "identity", "side_map": dict(zip(sides, sides))}]
 
 
 # edits of a restamped catalog, most of one field: the command, each edited
@@ -202,7 +203,9 @@ RESTAMPED_FAULTS = {
     "complexes-shared": (["catalog", "check"], ("qcomplexes.json", q2_as_q1), 5),
     # the spine keys connectors by id: a second lx3, short, replaced the long one
     "connector-listed-twice": (["catalog", "check"], ("spine.json", _lx3_twice), 5),
-    "symmetry-listed-twice": (["catalog", "check"], ("spine.json", _symmetry_twice), 5),
+    # the symmetry group follows from the layout, so a spine file that
+    # still lists it has a key its schema does not allow
+    "symmetries-present": (["catalog", "check"], ("spine.json", _symmetries_present), 5),
     "entry-id-int": (["catalog", "list"],
                      ("catalog/entries/B6_I_h.json", record_edit("id", value=7)), 5),
     "entry-id-list": (["classify", "7/2"],
@@ -867,11 +870,19 @@ def test_a_repeated_key_exits_five_naming_its_file(data_copy, argv, capsys):
                             "(ValueError: the key 'summary' is repeated in one object)\n")
 
 
-def test_a_repeated_symmetry_exits_five_naming_the_spine(data_copy, capsys):
-    rewrite(data_copy, "spine.json", _symmetry_twice)
-    assert main(["catalog", "check", "--catalog", str(data_copy)]) == 5
-    assert capsys.readouterr().err.startswith("error: catalog at spine.json: unusable data "
-                                              "(ValueError: symmetry keep_r3_r3 repeats")
+@pytest.mark.parametrize("edit", [record_edit("hexagons", "Y", "edges", "a3", drop=True),
+                                  record_edit("hexagons", "Y", "edges", "x9", value="a"),
+                                  record_edit("hexagons", "Y", "edges", "a1", value="a")],
+                         ids=["missing-side", "extra-key", "other-hexagons-side"])
+def test_an_edges_map_that_is_not_its_hexagons_sides_exits_five(data_copy, edit, capsys):
+    # a missing side was refused as a bare KeyError, an extra key only
+    # as a listed identity that is no permutation, and a side of the other
+    # hexagon with that side's own edge loaded
+    rewrite(data_copy, "spine.json", edit)
+    assert main(["classify", "7/2", "--catalog", str(data_copy)]) == 5
+    assert capsys.readouterr().err == (
+        "error: catalog at spine.json: unusable data (ValueError: hexagon Y: "
+        "the edges map must name exactly its six sides)\n")
 
 
 # `catalog check` walks every track at the top law bound before it checks the laws

@@ -16,6 +16,7 @@ from anosurf._record import ReadOnlyDict, ReadOnlyList, frozen, plain
 from anosurf.catalog import default_catalog, load_catalog, slope_law_check
 from anosurf.classifier import classify
 from anosurf.slopes import Slope
+from anosurf.spine import case_of
 
 SCALARS = (str, int, float, bool, type(None))
 
@@ -43,8 +44,10 @@ def reachable(root):
 
 def test_nothing_reachable_from_a_loaded_catalog_can_be_edited():
     catalog = load_catalog()
-    # the first law check keeps the track's solve plan on it
+    # the first law check keeps the track's solve plan on it, and the first
+    # case split keeps the spine's symmetry group on the spine
     slope_law_check(catalog, "Q4", bound=2)
+    case_of(catalog.spine, catalog.complexes["Q1"])
     containers = records = 0
     for obj in reachable(catalog):
         if isinstance(obj, (dict, list)):
@@ -56,11 +59,12 @@ def test_nothing_reachable_from_a_loaded_catalog_can_be_edited():
             records += 1
             with pytest.raises(AttributeError):
                 obj.no_such_field = None
-    # 386 dicts and 171 lists: the documents' 358 dicts and 171 lists, the
-    # 26 maps by id of the spine and the tracks and the solve plan's 2; and
-    # 412 records: the entries with their facts, the spine with its
-    # connectors and symmetries, the bundles with their tracks and laws
-    assert (containers, records) == (557, 412)
+    # 370 dicts and 170 lists: the documents' 318 dicts and 170 lists, the
+    # 26 maps by id of the spine and the tracks, the solve plan's 2 and the
+    # 3 maps of each of the 8 symmetries; and 412 records: the entries with
+    # their facts, the spine with its connectors and symmetries, the
+    # bundles with their tracks and laws
+    assert (containers, records) == (540, 412)
     assert catalog == load_catalog()
 
 

@@ -12,10 +12,11 @@ from anosurf import spine as spine_module
 from anosurf import traintrack
 from anosurf.catalog import FAMILIES, default_catalog
 from anosurf.errors import SpineCaseError, UnsupportedComplexError
+from anosurf.slopes import Slope
 from anosurf.spine import Connector, SpineCase, Spine, adjacent_short_pairs, case_of
 from anosurf.traintrack import MAX_LAW_BOUND, dead_branches
 from conftest import ALL_POSITIVE_COMPLEX, load_data_json
-from oracles import oracle_dead_branches
+from oracles import oracle_dead_branches, oracle_spine_group
 
 EXPECTED_CASES = {
     "Q1": SpineCase.CD_ZERO, "Q2": SpineCase.CD_ZERO, "Q3": SpineCase.CD_ZERO,
@@ -24,6 +25,15 @@ EXPECTED_CASES = {
     "Q8": SpineCase.C_ZERO, "Q9": SpineCase.C_ZERO,
     "Q10": SpineCase.C_ZERO, "Q11": SpineCase.C_ZERO,
 }
+
+
+def swapped_edges(one: str, two: str) -> dict:
+    """The shipped spine document with the edge letters of two sides swapped."""
+    doc = copy.deepcopy(load_data_json("spine.json"))
+    edges = {h: doc["hexagons"][h]["edges"] for h in ("X", "Y")}
+    (h1,), (h2,) = ([h for h in edges if side in edges[h]] for side in (one, two))
+    edges[h1][one], edges[h2][two] = edges[h2][two], edges[h1][one]
+    return doc
 
 
 class TestStructure:
@@ -48,27 +58,58 @@ class TestStructure:
         with pytest.raises(ValueError):
             Spine(bad)
 
-    def test_broken_symmetry_rejected(self):
-        doc = copy.deepcopy(load_data_json("spine.json"))
-        sym = next(s for s in doc["symmetries"] if s["name"] != "identity")
+    def test_broken_symmetry_rejected(self, spine):
+        sym = next(s for s in spine.symmetries if s.name != "identity")
         # composed with the swap of a1 and a2, which breaks the cyclic order of X
-        side_map = sym["side_map"]
+        side_map = dict(sym.side_map)
         side_map["a1"], side_map["a2"] = side_map["a2"], side_map["a1"]
         with pytest.raises(ValueError, match="adjacency broken"):
+            spine.symmetry("broken", side_map)
+
+    def test_a_document_that_lists_symmetries_is_refused(self):
+        # the group follows from the layout, so the schema has no key for it
+        doc = copy.deepcopy(load_data_json("spine.json"))
+        sides = [s for h in ("X", "Y") for s in doc["hexagons"][h]["sides"]]
+        doc["symmetries"] = [{"name": "identity", "side_map": dict(zip(sides, sides))}]
+        with pytest.raises(ValueError, match="symmetries"):
             Spine(doc)
 
-    @pytest.mark.parametrize("repeat,named", [
-        (lambda syms: syms.append(copy.deepcopy(syms[-1])), "keep_r3_r3"),
-        (lambda syms: syms.append({**syms[-1], "name": "another"}), "another"),
-        (lambda syms: syms[1].update(name=syms[0]["name"]), "identity"),
-    ], ids=["same-record", "same-side-map", "same-name"])
-    def test_a_repeated_symmetry_is_refused(self, repeat, named):
-        # a group lists each element once, under one name
+    @pytest.mark.parametrize("edit", [lambda edges: edges.pop("a1"),
+                                      lambda edges: edges.update(x9="a")],
+                             ids=["missing-side", "extra-key"])
+    def test_an_edges_map_that_is_not_its_hexagons_sides_is_refused(self, edit):
+        # a missing side was a bare KeyError, and an extra key was refused only
+        # as a listed identity that is no permutation
         doc = copy.deepcopy(load_data_json("spine.json"))
-        repeat(doc["symmetries"])
+        edit(doc["hexagons"]["X"]["edges"])
         with pytest.raises(ValueError,
-                           match=f"symmetry {named} repeats an earlier name or side map"):
+                           match="hexagon X: the edges map must name exactly its six sides"):
             Spine(doc)
+
+    def test_the_group_keeps_its_names_and_order(self, spine):
+        assert [s.name for s in spine.symmetries] == [
+            "identity", "exchange_f1_r0", "exchange_f4_r3", "exchange_r0_f1",
+            "exchange_r3_f4", "keep_f1_f1", "keep_f4_f4", "keep_r3_r3"]
+        keep = next(s for s in spine.symmetries if s.name == "keep_f1_f1")
+        assert keep.side_map == {"a1": "b1", "b1": "a1", "d1": "c1", "b2": "a2", "a2": "b2",
+                                 "c1": "d1", "d2": "c2", "c2": "d2", "b3": "a3", "c3": "d3",
+                                 "d3": "c3", "a3": "b3"}
+
+    @pytest.mark.parametrize("swap, order", [(None, 8), (("a1", "b3"), 1), (("a1", "b1"), 2)],
+                             ids=["shipped", "a1-b3", "a1-b1"])
+    def test_the_derived_group_is_the_whole_group(self, swap, order):
+        doc = swapped_edges(*swap) if swap else load_data_json("spine.json")
+        derived = [dict(s.side_map) for s in Spine(doc).symmetries]
+        assert len(derived) == order
+        assert sorted(map(sorted, map(dict.items, derived))) == sorted(
+            map(sorted, map(dict.items, oracle_spine_group(doc))))
+
+    def test_a_load_and_a_classify_never_derive_the_group(self):
+        catalog = catalog_module.load_catalog()
+        classifier.classify(Slope(7, 2), catalog=catalog)
+        assert "symmetries" not in vars(catalog.spine)
+        case_of(catalog.spine, catalog.complexes["Q1"])
+        assert "symmetries" in vars(catalog.spine)
 
     def test_shipped_symmetries_are_derived_from_their_side_maps(self, spine):
         for sym in spine.symmetries:
@@ -186,13 +227,14 @@ class TestCaseSplit:
         assert case_of(spine, ALL_POSITIVE_COMPLEX) == SpineCase.ALL_POSITIVE
 
     def test_a_pattern_no_symmetry_image_covers_is_refused(self, spine):
-        # a and b vanish; on the shipped spine a symmetry maps that to c and d
+        # a and b vanish; on the shipped spine a symmetry maps that to c and d,
+        # and with the edge letters of a1 and b3 swapped only the identity is left
         q = {"lx3": 1, "ly1": 1, "ly2": 1}
         assert case_of(spine, q) == SpineCase.CD_ZERO
-        doc = copy.deepcopy(load_data_json("spine.json"))
-        doc["symmetries"] = [s for s in doc["symmetries"] if s["name"] == "identity"]
+        small = Spine(swapped_edges("a1", "b3"))
+        assert [s.name for s in small.symmetries] == ["identity"]
         with pytest.raises(SpineCaseError) as info:
-            case_of(Spine(doc), q)
+            case_of(small, q)
         assert (info.value.weights, info.value.zero_edges) == (
             {"a": 0, "b": 0, "c": 1, "d": 1}, ("a", "b"))
 

@@ -2,9 +2,9 @@
 """Generate the packaged data files under src/anosurf/_data.
 
 Everything the package loads at runtime is produced here: the spine
-layout with its brute forced symmetry group, the eleven canonical
-curve complexes, their boundary double cover train tracks with slope
-laws, and the branched surface catalog with its checksum manifest.
+layout, the eleven canonical curve complexes, their boundary double
+cover train tracks with slope laws, and the branched surface catalog
+with its checksum manifest.
 
 The script writes every file into a temporary directory and loads it
 there through the package loader, which checks each file's shape and
@@ -15,9 +15,9 @@ and the paper's tables: 38 entries, the entries of each family, the
 Euler values, the size of each exclusion class, the entries whose
 orientation graph certifies a transversely orientable lamination (B6 to
 B9) and the one whose graph is an obstruction (B3), the case of each
-complex and the order-eight symmetry group. Only when all of that
-passes are the files copied to OUT, so a failed run leaves OUT as it
-was.
+complex and the order-eight symmetry group that the package derives
+from the layout. Only when all of that passes are the files copied to
+OUT, so a failed run leaves OUT as it was.
 
 Run from the repository root:  python tools/build_data.py [OUT]
 
@@ -40,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from anosurf.catalog import (  # noqa: E402
     FAMILIES, MANIFEST, check_catalog, load_catalog, slope_law_check)
-from anosurf.spine import Spine, SpineCase, case_of  # noqa: E402
+from anosurf.spine import SpineCase, case_of  # noqa: E402
 
 DATA = ROOT / "src" / "anosurf" / "_data"
 
@@ -76,53 +76,8 @@ def connector_rows():
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Symmetry search. Candidates are pairs of dihedral position maps, one
-# per hexagon, optionally exchanging the hexagons; Spine.symmetry keeps
-# a candidate when its side map induces a well defined edge permutation
-# and vertex map, and raises otherwise.
-
-
-def _dihedral():
-    out = []
-    for s in range(6):
-        out.append(("r", s))
-        out.append(("f", s))
-    return out
-
-
-def _apply(move, i):
-    kind, s = move
-    return (s + i) % 6 if kind == "r" else (s - i) % 6
-
-
-def _name_of(swap, gx, gy):
-    if not swap and gx == ("r", 0) and gy == ("r", 0):
-        return "identity"
-    tag = f"{gx[0]}{gx[1]}_{gy[0]}{gy[1]}"
-    return f"{'exchange' if swap else 'keep'}_{tag}"
-
-
-def find_symmetries(spine):
-    words = spine.hexagons
-    found = []
-    for swap in (False, True):
-        tx, ty = ("Y", "X") if swap else ("X", "Y")
-        for gx in _dihedral():
-            for gy in _dihedral():
-                side_map = {side: words[tx][_apply(gx, i)] for i, side in enumerate(words["X"])}
-                side_map.update(
-                    {side: words[ty][_apply(gy, j)] for j, side in enumerate(words["Y"])})
-                try:
-                    found.append(spine.symmetry(_name_of(swap, gx, gy), side_map))
-                except ValueError:
-                    continue
-    found.sort(key=lambda s: (s.name != "identity", s.name))
-    return found
-
-
 def build_spine_doc():
-    doc = {
+    return {
         "hexagons": {
             "X": {"sides": X_SIDES, "edges": {s: s[0] for s in X_SIDES}},
             "Y": {"sides": Y_SIDES, "edges": {s: s[0] for s in Y_SIDES}},
@@ -130,12 +85,6 @@ def build_spine_doc():
         "corner_vertices": {"X": CORNER_COLORS, "Y": CORNER_COLORS},
         "connectors": connector_rows(),
     }
-    # the spine schema wants a symmetry: the identity, until the search finds all eight
-    sides = X_SIDES + Y_SIDES
-    identity = {"name": "identity", "side_map": dict(zip(sides, sides))}
-    symmetries = find_symmetries(Spine({**doc, "symmetries": [identity]}))
-    doc["symmetries"] = [{"name": s.name, "side_map": s.side_map} for s in symmetries]
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +643,7 @@ def main(argv=None) -> int:
             (out / rel).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(stage / rel, out / rel)
 
-    print(f"spine: {len(spine_doc['symmetries'])} symmetries, "
-          f"{len(spine_doc['connectors'])} connectors")
+    print(f"spine: {len(spine_doc['connectors'])} connectors")
     print(f"complexes: {len(QCOMPLEXES)}")
     print(f"tracks: {len(bundles)}")
     print(f"catalog: {len(entries)} entries "
